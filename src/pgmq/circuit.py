@@ -339,12 +339,6 @@ def layerize(circuit: Circuit) -> list[Layer]:
     return layers
 
 
-def concat_layers(layers: list[Layer], num_qubits: int,
-                  global_phase: complex = 1.0) -> Circuit:
-    gates = [g for lay in layers for g in lay.gates]
-    return Circuit(num_qubits, gates, global_phase=global_phase)
-
-
 # ---------------------------------------------------------------------------
 # SU(4) block formation
 # ---------------------------------------------------------------------------
@@ -423,11 +417,3 @@ def form_su4_blocks(layers: list[Layer]) -> list:
             else:
                 raise CircuitError("form_su4_blocks expects 1- or 2-qubit gates")
     return [it for it in items if it is not None]
-
-
-def items_to_circuit(items: list, num_qubits: int,
-                     global_phase: complex = 1.0) -> Circuit:
-    c = Circuit(num_qubits, [], global_phase=global_phase)
-    for it in items:
-        c.add(it)
-    return c

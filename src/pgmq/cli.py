@@ -19,8 +19,8 @@ import numpy as np
 from . import __version__
 from .circuit import Circuit, CircuitError, to_unitary, phase_distance
 from .cost import ANCILLA_MERGED, AUTO, NO_ANCILLA, metrics
-from .noise import (NoiseModel, monte_carlo_fidelity, relative_error,
-                    success_probability)
+from .noise import (NoiseModel, apply_circuit, monte_carlo_fidelity,
+                    relative_error, success_probability)
 from .passes import CompileOptions, CompiledProgram, optimize
 from .qasm import QasmError, parse_qasm_file
 from .serialize import dumps as program_dumps, load as program_load
@@ -34,19 +34,28 @@ DEFAULT_ORACLE_CAP = 10
 VERIFY_TOL = 1e-8
 
 
+def _parse_cost(text: str) -> tuple[str, float]:
+    """Parse a --cost value: "lex" or "weighted:W" with a finite W."""
+    if text == "lex":
+        return "lex", 1.0
+    if text.startswith("weighted:"):
+        try:
+            weight = float(text.split(":", 1)[1])
+        except ValueError:
+            weight = math.nan
+        if math.isfinite(weight):
+            return "weighted", weight
+    raise argparse.ArgumentTypeError(
+        f"unknown cost order {text!r} (lex or weighted:W with a finite W)")
+
+
 def _compile_options(args) -> CompileOptions:
     scheme = AUTO
     if getattr(args, "ancilla", None) is True:
         scheme = ANCILLA_MERGED
     elif getattr(args, "ancilla", None) is False:
         scheme = NO_ANCILLA
-    cost = getattr(args, "cost", "lex")
-    if cost == "lex":
-        order, weight = "lex", 1.0
-    elif cost.startswith("weighted:"):
-        order, weight = "weighted", float(cost.split(":", 1)[1])
-    else:
-        raise CircuitError(f"unknown cost order {cost!r} (lex or weighted:w)")
+    order, weight = args.cost
     return CompileOptions(scheme=scheme, cost_order=order, cost_weight=weight,
                           max_iters=args.max_iters)
 
@@ -69,29 +78,18 @@ def _verify_program(prog: CompiledProgram, circuit: Circuit, cap: int,
         err = phase_distance(to_unitary(stripped, cap=cap),
                              to_unitary(replay, cap=cap))
         return err <= VERIFY_TOL, err
-    from .noise import statevector
     rng = np.random.default_rng(seed)
     n = circuit.num_qubits
     worst = 0.0
     for _ in range(20):
         amp = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
         amp /= np.linalg.norm(amp)
-        a = _apply_circuit(stripped, amp)
-        b = _apply_circuit(replay, amp)
+        a = apply_circuit(stripped, amp)
+        b = apply_circuit(replay, amp)
         tr = np.vdot(a, b)
         ph = tr / abs(tr) if abs(tr) > 1e-14 else 1.0
         worst = max(worst, float(np.max(np.abs(a * ph - b))))
     return worst <= VERIFY_TOL, worst
-
-
-def _apply_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
-    from .circuit import Barrier, Measure, gate_apply
-    psi = state.copy()
-    for g in circuit.gates:
-        if isinstance(g, (Barrier, Measure)):
-            continue
-        psi = gate_apply(psi, g, circuit.num_qubits)
-    return circuit.global_phase * psi
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +254,20 @@ def cmd_bench(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports malformed arguments as one located line and exit code 2."""
+
+    def error(self, message):
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def _add_compile_flags(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--ancilla", dest="ancilla", action="store_true",
                        default=None, help="force the ancilla-merged scheme")
     group.add_argument("--no-ancilla", dest="ancilla", action="store_false",
                        help="forbid the ancilla-merged scheme")
-    p.add_argument("--cost", default="lex",
+    p.add_argument("--cost", default="lex", type=_parse_cost,
                    help="cost order: lex or weighted:W (default lex)")
     p.add_argument("--max-iters", type=int, default=50)
 
@@ -276,7 +281,7 @@ def _add_noise_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="pgmq",
         description="Phase-gadget compiler for programmable multiqubit "
                     "entangling gates")

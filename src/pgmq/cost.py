@@ -1,14 +1,33 @@
-"""Cost model: nuclear-norm of multiqubit gates, realization of gadget
+"""Cost model: nuclear norm of multiqubit gates, realization of gadget
 sequences into native gates (with or without an ancilla-merged interface),
 the straightforward parallel-merge baseline, and benchmark metrics.
 
-Realization conventions:
-  * a one-qubit gadget is a frame rotation and never counts as a multiqubit
-    gate;
-  * a two-qubit gadget is exactly one native gate (pair phase alpha*pi/2)
-    plus axis-change locals;
-  * larger gadgets use the fanout construction: two star gates without an
-    ancilla, or interface-merged star gates (M+1 for a run of M) with one.
+A gadget sequence is realized in two steps, plan then cost or emit.
+
+The plan partitions the gadget stream once into time-ordered units (free
+one-qubit rotations, groups of two-qubit gadgets, larger gadgets) and, for
+the ancilla scheme, groups consecutive large gadgets into runs.  Each
+scheme's cost (multiqubit-gate count, then total nuclear norm) is read
+straight from the plan:
+
+  * a one-qubit gadget is a frame rotation and never counts;
+  * a group of two-qubit gadgets is one programmable gate carrying the
+    summed pair phases, counted iff a phase survives MultiQubitGate's
+    zero-drop; its norm comes from one eigvalsh and serves both schemes;
+  * without an ancilla, a gadget on J costs two star gates with |J|-1
+    spokes each;
+  * with an ancilla, a run of M gadgets J_1..J_M costs a leading star with
+    |J_1| spokes, one merged interface per adjacent pair (J, K) and a
+    trailing star with |J_M| spokes.  An interface's live controls number
+    |J ^ K| (symmetric difference) when both gadgets share an axis, since
+    a repeated Pauli cancels, and |J | K| (union) otherwise; with no live
+    control it is no gate.  So a run costs at most M+1 gates.
+
+Every star gate with k spokes of phase pi/4 has norm star_norm(k) =
+(pi/4) sqrt(k).  `auto` takes the cheaper scheme, no-ancilla on a tie.
+
+Emission builds native gates (locals plus MultiQubitGate) from the plan,
+only for the scheme that runs: `realize` plans, picks, then emits once.
 """
 
 from __future__ import annotations
@@ -82,10 +101,6 @@ class Realization:
         if self.clifford_gates is None:
             self.clifford_gates = []
 
-    def cost(self) -> CostVector:
-        return CostVector(len(self.mq_gates),
-                          sum((nuclear_norm(g) for g in self.mq_gates), 0.0))
-
     def to_circuit(self) -> Circuit:
         c = Circuit(self.num_qubits, [], global_phase=self.phase)
         for g in self.items:
@@ -93,42 +108,31 @@ class Realization:
         return c
 
 
-def _emit_frame(frame: LocalFrame, mq: MultiQubitGate, items: list,
-                mq_gates: list, cliffords: list | None = None) -> complex:
-    items.extend(frame.right_gates())
-    if mq.pairs:
-        items.append(mq)
-        mq_gates.append(mq)
-        if cliffords is not None:
-            cliffords.append(mq)
-    items.extend(frame.left_gates())
-    return frame.phase
+# ---------------------------------------------------------------------------
+# Plan
+# ---------------------------------------------------------------------------
+
+@dataclass(eq=False)
+class _PairGroup:
+    """Consecutive two-qubit gadgets with consistent per-qubit axes, as the
+    one programmable gate that implements them."""
+
+    axes: dict                   # qubit -> gadget axis
+    gate: MultiQubitGate         # summed pair phases alpha*pi/2
+    norm: float
 
 
-def _emit_pair_group(group: list, items: list, mq_gates: list) -> None:
-    """One programmable gate implementing a product of two-qubit gadgets
-    whose per-qubit axes are consistent: conjugate each touched qubit into
-    the Z basis and sum the pair phases."""
-    axes: dict = {}
+def _pair_group(group: list, axes: dict) -> _PairGroup:
     pairs: dict = {}
     for g in group:
-        a, b = g.support
-        axes[a] = axes[b] = g.axis
-        pairs[(a, b)] = pairs.get((a, b), 0.0) + g.alpha * math.pi / 2
-    conj = sorted(q for q, ax in axes.items() if ax != "Z")
-    for q in conj:
-        items.append(SingleQubit(q, _Z_TO[axes[q]].conj().T, "basis"))
-    mq = MultiQubitGate(pairs)
-    if mq.pairs:
-        items.append(mq)
-        mq_gates.append(mq)
-    for q in conj:
-        items.append(SingleQubit(q, _Z_TO[axes[q]], "basis"))
+        pairs[g.support] = pairs.get(g.support, 0.0) + g.alpha * math.pi / 2
+    gate = MultiQubitGate(pairs)
+    return _PairGroup(axes, gate, nuclear_norm(gate))
 
 
 def _stream_units(gadgets: list) -> list:
     """Partition a gadget stream into realization units, in time order:
-    ("single", g), ("pairs", [g, ...]) for maximal groups of consecutive
+    ("single", g), ("pairs", _PairGroup) for maximal groups of consecutive
     two-qubit gadgets with consistent per-qubit axes (single-qubit gadgets
     that commute with a pending group hop in front of it), ("big", g)."""
     units: list = []
@@ -138,7 +142,7 @@ def _stream_units(gadgets: list) -> list:
     def flush():
         nonlocal axes, group
         if group:
-            units.append(("pairs", group))
+            units.append(("pairs", _pair_group(group, axes)))
         axes, group = {}, []
 
     for g in gadgets:
@@ -160,15 +164,125 @@ def _stream_units(gadgets: list) -> list:
     return units
 
 
-def _realize_no_ancilla(seq: GadgetSequence) -> Realization:
+def _group_runs(units: list) -> list:
+    """The ancilla scheme's schedule: consecutive "big" units become one
+    ("run", [g, ...]); single-qubit units that commute with a pending run
+    hop in front of it."""
+    schedule: list = []
+    run: list = []
+    for kind, val in units:
+        if kind == "big":
+            run.append(val)
+            continue
+        if run and not (kind == "single"
+                        and all(pg_commutes(val, h) for h in run)):
+            schedule.append(("run", run))
+            run = []
+        schedule.append((kind, val))
+    if run:
+        schedule.append(("run", run))
+    return schedule
+
+
+def _interface_live(g: PhaseGadget, h: PhaseGadget) -> int:
+    """Live controls of the merged interface between run neighbours g, h:
+    a qubit in both supports cancels iff the two axes are equal."""
+    if g.axis == h.axis:
+        return len(set(g.support) ^ set(h.support))
+    return len(set(g.support) | set(h.support))
+
+
+def _plan_cost(steps: list) -> CostVector:
+    """Gate count and total norm of a unit list or a run schedule."""
+    count, norm = 0, 0.0
+    for kind, val in steps:
+        if kind == "pairs":
+            if val.gate.pairs:
+                count += 1
+                norm += val.norm
+            continue
+        if kind == "big":
+            spokes = [len(val.support) - 1] * 2
+        elif kind == "run":
+            spokes = [len(val[0].support),
+                      *(_interface_live(g, h) for g, h in zip(val, val[1:])),
+                      len(val[-1].support)]
+        else:
+            continue
+        for k in spokes:
+            if k:
+                count += 1
+                norm += star_norm(k)
+    return CostVector(count, norm)
+
+
+@dataclass(eq=False)
+class _Plan:
+    """Realization units of one gadget sequence and both schemes' costs."""
+
+    units: list                  # no-ancilla order
+    schedule: list               # ancilla order (runs grouped)
+    costs: dict                  # scheme -> CostVector
+
+    def pick(self, scheme: str) -> str:
+        """The scheme to emit: `auto` takes the cheaper, no-ancilla on a tie."""
+        if scheme == AUTO:
+            if self.costs[NO_ANCILLA].key() <= self.costs[ANCILLA_MERGED].key():
+                return NO_ANCILLA
+            return ANCILLA_MERGED
+        if scheme not in self.costs:
+            raise CircuitError(f"unknown realization scheme {scheme!r}")
+        return scheme
+
+
+def _plan(seq: GadgetSequence) -> _Plan:
+    units = _stream_units(seq.gadgets)
+    schedule = _group_runs(units)
+    return _Plan(units, schedule, {NO_ANCILLA: _plan_cost(units),
+                                   ANCILLA_MERGED: _plan_cost(schedule)})
+
+
+# ---------------------------------------------------------------------------
+# Emission
+# ---------------------------------------------------------------------------
+
+def _emit_frame(frame: LocalFrame, mq: MultiQubitGate, items: list,
+                mq_gates: list, cliffords: list | None = None) -> complex:
+    items.extend(frame.right_gates())
+    if mq.pairs:
+        items.append(mq)
+        mq_gates.append(mq)
+        if cliffords is not None:
+            cliffords.append(mq)
+    items.extend(frame.left_gates())
+    return frame.phase
+
+
+def _emit_pair_group(group: _PairGroup, items: list, mq_gates: list) -> None:
+    """Conjugate each touched qubit into the Z basis around the group's
+    programmable gate."""
+    conj = sorted(q for q, ax in group.axes.items() if ax != "Z")
+    for q in conj:
+        items.append(SingleQubit(q, _Z_TO[group.axes[q]].conj().T, "basis"))
+    if group.gate.pairs:
+        items.append(group.gate)
+        mq_gates.append(group.gate)
+    for q in conj:
+        items.append(SingleQubit(q, _Z_TO[group.axes[q]], "basis"))
+
+
+def _emit_single(g: PhaseGadget, items: list) -> None:
+    items.append(pauli_rotation(g.axis, -g.alpha * math.pi, g.support[0]))
+
+
+def _emit_no_ancilla(seq: GadgetSequence, units: list) -> Realization:
     items: list = []
     mq_gates: list = []
     cliffords: list = []
     phase = seq.phase
-    for kind, val in _stream_units(seq.gadgets):
+    for kind, val in units:
         if kind == "single":
-            items.append(pauli_rotation(val.axis, -val.alpha * math.pi,
-                                        val.support[0]))
+            _emit_single(val, items)
         elif kind == "pairs":
             _emit_pair_group(val, items, mq_gates)
         else:
@@ -187,7 +301,8 @@ def _realize_no_ancilla(seq: GadgetSequence) -> Realization:
                        clifford_gates=cliffords)
 
 
-def _realize_ancilla(seq: GadgetSequence, ancilla: int | None = None) -> Realization:
+def _emit_ancilla(seq: GadgetSequence, schedule: list,
+                  ancilla: int | None = None) -> Realization:
     a = seq.num_qubits if ancilla is None else ancilla
     n = max(seq.num_qubits, a + 1)
     items: list = []
@@ -200,8 +315,8 @@ def _realize_ancilla(seq: GadgetSequence, ancilla: int | None = None) -> Realiza
         return fanout_to_mq(fan)
 
     def emit_run(run: list) -> None:
-        """M consecutive large-support gadgets as M+1 multiqubit gates:
-        leading fanout, merged interfaces, trailing fanout."""
+        """M consecutive large-support gadgets as at most M+1 multiqubit
+        gates: leading fanout, merged interfaces, trailing fanout."""
         nonlocal phase
         mq, frame = fan_gate(run[0])
         phase *= _emit_frame(frame, mq, items, mq_gates, cliffords)
@@ -215,22 +330,13 @@ def _realize_ancilla(seq: GadgetSequence, ancilla: int | None = None) -> Realiza
         mq, frame = fan_gate(run[-1])
         phase *= _emit_frame(frame, mq, items, mq_gates, cliffords)
 
-    run: list = []
-    for kind, val in _stream_units(seq.gadgets):
-        if kind == "big":
-            run.append(val)
-            continue
-        if run and not (kind == "single"
-                        and all(pg_commutes(val, h) for h in run)):
-            emit_run(run)
-            run = []
+    for kind, val in schedule:
         if kind == "single":
-            items.append(pauli_rotation(val.axis, -val.alpha * math.pi,
-                                        val.support[0]))
-        else:
+            _emit_single(val, items)
+        elif kind == "pairs":
             _emit_pair_group(val, items, mq_gates)
-    if run:
-        emit_run(run)
+        else:
+            emit_run(val)
     items.extend(seq.frame.gates())
     return Realization(n, items, mq_gates, phase, ancilla=a,
                        clifford_gates=cliffords)
@@ -240,24 +346,23 @@ def realize(seq: GadgetSequence, scheme: str = AUTO,
             ancilla: int | None = None) -> Realization:
     """Turn a gadget sequence into native multiqubit gates plus locals.
 
-    With the ancilla scheme, a run of M multiqubit gadgets costs M+1 gates
-    (interfaces merged); without, each costs two star gates.  `auto` picks
-    the scheme with the lower cost (count first, then norm)."""
-    if scheme == NO_ANCILLA:
-        return _realize_no_ancilla(seq)
-    if scheme == ANCILLA_MERGED:
-        if ancilla is not None and any(ancilla in g.support for g in seq.gadgets):
-            raise CircuitError("ancilla collides with a gadget support")
-        return _realize_ancilla(seq, ancilla)
-    if scheme == AUTO:
-        r1 = _realize_no_ancilla(seq)
-        r2 = _realize_ancilla(seq, ancilla)
-        return r1 if r1.cost().key() <= r2.cost().key() else r2
-    raise CircuitError(f"unknown realization scheme {scheme!r}")
+    With the ancilla scheme, a run of M multiqubit gadgets costs at most
+    M+1 gates (interfaces merged); without, each costs two star gates.
+    `auto` picks the scheme with the lower planned cost (count first, then
+    norm) and emits only that one."""
+    plan = _plan(seq)
+    if plan.pick(scheme) == NO_ANCILLA:
+        return _emit_no_ancilla(seq, plan.units)
+    if ancilla is not None and any(ancilla in g.support for g in seq.gadgets):
+        raise CircuitError("ancilla collides with a gadget support")
+    return _emit_ancilla(seq, plan.schedule, ancilla)
 
 
 def sequence_cost(seq: GadgetSequence, scheme: str = AUTO) -> CostVector:
-    return realize(seq, scheme).cost()
+    """Planned cost of realizing `seq` with `scheme` (the cheaper one for
+    `auto`); equals the count and norm of the gates `realize` emits."""
+    plan = _plan(seq)
+    return plan.costs[plan.pick(scheme)]
 
 
 # ---------------------------------------------------------------------------

@@ -360,8 +360,7 @@ def merge_interface(j_set, k_set, a: int, first_axis: str = "Z",
     return _fuse(controls, a, "Y")
 
 
-def commute_cnot(cnot_gate: GeneralizedCnot, g: PhaseGadget,
-                 direction: str = "left") -> PhaseGadget:
+def commute_cnot(cnot_gate: GeneralizedCnot, g: PhaseGadget) -> PhaseGadget:
     """Move a canonical CNOT across a gadget: C.G = G'.C and G.C = C.G'.
 
     The canonical CNOT is self-inverse, so both directions produce the same
@@ -369,8 +368,6 @@ def commute_cnot(cnot_gate: GeneralizedCnot, g: PhaseGadget,
     """
     if not cnot_gate.is_canonical:
         raise CircuitError("commute_cnot needs a canonical (Z^X) CNOT")
-    if direction not in ("left", "right"):
-        raise CircuitError("direction must be 'left' or 'right'")
     j, k = cnot_gate.control, cnot_gate.target
     sup = set(g.support)
     if g.axis == "Z":

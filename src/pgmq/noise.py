@@ -124,6 +124,17 @@ def success_probability(program, model: NoiseModel) -> float:
 # Statevector simulation and distributions
 # ---------------------------------------------------------------------------
 
+def apply_circuit(circuit: Circuit, psi: np.ndarray) -> np.ndarray:
+    """U |psi> for the circuit's unitary U (gates applied in time order,
+    barriers and measurements skipped); `psi` is left unchanged."""
+    n = circuit.num_qubits
+    for g in circuit.gates:
+        if isinstance(g, (Barrier, Measure)):
+            continue
+        psi = gate_apply(psi, g, n)
+    return circuit.global_phase * psi
+
+
 def statevector(circuit: Circuit, cap: int = STATEVECTOR_CAP) -> np.ndarray:
     """Final state |psi> = U |0...0> (gates applied in time order)."""
     n = circuit.num_qubits
@@ -131,11 +142,7 @@ def statevector(circuit: Circuit, cap: int = STATEVECTOR_CAP) -> np.ndarray:
         raise CircuitError(f"register too large for statevector ({n} > {cap})")
     psi = np.zeros(2 ** n, dtype=complex)
     psi[0] = 1.0
-    for g in circuit.gates:
-        if isinstance(g, (Barrier, Measure)):
-            continue
-        psi = gate_apply(psi, g, n)
-    return circuit.global_phase * psi
+    return apply_circuit(circuit, psi)
 
 
 def probabilities(circuit: Circuit, num_bits: int | None = None,

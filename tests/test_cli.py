@@ -129,6 +129,18 @@ def test_compile_scheme_flags(qasm_dir, tmp_path):
     assert json.loads(out.read_text())["scheme"] == "ancilla-merged"
 
 
+@pytest.mark.parametrize("cost", ["foo", "weighted:abc"])
+def test_compile_bad_cost_exit_2(qasm_dir, tmp_path, capsys, cost):
+    with pytest.raises(SystemExit) as exc:
+        main(["compile", str(qasm_dir / "small.qasm"),
+              "--out", str(tmp_path / "p.json"), "--cost", cost])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "--cost" in err and cost in err
+    assert not (tmp_path / "p.json").exists()
+
+
 # --- simulate --------------------------------------------------------------------
 
 def test_simulate_deterministic_reports(qasm_dir, tmp_path):

@@ -151,6 +151,72 @@ def test_ancilla_collision_rejected():
         realize(seq, ANCILLA_MERGED, ancilla=2)
 
 
+def _random_sequence(rng, n, free=()):
+    """Gadgets with supports of size 1-5 on the wires outside `free`.  A
+    gadget often reuses its predecessor's support, with another axis, the
+    same axis, or the same axis and the opposite angle, so that runs contain
+    overlapping and cancelling interfaces and pair groups cancel to no
+    gate."""
+    wires = [q for q in range(n) if q not in free]
+    gads = []
+    for _ in range(int(rng.integers(1, 16))):
+        axis = str(rng.choice(list("XYZ")))
+        alpha = float(rng.uniform(-2, 2))
+        prev = gads[-1] if gads else None
+        if prev is not None and len(prev.support) > 1 and rng.random() < 0.4:
+            sup = prev.support
+            reuse = rng.random()
+            if reuse < 0.5:
+                axis = prev.axis
+            if reuse < 0.25:
+                alpha = -prev.alpha
+        else:
+            k = int(rng.integers(1, min(5, len(wires)) + 1))
+            sup = tuple(int(q) for q in rng.choice(wires, size=k, replace=False))
+        gads.append(PhaseGadget(axis, alpha, sup))
+    return GadgetSequence(n, gads)
+
+
+def _emitted_cost(r):
+    return CostVector(len(r.mq_gates),
+                      sum((nuclear_norm(g) for g in r.mq_gates), 0.0))
+
+
+def test_planned_cost_equals_emitted_gates():
+    rng = np.random.default_rng(7)
+    for trial in range(300):
+        n = int(rng.integers(2, 9))
+        free = (int(rng.integers(n)),) if trial % 3 == 0 and n > 2 else ()
+        seq = _random_sequence(rng, n, free)
+        emitted = {}
+        for scheme in (NO_ANCILLA, ANCILLA_MERGED):
+            anc = free[0] if free and scheme == ANCILLA_MERGED else None
+            r = realize(seq, scheme, ancilla=anc)
+            if anc is not None:
+                assert r.ancilla == anc and r.num_qubits == n
+            emitted[scheme] = want = _emitted_cost(r)
+            got = sequence_cost(seq, scheme)
+            assert got.mq_count == want.mq_count
+            assert abs(got.total_norm - want.total_norm) \
+                <= 1e-12 * max(1.0, want.total_norm)
+        pick_no = (emitted[NO_ANCILLA].key()
+                   <= emitted[ANCILLA_MERGED].key())
+        assert (realize(seq).ancilla is None) == pick_no
+        assert sequence_cost(seq) == sequence_cost(
+            seq, NO_ANCILLA if pick_no else ANCILLA_MERGED)
+
+
+def test_cancelling_interface_is_no_gate():
+    # equal axis and support: the interface's controls all cancel
+    seq = GadgetSequence(3, [PhaseGadget("Z", 0.2, (0, 1, 2)),
+                             PhaseGadget("Z", 0.3, (0, 1, 2))])
+    r = realize(seq, ANCILLA_MERGED)
+    assert len(r.mq_gates) == 2
+    assert sequence_cost(seq, ANCILLA_MERGED) == CostVector(2, 2 * star_norm(3))
+    ua = to_unitary(r.to_circuit())
+    assert np.max(np.abs(ua[:8, :8] - sequence_unitary(seq))) < 1e-10
+
+
 # --- baseline and metrics ------------------------------------------------------
 
 def test_baseline_parallel_merge_counts():
