@@ -6,9 +6,13 @@ uniformly random Pauli error (depolarization) with a probability scaled by
 the gate's nuclear norm relative to a fully entangling two-qubit gate.
 Single-qubit gates are noiseless.
 
-Fidelities are estimated two ways: a closed-form success probability (the
-chance that no error fires anywhere), and a Monte Carlo estimate comparing
-sampled bitstring distributions to the ideal one via total variation
+`_noise_sites` decides once per circuit where errors can fire: a table from
+each entangling gate's index to its participating qubits and its
+depolarization rate.  The closed-form success probability (the chance that
+no error fires anywhere) is a product over that table.  `_inject`, the one
+draw loop, turns it into a noisy instance, both for `inject_noise` and for
+each Monte Carlo sample, whose bitstring distribution `probabilities`
+computes and which is compared to the ideal one via total variation
 distance.  Monte Carlo draws use counter-based per-sample substreams so the
 result is reproducible regardless of evaluation order.
 """
@@ -71,51 +75,47 @@ def _as_circuit(program) -> Circuit:
     return program.realized_circuit()
 
 
-def _entangling_sites(circuit: Circuit):
-    """Yield (gate, participating qubits, depol rate placeholder) for every
-    entangling gate in time order."""
-    for g in circuit.gates:
-        if isinstance(g, (Barrier, Measure, SingleQubit)):
-            continue
-        if gate_norm(g) > 0.0:
-            yield g, tuple(sorted(set(g.qubits)))
+def _noise_sites(circuit: Circuit, model: NoiseModel) -> dict:
+    """Noise-site table: the index of every entangling gate, in time order,
+    mapped to (its participating qubits ascending, its depolarization rate)."""
+    sites = {}
+    for i, g in enumerate(circuit.gates):
+        if not isinstance(g, (Barrier, Measure, SingleQubit)) \
+                and gate_norm(g) > 0.0:
+            sites[i] = tuple(sorted(set(g.qubits))), depol_prob(g, model)
+    return sites
 
 
-def _draw_insertions(gate, qubits, model: NoiseModel, rng) -> list:
-    """Pauli gates to insert before one entangling gate.  Draw order is
-    fixed (qubit-major, dephasing then depolarization) for reproducibility."""
-    p_dep = depol_prob(gate, model)
-    out = []
-    for q in qubits:
-        if rng.random() < model.p_dephase:
-            out.append(pauli_gate("Z", q))
-        if rng.random() < p_dep:
-            out.append(pauli_gate(_PAULI_CHOICES[rng.integers(3)], q))
-    return out
+def _inject(circuit: Circuit, sites: dict, model: NoiseModel, rng) -> Circuit:
+    """One noisy instance: Pauli errors drawn at every site of the table and
+    inserted before its gate.  Draw order is fixed (time-major, then
+    qubit-major, dephasing before depolarization) for reproducibility."""
+    gates = []
+    for i, g in enumerate(circuit.gates):
+        if i in sites:
+            qubits, p_dep = sites[i]
+            for q in qubits:
+                if rng.random() < model.p_dephase:
+                    gates.append(pauli_gate("Z", q))
+                if rng.random() < p_dep:
+                    gates.append(pauli_gate(_PAULI_CHOICES[rng.integers(3)], q))
+        gates.append(g)
+    return Circuit(circuit.num_qubits, gates, circuit.classical_bits,
+                   circuit.global_phase)
 
 
 def inject_noise(program, model: NoiseModel, rng) -> Circuit:
     """One noisy instance: the circuit with random Pauli errors inserted
     before each entangling gate (single-qubit gates stay noiseless)."""
     circuit = _as_circuit(program)
-    out = Circuit(circuit.num_qubits, [], global_phase=circuit.global_phase)
-    for g in circuit.gates:
-        if not isinstance(g, (Barrier, Measure, SingleQubit)) \
-                and gate_norm(g) > 0.0:
-            for ins in _draw_insertions(g, tuple(sorted(set(g.qubits))),
-                                        model, rng):
-                out.add(ins)
-        out.add(g)
-    return out
+    return _inject(circuit, _noise_sites(circuit, model), model, rng)
 
 
 def success_probability(program, model: NoiseModel) -> float:
     """Closed-form fidelity estimate: the probability that no error fires at
     any (entangling gate, participating qubit) site."""
-    circuit = _as_circuit(program)
     f = 1.0
-    for g, qubits in _entangling_sites(circuit):
-        p_dep = depol_prob(g, model)
+    for qubits, p_dep in _noise_sites(_as_circuit(program), model).values():
         f *= ((1.0 - model.p_dephase) * (1.0 - p_dep)) ** len(qubits)
     return f
 
@@ -238,29 +238,6 @@ def _sample_rng(seed: int, sample: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, sample]))
 
 
-def _noisy_probabilities(circuit: Circuit, model: NoiseModel, rng,
-                         num_bits: int, cap: int) -> np.ndarray:
-    """Probabilities of one noisy instance, applying insertions inline with
-    the same draw order as inject_noise."""
-    n = circuit.num_qubits
-    if n > cap:
-        raise CircuitError(f"register too large for statevector ({n} > {cap})")
-    psi = np.zeros(2 ** n, dtype=complex)
-    psi[0] = 1.0
-    for g in circuit.gates:
-        if isinstance(g, (Barrier, Measure)):
-            continue
-        if not isinstance(g, SingleQubit) and gate_norm(g) > 0.0:
-            for ins in _draw_insertions(g, tuple(sorted(set(g.qubits))),
-                                        model, rng):
-                psi = gate_apply(psi, ins, n)
-        psi = gate_apply(psi, g, n)
-    p = np.abs(psi) ** 2
-    if num_bits < n:
-        p = p.reshape(2 ** (n - num_bits), 2 ** num_bits).sum(axis=0)
-    return p
-
-
 def monte_carlo_fidelity(program, input_circuit: Circuit, model: NoiseModel,
                          samples: int = 1000, shots: int = 10,
                          cap: int = STATEVECTOR_CAP,
@@ -276,10 +253,11 @@ def monte_carlo_fidelity(program, input_circuit: Circuit, model: NoiseModel,
     dim = 2 ** num_bits
     seed = model.seed
 
+    sites = _noise_sites(circuit, model)
     drawn = np.empty((samples, shots), dtype=np.int64)
     for s in range(samples):
         rng = _sample_rng(seed, s)
-        p = _noisy_probabilities(circuit, model, rng, num_bits, cap)
+        p = probabilities(_inject(circuit, sites, model, rng), num_bits, cap)
         p = p / p.sum()
         drawn[s] = rng.choice(dim, size=shots, p=p)
 

@@ -1,13 +1,13 @@
 """Compilation passes: pulling CNOTs out of a circuit into GF(2) edge layers
 (left- and right-handed primitives), nuclear-norm reduction by CNOT-pair
-conjugation with maximum-weight matching, and the iterative driver producing
-the three-layer compiled form.
+conjugation with greedy maximum-weight matching, and the iterative driver
+producing the three-layer compiled form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -137,8 +137,8 @@ def single_qubit_gadgets(gate: SingleQubit) -> tuple[list, complex]:
 # Left- and right-handed primitives
 # ---------------------------------------------------------------------------
 
-def pg_left(circuit: Circuit, counter: dict | None = None,
-            do_simplify: bool = True) -> tuple[GadgetSequence, CnotLayer]:
+def pg_left(circuit: Circuit,
+            counter: dict | None = None) -> tuple[GadgetSequence, CnotLayer]:
     """Factor circuit = U_PG . U_C (matrix order) by pulling every CNOT to
     the beginning of the circuit through the accumulated gadgets."""
     n = circuit.num_qubits
@@ -169,9 +169,7 @@ def pg_left(circuit: Circuit, counter: dict | None = None,
             raise CircuitError(f"unsupported gate kind: {type(g).__name__}")
     if counter is not None:
         counter["events"] = counter.get("events", 0) + events
-    if do_simplify:
-        seq = simplify(seq)
-    return seq, layer
+    return simplify(seq), layer
 
 
 def sequence_adjoint(seq: GadgetSequence) -> GadgetSequence:
@@ -192,11 +190,11 @@ def sequence_adjoint(seq: GadgetSequence) -> GadgetSequence:
                           np.conj(seq.phase), seq.ancilla)
 
 
-def pg_right(circuit: Circuit, counter: dict | None = None,
-             do_simplify: bool = True) -> tuple[CnotLayer, GadgetSequence]:
+def pg_right(circuit: Circuit,
+             counter: dict | None = None) -> tuple[CnotLayer, GadgetSequence]:
     """Factor circuit = U_C . U_PG (matrix order): the mirrored primitive,
     implemented by running pg_left on the adjoint circuit."""
-    seq_t, layer_t = pg_left(circuit.adjoint(), counter, do_simplify)
+    seq_t, layer_t = pg_left(circuit.adjoint(), counter)
     return layer_t.adjoint(), sequence_adjoint(seq_t)
 
 
@@ -241,6 +239,8 @@ def _greedy_matching(weights: dict) -> list:
 
 
 def _exact_matching(weights: dict) -> list:
+    """Exact maximum-weight matching, the reference for the greedy matching
+    that compile uses (greedy reaches at least half its weight)."""
     import networkx as nx
     g = nx.Graph()
     for (a, b), w in weights.items():
@@ -248,8 +248,8 @@ def _exact_matching(weights: dict) -> list:
     return [tuple(sorted(e)) for e in nx.max_weight_matching(g)]
 
 
-def norm_reduction_step(seq: GadgetSequence, scheme: str = AUTO,
-                        matcher: str = "greedy") -> tuple[list, GadgetSequence, bool]:
+def norm_reduction_step(seq: GadgetSequence,
+                        scheme: str = AUTO) -> tuple[list, GadgetSequence, bool]:
     """One round of commuting-CNOT conjugations lowering the total norm.
 
     Returns (applied CNOTs, conjugated sequence, improved).  Candidate pair
@@ -264,11 +264,9 @@ def norm_reduction_step(seq: GadgetSequence, scheme: str = AUTO,
             w = cur - min(cm[a, b], cm[b, a])
             if w > 1e-9:
                 weights[(a, b)] = w
-    pairs = _exact_matching(weights) if matcher == "exact" \
-        else _greedy_matching(weights)
     applied = []
     out = seq
-    for a, b in sorted(pairs):
+    for a, b in sorted(_greedy_matching(weights)):
         c, t = (a, b) if cm[a, b] <= cm[b, a] else (b, a)
         out = conjugate_sequence(out, c, t)
         applied.append((c, t))
@@ -285,7 +283,6 @@ class CompileOptions:
     cost_order: str = "lex"        # "lex" or "weighted"
     cost_weight: float = 1.0       # used when cost_order == "weighted"
     max_iters: int = 50
-    matcher: str = "greedy"
 
     def cost_key(self, cv: CostVector):
         if self.cost_order == "weighted":
@@ -399,8 +396,7 @@ def optimize(circuit: Circuit, opts: CompileOptions | None = None) -> CompiledPr
     iters = 0
     trace = [cur]
     for _ in range(opts.max_iters):
-        applied, nxt, improved = norm_reduction_step(seq, opts.scheme,
-                                                     opts.matcher)
+        applied, nxt, improved = norm_reduction_step(seq, opts.scheme)
         if not improved:
             break
         nxt = simplify(nxt)

@@ -1,7 +1,8 @@
 """Two-qubit unitary synthesis: Cartan (KAK) decomposition via the magic
-basis, Weyl-chamber canonicalization, rewriting into blocks of at most three
-Z(x)Z rotations with a leading rotation, and total-entanglement-phase
-minimization over the six CNOT-pair completions.
+basis with each interaction coefficient reduced into (-pi/4, pi/4],
+rewriting into blocks of at most three Z(x)Z rotations with a leading
+rotation, and total-entanglement-phase minimization over the six CNOT-pair
+completions.
 
 Matrix conventions follow circuit.py: a 4x4 block unitary acts on an ordered
 qubit pair (low, high) with the low qubit as the least significant index, so
@@ -47,14 +48,11 @@ _DIAG_SYSTEM = np.column_stack(
     + [np.ones(4)]
 )
 
-# Single-qubit Cliffords used to permute interaction axes by conjugation:
-# each entry W satisfies (W(x)W) E(cx,cy,cz) (W(x)W)^dag = E(permuted c).
+# Single-qubit Cliffords that move interaction axes by conjugation:
+# (W(x)W) E(cx,cy,cz) (W(x)W)^dag = E(permuted c).
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / _SQ2
-_S = np.diag([1.0, 1j]).astype(complex)          # swaps the XX and YY terms
 _VX = (math.cos(math.pi / 4) * I2
        + 1j * math.sin(math.pi / 4) * PAULI["X"])  # swaps the YY and ZZ terms
-_VY = (math.cos(math.pi / 4) * I2
-       + 1j * math.sin(math.pi / 4) * PAULI["Y"])  # Z -> Y conjugator's cousin
 
 _EPS = 1e-12
 
@@ -163,67 +161,6 @@ def _shift_coeff(k: KakDecomposition, axis: int) -> None:
     k.b_lo = pm @ k.b_lo
     k.b_hi = pm @ k.b_hi
     k.c = tuple(c)
-
-
-def _flip_pair(k: KakDecomposition, i: int, j: int) -> None:
-    """Flip the signs of coefficients i and j by local Pauli conjugation."""
-    other = ({0, 1, 2} - {i, j}).pop()
-    # conjugating by the complementary Pauli on the low wire alone negates
-    # exactly the two targeted interaction terms
-    p = PAULI["XYZ"[other]]
-    c = list(k.c)
-    c[i], c[j] = -c[i], -c[j]
-    k.c = tuple(c)
-    k.a_lo = k.a_lo @ p
-    k.b_lo = p @ k.b_lo
-
-
-def _swap_axes(k: KakDecomposition, w: np.ndarray, i: int, j: int) -> None:
-    """Exchange coefficients i and j via (w (x) w) conjugation."""
-    c = list(k.c)
-    c[i], c[j] = c[j], c[i]
-    k.c = tuple(c)
-    wd = w.conj().T
-    k.a_lo = k.a_lo @ wd
-    k.a_hi = k.a_hi @ wd
-    k.b_lo = w @ k.b_lo
-    k.b_hi = w @ k.b_hi
-
-
-_AXIS_SWAPPER = {(0, 1): _S, (1, 2): _VX}
-
-
-def _canonicalize(k: KakDecomposition) -> None:
-    """Bring the interaction coefficients into the Weyl chamber
-    pi/4 >= cx >= cy >= |cz| (with cz >= 0 when cx = pi/4)."""
-    for axis in range(3):
-        _shift_coeff(k, axis)
-    # sort by decreasing |c| using adjacent-axis swaps (bubble pass)
-    for _ in range(3):
-        if abs(k.c[0]) < abs(k.c[1]) - 1e-14:
-            _swap_axes(k, _S, 0, 1)
-        if abs(k.c[1]) < abs(k.c[2]) - 1e-14:
-            _swap_axes(k, _VX, 1, 2)
-    # make cx, cy nonnegative with pairwise sign flips
-    neg = [i for i in range(2) if k.c[i] < -1e-14]
-    if len(neg) == 2:
-        _flip_pair(k, 0, 1)
-    elif len(neg) == 1:
-        _flip_pair(k, neg[0], 2)
-    # boundary rule: at cx = pi/4 the cz sign is a gauge choice; fix it >= 0
-    if abs(k.c[0] - math.pi / 4) < 1e-12 and k.c[2] < -1e-14:
-        _flip_pair(k, 0, 2)
-        _shift_coeff(k, 0)  # ceil-shift maps -pi/4 back to +pi/4
-
-
-def kak_decompose(u: np.ndarray) -> KakDecomposition:
-    """Cartan decomposition with Weyl-chamber interaction coefficients."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (4, 4) or np.max(np.abs(u @ u.conj().T - np.eye(4))) > 1e-10:
-        raise CircuitError("kak_decompose needs a 4x4 unitary")
-    k = _kak_raw(u)
-    _canonicalize(k)
-    return k
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,29 @@ def test_verify_fails_on_tampered_program(qasm_dir, tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_checks_realized_circuit(qasm_dir, tmp_path, capsys,
+                                        monkeypatch):
+    # dropping one native gate from the realization must fail verify even
+    # though the gadget replay is untouched
+    from pgmq.gadgets import MultiQubitGate
+    from pgmq.passes import CompiledProgram
+    out = tmp_path / "p.json"
+    main(["compile", str(qasm_dir / "small.qasm"), "--out", str(out)])
+    realized = CompiledProgram.realized_circuit
+
+    def drop_one_mq(self, scheme=None):
+        c = realized(self, scheme)
+        k = next(i for i, g in enumerate(c.gates)
+                 if isinstance(g, MultiQubitGate))
+        del c.gates[k]
+        return c
+
+    monkeypatch.setattr(CompiledProgram, "realized_circuit", drop_one_mq)
+    capsys.readouterr()
+    assert main(["verify", str(out), str(qasm_dir / "small.qasm")]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
 def test_compile_malformed_qasm_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.qasm"
     bad.write_text("OPENQASM 2.0;\nqreg q[2];\nfrobnicate q[0];\n")

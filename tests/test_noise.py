@@ -3,14 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from pgmq.circuit import (Circuit, CircuitError, SingleQubit, ZzRotation,
-                          cnot, hadamard, to_unitary)
+from pgmq.circuit import (Circuit, CircuitError, Measure, SingleQubit,
+                          ZzRotation, cnot, hadamard, to_unitary)
 from pgmq.gadgets import MultiQubitGate
 from pgmq.noise import (MonteCarloResult, NoiseModel, ShotDistribution,
-                        depol_prob, gate_norm, inject_noise,
+                        _sample_rng, depol_prob, gate_norm, inject_noise,
                         monte_carlo_fidelity, probabilities, relative_error,
                         relative_error_ci, statevector, success_probability,
                         tvd_fidelity)
+from pgmq.qasm import parse_qasm
+
+MEASURED_BELL = """OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[2];
+creg c[2];
+h q[0];
+cx q[0], q[1];
+measure q -> c;
+"""
 
 
 def bell():
@@ -72,6 +82,15 @@ def test_inject_noise_insertion_rate(rng):
     mean = hits / (2 * trials)
     sigma = math.sqrt(p * (1 - p) / (2 * trials))
     assert abs(mean - p) < 4 * sigma
+
+
+def test_inject_noise_keeps_measurements(rng):
+    c = parse_qasm(MEASURED_BELL)
+    noisy = inject_noise(c, NoiseModel(p_dephase=1.0, p_depol_tq=0.0), rng)
+    assert noisy.classical_bits == c.classical_bits == 2
+    assert len(noisy.gates) == len(c.gates) + 2  # one Z per CNOT qubit
+    measures = [g for g in noisy.gates if isinstance(g, Measure)]
+    assert measures == [g for g in c.gates if isinstance(g, Measure)]
 
 
 def test_single_qubit_gates_collect_no_noise(rng):
@@ -190,6 +209,25 @@ def test_monte_carlo_tracks_channel_fidelity():
     mixed = (1 - p) * ideal + p * flipped
     want = 1.0 - 0.5 * float(np.abs(mixed - ideal).sum())
     assert mc.ci_low - 0.02 <= want <= mc.ci_high + 0.02
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_monte_carlo_draws_are_inject_noise_draws(seed):
+    # the sampler's per-sample substream feeds inject_noise's draws and then
+    # the shots, so replaying both by hand gives the merged counts exactly
+    c = parse_qasm(MEASURED_BELL)
+    model = NoiseModel(0.3, 0.3, seed)
+    samples, shots, nb = 40, 7, c.num_qubits
+    counts = np.zeros(2 ** nb)
+    for s in range(samples):
+        rng = _sample_rng(seed, s)
+        p = probabilities(inject_noise(c, model, rng), nb)
+        p = p / p.sum()
+        counts += np.bincount(rng.choice(2 ** nb, shots, p=p),
+                              minlength=2 ** nb)
+    mc = monte_carlo_fidelity(c, c, model, samples=samples, shots=shots)
+    assert np.array_equal(mc.distribution.vector(),
+                          counts / (samples * shots))
 
 
 def test_monte_carlo_mismatched_register_rejected():

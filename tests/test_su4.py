@@ -5,35 +5,27 @@ import pytest
 from scipy.stats import unitary_group
 
 from pgmq.circuit import Circuit, cnot, to_unitary
-from pgmq.su4 import (LhBlock, factor_kron, interaction_unitary,
-                      kak_decompose, minimize_block_phase, to_lh_block)
+from pgmq.su4 import (LhBlock, _kak_raw, factor_kron, interaction_unitary,
+                      minimize_block_phase, to_lh_block)
 
 
 def test_kak_reconstructs_haar(rng):
     worst = 0.0
     for _ in range(200):
         u = unitary_group.rvs(4, random_state=rng)
-        k = kak_decompose(u)
+        k = _kak_raw(u)
         worst = max(worst, float(np.max(np.abs(k.reconstruct() - u))))
     assert worst < 1e-9
 
 
-def test_kak_weyl_chamber(rng):
-    for _ in range(100):
-        u = unitary_group.rvs(4, random_state=rng)
-        cx, cy, cz = kak_decompose(u).c
-        assert math.pi / 4 + 1e-12 >= cx >= cy >= abs(cz) - 1e-12
-        if abs(cx - math.pi / 4) < 1e-12:
-            assert cz >= -1e-12
-
-
-def test_kak_anchors():
+def test_lh_block_anchors():
+    # total entangling phase: one full interaction for CNOT, three for SWAP
     u_cnot = to_unitary(Circuit(2, [cnot(0, 1)]))
-    c = kak_decompose(u_cnot).c
-    assert np.allclose(c, [math.pi / 4, 0, 0], atol=1e-10)
+    assert to_lh_block(u_cnot).total_phase() == pytest.approx(
+        math.pi / 4, abs=1e-10)
     swap = np.eye(4)[[0, 2, 1, 3]].astype(complex)
-    c = kak_decompose(swap).c
-    assert np.allclose(c, [math.pi / 4] * 3, atol=1e-10)
+    assert to_lh_block(swap).total_phase() == pytest.approx(
+        3 * math.pi / 4, abs=1e-10)
 
 
 def test_factor_kron(rng):
