@@ -30,6 +30,11 @@ class CircuitError(Exception):
     pass
 
 
+class InputError(CircuitError):
+    """Input the package does not accept (as opposed to a broken internal
+    invariant)."""
+
+
 # ---------------------------------------------------------------------------
 # Gates
 # ---------------------------------------------------------------------------

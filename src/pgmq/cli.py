@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circuit import Circuit, CircuitError, to_unitary, phase_distance
+from .circuit import (Circuit, CircuitError, InputError, to_unitary,
+                      phase_distance)
 from .cost import ANCILLA_MERGED, AUTO, NO_ANCILLA, metrics
 from .noise import (NoiseModel, apply_circuit, monte_carlo_fidelity,
                     relative_error, success_probability)
@@ -132,6 +133,9 @@ def cmd_compile(args) -> int:
 def cmd_verify(args) -> int:
     prog = program_load(args.program)
     circuit = parse_qasm_file(args.input)
+    if prog.num_qubits != circuit.num_qubits:
+        raise InputError(f"{args.program} has {prog.num_qubits} qubits but "
+                         f"{args.input} has {circuit.num_qubits}")
     ok, err, leak = _verify_program(prog, circuit, args.oracle_cap,
                                     args.seed)
     print(f"{'PASS' if ok else 'FAIL'}: max deviation {err:.3e} "
@@ -142,10 +146,11 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     prog = program_load(args.program)
+    realized = prog.realized_circuit()
     model = NoiseModel(args.p_dephase, args.p_depol_tq, args.seed)
     report = {"program": str(args.program), "seed": args.seed,
               "pDephase": args.p_dephase, "pDepolTq": args.p_depol_tq,
-              "successProbability": success_probability(prog, model)}
+              "successProbability": success_probability(realized, model)}
     input_circuit = None
     if args.input:
         input_circuit = parse_qasm_file(args.input)
@@ -155,7 +160,7 @@ def cmd_simulate(args) -> int:
             report["successProbability"], report["successProbabilityInput"])
     if args.samples > 0:
         ideal = input_circuit or prog.to_circuit()
-        mc = monte_carlo_fidelity(prog, ideal, model,
+        mc = monte_carlo_fidelity(realized, ideal, model,
                                   samples=args.samples, shots=args.shots)
         report["monteCarlo"] = mc.to_dict()
         if input_circuit is not None:
@@ -198,15 +203,16 @@ def bench_record(path: Path, opts: CompileOptions, model: NoiseModel,
     rec = {"name": path.stem, "numQubits": circuit.num_qubits}
     rec.update(metrics(prog.body, circuit, opts.scheme))
     if circuit.num_qubits <= sim_cap:
+        realized = prog.realized_circuit()
         f_inp = success_probability(circuit, model)
-        f_comp = success_probability(prog, model)
+        f_comp = success_probability(realized, model)
         rec.update({"fInput": f_inp, "fCompiled": f_comp,
                     "relativeError": relative_error(f_comp, f_inp),
                     "method": "success-prob"})
         if samples > 0:
             mc_in = monte_carlo_fidelity(circuit, circuit, model,
                                          samples=samples, shots=shots)
-            mc = monte_carlo_fidelity(prog, circuit, model,
+            mc = monte_carlo_fidelity(realized, circuit, model,
                                       samples=samples, shots=shots)
             rec.update({"fInput": mc_in.fidelity, "fCompiled": mc.fidelity,
                         "relativeError": relative_error(mc.fidelity,
@@ -343,10 +349,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except QasmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except (QasmError, FileNotFoundError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CircuitError as exc:

@@ -146,15 +146,13 @@ class MultiQubitGate:
 
     def local_unitary(self) -> np.ndarray:
         qs = self.support
-        k = len(qs)
         pos = {q: i for i, q in enumerate(qs)}
-        diag = np.zeros(2 ** k)
+        x = np.arange(2 ** len(qs))
+        diag = np.zeros(x.size)
         for (a, b), th in self.pairs.items():
-            ia, ib = pos[a], pos[b]
-            for x in range(2 ** k):
-                sa = 1 - 2 * ((x >> ia) & 1)
-                sb = 1 - 2 * ((x >> ib) & 1)
-                diag[x] += th * sa * sb
+            sa = 1 - 2 * ((x >> pos[a]) & 1)
+            sb = 1 - 2 * ((x >> pos[b]) & 1)
+            diag += th * sa * sb
         return np.diag(np.exp(1j * diag))
 
     def adjoint(self) -> "MultiQubitGate":

@@ -9,16 +9,26 @@ Single-qubit gates are noiseless.
 `_noise_sites` decides once per circuit where errors can fire: a table from
 each entangling gate's index to its participating qubits and its
 depolarization rate.  The closed-form success probability (the chance that
-no error fires anywhere) is a product over that table.  `_inject`, the one
-draw loop, turns it into a noisy instance, both for `inject_noise` and for
-each Monte Carlo sample, whose bitstring distribution `probabilities`
-computes and which is compared to the ideal one via total variation
-distance.  Monte Carlo draws use counter-based per-sample substreams so the
-result is reproducible regardless of evaluation order.
+no error fires anywhere) is a product over that table.  `_draw`, the one
+draw loop, picks the Pauli errors of one noisy instance from the table;
+`inject_noise` inserts them into the circuit.
+
+The Monte Carlo sampler simulates the clean circuit once per call, keeping
+the state before the noise sites (as many as fit in `CHECKPOINT_BYTES`,
+evenly spaced).  A sample that draws no error reuses the clean bitstring
+distribution; any other sample restarts from the last checkpoint at or
+before its first error and replays only the rest of the circuit with its
+errors inserted.  Gates are applied in the same order as a full simulation
+of the noisy instance, so results are bit-for-bit those of re-simulating
+every sample, and the cost grows with the error rate, not with samples
+times gates.  Each sample draws from its own counter-based substream, so
+the result is reproducible regardless of evaluation order; its distribution
+is compared to the ideal one via total variation distance.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -31,6 +41,7 @@ from .cost import FULL_TQ_PHASE, nuclear_norm
 from .gadgets import MultiQubitGate
 
 STATEVECTOR_CAP = 16
+CHECKPOINT_BYTES = 32 * 2 ** 20     # clean-run states kept per sampler call
 _PAULI_CHOICES = ("X", "Y", "Z")
 
 
@@ -60,13 +71,16 @@ def gate_norm(gate) -> float:
     return 0.0
 
 
-def depol_prob(gate, model: NoiseModel) -> float:
-    """Per-qubit depolarization probability of a gate: the fully entangling
-    two-qubit rate scaled by the gate's nuclear-norm ratio."""
-    nu = gate_norm(gate)
+def _depol_rate(nu: float, model: NoiseModel) -> float:
     if nu == 0.0:
         return 0.0
     return min(1.0, model.p_depol_tq * nu / FULL_TQ_PHASE)
+
+
+def depol_prob(gate, model: NoiseModel) -> float:
+    """Per-qubit depolarization probability of a gate: the fully entangling
+    two-qubit rate scaled by the gate's nuclear-norm ratio."""
+    return _depol_rate(gate_norm(gate), model)
 
 
 def _as_circuit(program) -> Circuit:
@@ -80,35 +94,43 @@ def _noise_sites(circuit: Circuit, model: NoiseModel) -> dict:
     mapped to (its participating qubits ascending, its depolarization rate)."""
     sites = {}
     for i, g in enumerate(circuit.gates):
-        if not isinstance(g, (Barrier, Measure, SingleQubit)) \
-                and gate_norm(g) > 0.0:
-            sites[i] = tuple(sorted(set(g.qubits))), depol_prob(g, model)
+        if isinstance(g, (Barrier, Measure, SingleQubit)):
+            continue
+        nu = gate_norm(g)
+        if nu > 0.0:
+            sites[i] = tuple(sorted(set(g.qubits))), _depol_rate(nu, model)
     return sites
 
 
-def _inject(circuit: Circuit, sites: dict, model: NoiseModel, rng) -> Circuit:
-    """One noisy instance: Pauli errors drawn at every site of the table and
-    inserted before its gate.  Draw order is fixed (time-major, then
+def _draw(sites: dict, model: NoiseModel, rng) -> dict:
+    """The Pauli errors of one noisy instance: each site's index, in time
+    order, mapped to the error gates inserted before its gate (sites that
+    drew none are left out).  Draw order is fixed (time-major, then
     qubit-major, dephasing before depolarization) for reproducibility."""
-    gates = []
-    for i, g in enumerate(circuit.gates):
-        if i in sites:
-            qubits, p_dep = sites[i]
-            for q in qubits:
-                if rng.random() < model.p_dephase:
-                    gates.append(pauli_gate("Z", q))
-                if rng.random() < p_dep:
-                    gates.append(pauli_gate(_PAULI_CHOICES[rng.integers(3)], q))
-        gates.append(g)
-    return Circuit(circuit.num_qubits, gates, circuit.classical_bits,
-                   circuit.global_phase)
+    errors = {}
+    for i, (qubits, p_dep) in sites.items():
+        paulis = []
+        for q in qubits:
+            if rng.random() < model.p_dephase:
+                paulis.append(pauli_gate("Z", q))
+            if rng.random() < p_dep:
+                paulis.append(pauli_gate(_PAULI_CHOICES[rng.integers(3)], q))
+        if paulis:
+            errors[i] = paulis
+    return errors
 
 
 def inject_noise(program, model: NoiseModel, rng) -> Circuit:
     """One noisy instance: the circuit with random Pauli errors inserted
     before each entangling gate (single-qubit gates stay noiseless)."""
     circuit = _as_circuit(program)
-    return _inject(circuit, _noise_sites(circuit, model), model, rng)
+    errors = _draw(_noise_sites(circuit, model), model, rng)
+    gates = []
+    for i, g in enumerate(circuit.gates):
+        gates.extend(errors.get(i, ()))
+        gates.append(g)
+    return Circuit(circuit.num_qubits, gates, circuit.classical_bits,
+                   circuit.global_phase)
 
 
 def success_probability(program, model: NoiseModel) -> float:
@@ -124,25 +146,49 @@ def success_probability(program, model: NoiseModel) -> float:
 # Statevector simulation and distributions
 # ---------------------------------------------------------------------------
 
-def apply_circuit(circuit: Circuit, psi: np.ndarray) -> np.ndarray:
-    """U |psi> for the circuit's unitary U (gates applied in time order,
-    barriers and measurements skipped); `psi` is left unchanged."""
+def _run(circuit: Circuit, psi: np.ndarray, start: int = 0,
+         errors: dict | None = None, keep: dict | None = None) -> np.ndarray:
+    """U |psi> for the gates from index `start` on, each preceded by its
+    entries of `errors` (see `_draw`); for every gate index that is a key of
+    `keep`, the state before that gate is stored there.  `psi` is left
+    unchanged."""
     n = circuit.num_qubits
-    for g in circuit.gates:
-        if isinstance(g, (Barrier, Measure)):
-            continue
-        psi = gate_apply(psi, g, n)
+    errors = errors or {}
+    for i in range(start, len(circuit.gates)):
+        if keep is not None and i in keep:
+            keep[i] = psi
+        for e in errors.get(i, ()):
+            psi = gate_apply(psi, e, n)
+        g = circuit.gates[i]
+        if not isinstance(g, (Barrier, Measure)):
+            psi = gate_apply(psi, g, n)
     return circuit.global_phase * psi
 
 
-def statevector(circuit: Circuit, cap: int = STATEVECTOR_CAP) -> np.ndarray:
-    """Final state |psi> = U |0...0> (gates applied in time order)."""
-    n = circuit.num_qubits
+def apply_circuit(circuit: Circuit, psi: np.ndarray) -> np.ndarray:
+    """U |psi> for the circuit's unitary U (gates applied in time order,
+    barriers and measurements skipped); `psi` is left unchanged."""
+    return _run(circuit, psi)
+
+
+def _zero_state(n: int, cap: int) -> np.ndarray:
     if n > cap:
         raise CircuitError(f"register too large for statevector ({n} > {cap})")
     psi = np.zeros(2 ** n, dtype=complex)
     psi[0] = 1.0
-    return apply_circuit(circuit, psi)
+    return psi
+
+
+def statevector(circuit: Circuit, cap: int = STATEVECTOR_CAP) -> np.ndarray:
+    """Final state |psi> = U |0...0> (gates applied in time order)."""
+    return apply_circuit(circuit, _zero_state(circuit.num_qubits, cap))
+
+
+def _marginal(psi: np.ndarray, num_bits: int) -> np.ndarray:
+    p = np.abs(psi) ** 2
+    if 2 ** num_bits < p.size:
+        p = p.reshape(-1, 2 ** num_bits).sum(axis=0)
+    return p
 
 
 def probabilities(circuit: Circuit, num_bits: int | None = None,
@@ -150,11 +196,8 @@ def probabilities(circuit: Circuit, num_bits: int | None = None,
     """Measurement probabilities over the low `num_bits` qubits (high qubits,
     e.g. an ancilla, are traced out)."""
     n = circuit.num_qubits
-    num_bits = n if num_bits is None else num_bits
-    p = np.abs(statevector(circuit, cap)) ** 2
-    if num_bits < n:
-        p = p.reshape(2 ** (n - num_bits), 2 ** num_bits).sum(axis=0)
-    return p
+    return _marginal(statevector(circuit, cap),
+                     n if num_bits is None else num_bits)
 
 
 @dataclass(frozen=True)
@@ -238,6 +281,14 @@ def _sample_rng(seed: int, sample: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, sample]))
 
 
+def _checkpoint_sites(sites: dict, n: int) -> list[int]:
+    """Evenly spaced noise sites, the first included, whose pre-gate states
+    of an n-qubit register fit in CHECKPOINT_BYTES together (at least one)."""
+    order = list(sites)
+    room = max(1, CHECKPOINT_BYTES // (16 * 2 ** n))
+    return order[::max(1, -(-len(order) // room))]
+
+
 def monte_carlo_fidelity(program, input_circuit: Circuit, model: NoiseModel,
                          samples: int = 1000, shots: int = 10,
                          cap: int = STATEVECTOR_CAP,
@@ -254,23 +305,50 @@ def monte_carlo_fidelity(program, input_circuit: Circuit, model: NoiseModel,
     seed = model.seed
 
     sites = _noise_sites(circuit, model)
+    psi0 = _zero_state(circuit.num_qubits, cap)
+    # the clean run keeps the state before each checkpoint site; a sample
+    # restarts from the last one at or before its first error
+    checkpoints = dict.fromkeys(_checkpoint_sites(sites, circuit.num_qubits))
+    starts = list(checkpoints)
+
+    def normalized(psi):
+        p = _marginal(psi, num_bits)
+        return p / p.sum()
+
+    clean = normalized(_run(circuit, psi0, keep=checkpoints))
     drawn = np.empty((samples, shots), dtype=np.int64)
     for s in range(samples):
         rng = _sample_rng(seed, s)
-        p = probabilities(_inject(circuit, sites, model, rng), num_bits, cap)
-        p = p / p.sum()
+        errors = _draw(sites, model, rng)
+        p = clean
+        if errors:
+            start = starts[bisect.bisect_right(starts, min(errors)) - 1]
+            p = normalized(_run(circuit, checkpoints[start], start, errors))
         drawn[s] = rng.choice(dim, size=shots, p=p)
 
     total = samples * shots
     merged = np.bincount(drawn.ravel(), minlength=dim) / total
     fid = 1.0 - 0.5 * float(np.abs(merged - ideal).sum())
 
+    if dim <= shots:
+        # per-sample shot counts, no larger than the shots themselves: a
+        # replicate's counts are then one product with how often it picked
+        # each sample (whole numbers below 2**53, so exact in floating point)
+        table = np.bincount((drawn + dim * np.arange(samples)[:, None]).ravel(),
+                            minlength=samples * dim).reshape(samples, dim)
+        table = table.astype(float)
+
+        def replicate_counts(rows):
+            return np.bincount(rows, minlength=samples) @ table
+    else:
+        def replicate_counts(rows):
+            return np.bincount(drawn[rows].ravel(), minlength=dim)
+
     boot_rng = np.random.Generator(np.random.Philox(key=[seed, 2 ** 63]))
     fids = np.empty(bootstrap)
     for b in range(bootstrap):
-        rows = boot_rng.integers(0, samples, size=samples)
-        counts = np.bincount(drawn[rows].ravel(), minlength=dim) / total
-        fids[b] = 1.0 - 0.5 * float(np.abs(counts - ideal).sum())
+        counts = replicate_counts(boot_rng.integers(0, samples, size=samples))
+        fids[b] = 1.0 - 0.5 * float(np.abs(counts / total - ideal).sum())
     # basic (reversed-percentile) bootstrap: resampling re-adds shot noise,
     # which biases the convex TVD statistic down; reflection corrects this
     q_lo, q_hi = np.percentile(fids, [2.5, 97.5])

@@ -16,6 +16,7 @@ from .circuit import (
     Circuit,
     CircuitError,
     GeneralizedCnot,
+    InputError,
     Measure,
     SingleQubit,
     ZzRotation,
@@ -342,11 +343,15 @@ def _strip_measures(circuit: Circuit) -> tuple[Circuit, dict]:
     for g in circuit.gates:
         if isinstance(g, Measure):
             mmap[g.qubit] = g.bit
+            measured = g.qubit
         elif isinstance(g, Barrier):
             continue
         else:
             if mmap:
-                raise CircuitError("only terminal measurements are supported")
+                raise InputError(
+                    f"gate on qubit(s) {', '.join(map(str, g.qubits))} after "
+                    f"the measurement of qubit {measured}: only terminal "
+                    f"measurements are supported")
             gates.append(g)
     return Circuit(circuit.num_qubits, gates,
                    global_phase=circuit.global_phase), mmap

@@ -123,6 +123,34 @@ def test_verify_checks_realized_circuit(qasm_dir, tmp_path, capsys,
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("program_src, source", [("small", "bell"),
+                                                 ("bell", "small")])
+def test_verify_width_mismatch_exit_2(qasm_dir, tmp_path, capsys,
+                                      program_src, source):
+    # a wider program used to FAIL on "ancilla leakage", a narrower one to
+    # escape as a broadcasting ValueError
+    out = tmp_path / "p.json"
+    main(["compile", str(qasm_dir / f"{program_src}.qasm"), "--out", str(out)])
+    capsys.readouterr()
+    assert main(["verify", str(out), str(qasm_dir / f"{source}.qasm")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and "qubits" in captured.err
+
+
+def test_compile_mid_circuit_measure_exit_2(tmp_path, capsys):
+    f = tmp_path / "mid.qasm"
+    f.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+                 'creg c[2];\nh q[0];\nmeasure q[0] -> c[0];\n'
+                 'cx q[0],q[1];\n')
+    assert main(["compile", str(f), "--out", str(tmp_path / "p.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "measurement of qubit 0" in err
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_compile_malformed_qasm_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.qasm"
     bad.write_text("OPENQASM 2.0;\nqreg q[2];\nfrobnicate q[0];\n")

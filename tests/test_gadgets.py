@@ -118,6 +118,25 @@ def test_merge_interface(rng):
         assert np.max(np.abs(got - want)) < 1e-10
 
 
+def test_mq_local_unitary_matches_basis_loop(rng):
+    # reference: the diagonal built one basis state and one pair at a time;
+    # the phases add in the same pair order, so the results are equal bits
+    for _ in range(100):
+        k = int(rng.integers(2, 8))
+        qs = sorted(int(q) for q in rng.choice(12, size=k, replace=False))
+        gate = MultiQubitGate({(a, b): float(rng.normal())
+                               for a, b in itertools.combinations(qs, 2)
+                               if rng.random() < 0.6} or {(qs[0], qs[1]): 0.5})
+        pos = {q: i for i, q in enumerate(gate.support)}
+        diag = np.zeros(2 ** len(pos))
+        for (a, b), th in gate.pairs.items():
+            for x in range(diag.size):
+                sa = 1 - 2 * ((x >> pos[a]) & 1)
+                sb = 1 - 2 * ((x >> pos[b]) & 1)
+                diag[x] += th * sa * sb
+        assert np.array_equal(gate.local_unitary(), np.diag(np.exp(1j * diag)))
+
+
 def test_commute_cnot_all_six_cases():
     # canonical CNOT(0,1) vs Z/X gadget with control/target membership varied
     n = 3

@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from pgmq import noise
 from pgmq.circuit import (Circuit, CircuitError, Measure, SingleQubit,
                           ZzRotation, cnot, hadamard, to_unitary)
+from pgmq.cost import ANCILLA_MERGED
 from pgmq.gadgets import MultiQubitGate
 from pgmq.noise import (MonteCarloResult, NoiseModel, ShotDistribution,
-                        _sample_rng, depol_prob, gate_norm, inject_noise,
+                        _checkpoint_sites, _noise_sites, _sample_rng,
+                        depol_prob, gate_norm, inject_noise,
                         monte_carlo_fidelity, probabilities, relative_error,
                         relative_error_ci, statevector, success_probability,
                         tvd_fidelity)
+from pgmq.passes import CompileOptions, optimize
 from pgmq.qasm import parse_qasm
 
 MEASURED_BELL = """OPENQASM 2.0;
@@ -228,6 +232,88 @@ def test_monte_carlo_draws_are_inject_noise_draws(seed):
     mc = monte_carlo_fidelity(c, c, model, samples=samples, shots=shots)
     assert np.array_equal(mc.distribution.vector(),
                           counts / (samples * shots))
+
+
+def _resimulated(circuit, input_circuit, model, samples, shots,
+                 bootstrap=200):
+    """Reference sampler: every noisy instance simulated in full from
+    |0...0>, then the per-replicate bootstrap loop over the drawn shots.
+    Returns (fidelity, ci_low, ci_high, bootstrap fidelities, merged)."""
+    nb = input_circuit.num_qubits
+    dim = 2 ** nb
+    ideal = probabilities(input_circuit)
+    drawn = np.empty((samples, shots), dtype=np.int64)
+    for s in range(samples):
+        rng = _sample_rng(model.seed, s)
+        p = probabilities(inject_noise(circuit, model, rng), nb)
+        p = p / p.sum()
+        drawn[s] = rng.choice(dim, size=shots, p=p)
+    total = samples * shots
+    merged = np.bincount(drawn.ravel(), minlength=dim) / total
+    fid = 1.0 - 0.5 * float(np.abs(merged - ideal).sum())
+    boot_rng = np.random.Generator(np.random.Philox(key=[model.seed, 2 ** 63]))
+    fids = np.empty(bootstrap)
+    for b in range(bootstrap):
+        rows = boot_rng.integers(0, samples, size=samples)
+        counts = np.bincount(drawn[rows].ravel(), minlength=dim) / total
+        fids[b] = 1.0 - 0.5 * float(np.abs(counts - ideal).sum())
+    q_lo, q_hi = np.percentile(fids, [2.5, 97.5])
+    return fid, float(2 * fid - q_hi), float(2 * fid - q_lo), fids, merged
+
+
+def _assert_resimulated(circuit, input_circuit, model, samples=30):
+    # 3 shots are fewer and 9 more than the 4 or 8 outcomes: both ways of
+    # counting bootstrap replicates run
+    for shots in (3, 9):
+        mc = monte_carlo_fidelity(circuit, input_circuit, model,
+                                  samples=samples, shots=shots)
+        fid, lo, hi, fids, merged = _resimulated(circuit, input_circuit,
+                                                 model, samples, shots)
+        assert (mc.fidelity, mc.ci_low, mc.ci_high) == (fid, lo, hi)
+        assert np.array_equal(mc.bootstrap_fidelities, fids)
+        assert np.array_equal(mc.distribution.vector(), merged)
+
+
+def _ancilla_program():
+    c = Circuit(3, [hadamard(0), hadamard(1), hadamard(2),
+                    ZzRotation(0.4, 0, 1), ZzRotation(0.4, 1, 2),
+                    ZzRotation(0.4, 0, 2), cnot(2, 0), hadamard(1),
+                    ZzRotation(0.3, 0, 1), cnot(1, 2), hadamard(0),
+                    ZzRotation(0.7, 0, 2), cnot(0, 1)])
+    realized = optimize(c, CompileOptions(scheme=ANCILLA_MERGED)) \
+        .realized_circuit()
+    assert realized.num_qubits == 4      # the ancilla is traced out
+    return realized, c
+
+
+@pytest.mark.parametrize("p_dephase, p_depol", [
+    (1e-3, 1e-3), (2e-2, 2e-2), (0.3, 0.3),
+    (1.0, 0.0),                     # every sample errs at the first site
+])
+@pytest.mark.parametrize("kind", ["measured-input", "ancilla-program"])
+def test_monte_carlo_equals_full_resimulation(kind, p_dephase, p_depol):
+    if kind == "measured-input":
+        circuit = input_circuit = parse_qasm(MEASURED_BELL)
+    else:
+        circuit, input_circuit = _ancilla_program()
+    for seed in range(3):
+        _assert_resimulated(circuit, input_circuit,
+                            NoiseModel(p_dephase, p_depol, seed))
+
+
+@pytest.mark.parametrize("states", [1, 3])
+def test_monte_carlo_replays_from_earlier_checkpoint(monkeypatch, states):
+    # room for only `states` checkpoints: most first errors fall between two
+    # kept sites and replay from the earlier one
+    circuit, input_circuit = _ancilla_program()
+    n = circuit.num_qubits
+    model = NoiseModel(0.1, 0.1, seed=4)
+    monkeypatch.setattr(noise, "CHECKPOINT_BYTES", states * 16 * 2 ** n)
+    sites = _noise_sites(circuit, model)
+    kept = _checkpoint_sites(sites, n)
+    assert len(kept) == states < len(sites)
+    assert kept[0] == next(iter(sites))
+    _assert_resimulated(circuit, input_circuit, model)
 
 
 def test_monte_carlo_mismatched_register_rejected():
