@@ -366,14 +366,8 @@ class Su4Block:
         return self.unitary
 
     def absorb(self, gate) -> None:
-        if len(gate.qubits) == 1:
-            pos = self.pair.index(gate.qubits[0])
-            loc = apply_local(np.eye(4, dtype=complex), gate.local_unitary(),
-                              (pos,), 2)
-        else:
-            pos = tuple(self.pair.index(q) for q in gate.qubits)
-            loc = apply_local(np.eye(4, dtype=complex), gate.local_unitary(),
-                              pos, 2)
+        pos = tuple(self.pair.index(q) for q in gate.qubits)
+        loc = apply_local(np.eye(4, dtype=complex), gate.local_unitary(), pos, 2)
         self.unitary = loc @ self.unitary
 
 

@@ -106,7 +106,8 @@ class PhaseGadget:
 
 @dataclass(eq=False)
 class MultiQubitGate:
-    """exp(i * sum_{n<m} theta_nm Z_n Z_m); pair phases stored upper-triangular."""
+    """exp(i * sum_{n<m} theta_nm Z_n Z_m); pair phases stored upper-triangular,
+    a pair whose summed phase is at most 1e-15 in size dropped."""
 
     pairs: dict = field(default_factory=dict)
 
@@ -117,28 +118,20 @@ class MultiQubitGate:
                 raise CircuitError("phase matrix must have zero diagonal")
             key = (min(n, m), max(n, m))
             norm[key] = norm.get(key, 0.0) + th
-        self.pairs = {k: v for k, v in norm.items() if abs(v) > 0.0}
+        self.pairs = {k: v for k, v in norm.items() if abs(v) > 1e-15}
 
     @property
     def support(self) -> tuple[int, ...]:
-        s: set[int] = set()
-        for (n, m), th in self.pairs.items():
-            if abs(th) > 1e-15:
-                s.update((n, m))
-        return tuple(sorted(s))
+        return tuple(sorted({q for pair in self.pairs for q in pair}))
 
     qubits = support
 
-    def phase_matrix(self, num_qubits: int | None = None) -> np.ndarray:
-        """Full symmetric matrix with theta/2 on each of the (n,m), (m,n) slots."""
+    def phase_matrix(self) -> np.ndarray:
+        """Symmetric matrix over the support with theta/2 on each of the
+        (n,m), (m,n) slots."""
         qs = self.support
-        if num_qubits is None:
-            idx = {q: i for i, q in enumerate(qs)}
-            size = len(qs)
-        else:
-            idx = {q: q for q in range(num_qubits)}
-            size = num_qubits
-        m = np.zeros((size, size))
+        idx = {q: i for i, q in enumerate(qs)}
+        m = np.zeros((len(qs), len(qs)))
         for (a, b), th in self.pairs.items():
             m[idx[a], idx[b]] += th / 2
             m[idx[b], idx[a]] += th / 2
@@ -164,9 +157,6 @@ class PauliFrame:
     """A Pauli-string correction applied after a gadget sequence."""
 
     paulis: dict = field(default_factory=dict)  # qubit -> axis, identities omitted
-
-    def is_identity(self) -> bool:
-        return not self.paulis
 
     def multiply_right(self, string: dict) -> complex:
         """Frame <- frame * string (matrix order); returns the scalar picked up."""
@@ -228,14 +218,6 @@ class GadgetSequence:
             for g in self.gadgets:
                 if self.ancilla in g.support:
                     raise CircuitError("ancilla may not appear in a gadget support")
-
-    def to_circuit(self) -> Circuit:
-        c = Circuit(self.num_qubits, [], global_phase=self.phase)
-        for g in self.gadgets:
-            c.add(g)
-        for sq in self.frame.gates():
-            c.add(sq)
-        return c
 
     def copy(self) -> "GadgetSequence":
         return GadgetSequence(

@@ -221,11 +221,11 @@ class ShotDistribution:
         return len(next(iter(self.probs))) if self.probs else 0
 
     @staticmethod
-    def from_vector(p: np.ndarray, total_shots: int | None = None,
-                    keep_zeros: bool = False) -> "ShotDistribution":
+    def from_vector(p: np.ndarray,
+                    total_shots: int | None = None) -> "ShotDistribution":
         nb = int(p.size).bit_length() - 1
         probs = {format(i, f"0{nb}b"): float(v) for i, v in enumerate(p)
-                 if keep_zeros or v > 0.0}
+                 if v > 0.0}
         return ShotDistribution(probs, total_shots)
 
     def vector(self) -> np.ndarray:

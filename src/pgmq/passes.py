@@ -62,9 +62,6 @@ class CnotLayer:
         self.matrix[:, control] ^= self.matrix[:, target]
         self.word.insert(0, (control, target))
 
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.matrix, np.eye(self.n, dtype=np.uint8)))
-
     def is_invertible(self) -> bool:
         m = self.matrix.copy()
         for col in range(self.n):
@@ -322,11 +319,11 @@ class CompiledProgram:
             c.add(g)
         return c
 
-    def realized_circuit(self, scheme: str | None = None) -> Circuit:
+    def realized_circuit(self) -> Circuit:
         """Replay with the body realized as native multiqubit gates (the
         ancilla, when used, is the final qubit)."""
         from .cost import realize
-        r = realize(self.body, scheme or self.scheme)
+        r = realize(self.body, self.scheme)
         c = Circuit(r.num_qubits, [], global_phase=r.phase)
         for g in self.pre.to_gates():
             c.add(g)

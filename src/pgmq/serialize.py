@@ -9,10 +9,12 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
-from .circuit import CircuitError
+from .circuit import CircuitError, InputError
+from .cost import ANCILLA_MERGED, AUTO, NO_ANCILLA
 from .gadgets import GadgetSequence, MultiQubitGate, PauliFrame, PhaseGadget
 from .passes import CnotLayer, CompiledProgram
 
@@ -25,28 +27,13 @@ def _fmt(x: float) -> float:
     return float(f"{float(x):.17g}")
 
 
+def _row_bits(matrix: np.ndarray) -> list[int]:
+    return [int(sum(int(b) << j for j, b in enumerate(row))) for row in matrix]
+
+
 def _layer_to_json(layer: CnotLayer) -> dict:
-    rows = []
-    for i in range(layer.n):
-        bits = int(sum(int(b) << j for j, b in enumerate(layer.matrix[i])))
-        rows.append(format(bits, "x"))
-    return {"matrix": rows, "word": [[int(c), int(t)] for c, t in layer.word]}
-
-
-def _layer_from_json(obj: dict, n: int) -> CnotLayer:
-    layer = CnotLayer(n)
-    for c, t in obj.get("word", []):
-        layer.append(int(c), int(t))
-    rows = obj.get("matrix")
-    if rows is not None:
-        mat = np.zeros((n, n), dtype=np.uint8)
-        for i, h in enumerate(rows):
-            bits = int(h, 16)
-            for j in range(n):
-                mat[i, j] = (bits >> j) & 1
-        if not np.array_equal(mat, layer.matrix):
-            raise CircuitError("layer matrix inconsistent with its CNOT word")
-    return layer
+    return {"matrix": [format(bits, "x") for bits in _row_bits(layer.matrix)],
+            "word": [[int(c), int(t)] for c, t in layer.word]}
 
 
 def _body_to_json(seq: GadgetSequence) -> list:
@@ -65,17 +52,98 @@ def _body_to_json(seq: GadgetSequence) -> list:
     return out
 
 
-def _body_from_json(items: list) -> list:
+# ---------------------------------------------------------------------------
+# Loading: every malformed field raises InputError naming it
+# ---------------------------------------------------------------------------
+
+_AXES = ("X", "Y", "Z")
+_REQUIRED = object()
+
+
+def _field(obj, key: str, where: str, default=_REQUIRED):
+    if not isinstance(obj, dict):
+        raise InputError(f"{where}: expected a JSON object, got {obj!r}")
+    if key in obj:
+        return obj[key]
+    if default is _REQUIRED:
+        raise InputError(f"{where}: missing field {key!r}")
+    return default
+
+
+def _list(x, where: str, length: int | None = None) -> list:
+    if not isinstance(x, list) or (length is not None and len(x) != length):
+        what = "a list" if length is None else f"a list of {length}"
+        raise InputError(f"{where}: expected {what}, got {x!r}")
+    return x
+
+
+def _int(x, where: str, stop: int | None = None) -> int:
+    """A JSON integer in [0, stop): a count, a bit, or a qubit index."""
+    if (isinstance(x, bool) or not isinstance(x, int) or x < 0
+            or (stop is not None and x >= stop)):
+        span = ">= 0" if stop is None else f"in 0..{stop - 1}"
+        raise InputError(f"{where}: expected an integer {span}, got {x!r}")
+    return x
+
+
+def _number(x, where: str) -> float:
+    if (isinstance(x, bool) or not isinstance(x, (int, float))
+            or not math.isfinite(x)):
+        raise InputError(f"{where}: expected a finite number, got {x!r}")
+    return float(x)
+
+
+def _choice(x, options: tuple, where: str) -> str:
+    if not isinstance(x, str) or x not in options:
+        raise InputError(f"{where}: expected one of {', '.join(options)}, "
+                         f"got {x!r}")
+    return x
+
+
+def _layer_from_json(obj, n: int, where: str) -> CnotLayer:
+    layer = CnotLayer(n)
+    word = _list(_field(obj, "word", where, []), f"{where}.word")
+    for i, cw in enumerate(word):
+        at = f"{where}.word[{i}]"
+        c, t = (_int(q, at, n) for q in _list(cw, at, 2))
+        if c == t:
+            raise InputError(f"{at}: control and target are both qubit {c}")
+        layer.append(c, t)
+    rows = _field(obj, "matrix", where, None)
+    if rows is not None:
+        try:
+            bits = [int(h, 16) for h in _list(rows, f"{where}.matrix")]
+        except (TypeError, ValueError):
+            raise InputError(f"{where}.matrix: rows must be hex strings") from None
+        if bits != _row_bits(layer.matrix):
+            raise InputError(f"{where}.matrix: inconsistent with its CNOT word")
+    return layer
+
+
+def _body_from_json(items, n: int) -> list:
     out = []
-    for obj in items:
-        if obj["type"] == "gadget":
-            out.append(PhaseGadget(obj["axis"], float(obj["alpha"]),
-                                   tuple(int(q) for q in obj["support"])))
-        elif obj["type"] == "mq":
-            out.append(MultiQubitGate({(int(n), int(m)): float(th)
-                                       for n, m, th in obj["pairs"]}))
+    for i, obj in enumerate(_list(items, "body")):
+        at = f"body[{i}]"
+        kind = _choice(_field(obj, "type", at), ("gadget", "mq"), f"{at}.type")
+        if kind == "gadget":
+            sup = [_int(q, f"{at}.support", n)
+                   for q in _list(_field(obj, "support", at), f"{at}.support")]
+            if not sup or len(set(sup)) != len(sup):
+                raise InputError(f"{at}.support: expected distinct qubits, "
+                                 f"got {sup!r}")
+            out.append(PhaseGadget(
+                _choice(_field(obj, "axis", at), _AXES, f"{at}.axis"),
+                _number(_field(obj, "alpha", at), f"{at}.alpha"), tuple(sup)))
         else:
-            raise CircuitError(f"unknown body element type {obj['type']!r}")
+            pairs = {}
+            for j, p in enumerate(_list(_field(obj, "pairs", at), f"{at}.pairs")):
+                pat = f"{at}.pairs[{j}]"
+                a, b, th = _list(p, pat, 3)
+                a, b = _int(a, pat, n), _int(b, pat, n)
+                if a == b:
+                    raise InputError(f"{pat}: a pair needs two distinct qubits")
+                pairs[(a, b)] = _number(th, pat)
+            out.append(MultiQubitGate(pairs))
     return out
 
 
@@ -98,25 +166,41 @@ def program_to_json(prog: CompiledProgram) -> dict:
     }
 
 
-def program_from_json(obj: dict) -> CompiledProgram:
-    if obj.get("version") != SCHEMA_VERSION:
-        raise CircuitError(f"unsupported program version {obj.get('version')!r}")
-    n = int(obj["numQubits"])
-    ancilla = obj.get("ancilla")
-    body = GadgetSequence(
-        n,
-        _body_from_json(obj["body"]),
-        PauliFrame({int(q): p for q, p in obj.get("frames", [])}),
-        complex(*obj.get("phase", [1.0, 0.0])),
-        None if ancilla is None else int(ancilla),
-    )
+def program_from_json(obj) -> CompiledProgram:
+    """Inverse of program_to_json; a document that is not a valid program
+    raises InputError naming the field."""
+    version = _field(obj, "version", "program")
+    if version != SCHEMA_VERSION:
+        raise InputError(f"version: unsupported program version {version!r}")
+    n = _int(_field(obj, "numQubits", "program"), "numQubits")
+    gadgets = _body_from_json(_field(obj, "body", "program"), n)
+    ancilla = _field(obj, "ancilla", "program", None)
+    if ancilla is not None:
+        _int(ancilla, "ancilla")
+        if any(ancilla in g.support for g in gadgets):
+            raise InputError(f"ancilla: qubit {ancilla} is in a gadget support")
+    frames = {}
+    for i, fq in enumerate(_list(_field(obj, "frames", "program", []),
+                                 "frames")):
+        q, p = _list(fq, f"frames[{i}]", 2)
+        frames[_int(q, f"frames[{i}]", n)] = _choice(p, _AXES, f"frames[{i}]")
+    phase = [_number(x, "phase") for x in
+             _list(_field(obj, "phase", "program", [1.0, 0.0]), "phase", 2)]
+    mmap = {}
+    for i, qb in enumerate(_list(_field(obj, "measurementMap", "program", []),
+                                 "measurementMap")):
+        q, b = _list(qb, f"measurementMap[{i}]", 2)
+        mmap[_int(q, f"measurementMap[{i}]", n)] = _int(
+            b, f"measurementMap[{i}]")
     return CompiledProgram(
         n,
-        _layer_from_json(obj["preLayer"], n),
-        body,
-        _layer_from_json(obj["postLayer"], n),
-        {int(q): int(b) for q, b in obj.get("measurementMap", [])},
-        obj.get("scheme", "auto"),
+        _layer_from_json(_field(obj, "preLayer", "program"), n, "preLayer"),
+        GadgetSequence(n, gadgets, PauliFrame(frames), complex(*phase),
+                       ancilla),
+        _layer_from_json(_field(obj, "postLayer", "program"), n, "postLayer"),
+        mmap,
+        _choice(_field(obj, "scheme", "program", AUTO),
+                (AUTO, NO_ANCILLA, ANCILLA_MERGED), "scheme"),
     )
 
 
@@ -124,8 +208,12 @@ def dumps(prog: CompiledProgram) -> str:
     return json.dumps(program_to_json(prog), indent=2) + "\n"
 
 
-def loads(text: str) -> CompiledProgram:
-    return program_from_json(json.loads(text))
+def loads(text: str | bytes) -> CompiledProgram:
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"program is not JSON: {exc}") from None
+    return program_from_json(obj)
 
 
 def save(prog: CompiledProgram, path) -> None:
@@ -134,5 +222,9 @@ def save(prog: CompiledProgram, path) -> None:
 
 
 def load(path) -> CompiledProgram:
-    with open(path, encoding="utf-8") as fh:
-        return loads(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return loads(data)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None

@@ -2,7 +2,8 @@
 basis with each interaction coefficient reduced into (-pi/4, pi/4],
 rewriting into blocks of at most three Z(x)Z rotations with a leading
 rotation, and total-entanglement-phase minimization over the six CNOT-pair
-completions.
+completions.  The minimization decomposes each completion once, scores it
+from its reduced coefficients alone, and assembles only the chosen block.
 
 Matrix conventions follow circuit.py: a 4x4 block unitary acts on an ordered
 qubit pair (low, high) with the low qubit as the least significant index, so
@@ -194,14 +195,10 @@ class LhBlock:
     def total_phase(self) -> float:
         return float(sum(abs(a) for a in self.zz_angles()))
 
-    def local_unitary(self, include_trailing: bool = True) -> np.ndarray:
-        u = np.eye(4, dtype=complex)
-        if include_trailing:
-            pos = {self.pair[0]: 0, self.pair[1]: 1}
-            for c, t in self.trailing:
-                w = Circuit(2, [cnot(pos[c], pos[t])])
-                u = to_unitary(w) @ u
-        u = self.phase * u
+    def local_unitary(self) -> np.ndarray:
+        pos = {self.pair[0]: 0, self.pair[1]: 1}
+        word = Circuit(2, [cnot(pos[c], pos[t]) for c, t in self.trailing])
+        u = self.phase * to_unitary(word)
         zz = np.kron(PAULI["Z"], PAULI["Z"])
         for e in self.elements:
             if e[0] == "loc":
@@ -279,6 +276,54 @@ def _push_loc(elements: list, lo: np.ndarray, hi: np.ndarray) -> None:
         elements.append(("loc", lo, hi))
 
 
+def _reduced_kak(u: np.ndarray) -> KakDecomposition:
+    """KAK form with each interaction coefficient reduced into (-pi/4, pi/4]."""
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (4, 4) or np.max(np.abs(u @ u.conj().T - np.eye(4))) > 1e-10:
+        raise CircuitError("to_lh_block needs a 4x4 unitary")
+    k = _kak_raw(u)
+    for axis in range(3):
+        _shift_coeff(k, axis)
+    return k
+
+
+def _zz_phase(k: KakDecomposition) -> float:
+    """`_assemble(k).total_phase()`, summed in emission order (the Pauli
+    clean-up only flips signs), without assembling the block."""
+    cx, cy, cz = k.c
+    return float(sum(abs(a) for a in (cz, cy, cx) if abs(a) >= _EPS))
+
+
+def _assemble(k: KakDecomposition, pair: tuple[int, int]) -> LhBlock:
+    """Lay a reduced KAK form out as single-qubit layers alternating with at
+    most three ZZ rotations, a rotation leading all other non-local content."""
+    blk = LhBlock(pair, [], k.phase, [])
+    els = blk.elements
+    if not (_is_identity(k.b_lo, 1e-12) and _is_identity(k.b_hi, 1e-12)):
+        _push_loc(els, k.b_lo, k.b_hi)
+    cx, cy, cz = k.c
+    # time order: ZZ(cz) . Vy^dag . ZZ(cy) . (H Vy) . ZZ(cx) . H, then A,
+    # where Vy = _VX maps Z to Y by conjugation
+    steps = [(cz, _VX.conj().T), (cy, _H @ _VX), (cx, _H)]
+    pending = None  # a local layer, the same on both qubits, not yet placed
+    for ang, after in steps:
+        if abs(ang) < _EPS:
+            # skip the rotation; its surrounding locals still compose
+            pending = after if pending is None else after @ pending
+            continue
+        if pending is not None:
+            _push_loc(els, pending, pending)
+        els.append(("zz", float(ang)))
+        pending = after
+    if pending is None:
+        pending = I2
+    a_lo, a_hi = k.a_lo @ pending, k.a_hi @ pending
+    if not (_is_identity(a_lo, 1e-12) and _is_identity(a_hi, 1e-12)):
+        _push_loc(els, a_lo, a_hi)
+    _cleanup_pauli_locals(blk)
+    return blk
+
+
 def to_lh_block(u: np.ndarray, pair: tuple[int, int] = (0, 1)) -> LhBlock:
     """Rewrite a two-qubit unitary as single-qubit layers alternating with at
     most three ZZ rotations, a rotation leading all other non-local content.
@@ -286,67 +331,26 @@ def to_lh_block(u: np.ndarray, pair: tuple[int, int] = (0, 1)) -> LhBlock:
     Uses the un-permuted interaction frame (each coefficient reduced into
     (-pi/4, pi/4] only), so axis-pure inputs keep their natural axis and do
     not pick up spurious local layers from Weyl-chamber reordering."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (4, 4) or np.max(np.abs(u @ u.conj().T - np.eye(4))) > 1e-10:
-        raise CircuitError("to_lh_block needs a 4x4 unitary")
-    k = _kak_raw(u)
-    for axis in range(3):
-        _shift_coeff(k, axis)
-    blk = LhBlock(pair, [], k.phase, [])
-    els = blk.elements
-    if not (_is_identity(k.b_lo, 1e-12) and _is_identity(k.b_hi, 1e-12)):
-        _push_loc(els, k.b_lo, k.b_hi)
-    cx, cy, cz = k.c
-    vy = _VX  # maps Z to Y by conjugation
-    # time order: ZZ(cz) . Vy^dag . ZZ(cy) . (H Vy) . ZZ(cx) . H, then A
-    steps = [(cz, None, vy.conj().T), (cy, None, _H @ vy), (cx, None, _H)]
-    pending_lo = pending_hi = None
-    for ang, _, after in steps:
-        if abs(ang) < _EPS:
-            # skip the rotation; its surrounding locals still compose
-            if after is not None:
-                if pending_lo is None:
-                    pending_lo, pending_hi = after, after
-                else:
-                    pending_lo, pending_hi = after @ pending_lo, after @ pending_hi
-            continue
-        if pending_lo is not None:
-            _push_loc(els, pending_lo, pending_hi)
-            pending_lo = pending_hi = None
-        els.append(("zz", float(ang)))
-        pending_lo, pending_hi = after, after
-    a_lo = k.a_lo @ (pending_lo if pending_lo is not None else I2)
-    a_hi = k.a_hi @ (pending_hi if pending_hi is not None else I2)
-    if not (_is_identity(a_lo, 1e-12) and _is_identity(a_hi, 1e-12)):
-        _push_loc(els, a_lo, a_hi)
-    _cleanup_pauli_locals(blk)
-    return blk
+    return _assemble(_reduced_kak(u), pair)
 
 
-# the six CNOT-pair completions, as (control, target) words over pair (n, m)
-def _completions(n: int, m: int) -> list[list[tuple[int, int]]]:
-    return [
-        [],
-        [(n, m)],
-        [(m, n)],
-        [(n, m), (m, n)],
-        [(m, n), (n, m)],
-        [(n, m), (m, n), (n, m)],  # SWAP
-    ]
+# the six CNOT-pair completions as (control, target) words over the local
+# pair (0, 1), and the adjoints W^dag of their unitaries
+_WORDS = ((), ((0, 1),), ((1, 0),), ((0, 1), (1, 0)), ((1, 0), (0, 1)),
+          ((0, 1), (1, 0), (0, 1)))  # the last is SWAP
+_WORD_ADJOINTS = tuple(
+    to_unitary(Circuit(2, [cnot(c, t) for c, t in w])).conj().T for w in _WORDS)
 
 
 def minimize_block_phase(u: np.ndarray, pair: tuple[int, int]) -> LhBlock:
     """Pick the CNOT-word completion W minimizing the summed |ZZ angle| of
     the block decomposition of U.W^dag; ties prefer fewer trailing CNOTs,
-    then the fixed completion order."""
-    lo, hi = pair
-    pos = {lo: 0, hi: 1}
-    best = None
-    for idx, word in enumerate(_completions(lo, hi)):
-        w = to_unitary(Circuit(2, [cnot(pos[c], pos[t]) for c, t in word]))
-        blk = to_lh_block(u @ w.conj().T, pair)
-        blk.trailing = list(word)
-        key = (round(blk.total_phase(), 12), len(word), idx)
-        if best is None or key < best[0]:
-            best = (key, blk)
-    return best[1]
+    then the fixed completion order.  Each completion is decomposed once
+    and scored from its reduced coefficients; only the winner is
+    assembled."""
+    ks = [_reduced_kak(u @ w_adj) for w_adj in _WORD_ADJOINTS]
+    best = min(range(len(_WORDS)),
+               key=lambda i: (round(_zz_phase(ks[i]), 12), len(_WORDS[i]), i))
+    blk = _assemble(ks[best], pair)
+    blk.trailing = [(pair[c], pair[t]) for c, t in _WORDS[best]]
+    return blk

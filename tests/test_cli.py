@@ -110,8 +110,8 @@ def test_verify_checks_realized_circuit(qasm_dir, tmp_path, capsys,
     main(["compile", str(qasm_dir / "small.qasm"), "--out", str(out)])
     realized = CompiledProgram.realized_circuit
 
-    def drop_one_mq(self, scheme=None):
-        c = realized(self, scheme)
+    def drop_one_mq(self):
+        c = realized(self)
         k = next(i for i, g in enumerate(c.gates)
                  if isinstance(g, MultiQubitGate))
         del c.gates[k]
@@ -137,6 +137,46 @@ def test_verify_width_mismatch_exit_2(qasm_dir, tmp_path, capsys,
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1 and "qubits" in captured.err
+
+
+def _set_body(doc, item):
+    doc["body"] = [item]
+
+
+@pytest.mark.parametrize("corrupt, field", [
+    (None, "not JSON"),
+    (lambda d: d.pop("body"), "'body'"),
+    (lambda d: d["preLayer"].update(word=[[0, 9]]), "preLayer.word[0]"),
+    (lambda d: d["preLayer"].update(word=[[2, 2]]), "preLayer.word[0]"),
+    (lambda d: d["postLayer"].update(word=d["postLayer"]["word"] + [[0, 1]]),
+     "postLayer.matrix"),
+    (lambda d: _set_body(d, {"type": "gadget", "axis": "Z", "alpha": 0.25,
+                             "support": [0, 99]}), "body[0].support"),
+    (lambda d: _set_body(d, {"type": "gadget", "axis": "W", "alpha": 0.25,
+                             "support": [0, 1]}), "body[0].axis"),
+    (lambda d: _set_body(d, {"type": "mq", "pairs": [[1, 1, 0.3]]}),
+     "body[0].pairs[0]"),
+    (lambda d: d.update(version="9.9"), "version"),
+    (lambda d: d.update(frames=[[0, "Q"]]), "frames[0]"),
+    (lambda d: d.update(scheme="fastest"), "scheme"),
+], ids=["not-json", "no-body", "word-range", "word-self", "matrix",
+        "support-range", "axis", "mq-pair", "version", "frame", "scheme"])
+def test_verify_malformed_program_exit_2(qasm_dir, tmp_path, capsys,
+                                         corrupt, field):
+    out = tmp_path / "p.json"
+    main(["compile", str(qasm_dir / "small.qasm"), "--out", str(out)])
+    if corrupt is None:
+        out.write_text("{ this is not a program")
+    else:
+        doc = json.loads(out.read_text())
+        corrupt(doc)
+        out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(out), str(qasm_dir / "small.qasm")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and field in captured.err
 
 
 def test_compile_mid_circuit_measure_exit_2(tmp_path, capsys):

@@ -136,6 +136,21 @@ def test_repeated_pair_merges_phases():
         0.45 * math.pi / 2)
 
 
+def test_pair_group_cancelling_to_rounding_residual_is_no_gate():
+    # the summed phase is 2.2e-16, not 0: it must drop out like an exact
+    # cancellation, not leave a pair outside the gate's support
+    seq = GadgetSequence(2, [PhaseGadget("Z", a, (0, 1))
+                             for a in (0.3, 0.6, -(0.3 + 0.6))])
+    assert sequence_cost(seq) == CostVector(0, 0.0)
+    for scheme in (NO_ANCILLA, ANCILLA_MERGED):
+        r = realize(seq, scheme)
+        assert not r.mq_gates
+        got = to_unitary(r.to_circuit())
+        dim = 2 ** seq.num_qubits
+        assert np.max(np.abs(got[:dim, :dim] - sequence_unitary(seq))) < 1e-12
+    assert MultiQubitGate({(0, 1): 1e-16, (1, 2): 0.4}).support == (1, 2)
+
+
 def test_single_qubit_gadgets_are_free():
     seq = GadgetSequence(2, [PhaseGadget("X", 0.4, (0,)),
                              PhaseGadget("Z", 0.1, (1,))])

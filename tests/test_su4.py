@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
-from pgmq.circuit import Circuit, cnot, to_unitary
-from pgmq.su4 import (LhBlock, _kak_raw, factor_kron, interaction_unitary,
-                      minimize_block_phase, to_lh_block)
+from pgmq import su4
+from pgmq.circuit import Circuit, ZzRotation, cnot, to_unitary
+from pgmq.su4 import (LhBlock, _WORD_ADJOINTS, _assemble, _kak_raw,
+                      _reduced_kak, _zz_phase, factor_kron,
+                      interaction_unitary, minimize_block_phase, to_lh_block)
 
 
 def test_kak_reconstructs_haar(rng):
@@ -87,3 +89,84 @@ def test_to_lh_block_cnot_plus_zz_keeps_only_zz():
     u = to_unitary(Circuit(2, [cnot(0, 1), ZzRotation(0.3, 0, 1)]))
     blk = minimize_block_phase(u, (0, 1))
     assert blk.total_phase() == pytest.approx(0.3, abs=1e-10)
+
+
+# --- the block pass against a reference that assembles every completion -----
+
+def _reference_block(u, pair):
+    """The completion search done the long way: assemble the block of every
+    completion, then pick by (rounded total phase, word length, order)."""
+    lo, hi = pair
+    words = [[], [(lo, hi)], [(hi, lo)], [(lo, hi), (hi, lo)],
+             [(hi, lo), (lo, hi)], [(lo, hi), (hi, lo), (lo, hi)]]
+    pos = {lo: 0, hi: 1}
+    best = None
+    for idx, word in enumerate(words):
+        w = to_unitary(Circuit(2, [cnot(pos[c], pos[t]) for c, t in word]))
+        blk = to_lh_block(u @ w.conj().T, pair)
+        blk.trailing = list(word)
+        key = (round(blk.total_phase(), 12), len(word), idx)
+        if best is None or key < best[0]:
+            best = (key, blk)
+    return best[1]
+
+
+def _block_inputs(rng):
+    named = [
+        to_unitary(Circuit(2, [cnot(0, 1)])),
+        to_unitary(Circuit(2, [cnot(1, 0)])),
+        np.diag([1, 1, 1, -1]).astype(complex),               # CZ
+        np.eye(4)[[0, 2, 1, 3]].astype(complex),              # SWAP
+        np.eye(4, dtype=complex),
+        to_unitary(Circuit(2, [ZzRotation(0.3, 0, 1)])),
+        to_unitary(Circuit(2, [cnot(0, 1), ZzRotation(0.3, 0, 1)])),
+    ]
+    # locals in front of CZ leave three completions tied up to rounding
+    dressed_cz = [np.kron(unitary_group.rvs(2, random_state=rng),
+                          unitary_group.rvs(2, random_state=rng)) @ named[2]
+                  for _ in range(20)]
+    haar = [unitary_group.rvs(4, random_state=rng) for _ in range(200)]
+    return named + dressed_cz + haar
+
+
+def test_minimize_block_phase_matches_full_assembly(rng):
+    for i, u in enumerate(_block_inputs(rng)):
+        for pair in ((0, 1), (2, 5)):
+            got, want = minimize_block_phase(u, pair), _reference_block(u, pair)
+            where = f"input {i} on {pair}"
+            assert got.pair == want.pair
+            assert got.trailing == want.trailing, where
+            assert got.phase == want.phase, where
+            assert [e[0] for e in got.elements] == \
+                [e[0] for e in want.elements], where
+            for eg, ew in zip(got.elements, want.elements):
+                if eg[0] == "zz":
+                    assert eg[1] == ew[1], where
+                else:
+                    assert np.array_equal(eg[1], ew[1]), where
+                    assert np.array_equal(eg[2], ew[2]), where
+
+
+def test_completion_score_is_assembled_total_phase(rng):
+    for u in _block_inputs(rng)[:80]:
+        for w_adj in _WORD_ADJOINTS:
+            k = _reduced_kak(u @ w_adj)
+            assert _zz_phase(k) == _assemble(k, (2, 5)).total_phase()
+
+
+def test_minimize_block_phase_assembles_once(rng, monkeypatch):
+    counts = {"assemble": 0, "circuit": 0, "to_unitary": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(su4, "_assemble", counted("assemble", su4._assemble))
+    monkeypatch.setattr(su4, "Circuit", counted("circuit", su4.Circuit))
+    monkeypatch.setattr(su4, "to_unitary",
+                        counted("to_unitary", su4.to_unitary))
+    for _ in range(5):
+        minimize_block_phase(unitary_group.rvs(4, random_state=rng), (0, 1))
+    assert counts == {"assemble": 5, "circuit": 0, "to_unitary": 0}
