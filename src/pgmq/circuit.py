@@ -154,21 +154,6 @@ class Barrier:
 # Named single-qubit constructors
 # ---------------------------------------------------------------------------
 
-def rx(theta: float, q: int) -> SingleQubit:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return SingleQubit(q, np.array([[c, -1j * s], [-1j * s, c]]), "rx", theta)
-
-
-def ry(theta: float, q: int) -> SingleQubit:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return SingleQubit(q, np.array([[c, -s], [s, c]]), "ry", theta)
-
-
-def rz(theta: float, q: int) -> SingleQubit:
-    return SingleQubit(q, np.diag([np.exp(-1j * theta / 2),
-                                   np.exp(1j * theta / 2)]), "rz", theta)
-
-
 def u1(lam: float, q: int) -> SingleQubit:
     return SingleQubit(q, np.diag([1.0, np.exp(1j * lam)]), "u1", lam)
 

@@ -1,7 +1,7 @@
 """Command-line interface: compile, verify, bench, simulate.
 
 Exit codes: 0 success, 1 verification failure, 2 parse error or unsupported
-input, 3 internal invariant violation.
+input, 3 internal invariant violation or any other unexpected error.
 """
 
 from __future__ import annotations
@@ -36,17 +36,18 @@ VERIFY_TOL = 1e-8
 LEAK_TOL = 1e-12
 
 
-def _parse_cost(text: str) -> tuple[str, float]:
-    """Parse a --cost value: "lex" or "weighted:W" with a finite W."""
+def _parse_cost(text: str) -> float | None:
+    """Parse a --cost value: "lex" (None) or "weighted:W" with a finite W,
+    which orders programs by count + W * norm."""
     if text == "lex":
-        return "lex", 1.0
+        return None
     if text.startswith("weighted:"):
         try:
             weight = float(text.split(":", 1)[1])
         except ValueError:
             weight = math.nan
         if math.isfinite(weight):
-            return "weighted", weight
+            return weight
     raise argparse.ArgumentTypeError(
         f"unknown cost order {text!r} (lex or weighted:W with a finite W)")
 
@@ -57,16 +58,17 @@ def _compile_options(args) -> CompileOptions:
         scheme = ANCILLA_MERGED
     elif getattr(args, "ancilla", None) is False:
         scheme = NO_ANCILLA
-    order, weight = args.cost
-    return CompileOptions(scheme=scheme, cost_order=order, cost_weight=weight,
+    return CompileOptions(scheme=scheme, cost_weight=args.cost,
                           max_iters=args.max_iters)
 
 
 def _opts_hash(opts: CompileOptions, seed: int) -> str:
     import hashlib
-    # "greedy", the matching compile uses, keeps hash values stable
-    text = f"{opts.scheme}|{opts.cost_order}|{opts.cost_weight}" \
-           f"|{opts.max_iters}|greedy|{seed}"
+    # "lex|1.0" for the lexicographic order and "greedy", the matching
+    # compile uses, keep hash values stable
+    cost = "lex|1.0" if opts.cost_weight is None \
+        else f"weighted|{opts.cost_weight}"
+    text = f"{opts.scheme}|{cost}|{opts.max_iters}|greedy|{seed}"
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -349,11 +351,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (QasmError, FileNotFoundError, InputError) as exc:
+    except (QasmError, OSError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CircuitError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

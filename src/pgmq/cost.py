@@ -301,10 +301,8 @@ def _emit_no_ancilla(seq: GadgetSequence, units: list) -> Realization:
                        clifford_gates=cliffords)
 
 
-def _emit_ancilla(seq: GadgetSequence, schedule: list,
-                  ancilla: int | None = None) -> Realization:
-    a = seq.num_qubits if ancilla is None else ancilla
-    n = max(seq.num_qubits, a + 1)
+def _emit_ancilla(seq: GadgetSequence, schedule: list) -> Realization:
+    a = seq.num_qubits
     items: list = []
     mq_gates: list = []
     cliffords: list = []
@@ -338,24 +336,21 @@ def _emit_ancilla(seq: GadgetSequence, schedule: list,
         else:
             emit_run(val)
     items.extend(seq.frame.gates())
-    return Realization(n, items, mq_gates, phase, ancilla=a,
+    return Realization(a + 1, items, mq_gates, phase, ancilla=a,
                        clifford_gates=cliffords)
 
 
-def realize(seq: GadgetSequence, scheme: str = AUTO,
-            ancilla: int | None = None) -> Realization:
+def realize(seq: GadgetSequence, scheme: str = AUTO) -> Realization:
     """Turn a gadget sequence into native multiqubit gates plus locals.
 
     With the ancilla scheme, a run of M multiqubit gadgets costs at most
-    M+1 gates (interfaces merged); without, each costs two star gates.
-    `auto` picks the scheme with the lower planned cost (count first, then
-    norm) and emits only that one."""
+    M+1 gates (interfaces merged) on the extra qubit `seq.num_qubits`;
+    without, each costs two star gates.  `auto` picks the scheme with the
+    lower planned cost (count first, then norm) and emits only that one."""
     plan = _plan(seq)
     if plan.pick(scheme) == NO_ANCILLA:
         return _emit_no_ancilla(seq, plan.units)
-    if ancilla is not None and any(ancilla in g.support for g in seq.gadgets):
-        raise CircuitError("ancilla collides with a gadget support")
-    return _emit_ancilla(seq, plan.schedule, ancilla)
+    return _emit_ancilla(seq, plan.schedule)
 
 
 def sequence_cost(seq: GadgetSequence, scheme: str = AUTO) -> CostVector:

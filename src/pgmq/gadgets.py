@@ -211,19 +211,12 @@ class GadgetSequence:
     gadgets: list = field(default_factory=list)
     frame: PauliFrame = field(default_factory=PauliFrame)
     phase: complex = 1.0 + 0j
-    ancilla: int | None = None
-
-    def __post_init__(self):
-        if self.ancilla is not None:
-            for g in self.gadgets:
-                if self.ancilla in g.support:
-                    raise CircuitError("ancilla may not appear in a gadget support")
 
     def copy(self) -> "GadgetSequence":
         return GadgetSequence(
             self.num_qubits,
             [PhaseGadget(g.axis, g.alpha, g.support) for g in self.gadgets],
-            self.frame.copy(), self.phase, self.ancilla)
+            self.frame.copy(), self.phase)
 
 
 @dataclass(eq=False)

@@ -41,57 +41,25 @@ from .su4 import minimize_block_phase
 
 @dataclass(eq=False)
 class CnotLayer:
-    """A CNOT-only circuit as an invertible bit-matrix |x> -> |Ax> over GF(2),
-    together with the CNOT word (time order) realizing it."""
+    """A CNOT-only circuit on n qubits, kept as its CNOT word: (control,
+    target) pairs in time order.  `serialize` derives its GF(2) matrix."""
 
     n: int
-    matrix: np.ndarray = None
     word: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.matrix is None:
-            self.matrix = np.eye(self.n, dtype=np.uint8)
 
     def append(self, control: int, target: int) -> None:
         """Add a CNOT at the end (later in time)."""
-        self.matrix[target, :] ^= self.matrix[control, :]
         self.word.append((control, target))
 
     def prepend(self, control: int, target: int) -> None:
         """Add a CNOT at the beginning (earlier in time)."""
-        self.matrix[:, control] ^= self.matrix[:, target]
         self.word.insert(0, (control, target))
 
-    def is_invertible(self) -> bool:
-        m = self.matrix.copy()
-        for col in range(self.n):
-            piv = next((r for r in range(col, self.n) if m[r, col]), None)
-            if piv is None:
-                return False
-            if piv != col:
-                m[[col, piv]] = m[[piv, col]]
-            for r in range(self.n):
-                if r != col and m[r, col]:
-                    m[r, :] ^= m[col, :]
-        return True
-
-    def replay_matches(self) -> bool:
-        fresh = CnotLayer(self.n)
-        for c, t in self.word:
-            fresh.append(c, t)
-        return bool(np.array_equal(fresh.matrix, self.matrix))
-
     def adjoint(self) -> "CnotLayer":
-        out = CnotLayer(self.n)
-        for c, t in reversed(self.word):
-            out.append(c, t)
-        return out
+        return CnotLayer(self.n, self.word[::-1])
 
     def to_gates(self) -> list:
         return [cnot(c, t) for c, t in self.word]
-
-    def copy(self) -> "CnotLayer":
-        return CnotLayer(self.n, self.matrix.copy(), list(self.word))
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +152,7 @@ def sequence_adjoint(seq: GadgetSequence) -> GadgetSequence:
         if odd:
             alpha = -alpha
         gadgets.append(PhaseGadget(g.axis, alpha, g.support))
-    return GadgetSequence(seq.num_qubits, gadgets, frame,
-                          np.conj(seq.phase), seq.ancilla)
+    return GadgetSequence(seq.num_qubits, gadgets, frame, np.conj(seq.phase))
 
 
 def pg_right(circuit: Circuit,
@@ -204,10 +171,11 @@ def conjugate_sequence(seq: GadgetSequence, control: int,
                        target: int) -> GadgetSequence:
     """C . seq . C for the canonical CNOT (self-inverse conjugation)."""
     c = cnot(control, target)
-    out = seq.copy()
-    out.gadgets = [commute_cnot(c, g) for g in out.gadgets]
-    out.phase *= out.frame.conjugate_by_cnot_word([(control, target)])
-    return out
+    frame = seq.frame.copy()
+    phase = seq.phase * frame.conjugate_by_cnot_word([(control, target)])
+    return GadgetSequence(seq.num_qubits,
+                          [commute_cnot(c, g) for g in seq.gadgets],
+                          frame, phase)
 
 
 def conjugation_cost_matrix(seq: GadgetSequence,
@@ -278,14 +246,9 @@ def norm_reduction_step(seq: GadgetSequence,
 @dataclass(eq=False)
 class CompileOptions:
     scheme: str = AUTO
-    cost_order: str = "lex"        # "lex" or "weighted"
-    cost_weight: float = 1.0       # used when cost_order == "weighted"
+    # None: lexicographic (count, then norm); W: count + W * norm
+    cost_weight: float | None = None
     max_iters: int = 50
-
-    def cost_key(self, cv: CostVector):
-        if self.cost_order == "weighted":
-            return cv.key(self.cost_weight)
-        return cv.key()
 
 
 @dataclass(eq=False)
@@ -390,7 +353,7 @@ def optimize(circuit: Circuit, opts: CompileOptions | None = None) -> CompiledPr
         candidates.append((seq_l, pre_l, CnotLayer(n)))
         post_r, seq_r = pg_right(flat, counter)
         candidates.append((seq_r, CnotLayer(n), post_r))
-    keys = [opts.cost_key(sequence_cost(s, opts.scheme))
+    keys = [sequence_cost(s, opts.scheme).key(opts.cost_weight)
             for s, _, _ in candidates]
     cur = min(keys)
     seq, pre, post = candidates[keys.index(cur)]
@@ -402,7 +365,7 @@ def optimize(circuit: Circuit, opts: CompileOptions | None = None) -> CompiledPr
         if not improved:
             break
         nxt = simplify(nxt)
-        key = opts.cost_key(sequence_cost(nxt, opts.scheme))
+        key = sequence_cost(nxt, opts.scheme).key(opts.cost_weight)
         if key >= cur:
             break
         # U_PG = C . U_PG' . C: the outer CNOT joins the post layer, the

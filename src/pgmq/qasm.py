@@ -18,6 +18,7 @@ from .circuit import (
     Circuit,
     CircuitError,
     GeneralizedCnot,
+    InputError,
     Measure,
     Barrier,
     SingleQubit,
@@ -171,7 +172,8 @@ _FUNCS = {
 class _GateDef:
     params: list[str]
     qargs: list[str]
-    body: list  # list of (name_token, param_exprs, qarg_names)
+    # (name token, its _GateDef or None if built in, param exprs, qarg names)
+    body: list
 
 
 class Parser:
@@ -192,7 +194,8 @@ class Parser:
 
     def next(self) -> Token:
         t = self.tokens[self.pos]
-        self.pos += 1
+        if t.kind != "EOF":
+            self.pos += 1
         return t
 
     def expect(self, kind: str) -> Token:
@@ -238,12 +241,15 @@ class Parser:
             self.next()
             name = self.expect("ID")
             self.expect("[")
-            size = int(self.expect("INT").text)
+            size_tok = self.expect("INT")
+            size = int(size_tok.text)
             self.expect("]")
             self.expect(";")
             table = self.qregs if kw == "qreg" else self.cregs
             if name.text in self.qregs or name.text in self.cregs:
                 self.error(f"register {name.text!r} already declared", name)
+            if size == 0:
+                self.error(f"register {name.text!r} has size 0", size_tok)
             if kw == "qreg":
                 table[name.text] = (self.num_qubits, size)
                 self.num_qubits += size
@@ -299,11 +305,17 @@ class Parser:
                 self.error(f"unexpected token {t.text!r} in gate body")
             if t.text == "barrier":
                 self.next()
-                while self.peek().kind != ";":
+                while self.peek().kind not in (";", "EOF"):
                     self.next()
                 self.expect(";")
                 continue
             gname = self.next()
+            # OpenQASM 2.0 gate bodies call only built-in or earlier gates;
+            # binding the definition now keeps the call graph acyclic
+            target = self.gate_defs.get(gname.text)
+            if target is None and gname.text not in _BUILTIN:
+                self.error(f"unknown gate {gname.text!r} in the body of "
+                           f"{name.text!r}", gname)
             pexprs: list[list[Token]] = []
             if self.peek().kind == "(":
                 self.next()
@@ -311,6 +323,8 @@ class Parser:
                 cur: list[Token] = []
                 while depth > 0:
                     tok = self.next()
+                    if tok.kind == "EOF":
+                        self.error("unexpected end of file in gate body", tok)
                     if tok.kind == "(":
                         depth += 1
                     elif tok.kind == ")":
@@ -329,7 +343,7 @@ class Parser:
                 self.next()
                 gqs.append(self.expect("ID").text)
             self.expect(";")
-            body.append((gname, pexprs, gqs))
+            body.append((gname, target, pexprs, gqs))
         self.expect("}")
         self.gate_defs[name.text] = _GateDef(params, qargs, body)
 
@@ -357,7 +371,16 @@ class Parser:
 
     # -- expressions --------------------------------------------------------
     def eval_expr(self, env: dict[str, float]) -> float:
-        return self._expr_add(env)
+        start = self.peek()
+        try:
+            v = self._expr_add(env)
+        except OverflowError:
+            self.error("expression value out of range", start)
+        except (ZeroDivisionError, ValueError) as exc:
+            self.error(f"cannot evaluate expression: {exc}", start)
+        if not math.isfinite(v):
+            self.error(f"expression value {v} is not finite", start)
+        return v
 
     def _expr_add(self, env) -> float:
         v = self._expr_mul(env)
@@ -378,8 +401,10 @@ class Parser:
     def _expr_pow(self, env) -> float:
         v = self._expr_atom(env)
         if self.peek().kind == "^":
-            self.next()
-            return v ** self._expr_pow(env)
+            op = self.next()
+            v = v ** self._expr_pow(env)
+            if isinstance(v, complex):
+                self.error("negative base with a fractional exponent", op)
         return v
 
     def _expr_atom(self, env) -> float:
@@ -429,20 +454,22 @@ class Parser:
         if len(sizes) > 1:
             self.error("mismatched register sizes in gate call", name)
         reps = sizes.pop() if sizes else 1
+        d = self.gate_defs.get(name.text)
         for i in range(reps):
             qs = [o[i] if len(o) > 1 else o[0] for o in operands]
-            if len(set(qs)) != len(qs):
-                self.error("duplicate qubit operand", name)
-            self.apply_gate(name, params, qs)
+            self.apply_gate(name, d, params, qs)
 
-    def apply_gate(self, name: Token, params: list[float], qs: list[int]):
-        if name.text in self.gate_defs:
-            d = self.gate_defs[name.text]
+    def apply_gate(self, name: Token, d: _GateDef | None,
+                   params: list[float], qs: list[int]):
+        """Apply gate `name`: the definition `d`, or the built-in if None."""
+        if len(set(qs)) != len(qs):
+            self.error("duplicate qubit operand", name)
+        if d is not None:
             if len(params) != len(d.params) or len(qs) != len(d.qargs):
                 self.error(f"wrong arity for gate {name.text!r}", name)
             env = dict(zip(d.params, params))
             qmap = dict(zip(d.qargs, qs))
-            for gname, pexprs, gqs in d.body:
+            for gname, target, pexprs, gqs in d.body:
                 sub = Parser.__new__(Parser)
                 sub.__dict__.update(self.__dict__)
                 ps = []
@@ -450,12 +477,15 @@ class Parser:
                     sub.tokens = expr + [Token("EOF", "", gname.line, gname.col)]
                     sub.pos = 0
                     ps.append(sub.eval_expr(env))
+                    if sub.peek().kind != "EOF":
+                        sub.error(f"unexpected token {sub.peek().text!r} in "
+                                  f"expression")
                 try:
                     mapped = [qmap[q] for q in gqs]
                 except KeyError as e:
                     self.error(f"unknown qubit argument {e.args[0]!r} in gate "
                                f"{name.text!r}", gname)
-                self.apply_gate(gname, ps, mapped)
+                self.apply_gate(gname, target, ps, mapped)
             return
         if name.text not in _BUILTIN:
             self.error(f"unknown gate {name.text!r}", name)
@@ -470,12 +500,22 @@ class Parser:
 def parse_qasm(source: str) -> Circuit:
     """Parse OpenQASM 2.0 text into a Circuit (registers concatenated in
     declaration order, custom gates inlined, errors carry line/column)."""
-    return Parser(source).parse()
+    parser = Parser(source)
+    try:
+        return parser.parse()
+    except RecursionError:
+        t = parser.peek()
+        raise QasmError("expression or gate nesting too deep",
+                        t.line, t.col) from None
 
 
 def parse_qasm_file(path: str) -> Circuit:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_qasm(f.read())
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            source = f.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return parse_qasm(source)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Lossless JSON serialization of compiled programs.
 
-Bit-matrix rows are hex strings (row i encodes sum_j M[i,j] << j); angles are
-printed with 17 significant digits so parsing reproduces the exact IEEE-754
-double.  Serialization is deterministic: serialize -> parse -> serialize is
-byte-identical.
+A CNOT layer is written as its word and as the GF(2) matrix |x> -> |Ax>
+that the word performs, derived here by replaying the word; rows are hex
+strings (row i encodes sum_j A[i,j] << j), and a loaded matrix must equal
+the one derived from the loaded word.  The body holds phase gadgets only.
+"ancilla" is always null: the ancilla, when the realization uses one, is
+qubit numQubits.  Angles are printed with 17 significant digits so parsing
+reproduces the exact IEEE-754 double.  Serialization is deterministic:
+serialize -> parse -> serialize is byte-identical.
 """
 
 from __future__ import annotations
@@ -11,11 +15,9 @@ from __future__ import annotations
 import json
 import math
 
-import numpy as np
-
-from .circuit import CircuitError, InputError
+from .circuit import InputError
 from .cost import ANCILLA_MERGED, AUTO, NO_ANCILLA
-from .gadgets import GadgetSequence, MultiQubitGate, PauliFrame, PhaseGadget
+from .gadgets import GadgetSequence, PauliFrame, PhaseGadget
 from .passes import CnotLayer, CompiledProgram
 
 SCHEMA_VERSION = "1.0"
@@ -27,29 +29,23 @@ def _fmt(x: float) -> float:
     return float(f"{float(x):.17g}")
 
 
-def _row_bits(matrix: np.ndarray) -> list[int]:
-    return [int(sum(int(b) << j for j, b in enumerate(row))) for row in matrix]
+def _row_bits(layer: CnotLayer) -> list[int]:
+    """Rows of the layer's GF(2) matrix as integers, by replaying its word:
+    CNOT(c, t) adds row c to row t."""
+    rows = [1 << i for i in range(layer.n)]
+    for c, t in layer.word:
+        rows[t] ^= rows[c]
+    return rows
 
 
 def _layer_to_json(layer: CnotLayer) -> dict:
-    return {"matrix": [format(bits, "x") for bits in _row_bits(layer.matrix)],
+    return {"matrix": [format(bits, "x") for bits in _row_bits(layer)],
             "word": [[int(c), int(t)] for c, t in layer.word]}
 
 
 def _body_to_json(seq: GadgetSequence) -> list:
-    out = []
-    for g in seq.gadgets:
-        if isinstance(g, PhaseGadget):
-            out.append({"type": "gadget", "axis": g.axis,
-                        "alpha": _fmt(g.alpha),
-                        "support": [int(q) for q in g.support]})
-        elif isinstance(g, MultiQubitGate):
-            out.append({"type": "mq",
-                        "pairs": [[int(n), int(m), _fmt(th)]
-                                  for (n, m), th in sorted(g.pairs.items())]})
-        else:
-            raise CircuitError(f"unsupported body element {type(g).__name__}")
-    return out
+    return [{"type": "gadget", "axis": g.axis, "alpha": _fmt(g.alpha),
+             "support": [int(q) for q in g.support]} for g in seq.gadgets]
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +111,7 @@ def _layer_from_json(obj, n: int, where: str) -> CnotLayer:
             bits = [int(h, 16) for h in _list(rows, f"{where}.matrix")]
         except (TypeError, ValueError):
             raise InputError(f"{where}.matrix: rows must be hex strings") from None
-        if bits != _row_bits(layer.matrix):
+        if bits != _row_bits(layer):
             raise InputError(f"{where}.matrix: inconsistent with its CNOT word")
     return layer
 
@@ -124,26 +120,15 @@ def _body_from_json(items, n: int) -> list:
     out = []
     for i, obj in enumerate(_list(items, "body")):
         at = f"body[{i}]"
-        kind = _choice(_field(obj, "type", at), ("gadget", "mq"), f"{at}.type")
-        if kind == "gadget":
-            sup = [_int(q, f"{at}.support", n)
-                   for q in _list(_field(obj, "support", at), f"{at}.support")]
-            if not sup or len(set(sup)) != len(sup):
-                raise InputError(f"{at}.support: expected distinct qubits, "
-                                 f"got {sup!r}")
-            out.append(PhaseGadget(
-                _choice(_field(obj, "axis", at), _AXES, f"{at}.axis"),
-                _number(_field(obj, "alpha", at), f"{at}.alpha"), tuple(sup)))
-        else:
-            pairs = {}
-            for j, p in enumerate(_list(_field(obj, "pairs", at), f"{at}.pairs")):
-                pat = f"{at}.pairs[{j}]"
-                a, b, th = _list(p, pat, 3)
-                a, b = _int(a, pat, n), _int(b, pat, n)
-                if a == b:
-                    raise InputError(f"{pat}: a pair needs two distinct qubits")
-                pairs[(a, b)] = _number(th, pat)
-            out.append(MultiQubitGate(pairs))
+        _choice(_field(obj, "type", at), ("gadget",), f"{at}.type")
+        sup = [_int(q, f"{at}.support", n)
+               for q in _list(_field(obj, "support", at), f"{at}.support")]
+        if not sup or len(set(sup)) != len(sup):
+            raise InputError(f"{at}.support: expected distinct qubits, "
+                             f"got {sup!r}")
+        out.append(PhaseGadget(
+            _choice(_field(obj, "axis", at), _AXES, f"{at}.axis"),
+            _number(_field(obj, "alpha", at), f"{at}.alpha"), tuple(sup)))
     return out
 
 
@@ -154,7 +139,7 @@ def program_to_json(prog: CompiledProgram) -> dict:
     return {
         "version": SCHEMA_VERSION,
         "numQubits": int(prog.num_qubits),
-        "ancilla": None if prog.body.ancilla is None else int(prog.body.ancilla),
+        "ancilla": None,
         "preLayer": _layer_to_json(prog.pre),
         "body": _body_to_json(prog.body),
         "frames": [[int(q), p] for q, p in sorted(prog.body.frame.paulis.items())],
@@ -176,9 +161,8 @@ def program_from_json(obj) -> CompiledProgram:
     gadgets = _body_from_json(_field(obj, "body", "program"), n)
     ancilla = _field(obj, "ancilla", "program", None)
     if ancilla is not None:
-        _int(ancilla, "ancilla")
-        if any(ancilla in g.support for g in gadgets):
-            raise InputError(f"ancilla: qubit {ancilla} is in a gadget support")
+        raise InputError(f"ancilla: expected null (the ancilla, when used, "
+                         f"is qubit numQubits), got {ancilla!r}")
     frames = {}
     for i, fq in enumerate(_list(_field(obj, "frames", "program", []),
                                  "frames")):
@@ -195,8 +179,7 @@ def program_from_json(obj) -> CompiledProgram:
     return CompiledProgram(
         n,
         _layer_from_json(_field(obj, "preLayer", "program"), n, "preLayer"),
-        GadgetSequence(n, gadgets, PauliFrame(frames), complex(*phase),
-                       ancilla),
+        GadgetSequence(n, gadgets, PauliFrame(frames), complex(*phase)),
         _layer_from_json(_field(obj, "postLayer", "program"), n, "postLayer"),
         mmap,
         _choice(_field(obj, "scheme", "program", AUTO),

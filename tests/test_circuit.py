@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pgmq.circuit import (Circuit, CircuitError, GeneralizedCnot, SingleQubit,
-                          ZzRotation, cnot, form_su4_blocks, gates_commute,
-                          hadamard, layerize, pauli_gate, phase_distance,
-                          rx, ry, rz, to_unitary, u1)
+from pgmq.circuit import (PAULI, Circuit, CircuitError, GeneralizedCnot,
+                          SingleQubit, ZzRotation, cnot, form_su4_blocks,
+                          gates_commute, hadamard, layerize, pauli_gate,
+                          phase_distance, to_unitary, u1)
+from pgmq.gadgets import pauli_rotation
 from conftest import random_circuit
 
 CNOT = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]],
@@ -46,11 +47,11 @@ def test_zz_rotation_definition():
 
 def test_standard_rotations():
     from scipy.linalg import expm
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    z = np.diag([1.0 + 0j, -1.0])
     th = 1.234
-    assert np.allclose(rx(th, 0).matrix, expm(-1j * th / 2 * x))
-    assert np.allclose(rz(th, 0).matrix, expm(-1j * th / 2 * z))
+    for axis in "XYZ":
+        g = pauli_rotation(axis, th, 0)
+        assert np.allclose(g.matrix, expm(-1j * th / 2 * PAULI[axis]))
+        assert (g.name, g.angle) == (f"r{axis.lower()}", th)
     assert np.allclose(u1(th, 0).matrix, np.diag([1.0, np.exp(1j * th)]))
     h = hadamard(0).matrix
     assert np.allclose(h, np.array([[1, 1], [1, -1]]) / math.sqrt(2))

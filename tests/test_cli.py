@@ -1,10 +1,13 @@
+import functools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pgmq import serialize
-from pgmq.circuit import Circuit, ZzRotation, cnot, hadamard, to_unitary
+from pgmq.circuit import InputError, to_unitary
 from pgmq.cli import main
 from pgmq.passes import optimize
 
@@ -69,6 +72,55 @@ def test_loads_rejects_corrupt_layer(rng):
         doc["preLayer"]["word"] = doc["preLayer"]["word"][:-1]
     with pytest.raises(CircuitError):
         serialize.loads(json.dumps(doc))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from(["", "gadget", "mq", "X", "Z", "auto", "1.0", "ff"]),
+    lambda v: st.lists(v, max_size=3) | st.dictionaries(
+        st.sampled_from(["type", "axis", "alpha", "support", "word",
+                         "matrix", "pairs"]), v, max_size=3),
+    max_leaves=6)
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus_documents() -> tuple:
+    from pgmq.passes import CompileOptions
+    from pgmq.qasm import parse_qasm_file
+    bench = Path(__file__).resolve().parent.parent / "benchmarks"
+    return tuple(serialize.dumps(optimize(parse_qasm_file(bench / name),
+                                          CompileOptions(scheme=scheme)))
+                 for name, scheme in (("adder_n4.qasm", "ancilla-merged"),
+                                      ("qaoa_n6.qasm", "auto")))
+
+
+def _slots(node, out):
+    """Every (container, key) below node, in document order."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        out.append((node, key))
+        if isinstance(value, (dict, list)):
+            _slots(value, out)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(which=st.integers(0, 1), data=st.data())
+def test_loads_fuzz_raises_only_input_error(which, data):
+    # every integer drawn is at most 12, so numQubits stays <= 12
+    doc = json.loads(_corpus_documents()[which])
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = _slots(doc, [])
+        node, key = slots[data.draw(st.integers(0, len(slots) - 1))]
+        if data.draw(st.booleans()):
+            node[key] = data.draw(_JSON)
+        else:
+            del node[key]
+    try:
+        serialize.loads(json.dumps(doc)).realized_circuit()
+    except InputError:
+        pass
 
 
 # --- compile / verify ----------------------------------------------------------
@@ -155,12 +207,16 @@ def _set_body(doc, item):
     (lambda d: _set_body(d, {"type": "gadget", "axis": "W", "alpha": 0.25,
                              "support": [0, 1]}), "body[0].axis"),
     (lambda d: _set_body(d, {"type": "mq", "pairs": [[1, 1, 0.3]]}),
-     "body[0].pairs[0]"),
+     "body[0].type"),
+    (lambda d: _set_body(d, {"type": "mq", "pairs": [[0, 1, 0.3]]}),
+     "body[0].type"),
+    (lambda d: d.update(ancilla=9), "ancilla"),
     (lambda d: d.update(version="9.9"), "version"),
     (lambda d: d.update(frames=[[0, "Q"]]), "frames[0]"),
     (lambda d: d.update(scheme="fastest"), "scheme"),
 ], ids=["not-json", "no-body", "word-range", "word-self", "matrix",
-        "support-range", "axis", "mq-pair", "version", "frame", "scheme"])
+        "support-range", "axis", "mq-pair", "mq-element", "ancilla-set",
+        "version", "frame", "scheme"])
 def test_verify_malformed_program_exit_2(qasm_dir, tmp_path, capsys,
                                          corrupt, field):
     out = tmp_path / "p.json"
@@ -191,6 +247,49 @@ def test_compile_mid_circuit_measure_exit_2(tmp_path, capsys):
     assert not (tmp_path / "p.json").exists()
 
 
+@pytest.mark.parametrize("body, where", [
+    ("qreg q[1];\nrz(1/0) q[0];\n", "line 4, col 4"),
+    ("qreg q[1];\nrz(sqrt(-1)) q[0];\n", "line 4, col 4"),
+    ("qreg q[1];\nrz(ln(0)) q[0];\n", "line 4, col 4"),
+    ("qreg q[1];\nrz(10.0^400) q[0];\n", "line 4, col 4"),
+    ("qreg q[1];\nrz(1e400) q[0];\n", "line 4, col 4"),
+    ("qreg q[1];\ngate g(t) a { rz(1/t) a; }\ng(0) q[0];\n", "line 4, col 18"),
+    ("qreg q[1];\ngate a x { a x; }\na q[0];\n", "line 4, col 12"),
+    ("qreg q[1];\nrz(" + "(" * 3000 + "1" + ")" * 3000 + ") q[0];\n",
+     "line 4, col "),
+    ("qreg q[0];\nh q;\n", "line 3, col 8"),
+    ("qreg q[1];\nrz((-8)^(1/3)) q[0];\n", "line 4, col 8"),
+    ("qreg q[1];\ngate g(t) a { rz(1 2) a; }\ng(0) q[0];\n", "line 4, col 20"),
+    ("qreg q[2];\ngate g a, b { cx a, a; }\ng q[0], q[1];\n", "line 4, col 15"),
+    ("qreg q[1];\ngate g a { rz(1 ", "line 4, col 17"),
+], ids=["div-zero", "sqrt-negative", "ln-zero", "pow-overflow", "infinite",
+        "gate-body-div-zero", "self-call", "deep-parens", "empty-register",
+        "complex-power", "gate-body-trailing-token", "gate-body-same-qubit",
+        "gate-body-eof"])
+def test_compile_bad_input_exit_2(tmp_path, capsys, body, where):
+    f = tmp_path / "bad.qasm"
+    f.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\n' + body)
+    assert main(["compile", str(f), "--out", str(tmp_path / "p.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and where in captured.err
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "p.json").exists()
+
+
+def test_unexpected_exception_exit_3(qasm_dir, tmp_path, capsys,
+                                     monkeypatch):
+    import pgmq.cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(pgmq.cli, "optimize", broken)
+    assert main(["compile", str(qasm_dir / "small.qasm"),
+                 "--out", str(tmp_path / "p.json")]) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
 def test_compile_malformed_qasm_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.qasm"
     bad.write_text("OPENQASM 2.0;\nqreg q[2];\nfrobnicate q[0];\n")
@@ -200,6 +299,19 @@ def test_compile_malformed_qasm_exit_2(tmp_path, capsys):
 
 def test_compile_missing_file_exit_2(tmp_path):
     assert main(["compile", str(tmp_path / "nope.qasm")]) == 2
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_compile_unreadable_input_exit_2(tmp_path, capsys, kind):
+    f = tmp_path / "in.qasm"
+    if kind == "directory":
+        f.mkdir()
+    else:
+        f.write_bytes(b"OPENQASM 2.0;\n\xff\xfe;\n")
+    assert main(["compile", str(f), "--out", str(tmp_path / "p.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "in.qasm" in err
 
 
 def test_compile_empty_circuit_ok(tmp_path):
@@ -218,6 +330,27 @@ def test_compile_scheme_flags(qasm_dir, tmp_path):
     assert main(["compile", str(qasm_dir / "small.qasm"), "--out", str(out),
                  "--ancilla"]) == 0
     assert json.loads(out.read_text())["scheme"] == "ancilla-merged"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ([], "655a5c96c412"),
+    (["--cost", "weighted:0.5", "--no-ancilla"], "fea212a29b8a"),
+    (["--ancilla", "--max-iters", "3"], "c2f8a544f3e9"),
+])
+def test_opts_hash_stable(argv, digest):
+    from pgmq.cli import _compile_options, _opts_hash, build_parser
+    args = build_parser().parse_args(["compile", "x.qasm", *argv])
+    assert _opts_hash(_compile_options(args), 0) == digest
+
+
+def test_compile_weighted_cost_then_verify(tmp_path, capsys):
+    src = Path(__file__).resolve().parent.parent / "benchmarks" / "qaoa_n6.qasm"
+    out = tmp_path / "p.json"
+    assert main(["compile", str(src), "--out", str(out),
+                 "--cost", "weighted:0.5"]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out), str(src)]) == 0
+    assert capsys.readouterr().out.startswith("PASS")
 
 
 @pytest.mark.parametrize("cost", ["foo", "weighted:abc"])

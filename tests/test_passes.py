@@ -27,15 +27,21 @@ def layer_unitary(layer):
 # --- CnotLayer -------------------------------------------------------------
 
 def test_cnot_layer_replay_and_invertibility(rng):
+    from pgmq.serialize import _row_bits
     for _ in range(30):
         n = 4
         layer = CnotLayer(n)
         for _ in range(int(rng.integers(0, 10))):
             a, b = rng.choice(n, size=2, replace=False)
             layer.append(int(a), int(b))
-        assert layer.replay_matches()
-        assert layer.is_invertible()
+        # the serialized GF(2) rows are the basis permutation |x> -> |Ax>
+        rows = _row_bits(layer)
+        perm = np.zeros((2 ** n, 2 ** n))
+        for x in range(2 ** n):
+            y = sum((bin(r & x).count("1") % 2) << i for i, r in enumerate(rows))
+            perm[y, x] = 1
         u = layer_unitary(layer)
+        assert np.max(np.abs(u - perm)) < 1e-12
         v = layer_unitary(layer.adjoint())
         assert np.max(np.abs(u @ v - np.eye(2 ** n))) < 1e-12
 

@@ -3,6 +3,7 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pgmq.circuit import Circuit, GeneralizedCnot, Measure, to_unitary
 from pgmq.qasm import QasmError, parse_qasm, to_zz_basis, two_qubit_count
@@ -82,3 +83,52 @@ def test_empty_circuit():
     c = parse_qasm(HEADER + "qreg q[2];\n")
     assert c.gates == []
     assert c.num_qubits == 2
+
+
+
+# Random OpenQASM 2.0 statements: declarations, calls, gate definitions and
+# stray tokens.  Register sizes and indices stay in 0..9 so no large register
+# is ever built, and a gate body makes at most two calls so nested
+# definitions cannot blow up.
+_TOKENS = ["OPENQASM", "2.0", ";", "include", '"qelib1.inc"', "opaque",
+           "reset", "q", "(", ")", "{", "}", ",", "[", "]", "->", "==", "^"]
+_EXPR = st.recursive(
+    st.sampled_from(["0", "0.5", "2", "pi", "t", "1e400", "10.0"]),
+    lambda e: st.one_of(
+        st.tuples(e, st.sampled_from("+-*/^"), e).map(" ".join),
+        st.tuples(st.sampled_from(["sin", "sqrt", "ln", "exp", "-", ""]),
+                  e).map(lambda fe: f"{fe[0]}({fe[1]})")),
+    max_leaves=4)
+_OPERAND = st.one_of(
+    st.sampled_from(["q", "r", "a", "b"]),
+    st.tuples(st.sampled_from("qr"), st.integers(0, 9)).map(
+        lambda ri: f"{ri[0]}[{ri[1]}]"))
+_CALL = st.builds(
+    lambda name, ps, qs: (name + ("" if ps is None else f"({', '.join(ps)})")
+                          + " " + ", ".join(qs) + ";"),
+    st.sampled_from(["h", "cx", "rz", "u3", "ccx", "rzz", "g", "k", "nope"]),
+    st.none() | st.lists(_EXPR, max_size=3),
+    st.lists(_OPERAND, min_size=1, max_size=3))
+_STATEMENT = st.one_of(
+    st.builds(lambda kind, name, k: f"{kind} {name}[{k}];",
+              st.sampled_from(["qreg", "creg"]), st.sampled_from("qrc"),
+              st.integers(0, 9)),
+    _CALL,
+    st.builds(lambda name, ps, qs, body: (
+        f"gate {name}{'(t)' if ps else ''} {', '.join(qs)} "
+        f"{{ {' '.join(body)} }}"),
+        st.sampled_from("gk"), st.booleans(),
+        st.lists(st.sampled_from("ab"), min_size=1, max_size=2),
+        st.lists(_CALL, max_size=2)),
+    st.sampled_from(["measure q -> c;", "measure q[0] -> c[1];", "barrier q;",
+                     "if (c == 1) x q[0];"]),
+    st.sampled_from(_TOKENS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(header=st.booleans(), statements=st.lists(_STATEMENT, max_size=12))
+def test_parse_qasm_fuzz_raises_only_qasm_error(header, statements):
+    try:
+        parse_qasm((HEADER if header else "") + "\n".join(statements))
+    except QasmError:
+        pass
