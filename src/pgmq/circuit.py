@@ -11,6 +11,7 @@ Conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,16 +96,25 @@ class GeneralizedCnot:
         return self.control_axis == "Z" and self.target_axis == "X"
 
     def local_unitary(self) -> np.ndarray:
-        # local index order: control least significant
-        p = PAULI[self.control_axis]
-        q = PAULI[self.target_axis]
-        plus = (I2 + p) / 2
-        minus = (I2 - p) / 2
-        return np.kron(I2, plus) + np.kron(q, minus)
+        """The shared read-only 4x4 matrix, control least significant."""
+        return _GCNOT_LOCAL[self.control_axis, self.target_axis]
 
     def adjoint(self) -> "GeneralizedCnot":
         return GeneralizedCnot(self.control_axis, self.control,
                                self.target_axis, self.target)
+
+
+def _projector_form(control_axis: str, target_axis: str) -> np.ndarray:
+    p = PAULI[control_axis]
+    q = PAULI[target_axis]
+    plus = (I2 + p) / 2
+    minus = (I2 - p) / 2
+    m = np.kron(I2, plus) + np.kron(q, minus)
+    m.setflags(write=False)
+    return m
+
+
+_GCNOT_LOCAL = {(p, q): _projector_form(p, q) for p in "XYZ" for q in "XYZ"}
 
 
 @dataclass(eq=False)
@@ -290,18 +300,69 @@ class Layer:
         return s
 
 
-def gates_commute(a, b, tol: float = 1e-10) -> bool:
+# commutator sizes below the first bound commute and above the second do
+# not; between them the closed form's rounding could cross the dense check's
+# 1e-10 threshold, so the dense check decides
+_DECIDED_BELOW, _DECIDED_ABOVE = 1e-11, 1e-9
+_KIND_RANK = {SingleQubit: 0, GeneralizedCnot: 1, ZzRotation: 2}
+
+
+def _commutator_size(a, b) -> float | None:
+    """Max-entry size of [a, b] on the joint support for two gates sharing a
+    wire, from their 2x2 entries; None for kinds without a closed form."""
+    ra, rb = _KIND_RANK.get(type(a)), _KIND_RANK.get(type(b))
+    if ra is None or rb is None:
+        return None
+    if ra > rb:
+        a, b = b, a
+    if any(isinstance(g, GeneralizedCnot) and not g.is_canonical for g in (a, b)):
+        return None
+    if isinstance(a, SingleQubit):
+        u = a.matrix
+        if isinstance(b, SingleQubit):
+            v = b.matrix
+            return float(np.max(np.abs(u @ v - v @ u)))
+        off = max(abs(u[0, 1]), abs(u[1, 0]))
+        if isinstance(b, ZzRotation):
+            # [u (x) I, cos + i sin ZZ] = i sin [u, Z] (x) Z
+            return 2.0 * abs(math.sin(b.theta)) * off
+        if a.qubit == b.control:
+            # [u, P0] (x) (I - X)
+            return off
+        # P1 (x) [u, X]
+        return max(abs(u[0, 1] - u[1, 0]), abs(u[0, 0] - u[1, 1]))
+    if isinstance(a, GeneralizedCnot):
+        if isinstance(b, GeneralizedCnot):
+            return float(a.control == b.target or b.control == a.target)
+        # CNOT maps Z_t to Z_c Z_t and fixes Z_c
+        return 2.0 * abs(math.sin(b.theta)) if a.target in b.qubits else 0.0
+    return 0.0  # two ZZ rotations are both diagonal
+
+
+def _dense_commute(a, b) -> bool:
     """Dense commutation check on the joint support (at most 4 qubits)."""
     qs = tuple(sorted(set(a.qubits) | set(b.qubits)))
-    if set(a.qubits).isdisjoint(b.qubits):
-        return True
     k = len(qs)
     pos = {q: i for i, q in enumerate(qs)}
     ua = apply_local(np.eye(2 ** k, dtype=complex), a.local_unitary(),
                      tuple(pos[q] for q in a.qubits), k)
     ub = apply_local(np.eye(2 ** k, dtype=complex), b.local_unitary(),
                      tuple(pos[q] for q in b.qubits), k)
-    return bool(np.max(np.abs(ua @ ub - ub @ ua)) < tol)
+    return bool(np.max(np.abs(ua @ ub - ub @ ua)) < 1e-10)
+
+
+def gates_commute(a, b) -> bool:
+    """Whether the max-entry commutator of two gates on their joint support
+    is below 1e-10.  Gates on disjoint wires commute; pairs of one-qubit
+    gates, canonical CNOTs and ZZ rotations are decided from the closed-form
+    commutator size unless it lies within [1e-11, 1e-9]; those and all
+    other kinds take the dense check."""
+    if set(a.qubits).isdisjoint(b.qubits):
+        return True
+    m = _commutator_size(a, b)
+    if m is None or _DECIDED_BELOW <= m <= _DECIDED_ABOVE:
+        return _dense_commute(a, b)
+    return m < _DECIDED_BELOW
 
 
 _LAYERABLE = (SingleQubit, GeneralizedCnot, ZzRotation)
@@ -309,7 +370,10 @@ _LAYERABLE = (SingleQubit, GeneralizedCnot, ZzRotation)
 
 def layerize(circuit: Circuit) -> list[Layer]:
     """Greedy commuting layers: each gate goes right after the last layer it
-    fails to commute with (layer 0 if it commutes with everything)."""
+    fails to commute with (layer 0 if it commutes with everything).
+    `gates_commute` decides one-qubit gates, CNOTs and ZZ rotations in
+    closed form; only commutators within 1e-11..1e-9 of size build dense
+    matrices."""
     layers: list[Layer] = []
     for g in circuit.gates:
         if not isinstance(g, _LAYERABLE):

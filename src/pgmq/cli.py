@@ -20,8 +20,8 @@ from . import __version__
 from .circuit import (Circuit, CircuitError, InputError, to_unitary,
                       phase_distance)
 from .cost import ANCILLA_MERGED, AUTO, NO_ANCILLA, metrics
-from .noise import (NoiseModel, apply_circuit, monte_carlo_fidelity,
-                    relative_error, success_probability)
+from .noise import (STATEVECTOR_CAP, NoiseModel, apply_circuit,
+                    monte_carlo_fidelity, relative_error, success_probability)
 from .passes import CompileOptions, CompiledProgram, optimize
 from .qasm import QasmError, parse_qasm_file
 from .serialize import dumps as program_dumps, load as program_load
@@ -77,10 +77,15 @@ def _verify_program(prog: CompiledProgram, circuit: Circuit, cap: int,
     """Compare the realized native-gate circuit against the input circuit,
     modulo global phase, with the ancilla (if any) prepared in |0> and
     projected on |0>: dense unitaries up to `cap` source qubits, 20 random
-    states above.  Returns (pass, max deviation, ancilla leakage)."""
+    states above.  Programs wider than STATEVECTOR_CAP, ancilla included,
+    are refused.  Returns (pass, max deviation, ancilla leakage)."""
     from .passes import _strip_measures
     stripped, _ = _strip_measures(circuit)
     realized = prog.realized_circuit()
+    if realized.num_qubits > STATEVECTOR_CAP:
+        raise InputError(f"program is {realized.num_qubits} qubits wide "
+                         f"(ancilla included), above the verify width cap of "
+                         f"{STATEVECTOR_CAP}")
     dim = 2 ** circuit.num_qubits
 
     def run_realized(amp):

@@ -4,6 +4,11 @@ canonical-CNOT / Z(x)Z basis used by the compiler.
 
 The standard library ("qelib1.inc") is satisfied internally; gate matrices
 follow its literal u1/u2/u3 definitions so parsed circuits are phase-exact.
+
+Inputs are bounded before they are built: registers may declare at most
+MAX_QUBITS qubits (and as many classical bits) in total, and a gate call that
+would push the circuit past MAX_GATES gates is refused before it is inlined,
+from the expanded size each custom gate records when it is defined.
 """
 
 from __future__ import annotations
@@ -29,6 +34,10 @@ from .circuit import (
     u1,
     u3,
 )
+
+
+MAX_QUBITS = 1024
+MAX_GATES = 100_000
 
 
 class QasmError(CircuitError):
@@ -162,6 +171,10 @@ _BUILTIN["crz"] = (1, 2, lambda ps, qs: _crz(ps[0], qs[0], qs[1]))
 _BUILTIN["cu1"] = (1, 2, lambda ps, qs: _cu1(ps[0], qs[0], qs[1]))
 _BUILTIN["ccx"] = (0, 3, lambda ps, qs: _ccx(qs[0], qs[1], qs[2]))
 
+# gates each built-in expands to
+_BUILTIN_SIZE = {name: len(builder([0.0] * nparams, list(range(nqubits)))[0])
+                 for name, (nparams, nqubits, builder) in _BUILTIN.items()}
+
 _FUNCS = {
     "sin": math.sin, "cos": math.cos, "tan": math.tan,
     "exp": math.exp, "ln": math.log, "sqrt": math.sqrt,
@@ -174,6 +187,7 @@ class _GateDef:
     qargs: list[str]
     # (name token, its _GateDef or None if built in, param exprs, qarg names)
     body: list
+    size: int  # gates one call inlines
 
 
 class Parser:
@@ -250,6 +264,11 @@ class Parser:
                 self.error(f"register {name.text!r} already declared", name)
             if size == 0:
                 self.error(f"register {name.text!r} has size 0", size_tok)
+            total = (self.num_qubits if kw == "qreg" else self.num_bits) + size
+            if total > MAX_QUBITS:
+                what = "qubits" if kw == "qreg" else "classical bits"
+                self.error(f"register {name.text!r} brings the {what} to "
+                           f"{total}, above the limit of {MAX_QUBITS}", size_tok)
             if kw == "qreg":
                 table[name.text] = (self.num_qubits, size)
                 self.num_qubits += size
@@ -345,7 +364,9 @@ class Parser:
             self.expect(";")
             body.append((gname, target, pexprs, gqs))
         self.expect("}")
-        self.gate_defs[name.text] = _GateDef(params, qargs, body)
+        size = sum(_BUILTIN_SIZE[g.text] if d is None else d.size
+                   for g, d, _, _ in body)
+        self.gate_defs[name.text] = _GateDef(params, qargs, body, size)
 
     # -- operands -----------------------------------------------------------
     def _operand(self, table: dict, what: str) -> list[int]:
@@ -455,6 +476,11 @@ class Parser:
             self.error("mismatched register sizes in gate call", name)
         reps = sizes.pop() if sizes else 1
         d = self.gate_defs.get(name.text)
+        size = d.size if d is not None else _BUILTIN_SIZE.get(name.text, 0)
+        if len(self.gates) + reps * size > MAX_GATES:
+            self.error(f"gate {name.text!r} would expand the circuit past "
+                       f"{MAX_GATES} gates ({reps} x {size} more after "
+                       f"{len(self.gates)})", name)
         for i in range(reps):
             qs = [o[i] if len(o) > 1 else o[0] for o in operands]
             self.apply_gate(name, d, params, qs)

@@ -2,8 +2,17 @@
 basis with each interaction coefficient reduced into (-pi/4, pi/4],
 rewriting into blocks of at most three Z(x)Z rotations with a leading
 rotation, and total-entanglement-phase minimization over the six CNOT-pair
-completions.  The minimization decomposes each completion once, scores it
-from its reduced coefficients alone, and assembles only the chosen block.
+completions.
+
+The minimization scores all six completions U.W^dag from one batched
+spectrum: the eigenphases of (M^dag V M)^T (M^dag V M), with
+V = U.W^dag / det^(1/4), are twice the interaction coefficients mapped
+through `_DIAG_SYSTEM`
+(Zhang et al., quant-ph/0209120), so the summed |reduced coefficient| needs
+no eigenvectors and no local factors.  Only the completions whose spectral
+score ties the best to 1e-10 get a full `_reduced_kak`; among them the
+exact key (rounded ZZ phase, word length, order) decides, and only the
+winner is assembled.
 
 Matrix conventions follow circuit.py: a 4x4 block unitary acts on an ordered
 qubit pair (low, high) with the low qubit as the least significant index, so
@@ -276,12 +285,16 @@ def _push_loc(elements: list, lo: np.ndarray, hi: np.ndarray) -> None:
         elements.append(("loc", lo, hi))
 
 
-def _reduced_kak(u: np.ndarray) -> KakDecomposition:
-    """KAK form with each interaction coefficient reduced into (-pi/4, pi/4]."""
+def _checked_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4) or np.max(np.abs(u @ u.conj().T - np.eye(4))) > 1e-10:
         raise CircuitError("to_lh_block needs a 4x4 unitary")
-    k = _kak_raw(u)
+    return u
+
+
+def _reduced_kak(u: np.ndarray) -> KakDecomposition:
+    """KAK form with each interaction coefficient reduced into (-pi/4, pi/4]."""
+    k = _kak_raw(_checked_unitary(u))
     for axis in range(3):
         _shift_coeff(k, axis)
     return k
@@ -338,19 +351,47 @@ def to_lh_block(u: np.ndarray, pair: tuple[int, int] = (0, 1)) -> LhBlock:
 # pair (0, 1), and the adjoints W^dag of their unitaries
 _WORDS = ((), ((0, 1),), ((1, 0),), ((0, 1), (1, 0)), ((1, 0), (0, 1)),
           ((0, 1), (1, 0), (0, 1)))  # the last is SWAP
-_WORD_ADJOINTS = tuple(
-    to_unitary(Circuit(2, [cnot(c, t) for c, t in w])).conj().T for w in _WORDS)
+_WORD_ADJOINTS = np.stack([
+    to_unitary(Circuit(2, [cnot(c, t) for c, t in w])).conj().T for w in _WORDS])
+
+# rows of _DIAG_SYSTEM^-1 that map eigenphases to (cx, cy, cz)
+_PHASES_TO_COEFFS = np.linalg.inv(_DIAG_SYSTEM)[:3]
+
+
+def _spectral_scores(us: np.ndarray) -> np.ndarray:
+    """`_zz_phase(_reduced_kak(u))` for each unitary of a (k, 4, 4) stack,
+    read from the eigenvalues of the magic-basis invariant alone.
+
+    The summed |coefficient| does not depend on the order of the eigenphases
+    (reordering them permutes the coefficients and flips pairs of signs), so
+    sorting stands in for `_kak_raw`'s eigenvector ordering."""
+    det = np.linalg.det(us)
+    vm = MAGIC.conj().T @ (us / (det ** 0.25)[:, None, None]) @ MAGIC
+    lam = np.linalg.eigvals(np.swapaxes(vm, 1, 2) @ vm)
+    if np.max(np.abs(np.abs(lam) - 1.0)) > 1e-8:
+        raise CircuitError("magic-basis invariant has an eigenvalue off the "
+                           "unit circle")
+    phi = np.sort(np.angle(lam), axis=1) / 2.0
+    # _kak_raw's det(k1) < 0 fix: sum(phi) is an odd multiple of pi
+    phi[np.rint(phi.sum(axis=1) / math.pi) % 2 == 1, 0] -= math.pi
+    c = phi @ _PHASES_TO_COEFFS.T
+    c -= (math.pi / 2) * np.ceil(c / (math.pi / 2) - 0.5 - 1e-12)  # _shift_coeff
+    a = np.abs(c)
+    return np.where(a >= _EPS, a, 0.0).sum(axis=1)
 
 
 def minimize_block_phase(u: np.ndarray, pair: tuple[int, int]) -> LhBlock:
     """Pick the CNOT-word completion W minimizing the summed |ZZ angle| of
     the block decomposition of U.W^dag; ties prefer fewer trailing CNOTs,
-    then the fixed completion order.  Each completion is decomposed once
-    and scored from its reduced coefficients; only the winner is
-    assembled."""
-    ks = [_reduced_kak(u @ w_adj) for w_adj in _WORD_ADJOINTS]
-    best = min(range(len(_WORDS)),
-               key=lambda i: (round(_zz_phase(ks[i]), 12), len(_WORDS[i]), i))
+    then the fixed completion order.  All completions are scored from one
+    batched spectrum; those within 1e-10 of the best are decomposed and
+    ranked by their exact key, and only the winner is assembled."""
+    u = _checked_unitary(u)
+    scores = _spectral_scores(u @ _WORD_ADJOINTS)
+    ks = {int(i): _reduced_kak(u @ _WORD_ADJOINTS[i])
+          for i in np.flatnonzero(scores <= scores.min() + 1e-10)}
+    best = min(ks, key=lambda i: (round(_zz_phase(ks[i]), 12),
+                                  len(_WORDS[i]), i))
     blk = _assemble(ks[best], pair)
     blk.trailing = [(pair[c], pair[t]) for c, t in _WORDS[best]]
     return blk

@@ -1,13 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import unitary_group
 
-from pgmq.circuit import (PAULI, Circuit, CircuitError, GeneralizedCnot,
-                          SingleQubit, ZzRotation, cnot, form_su4_blocks,
-                          gates_commute, hadamard, layerize, pauli_gate,
-                          phase_distance, to_unitary, u1)
+from pgmq import circuit
+from pgmq.circuit import (I2, PAULI, Circuit, CircuitError, GeneralizedCnot,
+                          SingleQubit, ZzRotation, apply_local, cnot,
+                          form_su4_blocks, gates_commute, hadamard, layerize,
+                          pauli_gate, phase_distance, to_unitary, u1)
 from pgmq.gadgets import pauli_rotation
 from conftest import random_circuit
 
@@ -119,6 +122,80 @@ def test_gates_commute_matches_dense(rng):
         u21 = to_unitary(Circuit(3, [g2, g1]))
         if gates_commute(g1, g2):
             assert np.max(np.abs(u12 - u21)) < 1e-10
+
+
+def _dense_commute_reference(a, b):
+    """The dense check on the joint support that once decided every pair."""
+    qs = tuple(sorted(set(a.qubits) | set(b.qubits)))
+    if set(a.qubits).isdisjoint(b.qubits):
+        return True
+    k = len(qs)
+    pos = {q: i for i, q in enumerate(qs)}
+    ua = apply_local(np.eye(2 ** k, dtype=complex), a.local_unitary(),
+                     tuple(pos[q] for q in a.qubits), k)
+    ub = apply_local(np.eye(2 ** k, dtype=complex), b.local_unitary(),
+                     tuple(pos[q] for q in b.qubits), k)
+    return bool(np.max(np.abs(ua @ ub - ub @ ua)) < 1e-10)
+
+
+_EPSILONS = [0.0, 1e-12, 3e-12, 1e-11, 3e-11, 1e-10, 3e-10, 1e-9, 3e-9, 1e-8]
+
+
+def _near_identity(axis, eps, q):
+    """A one-qubit gate eps away from the identity: "x" has symmetric
+    off-diagonal entries, "y" antisymmetric ones, "z" a u00 - u11 part."""
+    c = math.sqrt(1.0 - eps * eps)
+    m = {"x": [[c, -1j * eps], [-1j * eps, c]],
+         "y": [[c, -eps], [eps, c]],
+         "z": [[np.exp(-0.5j * eps), 0], [0, np.exp(0.5j * eps)]]}[axis]
+    return SingleQubit(q, np.array(m, dtype=complex))
+
+
+def test_gates_commute_matches_dense_reference_on_every_kind(rng):
+    thetas = [k * math.pi + d for k in range(-2, 3)
+              for d in (0.0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-8, -1e-8)]
+    thetas.append(0.3)
+    ones = [_near_identity(axis, sign * eps, q) for axis in "xyz"
+            for eps in _EPSILONS for sign in (1, -1) for q in range(2)]
+    ones += [SingleQubit(q, PAULI[p]) for p in "XYZ" for q in range(2)]
+    ones += [SingleQubit(q, unitary_group.rvs(2, random_state=rng))
+             for q in range(2) for _ in range(5)]
+    cnots = [cnot(a, b) for a, b in itertools.permutations(range(3), 2)]
+    zzs = [ZzRotation(t, a, b) for t in thetas
+           for a, b in itertools.permutations(range(3), 2)]
+    zzs_01 = [ZzRotation(t, a, b) for t in thetas[7:21] + [0.3]
+              for a, b in ((0, 1), (1, 0))]
+    few_zzs = [ZzRotation(t, a, b) for t in (0.0, math.pi + 1e-12, 0.3)
+               for a, b in itertools.permutations(range(3), 2)]
+    others = [GeneralizedCnot("Y", 0, "Z", 1), GeneralizedCnot("Z", 1, "Z", 0)]
+    pairs = [(a, b) for a, b in itertools.product(ones, ones[::4])
+             if a.qubit == b.qubit]
+    pairs += itertools.product(ones, cnots + zzs_01 + others)
+    pairs += itertools.product(cnots, cnots + zzs + others)
+    pairs += itertools.product(few_zzs, few_zzs + others)
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            assert gates_commute(x, y) == _dense_commute_reference(x, y), (x, y)
+
+
+def test_layerize_decides_commutation_in_closed_form(rng, monkeypatch):
+    def dense(a, b):
+        raise AssertionError(f"dense check reached for {a} and {b}")
+
+    monkeypatch.setattr(circuit, "_dense_commute", dense)
+    for _ in range(10):
+        layerize(random_circuit(4, 30, rng))
+
+
+def test_generalized_cnot_local_unitary_table():
+    for p in "XYZ":
+        for q in "XYZ":
+            m = GeneralizedCnot(p, 0, q, 1).local_unitary()
+            plus, minus = (I2 + PAULI[p]) / 2, (I2 - PAULI[p]) / 2
+            assert np.array_equal(
+                m, np.kron(I2, plus) + np.kron(PAULI[q], minus))
+            with pytest.raises(ValueError):
+                m[0, 0] = 0
 
 
 def test_measure_rejected_in_unitary():

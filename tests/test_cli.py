@@ -418,3 +418,37 @@ def test_bench_json_report(qasm_dir, tmp_path):
 
 def test_bench_empty_directory_exit_2(tmp_path):
     assert main(["bench", str(tmp_path)]) == 2
+
+
+def test_compile_deep_gate_nesting_exit_2_fast(tmp_path, capsys):
+    # 40 nested two-call definitions: 2^40 gates if inlined
+    import time
+    defs = ["gate g0 a { h a; h a; }"]
+    defs += [f"gate g{k} a {{ g{k - 1} a; g{k - 1} a; }}" for k in range(1, 40)]
+    f = tmp_path / "deep.qasm"
+    f.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\n'
+                 + "\n".join(defs) + "\ng39 q[0];\n")
+    t0 = time.perf_counter()
+    assert main(["compile", str(f), "--out", str(tmp_path / "p.json")]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 44, col 1: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_verify_above_width_cap_exit_2(tmp_path, capsys):
+    from pgmq.noise import STATEVECTOR_CAP
+    n = STATEVECTOR_CAP + 1
+    f = tmp_path / "ghz.qasm"
+    f.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+                 f"qreg q[{n}];\nh q[0];\n"
+                 + "".join(f"cx q[{i}], q[{i + 1}];\n" for i in range(n - 1)))
+    out = tmp_path / "ghz.json"
+    assert main(["compile", str(f), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out), str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"{n} qubits" in captured.err and str(STATEVECTOR_CAP) in captured.err

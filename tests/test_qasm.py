@@ -132,3 +132,33 @@ def test_parse_qasm_fuzz_raises_only_qasm_error(header, statements):
         parse_qasm((HEADER if header else "") + "\n".join(statements))
     except QasmError:
         pass
+
+
+def test_gate_budget_refuses_nested_doubling_before_inlining():
+    # 40 nested two-call definitions would inline 2^40 gates
+    defs = ["gate g0 a { h a; h a; }"]
+    defs += [f"gate g{k} a {{ g{k - 1} a; g{k - 1} a; }}" for k in range(1, 40)]
+    source = HEADER + "qreg q[1];\n" + "\n".join(defs) + "\ng39 q[0];\n"
+    with pytest.raises(QasmError, match="line 44, col 1: gate 'g39'"):
+        parse_qasm(source)
+
+
+def test_gate_budget_counts_broadcast_copies():
+    from pgmq import qasm
+    # a 1024-gate definition broadcast over a register is refused when the
+    # copies together pass the budget, and accepted one copy at a time
+    defs = ["gate g0 a { h a; h a; }"]
+    defs += [f"gate g{k} a {{ g{k - 1} a; g{k - 1} a; }}" for k in range(1, 10)]
+    width = qasm.MAX_GATES // 1024 + 1
+    source = HEADER + f"qreg q[{width}];\n" + "\n".join(defs) + "\n"
+    assert len(parse_qasm(source + "g9 q[0];\n").gates) == 1024
+    with pytest.raises(QasmError, match="past"):
+        parse_qasm(source + "g9 q;\n")
+
+
+@pytest.mark.parametrize("decl, name", [("qreg q[2000];", "'q'"),
+                                        ("qreg a[1000];\nqreg b[100];", "'b'"),
+                                        ("creg c[1025];", "'c'")])
+def test_register_width_limit(decl, name):
+    with pytest.raises(QasmError, match=f"register {name}"):
+        parse_qasm(HEADER + decl + "\n")

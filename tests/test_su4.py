@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import unitary_group
 
 from pgmq import su4
-from pgmq.circuit import Circuit, ZzRotation, cnot, to_unitary
+from pgmq.circuit import Circuit, CircuitError, ZzRotation, cnot, to_unitary
 from pgmq.su4 import (LhBlock, _WORD_ADJOINTS, _assemble, _kak_raw,
                       _reduced_kak, _zz_phase, factor_kron,
                       interaction_unitary, minimize_block_phase, to_lh_block)
@@ -154,8 +154,20 @@ def test_completion_score_is_assembled_total_phase(rng):
             assert _zz_phase(k) == _assemble(k, (2, 5)).total_phase()
 
 
+def test_spectral_score_is_reduced_kak_phase(rng):
+    for i, u in enumerate(_block_inputs(rng)):
+        got = su4._spectral_scores(u @ _WORD_ADJOINTS)
+        want = [_zz_phase(_reduced_kak(u @ w_adj)) for w_adj in _WORD_ADJOINTS]
+        assert np.max(np.abs(got - want)) < 1e-12, f"input {i}"
+
+
+def test_spectral_score_rejects_non_unitary_spectrum():
+    with pytest.raises(CircuitError):
+        su4._spectral_scores(np.diag([1.0, 1.0, 1.0, 2.0]).astype(complex)[None])
+
+
 def test_minimize_block_phase_assembles_once(rng, monkeypatch):
-    counts = {"assemble": 0, "circuit": 0, "to_unitary": 0}
+    counts = {"assemble": 0, "reduced_kak": 0, "circuit": 0, "to_unitary": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -164,9 +176,12 @@ def test_minimize_block_phase_assembles_once(rng, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(su4, "_assemble", counted("assemble", su4._assemble))
+    monkeypatch.setattr(su4, "_reduced_kak",
+                        counted("reduced_kak", su4._reduced_kak))
     monkeypatch.setattr(su4, "Circuit", counted("circuit", su4.Circuit))
     monkeypatch.setattr(su4, "to_unitary",
                         counted("to_unitary", su4.to_unitary))
     for _ in range(5):
         minimize_block_phase(unitary_group.rvs(4, random_state=rng), (0, 1))
-    assert counts == {"assemble": 5, "circuit": 0, "to_unitary": 0}
+    assert counts == {"assemble": 5, "reduced_kak": 5, "circuit": 0,
+                      "to_unitary": 0}
