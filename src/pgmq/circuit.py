@@ -24,7 +24,10 @@ PAULI = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-DEFAULT_ORACLE_CAP = 12
+ZZ = np.kron(PAULI["Z"], PAULI["Z"])
+ZZ.setflags(write=False)
+
+DEFAULT_ORACLE_CAP = 10
 
 
 class CircuitError(Exception):
@@ -134,8 +137,7 @@ class ZzRotation:
         return (self.qubit_a, self.qubit_b)
 
     def local_unitary(self) -> np.ndarray:
-        zz = np.kron(PAULI["Z"], PAULI["Z"])
-        return np.cos(self.theta) * np.eye(4) + 1j * np.sin(self.theta) * zz
+        return np.cos(self.theta) * np.eye(4) + 1j * np.sin(self.theta) * ZZ
 
     def adjoint(self) -> "ZzRotation":
         return ZzRotation(-self.theta, self.qubit_a, self.qubit_b)
@@ -225,11 +227,6 @@ class Circuit:
 # ---------------------------------------------------------------------------
 # Dense oracle
 # ---------------------------------------------------------------------------
-
-def _embed_axes(n: int, qubits: tuple[int, ...]) -> list[int]:
-    # axis index of qubit q in an (2,)*n reshaped array is n-1-q
-    return [n - 1 - q for q in qubits]
-
 
 def apply_local(mat: np.ndarray, local: np.ndarray, qubits: tuple[int, ...],
                 n: int) -> np.ndarray:

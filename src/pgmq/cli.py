@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circuit import (Circuit, CircuitError, InputError, to_unitary,
-                      phase_distance)
+from .circuit import (DEFAULT_ORACLE_CAP, Circuit, CircuitError, InputError,
+                      to_unitary, phase_distance)
 from .cost import ANCILLA_MERGED, AUTO, NO_ANCILLA, metrics
 from .noise import (STATEVECTOR_CAP, NoiseModel, apply_circuit,
                     monte_carlo_fidelity, relative_error, success_probability)
@@ -31,7 +31,6 @@ EXIT_VERIFY = 1
 EXIT_PARSE = 2
 EXIT_INTERNAL = 3
 
-DEFAULT_ORACLE_CAP = 10
 VERIFY_TOL = 1e-8
 LEAK_TOL = 1e-12
 

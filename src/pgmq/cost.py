@@ -4,36 +4,41 @@ the straightforward parallel-merge baseline, and benchmark metrics.
 
 A gadget sequence is realized in two steps, plan then cost or emit.
 
-The plan partitions the gadget stream once into time-ordered units (free
-one-qubit rotations, groups of two-qubit gadgets, larger gadgets) and, for
-the ancilla scheme, groups consecutive large gadgets into runs.  Each
-scheme's cost (multiqubit-gate count, then total nuclear norm) is read
-straight from the plan:
+The plan partitions the gadget stream once into time-ordered steps: free
+one-qubit rotations, groups of two-qubit gadgets, and runs of larger
+gadgets.  A run is realized through one fanout target t as fanout, target
+rotation, merged interface, target rotation, ..., fanout.  Without an
+ancilla each larger gadget is a run of one whose target is its first
+support qubit; with one, consecutive larger gadgets form one run whose
+target is the ancilla.  Each scheme's cost (multiqubit-gate count, then
+total nuclear norm) is read straight from its steps:
 
   * a one-qubit gadget is a frame rotation and never counts;
   * a group of two-qubit gadgets is one programmable gate carrying the
     summed pair phases, counted iff a phase survives MultiQubitGate's
     zero-drop; its norm comes from one eigvalsh and serves both schemes;
-  * without an ancilla, a gadget on J costs two star gates with |J|-1
-    spokes each;
-  * with an ancilla, a run of M gadgets J_1..J_M costs a leading star with
-    |J_1| spokes, one merged interface per adjacent pair (J, K) and a
-    trailing star with |J_M| spokes.  An interface's live controls number
-    |J ^ K| (symmetric difference) when both gadgets share an axis, since
-    a repeated Pauli cancels, and |J | K| (union) otherwise; with no live
-    control it is no gate.  So a run costs at most M+1 gates.
+  * a run of M gadgets J_1..J_M onto t costs a leading star with |J_1 - t|
+    spokes (the support without the target), one merged interface per
+    adjacent pair (J, K) and a trailing star with |J_M - t| spokes: two
+    stars with |J|-1 spokes for a run of one without an ancilla, at most
+    M+1 gates with one.  An interface's live controls number |J ^ K|
+    (symmetric difference) when both gadgets share an axis, since a
+    repeated Pauli cancels, and |J | K| (union) otherwise; with no live
+    control it is no gate.
 
 Every star gate with k spokes of phase pi/4 has norm star_norm(k) =
 (pi/4) sqrt(k).  `auto` takes the cheaper scheme, no-ancilla on a tie.
 
-Emission builds native gates (locals plus MultiQubitGate) from the plan,
-only for the scheme that runs: `realize` plans, picks, then emits once.
+One emitter, `_emit`, builds native gates (locals plus MultiQubitGate) from
+either scheme's steps, only for the scheme that runs: `realize` plans,
+picks, then emits once.  Fanouts come from `gadgets.fanout` and are fused
+by `gadgets.fanout_to_mq`; interfaces by `gadgets.merge_interface`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,10 +50,11 @@ from .gadgets import (
     LocalFrame,
     MultiQubitGate,
     PhaseGadget,
+    fanout,
     fanout_to_mq,
     merge_interface,
-    pauli_rotation,
     pg_commutes,
+    target_rotation,
 )
 
 NO_ANCILLA = "no-ancilla"
@@ -92,20 +98,18 @@ class Realization:
 
     num_qubits: int              # including the ancilla when used
     items: list                  # time-ordered gates (locals + MultiQubitGate)
-    mq_gates: list               # the MultiQubitGate subset, in order
     phase: complex
     ancilla: int | None = None
-    clifford_gates: list = None  # fanout/interface subset (Clifford phases)
+    # the fanout/interface gates (Clifford phases), in order
+    clifford_gates: list = field(default_factory=list)
 
-    def __post_init__(self):
-        if self.clifford_gates is None:
-            self.clifford_gates = []
+    @property
+    def mq_gates(self) -> list:
+        """The MultiQubitGate subset of `items`, in order."""
+        return [g for g in self.items if isinstance(g, MultiQubitGate)]
 
     def to_circuit(self) -> Circuit:
-        c = Circuit(self.num_qubits, [], global_phase=self.phase)
-        for g in self.items:
-            c.add(g)
-        return c
+        return Circuit(self.num_qubits, list(self.items), global_phase=self.phase)
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +135,12 @@ def _pair_group(group: list, axes: dict) -> _PairGroup:
 
 
 def _stream_units(gadgets: list) -> list:
-    """Partition a gadget stream into realization units, in time order:
-    ("single", g), ("pairs", _PairGroup) for maximal groups of consecutive
-    two-qubit gadgets with consistent per-qubit axes (single-qubit gadgets
-    that commute with a pending group hop in front of it), ("big", g)."""
+    """The no-ancilla scheme's steps, in time order: ("single", g);
+    ("pairs", _PairGroup) for maximal groups of consecutive two-qubit
+    gadgets with consistent per-qubit axes (single-qubit gadgets that
+    commute with a pending group hop in front of it); and, for a larger
+    gadget g, ("run", ([g], g.support[0])): a run of one whose fanouts
+    target its first support qubit."""
     units: list = []
     axes: dict = {}
     group: list = []
@@ -159,29 +165,34 @@ def _stream_units(gadgets: list) -> list:
             units.append(("single", g))
         else:
             flush()
-            units.append(("big", g))
+            units.append(("run", ([g], g.support[0])))
     flush()
     return units
 
 
-def _group_runs(units: list) -> list:
-    """The ancilla scheme's schedule: consecutive "big" units become one
-    ("run", [g, ...]); single-qubit units that commute with a pending run
-    hop in front of it."""
+def _group_runs(units: list, ancilla: int) -> list:
+    """The ancilla scheme's steps: consecutive runs become one run whose
+    fanouts and interfaces all target `ancilla`; single-qubit units that
+    commute with a pending run hop in front of it."""
     schedule: list = []
     run: list = []
     for kind, val in units:
-        if kind == "big":
-            run.append(val)
+        if kind == "run":
+            run.extend(val[0])
             continue
         if run and not (kind == "single"
                         and all(pg_commutes(val, h) for h in run)):
-            schedule.append(("run", run))
+            schedule.append(("run", (run, ancilla)))
             run = []
         schedule.append((kind, val))
     if run:
-        schedule.append(("run", run))
+        schedule.append(("run", (run, ancilla)))
     return schedule
+
+
+def _fanout_spokes(g: PhaseGadget, target: int) -> int:
+    """Controls of `fanout(g, target)`: the support minus the target."""
+    return len(g.support) - (target in g.support)
 
 
 def _interface_live(g: PhaseGadget, h: PhaseGadget) -> int:
@@ -193,35 +204,29 @@ def _interface_live(g: PhaseGadget, h: PhaseGadget) -> int:
 
 
 def _plan_cost(steps: list) -> CostVector:
-    """Gate count and total norm of a unit list or a run schedule."""
+    """Gate count and total norm of one scheme's steps."""
     count, norm = 0, 0.0
     for kind, val in steps:
         if kind == "pairs":
             if val.gate.pairs:
                 count += 1
                 norm += val.norm
-            continue
-        if kind == "big":
-            spokes = [len(val.support) - 1] * 2
         elif kind == "run":
-            spokes = [len(val[0].support),
-                      *(_interface_live(g, h) for g, h in zip(val, val[1:])),
-                      len(val[-1].support)]
-        else:
-            continue
-        for k in spokes:
-            if k:
-                count += 1
-                norm += star_norm(k)
+            run, t = val
+            for k in (_fanout_spokes(run[0], t),
+                      *(_interface_live(g, h) for g, h in zip(run, run[1:])),
+                      _fanout_spokes(run[-1], t)):
+                if k:
+                    count += 1
+                    norm += star_norm(k)
     return CostVector(count, norm)
 
 
 @dataclass(eq=False)
 class _Plan:
-    """Realization units of one gadget sequence and both schemes' costs."""
+    """Realization steps of one gadget sequence and their costs, per scheme."""
 
-    units: list                  # no-ancilla order
-    schedule: list               # ancilla order (runs grouped)
+    steps: dict                  # scheme -> step list
     costs: dict                  # scheme -> CostVector
 
     def pick(self, scheme: str) -> str:
@@ -237,107 +242,56 @@ class _Plan:
 
 def _plan(seq: GadgetSequence) -> _Plan:
     units = _stream_units(seq.gadgets)
-    schedule = _group_runs(units)
-    return _Plan(units, schedule, {NO_ANCILLA: _plan_cost(units),
-                                   ANCILLA_MERGED: _plan_cost(schedule)})
+    steps = {NO_ANCILLA: units,
+             ANCILLA_MERGED: _group_runs(units, seq.num_qubits)}
+    return _Plan(steps, {s: _plan_cost(v) for s, v in steps.items()})
 
 
 # ---------------------------------------------------------------------------
 # Emission
 # ---------------------------------------------------------------------------
 
-def _emit_frame(frame: LocalFrame, mq: MultiQubitGate, items: list,
-                mq_gates: list, cliffords: list | None = None) -> complex:
-    items.extend(frame.right_gates())
-    if mq.pairs:
-        items.append(mq)
-        mq_gates.append(mq)
-        if cliffords is not None:
-            cliffords.append(mq)
-    items.extend(frame.left_gates())
-    return frame.phase
-
-
-def _emit_pair_group(group: _PairGroup, items: list, mq_gates: list) -> None:
-    """Conjugate each touched qubit into the Z basis around the group's
-    programmable gate."""
-    conj = sorted(q for q, ax in group.axes.items() if ax != "Z")
-    for q in conj:
-        items.append(SingleQubit(q, _Z_TO[group.axes[q]].conj().T, "basis"))
-    if group.gate.pairs:
-        items.append(group.gate)
-        mq_gates.append(group.gate)
-    for q in conj:
-        items.append(SingleQubit(q, _Z_TO[group.axes[q]], "basis"))
-
-
-def _emit_single(g: PhaseGadget, items: list) -> None:
-    items.append(pauli_rotation(g.axis, -g.alpha * math.pi, g.support[0]))
-
-
-def _emit_no_ancilla(seq: GadgetSequence, units: list) -> Realization:
+def _emit(seq: GadgetSequence, steps: list, ancilla: int | None) -> Realization:
+    """Native gates for one scheme's steps: a one-qubit gadget as its
+    rotation, a pair group as its programmable gate conjugated into the Z
+    basis, and a run g_1..g_M onto target t as fanout(g_1, t), then each
+    g_i's target rotation followed by the merged interface to g_{i+1}, then
+    fanout(g_M, t), every fanout and interface fused into one U_MQ."""
     items: list = []
-    mq_gates: list = []
-    cliffords: list = []
-    phase = seq.phase
-    for kind, val in units:
-        if kind == "single":
-            _emit_single(val, items)
-        elif kind == "pairs":
-            _emit_pair_group(val, items, mq_gates)
-        else:
-            g = val
-            jstar = g.support[0]
-            controls = [q for q in g.support if q != jstar]
-            taxis = "X" if g.axis == "Z" else "Z"
-            fan = [GeneralizedCnot(g.axis, q, taxis, jstar) for q in controls]
-            mq, frame = fanout_to_mq(fan)
-            phase *= _emit_frame(frame, mq, items, mq_gates, cliffords)
-            items.append(pauli_rotation(g.axis, -g.alpha * math.pi, jstar))
-            mq2, frame2 = fanout_to_mq(fan)
-            phase *= _emit_frame(frame2, mq2, items, mq_gates, cliffords)
-    items.extend(seq.frame.gates())
-    return Realization(seq.num_qubits, items, mq_gates, phase,
-                       clifford_gates=cliffords)
-
-
-def _emit_ancilla(seq: GadgetSequence, schedule: list) -> Realization:
-    a = seq.num_qubits
-    items: list = []
-    mq_gates: list = []
     cliffords: list = []
     phase = seq.phase
 
-    def fan_gate(g: PhaseGadget):
-        fan = [GeneralizedCnot(g.axis, q, "Y", a) for q in g.support]
-        return fanout_to_mq(fan)
-
-    def emit_run(run: list) -> None:
-        """M consecutive large-support gadgets as at most M+1 multiqubit
-        gates: leading fanout, merged interfaces, trailing fanout."""
+    def fused(mq: MultiQubitGate, frame: LocalFrame) -> None:
         nonlocal phase
-        mq, frame = fan_gate(run[0])
-        phase *= _emit_frame(frame, mq, items, mq_gates, cliffords)
-        for i, g in enumerate(run):
-            items.append(pauli_rotation("Z", -g.alpha * math.pi, a))
-            if i + 1 < len(run):
-                h = run[i + 1]
-                mq, frame = merge_interface(g.support, h.support, a,
-                                            g.axis, h.axis)
-                phase *= _emit_frame(frame, mq, items, mq_gates, cliffords)
-        mq, frame = fan_gate(run[-1])
-        phase *= _emit_frame(frame, mq, items, mq_gates, cliffords)
+        items.extend(frame.right_gates())
+        if mq.pairs:
+            items.append(mq)
+            cliffords.append(mq)
+        items.extend(frame.left_gates())
+        phase *= frame.phase
 
-    for kind, val in schedule:
+    for kind, val in steps:
         if kind == "single":
-            _emit_single(val, items)
+            items.append(target_rotation(val, val.support[0]))
         elif kind == "pairs":
-            _emit_pair_group(val, items, mq_gates)
+            conj = sorted(q for q, ax in val.axes.items() if ax != "Z")
+            items.extend(SingleQubit(q, _Z_TO[val.axes[q]].conj().T, "basis")
+                         for q in conj)
+            if val.gate.pairs:
+                items.append(val.gate)
+            items.extend(SingleQubit(q, _Z_TO[val.axes[q]], "basis")
+                         for q in conj)
         else:
-            emit_run(val)
+            run, t = val
+            fused(*fanout_to_mq(fanout(run[0], t)))
+            for g, h in zip(run, run[1:]):
+                items.append(target_rotation(g, t))
+                fused(*merge_interface(g.support, h.support, t, g.axis, h.axis))
+            items.append(target_rotation(run[-1], t))
+            fused(*fanout_to_mq(fanout(run[-1], t)))
     items.extend(seq.frame.gates())
-    return Realization(a + 1, items, mq_gates, phase, ancilla=a,
-                       clifford_gates=cliffords)
+    width = seq.num_qubits if ancilla is None else ancilla + 1
+    return Realization(width, items, phase, ancilla, cliffords)
 
 
 def realize(seq: GadgetSequence, scheme: str = AUTO) -> Realization:
@@ -348,9 +302,9 @@ def realize(seq: GadgetSequence, scheme: str = AUTO) -> Realization:
     without, each costs two star gates.  `auto` picks the scheme with the
     lower planned cost (count first, then norm) and emits only that one."""
     plan = _plan(seq)
-    if plan.pick(scheme) == NO_ANCILLA:
-        return _emit_no_ancilla(seq, plan.units)
-    return _emit_ancilla(seq, plan.schedule)
+    scheme = plan.pick(scheme)
+    ancilla = seq.num_qubits if scheme == ANCILLA_MERGED else None
+    return _emit(seq, plan.steps[scheme], ancilla)
 
 
 def sequence_cost(seq: GadgetSequence, scheme: str = AUTO) -> CostVector:
@@ -400,15 +354,20 @@ def baseline_parallel_merge(circuit: Circuit) -> tuple[int, float]:
     return count, norm
 
 
+def gate_norm(gate) -> float:
+    """Nuclear norm of one entangling gate (0 for non-entangling gates)."""
+    if isinstance(gate, MultiQubitGate):
+        return nuclear_norm(gate)
+    if isinstance(gate, ZzRotation):
+        return abs(gate.theta)
+    if isinstance(gate, GeneralizedCnot):
+        return FULL_TQ_PHASE
+    return 0.0
+
+
 def input_norm(circuit: Circuit) -> float:
     """Total nuclear norm of the input's entangling gates, one per gate."""
-    total = 0.0
-    for g in circuit.gates:
-        if isinstance(g, ZzRotation):
-            total += abs(g.theta)
-        elif isinstance(g, GeneralizedCnot):
-            total += FULL_TQ_PHASE
-    return total
+    return sum((gate_norm(g) for g in circuit.gates), 0.0)
 
 
 def metrics(seq: GadgetSequence, input_circuit: Circuit,

@@ -12,6 +12,12 @@ gives an exact closed form for the multiqubit-gate realization of any fanout
 or fanout-fanout interface, including overlapping supports.  The Pauli-type
 couplings are then conjugated to Z(x)Z form by single-qubit Cliffords, which
 supplies the local frame around each U_MQ instance.
+
+`fanout(g, target)` is the one place a gadget's fanout is built: onto one of
+its own support qubits, or onto an ancilla outside the support.  Both
+`decompose_pg` and the realization emitter in `cost` use it, and the
+emitter fuses it with `fanout_to_mq` (or, between two gadgets sharing the
+ancilla, `merge_interface`).
 """
 
 from __future__ import annotations
@@ -238,6 +244,27 @@ class LocalFrame:
 # Fanout and interface identities
 # ---------------------------------------------------------------------------
 
+def fanout(g: PhaseGadget, target: int) -> list[GeneralizedCnot]:
+    """The fanout that collects g's Pauli string onto `target`, one CNOT per
+    other support qubit.  A target inside the support gets target axis X
+    (Z for an X gadget), so it maps g's Pauli on the target to g's string;
+    a target outside the support is an ancilla with target axis Y, which
+    maps its Z to g's string."""
+    if target in g.support:
+        taxis = "X" if g.axis == "Z" else "Z"
+    else:
+        taxis = "Y"
+    return [GeneralizedCnot(g.axis, q, taxis, target)
+            for q in g.support if q != target]
+
+
+def target_rotation(g: PhaseGadget, target: int) -> SingleQubit:
+    """The rotation between g's two fanouts onto `target`: about g's axis on
+    a support qubit, about Z on an ancilla."""
+    axis = g.axis if target in g.support else "Z"
+    return pauli_rotation(axis, -g.alpha * math.pi, target)
+
+
 def decompose_pg(g: PhaseGadget, jstar: int, num_qubits: int | None = None,
                  ancilla: bool = False) -> Circuit:
     """Fanout . single-qubit rotation . fanout realization of a gadget.
@@ -246,26 +273,13 @@ def decompose_pg(g: PhaseGadget, jstar: int, num_qubits: int | None = None,
     targets the ancilla (axis Y) and the middle rotation acts on it.  The
     ancilla must start in |0> for the logical action to equal g.
     """
-    if ancilla:
-        if jstar in g.support:
-            raise CircuitError("ancilla jstar must lie outside the support")
-        controls = list(g.support)
-        target_axis = "Y"
-    else:
-        if jstar not in g.support:
-            raise CircuitError("jstar must be in the gadget support")
-        controls = [q for q in g.support if q != jstar]
-        target_axis = "X" if g.axis == "Z" else "Z"
+    if ancilla and jstar in g.support:
+        raise CircuitError("ancilla jstar must lie outside the support")
+    if not ancilla and jstar not in g.support:
+        raise CircuitError("jstar must be in the gadget support")
     n = num_qubits if num_qubits is not None else max([jstar, *g.support]) + 1
-    fan = [GeneralizedCnot(g.axis, q, target_axis, jstar) for q in controls]
-    mid = pauli_rotation(g.axis if not ancilla else "Z", -g.alpha * math.pi, jstar)
-    c = Circuit(n, [])
-    for gate in fan:
-        c.add(gate)
-    c.add(mid)
-    for gate in fan:
-        c.add(gate)
-    return c
+    fan = fanout(g, jstar)
+    return Circuit(n, [*fan, target_rotation(g, jstar), *fan])
 
 
 def _fuse(controls: list[tuple[int, str]], target: int,

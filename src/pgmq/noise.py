@@ -34,11 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import (Barrier, Circuit, CircuitError, GeneralizedCnot,
-                      Measure, SingleQubit, ZzRotation, gate_apply,
-                      pauli_gate)
-from .cost import FULL_TQ_PHASE, nuclear_norm
-from .gadgets import MultiQubitGate
+from .circuit import (Barrier, Circuit, CircuitError, Measure, SingleQubit,
+                      gate_apply, pauli_gate)
+from .cost import FULL_TQ_PHASE, gate_norm
 
 STATEVECTOR_CAP = 16
 CHECKPOINT_BYTES = 32 * 2 ** 20     # clean-run states kept per sampler call
@@ -58,17 +56,6 @@ class NoiseModel:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise CircuitError(f"{name} must lie in [0, 1], got {p}")
-
-
-def gate_norm(gate) -> float:
-    """Nuclear norm of one entangling gate (0 for non-entangling gates)."""
-    if isinstance(gate, MultiQubitGate):
-        return nuclear_norm(gate)
-    if isinstance(gate, ZzRotation):
-        return abs(gate.theta)
-    if isinstance(gate, GeneralizedCnot):
-        return FULL_TQ_PHASE
-    return 0.0
 
 
 def _depol_rate(nu: float, model: NoiseModel) -> float:

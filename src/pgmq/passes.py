@@ -25,7 +25,7 @@ from .circuit import (
     form_su4_blocks,
     Su4Block,
 )
-from .cost import AUTO, CostVector, sequence_cost
+from .cost import AUTO, CostVector, realize, sequence_cost
 from .gadgets import (
     GadgetSequence,
     PhaseGadget,
@@ -269,32 +269,22 @@ class CompiledProgram:
     def cost(self) -> CostVector:
         return sequence_cost(self.body, self.scheme)
 
+    def _replay(self, width: int, middle: list, phase: complex) -> Circuit:
+        """Pre layer, then `middle`, then post layer, on `width` qubits."""
+        return Circuit(width, [*self.pre.to_gates(), *middle,
+                               *self.post.to_gates()], global_phase=phase)
+
     def to_circuit(self) -> Circuit:
         """Ideal replay: pre layer, gadget body, frame, post layer."""
-        c = Circuit(self.num_qubits, [], global_phase=self.body.phase)
-        for g in self.pre.to_gates():
-            c.add(g)
-        for g in self.body.gadgets:
-            c.add(g)
-        for g in self.body.frame.gates():
-            c.add(g)
-        for g in self.post.to_gates():
-            c.add(g)
-        return c
+        body = self.body
+        return self._replay(self.num_qubits,
+                            [*body.gadgets, *body.frame.gates()], body.phase)
 
     def realized_circuit(self) -> Circuit:
         """Replay with the body realized as native multiqubit gates (the
         ancilla, when used, is the final qubit)."""
-        from .cost import realize
         r = realize(self.body, self.scheme)
-        c = Circuit(r.num_qubits, [], global_phase=r.phase)
-        for g in self.pre.to_gates():
-            c.add(g)
-        for g in r.items:
-            c.add(g)
-        for g in self.post.to_gates():
-            c.add(g)
-        return c
+        return self._replay(r.num_qubits, r.items, r.phase)
 
 
 def _strip_measures(circuit: Circuit) -> tuple[Circuit, dict]:

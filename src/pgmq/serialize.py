@@ -199,11 +199,6 @@ def loads(text: str | bytes) -> CompiledProgram:
     return program_from_json(obj)
 
 
-def save(prog: CompiledProgram, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps(prog))
-
-
 def load(path) -> CompiledProgram:
     with open(path, "rb") as fh:
         data = fh.read()

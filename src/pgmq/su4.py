@@ -32,6 +32,7 @@ from .circuit import (
     Circuit,
     CircuitError,
     SingleQubit,
+    ZZ,
     ZzRotation,
     cnot,
     to_unitary,
@@ -48,7 +49,7 @@ MAGIC = np.array([
     [1, 0, 0, -1j],
 ], dtype=complex) / _SQ2
 
-_PP = {k: np.kron(PAULI[k], PAULI[k]) for k in "XYZ"}
+_PP = {k: np.kron(PAULI[k], PAULI[k]) for k in "XY"} | {"Z": ZZ}
 
 # Diagonal vectors of Mdag (P(x)P) M, one per interaction axis; together with
 # the all-ones vector they form the invertible system mapping interaction
@@ -208,12 +209,11 @@ class LhBlock:
         pos = {self.pair[0]: 0, self.pair[1]: 1}
         word = Circuit(2, [cnot(pos[c], pos[t]) for c, t in self.trailing])
         u = self.phase * to_unitary(word)
-        zz = np.kron(PAULI["Z"], PAULI["Z"])
         for e in self.elements:
             if e[0] == "loc":
                 u = np.kron(e[2], e[1]) @ u
             else:
-                u = (math.cos(e[1]) * np.eye(4) + 1j * math.sin(e[1]) * zz) @ u
+                u = (math.cos(e[1]) * np.eye(4) + 1j * math.sin(e[1]) * ZZ) @ u
         return u
 
     def to_gates(self) -> list:

@@ -8,7 +8,8 @@ from pgmq.circuit import (Circuit, SingleQubit, ZzRotation, cnot, hadamard,
 from pgmq.cost import (ANCILLA_MERGED, NO_ANCILLA, CostVector,
                        baseline_parallel_merge, input_norm, metrics,
                        nuclear_norm, realize, sequence_cost, star_norm)
-from pgmq.gadgets import GadgetSequence, MultiQubitGate, PhaseGadget
+from pgmq.gadgets import (GadgetSequence, MultiQubitGate, PhaseGadget,
+                          decompose_pg, fanout_to_mq)
 from conftest import sequence_unitary
 
 
@@ -209,6 +210,34 @@ def test_planned_cost_equals_emitted_gates():
         assert (realize(seq).ancilla is None) == pick_no
         assert sequence_cost(seq) == sequence_cost(
             seq, NO_ANCILLA if pick_no else ANCILLA_MERGED)
+
+
+@pytest.mark.parametrize("ancilla", [False, True],
+                         ids=["no-ancilla", "ancilla"])
+def test_realized_fanouts_match_decompose_pg(ancilla):
+    # a lone large gadget is emitted as decompose_pg's circuit (the one the
+    # acceptance identity test checks) with each fanout fused by fanout_to_mq
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        n = int(rng.integers(3, 7))
+        k = int(rng.integers(3, n + 1))
+        g = PhaseGadget(str(rng.choice(list("XYZ"))), float(rng.uniform(-2, 2)),
+                        tuple(int(q) for q in rng.choice(n, k, replace=False)))
+        r = realize(GadgetSequence(n, [g]),
+                    ANCILLA_MERGED if ancilla else NO_ANCILLA)
+        jstar = n if ancilla else g.support[0]
+        c = decompose_pg(g, jstar, n + ancilla, ancilla=ancilla)
+        fan, mid = c.gates[:(len(c.gates) - 1) // 2], c.gates[len(c.gates) // 2]
+        mq, frame = fanout_to_mq(fan)
+        fused = [*frame.right_gates(), mq, *frame.left_gates()]
+        want = [*fused, mid, *fused]
+        assert [m.pairs for m in r.clifford_gates] == [mq.pairs] * 2
+        assert [type(x) for x in r.items] == [type(x) for x in want]
+        for got, exp in zip(r.items, want):
+            assert got.qubits == exp.qubits
+            assert np.array_equal(got.local_unitary(), exp.local_unitary())
+        assert r.phase == frame.phase * frame.phase
+        assert r.num_qubits == n + ancilla
 
 
 def test_cancelling_interface_is_no_gate():
