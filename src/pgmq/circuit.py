@@ -67,9 +67,6 @@ class SingleQubit:
     def local_unitary(self) -> np.ndarray:
         return self.matrix
 
-    def adjoint(self) -> "SingleQubit":
-        return SingleQubit(self.qubit, self.matrix.conj().T, self.name + "_dg")
-
 
 @dataclass(eq=False)
 class GeneralizedCnot:
@@ -101,10 +98,6 @@ class GeneralizedCnot:
     def local_unitary(self) -> np.ndarray:
         """The shared read-only 4x4 matrix, control least significant."""
         return _GCNOT_LOCAL[self.control_axis, self.target_axis]
-
-    def adjoint(self) -> "GeneralizedCnot":
-        return GeneralizedCnot(self.control_axis, self.control,
-                               self.target_axis, self.target)
 
 
 def _projector_form(control_axis: str, target_axis: str) -> np.ndarray:
@@ -138,9 +131,6 @@ class ZzRotation:
 
     def local_unitary(self) -> np.ndarray:
         return np.cos(self.theta) * np.eye(4) + 1j * np.sin(self.theta) * ZZ
-
-    def adjoint(self) -> "ZzRotation":
-        return ZzRotation(-self.theta, self.qubit_a, self.qubit_b)
 
 
 @dataclass(eq=False)
@@ -215,13 +205,6 @@ class Circuit:
         self._check(g)
         self.gates.append(g)
         return self
-
-    def adjoint(self) -> "Circuit":
-        if any(isinstance(g, Measure) for g in self.gates):
-            raise CircuitError("cannot take adjoint of a measured circuit")
-        rev = [g.adjoint() for g in reversed(self.gates)]
-        return Circuit(self.num_qubits, rev, self.classical_bits,
-                       np.conj(self.global_phase))
 
 
 # ---------------------------------------------------------------------------

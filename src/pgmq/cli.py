@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .circuit import (DEFAULT_ORACLE_CAP, Circuit, CircuitError, InputError,
-                      to_unitary, phase_distance)
+                      phase_distance)
 from .cost import ANCILLA_MERGED, AUTO, NO_ANCILLA, metrics
 from .noise import (STATEVECTOR_CAP, NoiseModel, apply_circuit,
                     monte_carlo_fidelity, relative_error, success_probability)
@@ -51,6 +51,23 @@ def _parse_cost(text: str) -> float | None:
         f"unknown cost order {text!r} (lex or weighted:W with a finite W)")
 
 
+def _in_range(kind, low, high=math.inf):
+    """Parser of a flag value of type `kind` (int or float) in [low, high];
+    nan and unparsable text are refused."""
+    what = {int: "an integer", float: "a number"}[kind]
+    span = f"of at least {low}" if high == math.inf else f"in [{low}, {high}]"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if low <= value <= high:
+            return value
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what} {span}")
+    return parse
+
+
 def _compile_options(args) -> CompileOptions:
     scheme = AUTO
     if getattr(args, "ancilla", None) is True:
@@ -74,10 +91,11 @@ def _opts_hash(opts: CompileOptions, seed: int) -> str:
 def _verify_program(prog: CompiledProgram, circuit: Circuit, cap: int,
                     seed: int = 0) -> tuple[bool, float, float]:
     """Compare the realized native-gate circuit against the input circuit,
-    modulo global phase, with the ancilla (if any) prepared in |0> and
-    projected on |0>: dense unitaries up to `cap` source qubits, 20 random
-    states above.  Programs wider than STATEVECTOR_CAP, ancilla included,
-    are refused.  Returns (pass, max deviation, ancilla leakage)."""
+    modulo one global phase, with the ancilla (if any) prepared in |0> and
+    projected on |0>.  Both run on the same columns: every basis state up to
+    `cap` source qubits (the dense unitaries), 20 seeded random states above.
+    Programs wider than STATEVECTOR_CAP, ancilla included, are refused.
+    Returns (pass, max deviation, ancilla leakage)."""
     from .passes import _strip_measures
     stripped, _ = _strip_measures(circuit)
     realized = prog.realized_circuit()
@@ -86,30 +104,18 @@ def _verify_program(prog: CompiledProgram, circuit: Circuit, cap: int,
                          f"(ancilla included), above the verify width cap of "
                          f"{STATEVECTOR_CAP}")
     dim = 2 ** circuit.num_qubits
-
-    def run_realized(amp):
-        # the ancilla is the highest qubit: its |0> block is the first rows
-        full = np.zeros((2 ** realized.num_qubits,) + amp.shape[1:],
-                        dtype=complex)
-        full[:dim] = amp
-        out = apply_circuit(realized, full)
-        return out[:dim], float(np.max(np.abs(out[dim:]), initial=0.0))
-
     if circuit.num_qubits <= cap:
-        got, leak = run_realized(np.eye(dim, dtype=complex))
-        err = phase_distance(to_unitary(stripped, cap=cap), got)
+        cols = np.eye(dim, dtype=complex)
     else:
         rng = np.random.default_rng(seed)
-        err = leak = 0.0
-        for _ in range(20):
-            amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            amp /= np.linalg.norm(amp)
-            a = apply_circuit(stripped, amp)
-            b, leak_b = run_realized(amp)
-            tr = np.vdot(a, b)
-            ph = tr / abs(tr) if abs(tr) > 1e-14 else 1.0
-            err = max(err, float(np.max(np.abs(a * ph - b))))
-            leak = max(leak, leak_b)
+        cols = rng.normal(size=(dim, 20)) + 1j * rng.normal(size=(dim, 20))
+        cols /= np.linalg.norm(cols, axis=0)
+    # the ancilla is the highest qubit: its |0> block is the first rows
+    full = np.zeros((2 ** realized.num_qubits, cols.shape[1]), dtype=complex)
+    full[:dim] = cols
+    out = apply_circuit(realized, full)
+    err = phase_distance(apply_circuit(stripped, cols), out[:dim])
+    leak = float(np.max(np.abs(out[dim:]), initial=0.0))
     return err <= VERIFY_TOL and leak <= LEAK_TOL, err, leak
 
 
@@ -301,11 +307,11 @@ def _add_compile_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_noise_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--p-dephase", type=float, default=1e-3)
-    p.add_argument("--p-depol-tq", type=float, default=1e-3)
-    p.add_argument("--samples", type=int, default=0,
+    p.add_argument("--p-dephase", type=_in_range(float, 0, 1), default=1e-3)
+    p.add_argument("--p-depol-tq", type=_in_range(float, 0, 1), default=1e-3)
+    p.add_argument("--samples", type=_in_range(int, 0), default=0,
                    help="Monte Carlo noise samples (0 = closed form only)")
-    p.add_argument("--shots", type=int, default=10)
+    p.add_argument("--shots", type=_in_range(int, 1), default=10)
 
 
 def build_parser() -> argparse.ArgumentParser:

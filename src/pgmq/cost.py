@@ -298,13 +298,15 @@ def realize(seq: GadgetSequence, scheme: str = AUTO) -> Realization:
     """Turn a gadget sequence into native multiqubit gates plus locals.
 
     With the ancilla scheme, a run of M multiqubit gadgets costs at most
-    M+1 gates (interfaces merged) on the extra qubit `seq.num_qubits`;
-    without, each costs two star gates.  `auto` picks the scheme with the
-    lower planned cost (count first, then norm) and emits only that one."""
+    M+1 gates (interfaces merged) on the extra qubit `seq.num_qubits`,
+    which is added only when a run uses it; without, each costs two star
+    gates.  `auto` picks the scheme with the lower planned cost (count
+    first, then norm) and emits only that one."""
     plan = _plan(seq)
     scheme = plan.pick(scheme)
-    ancilla = seq.num_qubits if scheme == ANCILLA_MERGED else None
-    return _emit(seq, plan.steps[scheme], ancilla)
+    steps = plan.steps[scheme]
+    used = scheme == ANCILLA_MERGED and any(k == "run" for k, _ in steps)
+    return _emit(seq, steps, seq.num_qubits if used else None)
 
 
 def sequence_cost(seq: GadgetSequence, scheme: str = AUTO) -> CostVector:

@@ -106,9 +106,6 @@ class PhaseGadget:
         ang = self.alpha * math.pi / 2
         return math.cos(ang) * np.eye(2 ** k) + 1j * math.sin(ang) * p
 
-    def adjoint(self) -> "PhaseGadget":
-        return PhaseGadget(self.axis, -self.alpha, self.support)
-
 
 @dataclass(eq=False)
 class MultiQubitGate:
@@ -153,9 +150,6 @@ class MultiQubitGate:
             sb = 1 - 2 * ((x >> pos[b]) & 1)
             diag += th * sa * sb
         return np.diag(np.exp(1j * diag))
-
-    def adjoint(self) -> "MultiQubitGate":
-        return MultiQubitGate({k: -v for k, v in self.pairs.items()})
 
 
 @dataclass(eq=False)

@@ -34,12 +34,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import (Barrier, Circuit, CircuitError, Measure, SingleQubit,
-                      gate_apply, pauli_gate)
+from .circuit import (Barrier, Circuit, CircuitError, InputError, Measure,
+                      SingleQubit, gate_apply, pauli_gate)
 from .cost import FULL_TQ_PHASE, gate_norm
 
 STATEVECTOR_CAP = 16
 CHECKPOINT_BYTES = 32 * 2 ** 20     # clean-run states kept per sampler call
+BOOTSTRAP = 200                     # resamplings behind the Monte Carlo CI
 _PAULI_CHOICES = ("X", "Y", "Z")
 
 
@@ -55,7 +56,7 @@ class NoiseModel:
         for name in ("p_dephase", "p_depol_tq"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
-                raise CircuitError(f"{name} must lie in [0, 1], got {p}")
+                raise InputError(f"{name} must lie in [0, 1], got {p}")
 
 
 def _depol_rate(nu: float, model: NoiseModel) -> float:
@@ -130,7 +131,7 @@ def success_probability(program, model: NoiseModel) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Statevector simulation and distributions
+# Statevector simulation
 # ---------------------------------------------------------------------------
 
 def _run(circuit: Circuit, psi: np.ndarray, start: int = 0,
@@ -158,17 +159,18 @@ def apply_circuit(circuit: Circuit, psi: np.ndarray) -> np.ndarray:
     return _run(circuit, psi)
 
 
-def _zero_state(n: int, cap: int) -> np.ndarray:
-    if n > cap:
-        raise CircuitError(f"register too large for statevector ({n} > {cap})")
+def _zero_state(n: int) -> np.ndarray:
+    if n > STATEVECTOR_CAP:
+        raise InputError(f"register too large for statevector "
+                         f"({n} > {STATEVECTOR_CAP})")
     psi = np.zeros(2 ** n, dtype=complex)
     psi[0] = 1.0
     return psi
 
 
-def statevector(circuit: Circuit, cap: int = STATEVECTOR_CAP) -> np.ndarray:
+def statevector(circuit: Circuit) -> np.ndarray:
     """Final state |psi> = U |0...0> (gates applied in time order)."""
-    return apply_circuit(circuit, _zero_state(circuit.num_qubits, cap))
+    return apply_circuit(circuit, _zero_state(circuit.num_qubits))
 
 
 def _marginal(psi: np.ndarray, num_bits: int) -> np.ndarray:
@@ -178,59 +180,11 @@ def _marginal(psi: np.ndarray, num_bits: int) -> np.ndarray:
     return p
 
 
-def probabilities(circuit: Circuit, num_bits: int | None = None,
-                  cap: int = STATEVECTOR_CAP) -> np.ndarray:
+def probabilities(circuit: Circuit, num_bits: int | None = None) -> np.ndarray:
     """Measurement probabilities over the low `num_bits` qubits (high qubits,
     e.g. an ancilla, are traced out)."""
     n = circuit.num_qubits
-    return _marginal(statevector(circuit, cap),
-                     n if num_bits is None else num_bits)
-
-
-@dataclass(frozen=True)
-class ShotDistribution:
-    """Bitstring distribution; keys are little-endian bitstrings rendered
-    most-significant qubit first."""
-
-    probs: dict
-    total_shots: int | None = None
-
-    def __post_init__(self):
-        total = sum(self.probs.values())
-        if abs(total - 1.0) > 1e-9:
-            raise CircuitError(f"probabilities sum to {total}, not 1")
-        widths = {len(k) for k in self.probs}
-        if len(widths) > 1:
-            raise CircuitError("mixed bitstring widths in distribution")
-
-    @property
-    def width(self) -> int:
-        return len(next(iter(self.probs))) if self.probs else 0
-
-    @staticmethod
-    def from_vector(p: np.ndarray,
-                    total_shots: int | None = None) -> "ShotDistribution":
-        nb = int(p.size).bit_length() - 1
-        probs = {format(i, f"0{nb}b"): float(v) for i, v in enumerate(p)
-                 if v > 0.0}
-        return ShotDistribution(probs, total_shots)
-
-    def vector(self) -> np.ndarray:
-        out = np.zeros(2 ** self.width)
-        for k, v in self.probs.items():
-            out[int(k, 2)] = v
-        return out
-
-
-def tvd_fidelity(ideal: ShotDistribution, sampled: ShotDistribution) -> float:
-    """One minus half the total variation distance between two bitstring
-    distributions."""
-    if ideal.probs and sampled.probs and ideal.width != sampled.width:
-        raise CircuitError("distributions have different bit widths")
-    keys = set(ideal.probs) | set(sampled.probs)
-    tvd = sum(abs(ideal.probs.get(k, 0.0) - sampled.probs.get(k, 0.0))
-              for k in keys)
-    return 1.0 - 0.5 * tvd
+    return _marginal(statevector(circuit), n if num_bits is None else num_bits)
 
 
 def relative_error(f_comp: float, f_inp: float) -> float:
@@ -253,7 +207,6 @@ class MonteCarloResult:
     samples: int
     shots: int
     seed: int
-    distribution: ShotDistribution = field(repr=False, default=None)
     bootstrap_fidelities: np.ndarray = field(repr=False, default=None,
                                              compare=False)
 
@@ -277,22 +230,25 @@ def _checkpoint_sites(sites: dict, n: int) -> list[int]:
 
 
 def monte_carlo_fidelity(program, input_circuit: Circuit, model: NoiseModel,
-                         samples: int = 1000, shots: int = 10,
-                         cap: int = STATEVECTOR_CAP,
-                         bootstrap: int = 200) -> MonteCarloResult:
+                         samples: int = 1000,
+                         shots: int = 10) -> MonteCarloResult:
     """Total-variation fidelity of the noisy program against the ideal
     distribution of `input_circuit`, averaged over `samples` noisy instances
-    of `shots` measurement shots each, with a bootstrap 95% CI."""
+    of `shots` measurement shots each, with a bootstrap 95% CI over
+    BOOTSTRAP resamplings of the instances."""
+    if samples < 1 or shots < 1:
+        raise InputError(f"Monte Carlo needs at least one sample and one "
+                         f"shot, got {samples} samples of {shots} shots")
     circuit = _as_circuit(program)
     num_bits = input_circuit.num_qubits
     if circuit.num_qubits < num_bits:
         raise CircuitError("program register smaller than the input's")
-    ideal = probabilities(input_circuit, cap=cap)
+    ideal = probabilities(input_circuit)
     dim = 2 ** num_bits
     seed = model.seed
 
     sites = _noise_sites(circuit, model)
-    psi0 = _zero_state(circuit.num_qubits, cap)
+    psi0 = _zero_state(circuit.num_qubits)
     # the clean run keeps the state before each checkpoint site; a sample
     # restarts from the last one at or before its first error
     checkpoints = dict.fromkeys(_checkpoint_sites(sites, circuit.num_qubits))
@@ -332,18 +288,16 @@ def monte_carlo_fidelity(program, input_circuit: Circuit, model: NoiseModel,
             return np.bincount(drawn[rows].ravel(), minlength=dim)
 
     boot_rng = np.random.Generator(np.random.Philox(key=[seed, 2 ** 63]))
-    fids = np.empty(bootstrap)
-    for b in range(bootstrap):
+    fids = np.empty(BOOTSTRAP)
+    for b in range(BOOTSTRAP):
         counts = replicate_counts(boot_rng.integers(0, samples, size=samples))
         fids[b] = 1.0 - 0.5 * float(np.abs(counts / total - ideal).sum())
     # basic (reversed-percentile) bootstrap: resampling re-adds shot noise,
     # which biases the convex TVD statistic down; reflection corrects this
     q_lo, q_hi = np.percentile(fids, [2.5, 97.5])
     lo, hi = 2 * fid - q_hi, 2 * fid - q_lo
-
-    dist = ShotDistribution.from_vector(merged, total_shots=total)
     return MonteCarloResult(fid, float(lo), float(hi), samples, shots, seed,
-                            dist, fids)
+                            fids)
 
 
 def relative_error_ci(mc_comp: MonteCarloResult,

@@ -84,11 +84,10 @@ def _zyz_angles(u: np.ndarray) -> tuple[float, float, float, float]:
     return delta, (a_plus_c + a_minus_c) / 2, b, (a_plus_c - a_minus_c) / 2
 
 
-def single_qubit_gadgets(gate: SingleQubit) -> tuple[list, complex]:
-    """Exact rewrite of a one-qubit unitary as up to three axis gadgets
-    (Z, X, Z pattern) plus a scalar phase."""
-    q = gate.qubit
-    delta, a, b, c = _zyz_angles(gate.matrix)
+def single_qubit_gadgets(u: np.ndarray, q: int) -> tuple[list, complex]:
+    """Exact rewrite of the one-qubit unitary u on qubit q as up to three
+    axis gadgets (Z, X, Z pattern) plus a scalar phase."""
+    delta, a, b, c = _zyz_angles(u)
     # Ry(b) = Rz(pi/2) Rx(b) Rz(-pi/2); Rz(t) = G_Z(-t/pi), Rx(t) = G_X(-t/pi)
     angles = [("Z", c - math.pi / 2), ("X", b), ("Z", a + math.pi / 2)]
     out = []
@@ -103,26 +102,31 @@ def single_qubit_gadgets(gate: SingleQubit) -> tuple[list, complex]:
 # Left- and right-handed primitives
 # ---------------------------------------------------------------------------
 
-def pg_left(circuit: Circuit,
-            counter: dict | None = None) -> tuple[GadgetSequence, CnotLayer]:
-    """Factor circuit = U_PG . U_C (matrix order) by pulling every CNOT to
-    the beginning of the circuit through the accumulated gadgets."""
+def _pull_cnots(circuit: Circuit, dagger: bool,
+                counter: dict | None) -> tuple[GadgetSequence, CnotLayer]:
+    """Gadgetize the circuit, or with `dagger` its adjoint (gates walked
+    from the last, one-qubit gates and ZZ rotations inverted, CNOTs
+    self-inverse, phase conjugated), pulling every CNOT to the beginning
+    through the accumulated gadgets."""
     n = circuit.num_qubits
     layer = CnotLayer(n)
-    seq = GadgetSequence(n, [], phase=circuit.global_phase)
+    phase = circuit.global_phase
+    seq = GadgetSequence(n, [], phase=np.conj(phase) if dagger else phase)
     events = 0
-    for g in circuit.gates:
+    for g in reversed(circuit.gates) if dagger else circuit.gates:
         if isinstance(g, Barrier):
             continue
         if isinstance(g, Measure):
             raise CircuitError("strip measurements before compiling")
         if isinstance(g, SingleQubit):
-            gads, ph = single_qubit_gadgets(g)
+            gads, ph = single_qubit_gadgets(
+                g.matrix.conj().T if dagger else g.matrix, g.qubit)
             seq.gadgets.extend(gads)
             seq.phase *= ph
         elif isinstance(g, ZzRotation):
+            theta = -g.theta if dagger else g.theta
             seq.gadgets.append(
-                PhaseGadget("Z", 2 * g.theta / math.pi, (g.qubit_a, g.qubit_b)))
+                PhaseGadget("Z", 2 * theta / math.pi, (g.qubit_a, g.qubit_b)))
         elif isinstance(g, GeneralizedCnot):
             if not g.is_canonical:
                 raise CircuitError("pg_left needs canonical CNOTs; "
@@ -136,6 +140,13 @@ def pg_left(circuit: Circuit,
     if counter is not None:
         counter["events"] = counter.get("events", 0) + events
     return simplify(seq), layer
+
+
+def pg_left(circuit: Circuit,
+            counter: dict | None = None) -> tuple[GadgetSequence, CnotLayer]:
+    """Factor circuit = U_PG . U_C (matrix order) by pulling every CNOT to
+    the beginning of the circuit through the accumulated gadgets."""
+    return _pull_cnots(circuit, False, counter)
 
 
 def sequence_adjoint(seq: GadgetSequence) -> GadgetSequence:
@@ -158,8 +169,8 @@ def sequence_adjoint(seq: GadgetSequence) -> GadgetSequence:
 def pg_right(circuit: Circuit,
              counter: dict | None = None) -> tuple[CnotLayer, GadgetSequence]:
     """Factor circuit = U_C . U_PG (matrix order): the mirrored primitive,
-    implemented by running pg_left on the adjoint circuit."""
-    seq_t, layer_t = pg_left(circuit.adjoint(), counter)
+    pg_left's factorization U^dag = U_PG' . U_C' of the adjoint, inverted."""
+    seq_t, layer_t = _pull_cnots(circuit, True, counter)
     return layer_t.adjoint(), sequence_adjoint(seq_t)
 
 

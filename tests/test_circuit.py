@@ -60,13 +60,6 @@ def test_standard_rotations():
     assert np.allclose(h, np.array([[1, 1], [1, -1]]) / math.sqrt(2))
 
 
-def test_adjoint_inverts(rng):
-    c = random_circuit(3, 15, rng)
-    u = to_unitary(c)
-    ua = to_unitary(c.adjoint())
-    assert np.max(np.abs(ua @ u - np.eye(8))) < 1e-12
-
-
 def test_layerize_preserves_order_and_unitary(rng):
     for _ in range(20):
         c = random_circuit(4, 20, rng)

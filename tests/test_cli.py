@@ -390,6 +390,31 @@ def test_simulate_closed_form_only(qasm_dir, tmp_path, capsys):
     assert "monteCarlo" not in doc
 
 
+@pytest.mark.parametrize("command", ["simulate", "bench"])
+@pytest.mark.parametrize("flags, flag", [
+    (["--p-dephase", "2"], "--p-dephase"),
+    (["--p-depol-tq", "nan"], "--p-depol-tq"),
+    (["--samples", "5", "--shots", "0"], "--shots"),
+    (["--shots", "-1"], "--shots"),
+    (["--samples", "-1"], "--samples"),
+], ids=["dephase-2", "depol-nan", "shots-0", "shots-negative",
+        "samples-negative"])
+def test_noise_flag_out_of_range_exit_2(qasm_dir, tmp_path, capsys, command,
+                                        flags, flag):
+    if command == "simulate":
+        target = tmp_path / "p.json"
+        main(["compile", str(qasm_dir / "bell.qasm"), "--out", str(target)])
+    else:
+        target = qasm_dir
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(target), *flags])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and f"argument {flag}:" in captured.err
+
+
 # --- bench -----------------------------------------------------------------------
 
 def test_bench_csv_byte_identical(qasm_dir, tmp_path):
@@ -452,3 +477,38 @@ def test_verify_above_width_cap_exit_2(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert f"{n} qubits" in captured.err and str(STATEVECTOR_CAP) in captured.err
+
+
+def _twelve_qubit_source() -> str:
+    """A 12-qubit circuit (above the default oracle cap) whose program
+    holds a 6- and a 7-qubit gadget, so the ancilla scheme uses its wire."""
+    lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', 'qreg q[12];']
+    lines += [f"h q[{i}];" for i in range(12)]
+    lines += [f"rzz({0.1 * (i + 1):.1f}) q[{i}], q[{i + 1}];"
+              for i in range(11)]
+    for lo, hi, angle in ((0, 6, 0.3), (5, 12, 0.5)):
+        ladder = [f"cx q[{i}], q[{i + 1}];" for i in range(lo, hi - 1)]
+        lines += [*ladder, f"rz({angle}) q[{hi - 1}];", *ladder[::-1],
+                  f"rx(0.2) q[{lo + 2}];"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("flags, width", [([], 12), (["--ancilla"], 13)],
+                         ids=["auto", "ancilla"])
+def test_verify_random_states_above_oracle_cap(tmp_path, capsys, flags,
+                                               width):
+    from pgmq.circuit import DEFAULT_ORACLE_CAP
+    src = tmp_path / "w12.qasm"
+    src.write_text(_twelve_qubit_source())
+    out = tmp_path / "p.json"
+    assert main(["compile", str(src), "--out", str(out), *flags]) == 0
+    assert 12 > DEFAULT_ORACLE_CAP
+    assert serialize.load(out).realized_circuit().num_qubits == width
+    capsys.readouterr()
+    assert main(["verify", str(out), str(src)]) == 0
+    assert capsys.readouterr().out.startswith("PASS")
+    doc = json.loads(out.read_text())
+    next(g for g in doc["body"] if g["type"] == "gadget")["alpha"] += 0.05
+    out.write_text(json.dumps(doc))
+    assert main(["verify", str(out), str(src)]) == 1
+    assert capsys.readouterr().out.startswith("FAIL")

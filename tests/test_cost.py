@@ -73,6 +73,24 @@ def test_ancilla_costs_m_plus_one(m):
     assert r.num_qubits == 5
 
 
+def test_ancilla_wire_only_when_a_run_uses_it():
+    # with no gadget on three or more qubits the ancilla scheme emits the
+    # no-ancilla gates on the same wires; one such gadget adds the wire
+    small = GadgetSequence(3, [PhaseGadget("Z", 0.3, (0, 1)),
+                               PhaseGadget("X", 0.2, (2,)),
+                               PhaseGadget("X", 0.4, (1, 2))])
+    r, want = realize(small, ANCILLA_MERGED), realize(small, NO_ANCILLA)
+    assert (r.num_qubits, r.ancilla) == (3, None)
+    assert [type(g) for g in r.items] == [type(g) for g in want.items]
+    for got, exp in zip(r.items, want.items):
+        assert got.qubits == exp.qubits
+        assert np.array_equal(got.local_unitary(), exp.local_unitary())
+    big = GadgetSequence(3, [*small.gadgets,
+                             PhaseGadget("Y", 0.1, (0, 1, 2))])
+    r = realize(big, ANCILLA_MERGED)
+    assert (r.num_qubits, r.ancilla) == (4, 3)
+
+
 def test_auto_picks_cheaper_scheme():
     seq = alternating_big_gadgets(4)   # 5 < 8
     r = realize(seq)

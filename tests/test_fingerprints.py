@@ -1,0 +1,73 @@
+"""Compiled programs against the benchmark's recorded fingerprints.
+
+Compiles the 12 corpus circuits and the benchmark's fixed random pool with
+the default options, as `perfbench` does (parse -> optimize ->
+serialize.dumps -> cost.metrics), and compares each program's multiqubit
+count, nuclear norm and SHA-256 with `perfbench/reference.json`, which this
+test only reads.  A change that means to alter compiled output rewrites that
+file with `perfbench/update_reference.py` and says so.
+"""
+
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from pgmq import serialize
+from pgmq.cost import metrics
+from pgmq.passes import optimize
+from pgmq.qasm import parse_qasm_file
+
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+NORM_RTOL = 1e-9            # perfbench's own tolerance on the norm
+
+
+def _random_pool() -> dict:
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses look their defining module up in sys.modules
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return workloads.random_pool()
+
+
+def _fingerprint(circuit) -> dict:
+    prog = optimize(circuit)
+    text = serialize.dumps(prog)
+    m = metrics(prog.body, circuit, prog.scheme)
+    return {"mq_count": m["compiledMqCount"], "norm": m["compiledNorm"],
+            "program_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+
+
+def _assert_matches(row: str, got: dict) -> None:
+    want = REFERENCE[row]
+    assert got["program_sha256"] == want["program_sha256"], row
+    assert got["mq_count"] == want["mq_count"], row
+    assert got["norm"] == pytest.approx(want["norm"], rel=NORM_RTOL,
+                                        abs=NORM_RTOL), row
+
+
+CORPUS = sorted((ROOT / "benchmarks").glob("*.qasm"))
+
+
+def test_reference_covers_the_corpus():
+    assert {f"corpus/{p.stem}" for p in CORPUS} \
+        == {row for row in REFERENCE if row.startswith("corpus/")}
+    assert len(CORPUS) == 12
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+def test_corpus_programs_match_reference(path):
+    _assert_matches(f"corpus/{path.stem}", _fingerprint(parse_qasm_file(path)))
+
+
+def test_random_pool_programs_match_reference():
+    pool = _random_pool()
+    assert len(pool) == 8
+    for name, circuit in pool.items():
+        _assert_matches(f"random/{name}", _fingerprint(circuit))

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from pgmq import noise
-from pgmq.circuit import (Circuit, CircuitError, Measure, SingleQubit,
-                          ZzRotation, cnot, hadamard, to_unitary)
+from pgmq.circuit import (Circuit, CircuitError, InputError, Measure,
+                          SingleQubit, ZzRotation, cnot, hadamard)
 from pgmq.cost import ANCILLA_MERGED
 from pgmq.gadgets import MultiQubitGate
-from pgmq.noise import (MonteCarloResult, NoiseModel, ShotDistribution,
+from pgmq.noise import (BOOTSTRAP, MonteCarloResult, NoiseModel,
                         _checkpoint_sites, _noise_sites, _sample_rng,
                         depol_prob, gate_norm, inject_noise,
                         monte_carlo_fidelity, probabilities, relative_error,
-                        relative_error_ci, statevector, success_probability,
-                        tvd_fidelity)
+                        relative_error_ci, statevector, success_probability)
 from pgmq.passes import CompileOptions, optimize
 from pgmq.qasm import parse_qasm
 
@@ -34,10 +33,12 @@ def bell():
 # --- model and rates ---------------------------------------------------------
 
 def test_noise_model_validates_probabilities():
-    with pytest.raises(CircuitError):
+    with pytest.raises(InputError):
         NoiseModel(p_dephase=-0.1)
-    with pytest.raises(CircuitError):
+    with pytest.raises(InputError):
         NoiseModel(p_depol_tq=1.5)
+    with pytest.raises(InputError):
+        NoiseModel(p_dephase=math.nan)
 
 
 def test_gate_norm_values():
@@ -132,7 +133,8 @@ def test_statevector_bell():
 
 
 def test_statevector_cap():
-    with pytest.raises(CircuitError):
+    # a register too wide to simulate is the user's input: exit 2, not 3
+    with pytest.raises(InputError):
         statevector(Circuit(17, []))
 
 
@@ -142,28 +144,6 @@ def test_probabilities_trace_out_high_qubits():
     c3 = Circuit(3, list(c.gates) + [hadamard(2)])
     p = probabilities(c3, num_bits=2)
     assert p == pytest.approx([0.5, 0, 0, 0.5], abs=1e-12)
-
-
-def test_shot_distribution_invariants():
-    d = ShotDistribution({"00": 0.5, "11": 0.5})
-    assert d.width == 2
-    assert d.vector() == pytest.approx([0.5, 0, 0, 0.5])
-    with pytest.raises(CircuitError):
-        ShotDistribution({"00": 0.7, "11": 0.7})
-    with pytest.raises(CircuitError):
-        ShotDistribution({"0": 0.5, "11": 0.5})
-    rt = ShotDistribution.from_vector(np.array([0.25, 0.75]))
-    assert rt.probs == {"0": 0.25, "1": 0.75}
-
-
-def test_tvd_fidelity_examples():
-    a = ShotDistribution({"0": 1.0})
-    b = ShotDistribution({"0": 0.5, "1": 0.5})
-    # 1 - (|1-0.5| + |0-0.5|)/2
-    assert tvd_fidelity(a, b) == pytest.approx(0.5)
-    assert tvd_fidelity(a, a) == 1.0
-    with pytest.raises(CircuitError):
-        tvd_fidelity(a, ShotDistribution({"00": 1.0}))
 
 
 def test_relative_error_definition():
@@ -218,27 +198,20 @@ def test_monte_carlo_tracks_channel_fidelity():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_monte_carlo_draws_are_inject_noise_draws(seed):
     # the sampler's per-sample substream feeds inject_noise's draws and then
-    # the shots, so replaying both by hand gives the merged counts exactly
+    # the shots, so replaying both by hand gives the merged counts exactly,
+    # and with them the fidelity and every bootstrap replicate
     c = parse_qasm(MEASURED_BELL)
     model = NoiseModel(0.3, 0.3, seed)
-    samples, shots, nb = 40, 7, c.num_qubits
-    counts = np.zeros(2 ** nb)
-    for s in range(samples):
-        rng = _sample_rng(seed, s)
-        p = probabilities(inject_noise(c, model, rng), nb)
-        p = p / p.sum()
-        counts += np.bincount(rng.choice(2 ** nb, shots, p=p),
-                              minlength=2 ** nb)
-    mc = monte_carlo_fidelity(c, c, model, samples=samples, shots=shots)
-    assert np.array_equal(mc.distribution.vector(),
-                          counts / (samples * shots))
+    mc = monte_carlo_fidelity(c, c, model, samples=40, shots=7)
+    fid, lo, hi, fids = _resimulated(c, c, model, 40, 7)
+    assert (mc.fidelity, mc.ci_low, mc.ci_high) == (fid, lo, hi)
+    assert np.array_equal(mc.bootstrap_fidelities, fids)
 
 
-def _resimulated(circuit, input_circuit, model, samples, shots,
-                 bootstrap=200):
+def _resimulated(circuit, input_circuit, model, samples, shots):
     """Reference sampler: every noisy instance simulated in full from
     |0...0>, then the per-replicate bootstrap loop over the drawn shots.
-    Returns (fidelity, ci_low, ci_high, bootstrap fidelities, merged)."""
+    Returns (fidelity, ci_low, ci_high, bootstrap fidelities)."""
     nb = input_circuit.num_qubits
     dim = 2 ** nb
     ideal = probabilities(input_circuit)
@@ -252,13 +225,13 @@ def _resimulated(circuit, input_circuit, model, samples, shots,
     merged = np.bincount(drawn.ravel(), minlength=dim) / total
     fid = 1.0 - 0.5 * float(np.abs(merged - ideal).sum())
     boot_rng = np.random.Generator(np.random.Philox(key=[model.seed, 2 ** 63]))
-    fids = np.empty(bootstrap)
-    for b in range(bootstrap):
+    fids = np.empty(BOOTSTRAP)
+    for b in range(BOOTSTRAP):
         rows = boot_rng.integers(0, samples, size=samples)
         counts = np.bincount(drawn[rows].ravel(), minlength=dim) / total
         fids[b] = 1.0 - 0.5 * float(np.abs(counts - ideal).sum())
     q_lo, q_hi = np.percentile(fids, [2.5, 97.5])
-    return fid, float(2 * fid - q_hi), float(2 * fid - q_lo), fids, merged
+    return fid, float(2 * fid - q_hi), float(2 * fid - q_lo), fids
 
 
 def _assert_resimulated(circuit, input_circuit, model, samples=30):
@@ -267,11 +240,10 @@ def _assert_resimulated(circuit, input_circuit, model, samples=30):
     for shots in (3, 9):
         mc = monte_carlo_fidelity(circuit, input_circuit, model,
                                   samples=samples, shots=shots)
-        fid, lo, hi, fids, merged = _resimulated(circuit, input_circuit,
-                                                 model, samples, shots)
+        fid, lo, hi, fids = _resimulated(circuit, input_circuit, model,
+                                         samples, shots)
         assert (mc.fidelity, mc.ci_low, mc.ci_high) == (fid, lo, hi)
         assert np.array_equal(mc.bootstrap_fidelities, fids)
-        assert np.array_equal(mc.distribution.vector(), merged)
 
 
 def _ancilla_program():
@@ -322,6 +294,14 @@ def test_monte_carlo_mismatched_register_rejected():
                              NoiseModel(), samples=1, shots=1)
 
 
+@pytest.mark.parametrize("samples, shots", [(5, 0), (0, 5), (3, -1)])
+def test_monte_carlo_needs_a_sample_and_a_shot(samples, shots):
+    # zero shots used to divide 0 by 0 and report a NaN fidelity
+    with pytest.raises(InputError):
+        monte_carlo_fidelity(bell(), bell(), NoiseModel(),
+                             samples=samples, shots=shots)
+
+
 def test_relative_error_ci_sign():
     c = bell()
     deep = Circuit(2, [hadamard(0)] + [cnot(0, 1), cnot(0, 1)] * 3
@@ -341,17 +321,10 @@ def test_monte_carlo_result_to_dict_roundtrip():
     assert d["ci95"] == [0.85, 0.95]
 
 
-def test_compiled_program_fidelity_with_ancilla(rng):
-    # compiled realization with an ancilla still yields distributions over
-    # the input register only
-    from pgmq.passes import CompileOptions, optimize
-    from pgmq.cost import ANCILLA_MERGED
-    from pgmq.circuit import u1
-    c = Circuit(3, [hadamard(0), hadamard(1), hadamard(2),
-                    ZzRotation(0.4, 0, 1), ZzRotation(0.4, 1, 2),
-                    ZzRotation(0.4, 0, 2)])
-    prog = optimize(c, CompileOptions(scheme=ANCILLA_MERGED))
-    mc = monte_carlo_fidelity(prog, c, NoiseModel(0.0, 0.0, seed=2),
+def test_compiled_program_fidelity_with_ancilla():
+    # a realization whose ancilla carries gates is scored over the input
+    # register only: noiselessly, just shot noise separates it from ideal
+    realized, c = _ancilla_program()
+    mc = monte_carlo_fidelity(realized, c, NoiseModel(0.0, 0.0, seed=2),
                               samples=100, shots=100)
     assert mc.fidelity > 0.9
-    assert mc.distribution.width == 3

@@ -86,6 +86,16 @@ def test_pg_left_rejects_noncanonical_cnot():
         pg_left(c)
 
 
+def test_pg_right_skips_barriers_and_rejects_measure():
+    from pgmq.circuit import Barrier
+    c = Circuit(2, [ZzRotation(0.3, 0, 1), Barrier((0, 1)), cnot(0, 1)])
+    layer, seq = pg_right(c)
+    got = layer_unitary(layer) @ sequence_unitary(seq)
+    assert np.max(np.abs(got - to_unitary(c))) < 1e-12
+    with pytest.raises(CircuitError):
+        pg_right(Circuit(1, [Measure(0, 0)], classical_bits=1))
+
+
 def test_sequence_adjoint_dense(rng):
     for _ in range(25):
         c = zz_circuit(3, int(rng.integers(1, 20)), rng)
