@@ -391,13 +391,9 @@ class Su4Block:
     def qubits(self) -> tuple[int, ...]:
         return self.pair
 
-    def local_unitary(self) -> np.ndarray:
-        return self.unitary
-
     def absorb(self, gate) -> None:
         pos = tuple(self.pair.index(q) for q in gate.qubits)
-        loc = apply_local(np.eye(4, dtype=complex), gate.local_unitary(), pos, 2)
-        self.unitary = loc @ self.unitary
+        self.unitary = apply_local(self.unitary, gate.local_unitary(), pos, 2)
 
 
 def form_su4_blocks(layers: list[Layer]) -> list:

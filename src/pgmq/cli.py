@@ -21,7 +21,8 @@ from .circuit import (DEFAULT_ORACLE_CAP, Circuit, CircuitError, InputError,
                       phase_distance)
 from .cost import ANCILLA_MERGED, AUTO, NO_ANCILLA, metrics
 from .noise import (STATEVECTOR_CAP, NoiseModel, apply_circuit,
-                    monte_carlo_fidelity, relative_error, success_probability)
+                    check_simulable, monte_carlo_fidelity, relative_error,
+                    success_probability)
 from .passes import CompileOptions, CompiledProgram, optimize
 from .qasm import QasmError, parse_qasm_file
 from .serialize import dumps as program_dumps, load as program_load
@@ -88,21 +89,28 @@ def _opts_hash(opts: CompileOptions, seed: int) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
+def _load_pair(program: str, source: str) -> tuple[CompiledProgram, Circuit]:
+    """The program file and the source circuit it is run against, refused
+    unless both registers have the same width."""
+    prog = program_load(program)
+    circuit = parse_qasm_file(source)
+    if prog.num_qubits != circuit.num_qubits:
+        raise InputError(f"{program} has {prog.num_qubits} qubits but "
+                         f"{source} has {circuit.num_qubits}")
+    return prog, circuit
+
+
 def _verify_program(prog: CompiledProgram, circuit: Circuit, cap: int,
                     seed: int = 0) -> tuple[bool, float, float]:
     """Compare the realized native-gate circuit against the input circuit,
     modulo one global phase, with the ancilla (if any) prepared in |0> and
     projected on |0>.  Both run on the same columns: every basis state up to
     `cap` source qubits (the dense unitaries), 20 seeded random states above.
-    Programs wider than STATEVECTOR_CAP, ancilla included, are refused.
     Returns (pass, max deviation, ancilla leakage)."""
     from .passes import _strip_measures
     stripped, _ = _strip_measures(circuit)
     realized = prog.realized_circuit()
-    if realized.num_qubits > STATEVECTOR_CAP:
-        raise InputError(f"program is {realized.num_qubits} qubits wide "
-                         f"(ancilla included), above the verify width cap of "
-                         f"{STATEVECTOR_CAP}")
+    check_simulable(realized.num_qubits)
     dim = 2 ** circuit.num_qubits
     if circuit.num_qubits <= cap:
         cols = np.eye(dim, dtype=complex)
@@ -143,11 +151,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    prog = program_load(args.program)
-    circuit = parse_qasm_file(args.input)
-    if prog.num_qubits != circuit.num_qubits:
-        raise InputError(f"{args.program} has {prog.num_qubits} qubits but "
-                         f"{args.input} has {circuit.num_qubits}")
+    prog, circuit = _load_pair(args.program, args.input)
     ok, err, leak = _verify_program(prog, circuit, args.oracle_cap,
                                     args.seed)
     print(f"{'PASS' if ok else 'FAIL'}: max deviation {err:.3e} "
@@ -157,15 +161,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    prog = program_load(args.program)
+    if args.input:
+        prog, input_circuit = _load_pair(args.program, args.input)
+    else:
+        prog, input_circuit = program_load(args.program), None
     realized = prog.realized_circuit()
     model = NoiseModel(args.p_dephase, args.p_depol_tq, args.seed)
     report = {"program": str(args.program), "seed": args.seed,
               "pDephase": args.p_dephase, "pDepolTq": args.p_depol_tq,
               "successProbability": success_probability(realized, model)}
-    input_circuit = None
-    if args.input:
-        input_circuit = parse_qasm_file(args.input)
+    if input_circuit is not None:
         report["successProbabilityInput"] = success_probability(
             input_circuit, model)
         report["relativeErrorSuccessProb"] = relative_error(
@@ -197,8 +202,6 @@ CSV_COLUMNS = ["name", "numQubits", "twoQubitCount", "baselineMqCount",
 
 
 def _num(x) -> str:
-    if x is None:
-        return "n/a"
     if isinstance(x, float):
         if math.isnan(x):
             return "n/a"
@@ -207,32 +210,31 @@ def _num(x) -> str:
 
 
 def bench_record(path: Path, opts: CompileOptions, model: NoiseModel,
-                 sim_cap: int, samples: int, shots: int) -> dict:
+                 samples: int, shots: int) -> dict:
+    """Compile one file and score it: closed-form success probabilities
+    always, Monte Carlo fidelities instead when `samples` > 0 and the realized
+    register fits the statevector cap."""
     circuit = parse_qasm_file(path)
     t0 = time.perf_counter()
     prog = optimize(circuit, opts)
     wall = time.perf_counter() - t0
     rec = {"name": path.stem, "numQubits": circuit.num_qubits}
     rec.update(metrics(prog.body, circuit, opts.scheme))
-    if circuit.num_qubits <= sim_cap:
-        realized = prog.realized_circuit()
-        f_inp = success_probability(circuit, model)
-        f_comp = success_probability(realized, model)
-        rec.update({"fInput": f_inp, "fCompiled": f_comp,
-                    "relativeError": relative_error(f_comp, f_inp),
-                    "method": "success-prob"})
-        if samples > 0:
-            mc_in = monte_carlo_fidelity(circuit, circuit, model,
-                                         samples=samples, shots=shots)
-            mc = monte_carlo_fidelity(realized, circuit, model,
-                                      samples=samples, shots=shots)
-            rec.update({"fInput": mc_in.fidelity, "fCompiled": mc.fidelity,
-                        "relativeError": relative_error(mc.fidelity,
-                                                        mc_in.fidelity),
-                        "method": "monte-carlo"})
-    else:
-        rec.update({"fInput": None, "fCompiled": None,
-                    "relativeError": None, "method": "n/a"})
+    realized = prog.realized_circuit()
+    f_inp = success_probability(circuit, model)
+    f_comp = success_probability(realized, model)
+    rec.update({"fInput": f_inp, "fCompiled": f_comp,
+                "relativeError": relative_error(f_comp, f_inp),
+                "method": "success-prob"})
+    if samples > 0 and realized.num_qubits <= STATEVECTOR_CAP:
+        mc_in = monte_carlo_fidelity(circuit, circuit, model,
+                                     samples=samples, shots=shots)
+        mc = monte_carlo_fidelity(realized, circuit, model,
+                                  samples=samples, shots=shots)
+        rec.update({"fInput": mc_in.fidelity, "fCompiled": mc.fidelity,
+                    "relativeError": relative_error(mc.fidelity,
+                                                    mc_in.fidelity),
+                    "method": "monte-carlo"})
     rec.update({"seed": model.seed, "wallTime": wall,
                 "version": __version__})
     return rec
@@ -248,16 +250,14 @@ def cmd_bench(args) -> int:
     records, skipped = [], []
     for f in files:
         try:
-            records.append(bench_record(f, opts, model, args.oracle_cap,
-                                        args.samples, args.shots))
-        except (QasmError, CircuitError) as exc:
+            records.append(bench_record(f, opts, model, args.samples,
+                                        args.shots))
+        except (QasmError, InputError) as exc:
             skipped.append({"name": f.stem, "error": str(exc)})
     records.sort(key=lambda r: (r["name"], r["numQubits"]))
 
     def mean(key):
-        vals = [r[key] for r in records
-                if isinstance(r.get(key), (int, float))
-                and not (isinstance(r[key], float) and math.isnan(r[key]))]
+        vals = [r[key] for r in records if not math.isnan(r[key])]
         return sum(vals) / len(vals) if vals else None
 
     aggregate = {"note": "aggregate means are qualitative",
@@ -332,7 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a program against its source")
     p.add_argument("program")
     p.add_argument("input")
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
+    p.add_argument("--oracle-cap", type=_in_range(int, 0, DEFAULT_ORACLE_CAP),
+                   default=DEFAULT_ORACLE_CAP,
+                   help="widest source checked on every basis state; wider "
+                        "sources are checked on 20 seeded random states")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
@@ -349,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="report JSON path")
     p.add_argument("--csv", help="report CSV path")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP,
-                   help="largest register simulated for fidelities")
     _add_compile_flags(p)
     _add_noise_flags(p)
     p.set_defaults(func=cmd_bench)

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import (Barrier, Circuit, CircuitError, InputError, Measure,
-                      SingleQubit, gate_apply, pauli_gate)
+from .circuit import (Barrier, Circuit, InputError, Measure, SingleQubit,
+                      gate_apply, pauli_gate)
 from .cost import FULL_TQ_PHASE, gate_norm
 
 STATEVECTOR_CAP = 16
@@ -159,10 +159,16 @@ def apply_circuit(circuit: Circuit, psi: np.ndarray) -> np.ndarray:
     return _run(circuit, psi)
 
 
-def _zero_state(n: int) -> np.ndarray:
+def check_simulable(n: int) -> None:
+    """Refuse an n-qubit register (any ancilla included) wider than
+    STATEVECTOR_CAP: the width comes from the user's input."""
     if n > STATEVECTOR_CAP:
-        raise InputError(f"register too large for statevector "
-                         f"({n} > {STATEVECTOR_CAP})")
+        raise InputError(f"register of {n} qubits (any ancilla included) is "
+                         f"above the statevector cap of {STATEVECTOR_CAP}")
+
+
+def _zero_state(n: int) -> np.ndarray:
+    check_simulable(n)
     psi = np.zeros(2 ** n, dtype=complex)
     psi[0] = 1.0
     return psi
@@ -242,7 +248,8 @@ def monte_carlo_fidelity(program, input_circuit: Circuit, model: NoiseModel,
     circuit = _as_circuit(program)
     num_bits = input_circuit.num_qubits
     if circuit.num_qubits < num_bits:
-        raise CircuitError("program register smaller than the input's")
+        raise InputError(f"program register of {circuit.num_qubits} qubits "
+                         f"is smaller than the input's {num_bits}")
     ideal = probabilities(input_circuit)
     dim = 2 ** num_bits
     seed = model.seed

@@ -29,6 +29,7 @@ from .cost import AUTO, CostVector, realize, sequence_cost
 from .gadgets import (
     GadgetSequence,
     PhaseGadget,
+    _push_string_to_frame,
     commute_cnot,
     simplify,
 )
@@ -152,18 +153,15 @@ def pg_left(circuit: Circuit,
 def sequence_adjoint(seq: GadgetSequence) -> GadgetSequence:
     """Adjoint of a gadget sequence, renormalized to the standard shape
     (gadgets, then trailing Pauli frame, then scalar)."""
-    frame = seq.frame.copy()
-    gadgets = []
-    for g in reversed(seq.gadgets):
-        alpha = -g.alpha
-        # moving the (Hermitian) frame string from the front of the adjoint
-        # to the back conjugates each gadget, flipping anticommuting angles
-        odd = sum(1 for q in g.support
-                  if frame.paulis.get(q, "I") not in ("I", g.axis)) % 2
-        if odd:
-            alpha = -alpha
-        gadgets.append(PhaseGadget(g.axis, alpha, g.support))
-    return GadgetSequence(seq.num_qubits, gadgets, frame, np.conj(seq.phase))
+    gadgets = [PhaseGadget(g.axis, -g.alpha, g.support)
+               for g in reversed(seq.gadgets)]
+    out = GadgetSequence(seq.num_qubits, gadgets)
+    # move the (Hermitian) frame string from the front of the adjoint to the
+    # back; into an empty frame it picks up no scalar, so the phase is set
+    # after, not multiplied by 1 + 0j, which can flip a zero's sign
+    _push_string_to_frame(out, -1, dict(seq.frame.paulis), 1.0)
+    out.phase = np.conj(seq.phase)
+    return out
 
 
 def pg_right(circuit: Circuit,

@@ -205,17 +205,6 @@ class LhBlock:
     def total_phase(self) -> float:
         return float(sum(abs(a) for a in self.zz_angles()))
 
-    def local_unitary(self) -> np.ndarray:
-        pos = {self.pair[0]: 0, self.pair[1]: 1}
-        word = Circuit(2, [cnot(pos[c], pos[t]) for c, t in self.trailing])
-        u = self.phase * to_unitary(word)
-        for e in self.elements:
-            if e[0] == "loc":
-                u = np.kron(e[2], e[1]) @ u
-            else:
-                u = (math.cos(e[1]) * np.eye(4) + 1j * math.sin(e[1]) * ZZ) @ u
-        return u
-
     def to_gates(self) -> list:
         """Block contents as IR gates on the actual qubit pair, time order:
         the completion CNOT word first, then the alternation.  The block's

@@ -175,20 +175,37 @@ def test_verify_checks_realized_circuit(qasm_dir, tmp_path, capsys,
     assert "FAIL" in capsys.readouterr().out
 
 
+def _width_mismatch_exit_2(qasm_dir, tmp_path, capsys, program_src, source,
+                           argv):
+    out = tmp_path / "p.json"
+    main(["compile", str(qasm_dir / f"{program_src}.qasm"), "--out", str(out)])
+    capsys.readouterr()
+    assert main(argv(str(out), str(qasm_dir / f"{source}.qasm"))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and "qubits" in captured.err
+
+
 @pytest.mark.parametrize("program_src, source", [("small", "bell"),
                                                  ("bell", "small")])
 def test_verify_width_mismatch_exit_2(qasm_dir, tmp_path, capsys,
                                       program_src, source):
     # a wider program used to FAIL on "ancilla leakage", a narrower one to
     # escape as a broadcasting ValueError
-    out = tmp_path / "p.json"
-    main(["compile", str(qasm_dir / f"{program_src}.qasm"), "--out", str(out)])
-    capsys.readouterr()
-    assert main(["verify", str(out), str(qasm_dir / f"{source}.qasm")]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1 and "qubits" in captured.err
+    _width_mismatch_exit_2(qasm_dir, tmp_path, capsys, program_src, source,
+                           lambda prog, src: ["verify", prog, src])
+
+
+@pytest.mark.parametrize("program_src, source", [("small", "bell"),
+                                                 ("bell", "small")])
+def test_simulate_width_mismatch_exit_2(qasm_dir, tmp_path, capsys,
+                                        program_src, source):
+    # a wider program used to report a fidelity over its low qubits, a
+    # narrower one to exit 3
+    _width_mismatch_exit_2(
+        qasm_dir, tmp_path, capsys, program_src, source,
+        lambda prog, src: ["simulate", prog, "--input", src, "--samples", "5"])
 
 
 def _set_body(doc, item):
@@ -441,6 +458,47 @@ def test_bench_json_report(qasm_dir, tmp_path):
         assert "wallTime" in r
 
 
+def _ghz(n: int) -> str:
+    return ('OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+            f"qreg q[{n}];\nh q[0];\n"
+            + "".join(f"cx q[{i}], q[{i + 1}];\n" for i in range(n - 1)))
+
+
+def test_bench_scores_every_width(tmp_path):
+    # success probabilities are closed form: no width keeps them from a row
+    (tmp_path / "ghz12.qasm").write_text(_ghz(12))
+    out = tmp_path / "report.json"
+    assert main(["bench", str(tmp_path), "--out", str(out)]) == 0
+    (row,) = json.loads(out.read_text())["circuits"]
+    assert row["numQubits"] == 12 and row["method"] == "success-prob"
+    assert 0.0 < row["fInput"] <= 1.0 and 0.0 < row["fCompiled"] <= 1.0
+    assert isinstance(row["relativeError"], float)
+
+
+def test_bench_skips_malformed_file(qasm_dir, tmp_path):
+    (qasm_dir / "broken.qasm").write_text("OPENQASM 2.0;\nqreg q[2];\nfoo;\n")
+    out = tmp_path / "report.json"
+    assert main(["bench", str(qasm_dir), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert [r["name"] for r in doc["circuits"]] == ["bell", "small"]
+    assert [s["name"] for s in doc["skipped"]] == ["broken"]
+
+
+def test_bench_internal_error_exit_3(qasm_dir, monkeypatch, capsys):
+    # a broken invariant is not a bad input file: it ends the run
+    from pgmq import cli
+    from pgmq.circuit import CircuitError
+
+    def broken(*args, **kwargs):
+        raise CircuitError("broken invariant")
+
+    monkeypatch.setattr(cli, "optimize", broken)
+    assert main(["bench", str(qasm_dir)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: broken invariant\n"
+
+
 def test_bench_empty_directory_exit_2(tmp_path):
     assert main(["bench", str(tmp_path)]) == 2
 
@@ -466,9 +524,7 @@ def test_verify_above_width_cap_exit_2(tmp_path, capsys):
     from pgmq.noise import STATEVECTOR_CAP
     n = STATEVECTOR_CAP + 1
     f = tmp_path / "ghz.qasm"
-    f.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\n'
-                 f"qreg q[{n}];\nh q[0];\n"
-                 + "".join(f"cx q[{i}], q[{i + 1}];\n" for i in range(n - 1)))
+    f.write_text(_ghz(n))
     out = tmp_path / "ghz.json"
     assert main(["compile", str(f), "--out", str(out)]) == 0
     capsys.readouterr()
@@ -477,6 +533,24 @@ def test_verify_above_width_cap_exit_2(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert f"{n} qubits" in captured.err and str(STATEVECTOR_CAP) in captured.err
+
+
+@pytest.mark.parametrize("cap", ["11", "-1"])
+def test_verify_oracle_cap_out_of_range_exit_2(qasm_dir, tmp_path, capsys,
+                                               cap):
+    # above DEFAULT_ORACLE_CAP the dense identity alone grows 4x per qubit
+    # (64 GiB at 16); argparse refuses the value before anything is loaded
+    out = tmp_path / "p.json"
+    main(["compile", str(qasm_dir / "small.qasm"), "--out", str(out)])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(out), str(qasm_dir / "small.qasm"),
+              "--oracle-cap", cap])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "argument --oracle-cap:" in captured.err
 
 
 def _twelve_qubit_source() -> str:

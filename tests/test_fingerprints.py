@@ -5,7 +5,9 @@ the default options, as `perfbench` does (parse -> optimize ->
 serialize.dumps -> cost.metrics), and compares each program's multiqubit
 count, nuclear norm and SHA-256 with `perfbench/reference.json`, which this
 test only reads.  A change that means to alter compiled output rewrites that
-file with `perfbench/update_reference.py` and says so.
+file with `perfbench/update_reference.py` and says so.  The two forced
+realization schemes, which the benchmark does not run, are checked against
+one SHA-256 each over the 12 corpus programs, kept here.
 """
 
 import hashlib
@@ -17,8 +19,8 @@ from pathlib import Path
 import pytest
 
 from pgmq import serialize
-from pgmq.cost import metrics
-from pgmq.passes import optimize
+from pgmq.cost import ANCILLA_MERGED, NO_ANCILLA, metrics
+from pgmq.passes import CompileOptions, optimize
 from pgmq.qasm import parse_qasm_file
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,3 +73,21 @@ def test_random_pool_programs_match_reference():
     assert len(pool) == 8
     for name, circuit in pool.items():
         _assert_matches(f"random/{name}", _fingerprint(circuit))
+
+
+# SHA-256 over serialize.dumps of the 12 corpus programs, in sorted file order
+FORCED_SCHEME_SHA256 = {
+    ANCILLA_MERGED:
+        "2f5f34cbe3604b0c9b41351b7da0ab40585eaab19b5c63213259bf317c0b22da",
+    NO_ANCILLA:
+        "29a4bdef2d025aae4d3f5bb05ce63ed68fb9efc37a42595ca1a08f7e3b057b36",
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(FORCED_SCHEME_SHA256))
+def test_forced_scheme_corpus_programs_match(scheme):
+    digest = hashlib.sha256()
+    for path in CORPUS:
+        prog = optimize(parse_qasm_file(path), CompileOptions(scheme=scheme))
+        digest.update(serialize.dumps(prog).encode("utf-8"))
+    assert digest.hexdigest() == FORCED_SCHEME_SHA256[scheme]

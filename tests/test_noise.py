@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pgmq import noise
-from pgmq.circuit import (Circuit, CircuitError, InputError, Measure,
-                          SingleQubit, ZzRotation, cnot, hadamard)
+from pgmq.circuit import (Circuit, InputError, Measure, SingleQubit,
+                          ZzRotation, cnot, hadamard)
 from pgmq.cost import ANCILLA_MERGED
 from pgmq.gadgets import MultiQubitGate
 from pgmq.noise import (BOOTSTRAP, MonteCarloResult, NoiseModel,
@@ -289,7 +289,8 @@ def test_monte_carlo_replays_from_earlier_checkpoint(monkeypatch, states):
 
 
 def test_monte_carlo_mismatched_register_rejected():
-    with pytest.raises(CircuitError):
+    # a program narrower than its input is the caller's mistake: exit 2
+    with pytest.raises(InputError, match="smaller than the input's 2"):
         monte_carlo_fidelity(Circuit(1, []), Circuit(2, []),
                              NoiseModel(), samples=1, shots=1)
 
