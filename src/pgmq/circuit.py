@@ -45,12 +45,11 @@ class InputError(CircuitError):
 
 @dataclass(eq=False)
 class SingleQubit:
-    """Arbitrary 2x2 unitary on one qubit, optionally carrying a name/angle."""
+    """Arbitrary 2x2 unitary on one qubit, carrying a name."""
 
     qubit: int
     matrix: np.ndarray
     name: str = "u"
-    angle: float | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -157,7 +156,7 @@ class Barrier:
 # ---------------------------------------------------------------------------
 
 def u1(lam: float, q: int) -> SingleQubit:
-    return SingleQubit(q, np.diag([1.0, np.exp(1j * lam)]), "u1", lam)
+    return SingleQubit(q, np.diag([1.0, np.exp(1j * lam)]), "u1")
 
 
 def u3(theta: float, phi: float, lam: float, q: int) -> SingleQubit:
@@ -244,11 +243,12 @@ def gate_apply(mat: np.ndarray, gate, n: int) -> np.ndarray:
     return apply_local(mat, local, gate.qubits, n)
 
 
-def to_unitary(circuit: Circuit, cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
+def to_unitary(circuit: Circuit) -> np.ndarray:
     """Dense 2^N x 2^N unitary of the circuit (leftmost gate applied first)."""
     n = circuit.num_qubits
-    if n > cap:
-        raise CircuitError(f"register too large for dense oracle ({n} > {cap})")
+    if n > DEFAULT_ORACLE_CAP:
+        raise CircuitError(f"register too large for dense oracle "
+                           f"({n} > {DEFAULT_ORACLE_CAP})")
     if any(isinstance(g, Measure) for g in circuit.gates):
         raise CircuitError("measurement present; strip measures first")
     u = np.eye(2 ** n, dtype=complex)
@@ -267,18 +267,6 @@ def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Layering
 # ---------------------------------------------------------------------------
-
-@dataclass(eq=False)
-class Layer:
-    gates: list = field(default_factory=list)
-
-    @property
-    def support(self) -> set[int]:
-        s: set[int] = set()
-        for g in self.gates:
-            s.update(g.qubits)
-        return s
-
 
 # commutator sizes below the first bound commute and above the second do
 # not; between them the closed form's rounding could cross the dense check's
@@ -348,28 +336,30 @@ def gates_commute(a, b) -> bool:
 _LAYERABLE = (SingleQubit, GeneralizedCnot, ZzRotation)
 
 
-def layerize(circuit: Circuit) -> list[Layer]:
-    """Greedy commuting layers: each gate goes right after the last layer it
-    fails to commute with (layer 0 if it commutes with everything).
-    `gates_commute` decides one-qubit gates, CNOTs and ZZ rotations in
-    closed form; only commutators within 1e-11..1e-9 of size build dense
-    matrices."""
-    layers: list[Layer] = []
+def layerize(circuit: Circuit) -> list[list]:
+    """Greedy commuting layers, each a list of gates: each gate goes right
+    after the last layer it fails to commute with (layer 0 if it commutes
+    with everything).  `gates_commute` decides one-qubit gates, CNOTs and
+    ZZ rotations in closed form; only commutators within 1e-11..1e-9 of
+    size build dense matrices."""
+    layers: list[list] = []
+    supports: list[set] = []    # the wires each layer's gates act on
     for g in circuit.gates:
         if not isinstance(g, _LAYERABLE):
             raise CircuitError(f"unsupported gate kind for layerize: {type(g).__name__}")
         blocked = -1
         for idx in range(len(layers) - 1, -1, -1):
-            lay = layers[idx]
-            if set(g.qubits).isdisjoint(lay.support):
+            if supports[idx].isdisjoint(g.qubits):
                 continue
-            if any(not gates_commute(g, other) for other in lay.gates):
+            if any(not gates_commute(g, other) for other in layers[idx]):
                 blocked = idx
                 break
         target = blocked + 1
         if target == len(layers):
-            layers.append(Layer())
-        layers[target].gates.append(g)
+            layers.append([])
+            supports.append(set())
+        layers[target].append(g)
+        supports[target].update(g.qubits)
     return layers
 
 
@@ -396,7 +386,7 @@ class Su4Block:
         self.unitary = apply_local(self.unitary, gate.local_unitary(), pos, 2)
 
 
-def form_su4_blocks(layers: list[Layer]) -> list:
+def form_su4_blocks(layers: list[list]) -> list:
     """Collapse the layered circuit into Su4Blocks plus leftover single-qubit
     gates, preserving the overall unitary.  Returns the ordered item list."""
     items: list = []
@@ -410,7 +400,7 @@ def form_su4_blocks(layers: list[Layer]) -> list:
         return idx
 
     for lay in layers:
-        for g in lay.gates:
+        for g in lay:
             qs = g.qubits
             if len(qs) == 1:
                 q = qs[0]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import sys
@@ -23,7 +24,7 @@ from .cost import ANCILLA_MERGED, AUTO, NO_ANCILLA, metrics
 from .noise import (STATEVECTOR_CAP, NoiseModel, apply_circuit,
                     check_simulable, monte_carlo_fidelity, relative_error,
                     success_probability)
-from .passes import CompileOptions, CompiledProgram, optimize
+from .passes import CompileOptions, CompiledProgram, _strip_measures, optimize
 from .qasm import QasmError, parse_qasm_file
 from .serialize import dumps as program_dumps, load as program_load
 
@@ -80,13 +81,19 @@ def _compile_options(args) -> CompileOptions:
 
 
 def _opts_hash(opts: CompileOptions, seed: int) -> str:
-    import hashlib
     # "lex|1.0" for the lexicographic order and "greedy", the matching
     # compile uses, keep hash values stable
     cost = "lex|1.0" if opts.cost_weight is None \
         else f"weighted|{opts.cost_weight}"
     text = f"{opts.scheme}|{cost}|{opts.max_iters}|greedy|{seed}"
     return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def _json_text(report: dict) -> str:
+    """Strict JSON of a report: non-finite floats are written as null (the
+    first dump spells them NaN/Infinity, which the reload turns into None)."""
+    plain = json.loads(json.dumps(report), parse_constant=lambda _: None)
+    return json.dumps(plain, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _load_pair(program: str, source: str) -> tuple[CompiledProgram, Circuit]:
@@ -107,7 +114,6 @@ def _verify_program(prog: CompiledProgram, circuit: Circuit, cap: int,
     projected on |0>.  Both run on the same columns: every basis state up to
     `cap` source qubits (the dense unitaries), 20 seeded random states above.
     Returns (pass, max deviation, ancilla leakage)."""
-    from .passes import _strip_measures
     stripped, _ = _strip_measures(circuit)
     realized = prog.realized_circuit()
     check_simulable(realized.num_qubits)
@@ -144,8 +150,7 @@ def cmd_compile(args) -> int:
               "seed": args.seed, "version": __version__,
               "optsHash": _opts_hash(opts, args.seed)})
     metrics_path = out.with_name(out.stem + ".metrics.json")
-    metrics_path.write_text(json.dumps(m, indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
+    metrics_path.write_text(_json_text(m), encoding="utf-8")
     print(f"wrote {out} and {metrics_path}")
     return EXIT_OK
 
@@ -187,7 +192,7 @@ def cmd_simulate(args) -> int:
             report["monteCarloInput"] = mc_in.to_dict()
             report["relativeErrorMonteCarlo"] = relative_error(
                 mc.fidelity, mc_in.fidelity)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = _json_text(report)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -257,7 +262,7 @@ def cmd_bench(args) -> int:
     records.sort(key=lambda r: (r["name"], r["numQubits"]))
 
     def mean(key):
-        vals = [r[key] for r in records if not math.isnan(r[key])]
+        vals = [r[key] for r in records if math.isfinite(r[key])]
         return sum(vals) / len(vals) if vals else None
 
     aggregate = {"note": "aggregate means are qualitative",
@@ -269,10 +274,9 @@ def cmd_bench(args) -> int:
               "optsHash": _opts_hash(opts, args.seed),
               "circuits": records, "skipped": skipped,
               "aggregate": aggregate}
+    text = _json_text(report)
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        Path(args.out).write_text(text, encoding="utf-8")
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh, lineterminator="\r\n")
@@ -280,7 +284,7 @@ def cmd_bench(args) -> int:
             for r in records:
                 w.writerow([_num(r.get(c)) for c in CSV_COLUMNS])
     if not args.out and not args.csv:
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(text)
     return EXIT_OK
 
 

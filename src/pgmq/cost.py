@@ -29,16 +29,17 @@ total nuclear norm) is read straight from its steps:
 Every star gate with k spokes of phase pi/4 has norm star_norm(k) =
 (pi/4) sqrt(k).  `auto` takes the cheaper scheme, no-ancilla on a tie.
 
-One emitter, `_emit`, builds native gates (locals plus MultiQubitGate) from
-either scheme's steps, only for the scheme that runs: `realize` plans,
-picks, then emits once.  Fanouts come from `gadgets.fanout` and are fused
-by `gadgets.fanout_to_mq`; interfaces by `gadgets.merge_interface`.
+One emitter, `_emit`, builds the native-gate `Circuit` (locals plus
+MultiQubitGate) from either scheme's steps, only for the scheme that runs:
+`realize` plans, picks, then emits once.  Fanouts come from
+`gadgets.fanout` and are fused by `gadgets.fanout_to_mq`; interfaces by
+`gadgets.merge_interface`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,6 +57,7 @@ from .gadgets import (
     pg_commutes,
     target_rotation,
 )
+from .qasm import two_qubit_count
 
 NO_ANCILLA = "no-ancilla"
 ANCILLA_MERGED = "ancilla-merged"
@@ -87,29 +89,9 @@ def nuclear_norm(gate: MultiQubitGate | np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
 
 
-def star_norm(k: int, theta: float = FULL_TQ_PHASE) -> float:
-    """Closed-form nuclear norm of a star-shaped gate with k spokes."""
-    return abs(theta) * math.sqrt(k)
-
-
-@dataclass(eq=False)
-class Realization:
-    """Native-gate realization of a gadget sequence."""
-
-    num_qubits: int              # including the ancilla when used
-    items: list                  # time-ordered gates (locals + MultiQubitGate)
-    phase: complex
-    ancilla: int | None = None
-    # the fanout/interface gates (Clifford phases), in order
-    clifford_gates: list = field(default_factory=list)
-
-    @property
-    def mq_gates(self) -> list:
-        """The MultiQubitGate subset of `items`, in order."""
-        return [g for g in self.items if isinstance(g, MultiQubitGate)]
-
-    def to_circuit(self) -> Circuit:
-        return Circuit(self.num_qubits, list(self.items), global_phase=self.phase)
+def star_norm(k: int) -> float:
+    """Closed-form nuclear norm of a star gate with k spokes of phase pi/4."""
+    return FULL_TQ_PHASE * math.sqrt(k)
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +233,13 @@ def _plan(seq: GadgetSequence) -> _Plan:
 # Emission
 # ---------------------------------------------------------------------------
 
-def _emit(seq: GadgetSequence, steps: list, ancilla: int | None) -> Realization:
-    """Native gates for one scheme's steps: a one-qubit gadget as its
+def _emit(seq: GadgetSequence, steps: list, width: int) -> Circuit:
+    """Native-gate circuit of one scheme's steps: a one-qubit gadget as its
     rotation, a pair group as its programmable gate conjugated into the Z
     basis, and a run g_1..g_M onto target t as fanout(g_1, t), then each
     g_i's target rotation followed by the merged interface to g_{i+1}, then
     fanout(g_M, t), every fanout and interface fused into one U_MQ."""
     items: list = []
-    cliffords: list = []
     phase = seq.phase
 
     def fused(mq: MultiQubitGate, frame: LocalFrame) -> None:
@@ -266,7 +247,6 @@ def _emit(seq: GadgetSequence, steps: list, ancilla: int | None) -> Realization:
         items.extend(frame.right_gates())
         if mq.pairs:
             items.append(mq)
-            cliffords.append(mq)
         items.extend(frame.left_gates())
         phase *= frame.phase
 
@@ -290,12 +270,11 @@ def _emit(seq: GadgetSequence, steps: list, ancilla: int | None) -> Realization:
             items.append(target_rotation(run[-1], t))
             fused(*fanout_to_mq(fanout(run[-1], t)))
     items.extend(seq.frame.gates())
-    width = seq.num_qubits if ancilla is None else ancilla + 1
-    return Realization(width, items, phase, ancilla, cliffords)
+    return Circuit(width, items, global_phase=phase)
 
 
-def realize(seq: GadgetSequence, scheme: str = AUTO) -> Realization:
-    """Turn a gadget sequence into native multiqubit gates plus locals.
+def realize(seq: GadgetSequence, scheme: str = AUTO) -> Circuit:
+    """Turn a gadget sequence into a circuit of native U_MQ gates plus locals.
 
     With the ancilla scheme, a run of M multiqubit gadgets costs at most
     M+1 gates (interfaces merged) on the extra qubit `seq.num_qubits`,
@@ -306,7 +285,7 @@ def realize(seq: GadgetSequence, scheme: str = AUTO) -> Realization:
     scheme = plan.pick(scheme)
     steps = plan.steps[scheme]
     used = scheme == ANCILLA_MERGED and any(k == "run" for k, _ in steps)
-    return _emit(seq, steps, seq.num_qubits if used else None)
+    return _emit(seq, steps, seq.num_qubits + int(used))
 
 
 def sequence_cost(seq: GadgetSequence, scheme: str = AUTO) -> CostVector:
@@ -377,7 +356,6 @@ def metrics(seq: GadgetSequence, input_circuit: Circuit,
     """Benchmark metrics relating a compiled body to its input circuit:
     entangling-gate vs multiqubit count, baseline-merge ratio, and nuclear
     norm reduction."""
-    from .qasm import two_qubit_count
     tq = two_qubit_count(input_circuit)
     comp = sequence_cost(seq, scheme)
     base_count, base_norm = baseline_parallel_merge(input_circuit)

@@ -34,6 +34,7 @@ from .circuit import (
     GeneralizedCnot,
     SingleQubit,
     hadamard,
+    pauli_gate,
 )
 
 TWO_PI = 2 * math.pi
@@ -54,7 +55,7 @@ def pauli_mul(a: str, b: str) -> tuple[complex, str]:
 def pauli_rotation(axis: str, theta: float, q: int) -> SingleQubit:
     """exp(-i * theta/2 * P) on qubit q."""
     m = math.cos(theta / 2) * np.eye(2) - 1j * math.sin(theta / 2) * PAULI[axis]
-    return SingleQubit(q, m, f"r{axis.lower()}", theta)
+    return SingleQubit(q, m, f"r{axis.lower()}")
 
 
 # Clifford V with V Z V^dag = P, used to turn P-type couplings into Z-type.
@@ -171,7 +172,6 @@ class PauliFrame:
         return coeff
 
     def gates(self) -> list[SingleQubit]:
-        from .circuit import pauli_gate
         return [pauli_gate(p, q) for q, p in sorted(self.paulis.items())]
 
     # images of single-qubit Paulis under conjugation by CNOT(c, t):
@@ -328,8 +328,8 @@ def fanout_to_mq(fanout: list[GeneralizedCnot]) -> tuple[MultiQubitGate, LocalFr
     return _fuse([(g.control, g.control_axis) for g in fanout], target, taxis)
 
 
-def merge_interface(j_set, k_set, a: int, first_axis: str = "Z",
-                    second_axis: str = "X") -> tuple[MultiQubitGate, LocalFrame]:
+def merge_interface(j_set, k_set, a: int, first_axis: str,
+                    second_axis: str) -> tuple[MultiQubitGate, LocalFrame]:
     """Fuse the closing fanout of a first gadget (first_axis over j_set) with
     the opening fanout of the next (second_axis over k_set), both targeting
     the ancilla a with axis Y, into one star-shaped Clifford U_MQ."""

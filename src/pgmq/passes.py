@@ -33,6 +33,7 @@ from .gadgets import (
     commute_cnot,
     simplify,
 )
+from .qasm import to_zz_basis
 from .su4 import minimize_block_phase
 
 
@@ -213,16 +214,6 @@ def _greedy_matching(weights: dict) -> list:
     return chosen
 
 
-def _exact_matching(weights: dict) -> list:
-    """Exact maximum-weight matching, the reference for the greedy matching
-    that compile uses (greedy reaches at least half its weight)."""
-    import networkx as nx
-    g = nx.Graph()
-    for (a, b), w in weights.items():
-        g.add_edge(a, b, weight=w)
-    return [tuple(sorted(e)) for e in nx.max_weight_matching(g)]
-
-
 def norm_reduction_step(seq: GadgetSequence,
                         scheme: str = AUTO) -> tuple[list, GadgetSequence, bool]:
     """One round of commuting-CNOT conjugations lowering the total norm.
@@ -271,9 +262,13 @@ class CompiledProgram:
     post: CnotLayer
     measurement_map: dict = field(default_factory=dict)  # qubit -> bit
     scheme: str = AUTO
-    iterations: int = 0
     commutation_events: int = 0
     cost_trace: list = field(default_factory=list)  # accepted cost keys
+
+    @property
+    def iterations(self) -> int:
+        """Accepted norm-reduction steps (0 for a loaded program)."""
+        return max(len(self.cost_trace) - 1, 0)
 
     def cost(self) -> CostVector:
         return sequence_cost(self.body, self.scheme)
@@ -293,7 +288,7 @@ class CompiledProgram:
         """Replay with the body realized as native multiqubit gates (the
         ancilla, when used, is the final qubit)."""
         r = realize(self.body, self.scheme)
-        return self._replay(r.num_qubits, r.items, r.phase)
+        return self._replay(r.num_qubits, r.gates, r.global_phase)
 
 
 def _strip_measures(circuit: Circuit) -> tuple[Circuit, dict]:
@@ -336,7 +331,6 @@ def optimize(circuit: Circuit, opts: CompileOptions | None = None) -> CompiledPr
     """Compile a CNOT/ZZ-basis circuit into the three-layer form, iterating
     norm-reducing CNOT conjugations until the cost stops decreasing."""
     opts = opts or CompileOptions()
-    from .qasm import to_zz_basis
     stripped, mmap = _strip_measures(circuit)
     raw = to_zz_basis(stripped)
     blocked = _block_pass(raw)
@@ -357,7 +351,6 @@ def optimize(circuit: Circuit, opts: CompileOptions | None = None) -> CompiledPr
     cur = min(keys)
     seq, pre, post = candidates[keys.index(cur)]
 
-    iters = 0
     trace = [cur]
     for _ in range(opts.max_iters):
         applied, nxt, improved = norm_reduction_step(seq, opts.scheme)
@@ -374,7 +367,6 @@ def optimize(circuit: Circuit, opts: CompileOptions | None = None) -> CompiledPr
             pre.append(c, t)
         seq, cur = nxt, key
         trace.append(cur)
-        iters += 1
 
-    return CompiledProgram(n, pre, seq, post, mmap, opts.scheme, iters,
+    return CompiledProgram(n, pre, seq, post, mmap, opts.scheme,
                            counter["events"], trace)

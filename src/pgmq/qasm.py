@@ -34,6 +34,7 @@ from .circuit import (
     u1,
     u3,
 )
+from .gadgets import _Z_TO  # Z -> P conjugators
 
 
 MAX_QUBITS = 1024
@@ -560,8 +561,6 @@ _X_TO = {
 def to_zz_basis(circuit: Circuit) -> Circuit:
     """Rewrite every entangling gate as canonical CNOTs / ZZ rotations plus
     single-qubit gates; the unitary is preserved exactly."""
-    from .gadgets import _Z_TO  # Z -> P conjugators
-
     out = Circuit(circuit.num_qubits, [], circuit.classical_bits,
                   circuit.global_phase)
     for g in circuit.gates:

@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import unitary_group
 
 from pgmq.circuit import Circuit, SingleQubit, ZzRotation, cnot, to_unitary
-from pgmq.gadgets import GadgetSequence
+from pgmq.gadgets import GadgetSequence, MultiQubitGate
 
 
 def random_circuit(n: int, depth: int, rng, p_local=0.35, p_cnot=0.35) -> Circuit:
@@ -32,6 +32,21 @@ def sequence_unitary(seq: GadgetSequence) -> np.ndarray:
         c.add(g)
     c.global_phase = seq.phase
     return to_unitary(c)
+
+
+def mq_gates(circuit: Circuit) -> list:
+    """The MultiQubitGates of a realized circuit, in order."""
+    return [g for g in circuit.gates if isinstance(g, MultiQubitGate)]
+
+
+def exact_matching(weights: dict) -> list:
+    """Exact maximum-weight matching, the reference for the greedy matching
+    that compile uses (greedy reaches at least half its weight)."""
+    import networkx as nx  # only the matching tests need networkx
+    g = nx.Graph()
+    for (a, b), w in weights.items():
+        g.add_edge(a, b, weight=w)
+    return [tuple(sorted(e)) for e in nx.max_weight_matching(g)]
 
 
 @pytest.fixture

@@ -26,10 +26,9 @@ from pgmq.gadgets import (GadgetSequence, MultiQubitGate, PhaseGadget,
                           merge_interface)
 from pgmq.noise import (NoiseModel, monte_carlo_fidelity, relative_error,
                         relative_error_ci, success_probability)
-from pgmq.passes import (CompileOptions, _exact_matching, _greedy_matching,
-                         optimize)
+from pgmq.passes import CompileOptions, _greedy_matching, optimize
 from pgmq.qasm import parse_qasm_file
-from conftest import random_circuit
+from conftest import exact_matching, mq_gates, random_circuit
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 PAULI = {"X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -206,8 +205,8 @@ def alternating_big_gadgets(m):
 def test_gate_count_laws_m_plus_one_and_two_m():
     for m in range(1, 21):
         seq = alternating_big_gadgets(m)
-        assert len(realize(seq, ANCILLA_MERGED).mq_gates) == m + 1
-        assert len(realize(seq, NO_ANCILLA).mq_gates) == 2 * m
+        assert len(mq_gates(realize(seq, ANCILLA_MERGED))) == m + 1
+        assert len(mq_gates(realize(seq, NO_ANCILLA))) == 2 * m
 
 
 # --- 4. Clifford structure ---------------------------------------------------------
@@ -221,8 +220,8 @@ def test_ancilla_merged_gates_are_clifford():
                             _rand_support(rng, n, kmin=3))
                 for _ in range(int(rng.integers(1, 6)))]
         r = realize(GadgetSequence(n, gads), ANCILLA_MERGED)
-        assert r.clifford_gates
-        for g in r.clifford_gates:
+        assert mq_gates(r)
+        for g in mq_gates(r):
             for th in g.pairs.values():
                 assert th in (math.pi / 4, -math.pi / 4, 0.0)
 
@@ -321,7 +320,7 @@ def test_greedy_matching_at_least_half_exact():
         if not weights:
             continue
         wg = sum(weights[tuple(sorted(e))] for e in _greedy_matching(weights))
-        we = sum(weights[tuple(sorted(e))] for e in _exact_matching(weights))
+        we = sum(weights[tuple(sorted(e))] for e in exact_matching(weights))
         assert wg >= we / 2 - 1e-12
 
 

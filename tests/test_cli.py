@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -586,3 +587,57 @@ def test_verify_random_states_above_oracle_cap(tmp_path, capsys, flags,
     out.write_text(json.dumps(doc))
     assert main(["verify", str(out), str(src)]) == 1
     assert capsys.readouterr().out.startswith("FAIL")
+
+
+# --- strict JSON reports --------------------------------------------------------
+
+GHZ6 = Path(__file__).resolve().parent.parent / "benchmarks" / "ghz_n6.qasm"
+RATIOS = ("gateCountRatio", "baselineRatio", "normRatio")
+
+
+def _strict_json(text: str):
+    """Parse JSON that may hold no NaN or Infinity constant."""
+    def refuse(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_compile_metrics_are_strict_json(tmp_path, capsys):
+    # ghz compiles to no multiqubit gate, so its three ratios are infinite
+    out = tmp_path / "ghz.program.json"
+    assert main(["compile", str(GHZ6), "--out", str(out)]) == 0
+    m = _strict_json((tmp_path / "ghz.program.metrics.json").read_text())
+    assert m["compiledMqCount"] == 0
+    assert [m[k] for k in RATIOS] == [None] * 3
+
+
+def test_bench_reports_are_strict_json(qasm_dir, tmp_path, capsys):
+    (qasm_dir / "ghz.qasm").write_text(GHZ6.read_text())
+    out, table = tmp_path / "report.json", tmp_path / "report.csv"
+    assert main(["bench", str(qasm_dir), "--out", str(out),
+                 "--csv", str(table)]) == 0
+    doc = _strict_json(out.read_text())
+    (ghz,) = [r for r in doc["circuits"] if r["name"] == "ghz"]
+    assert [ghz[k] for k in RATIOS] == [None] * 3
+    # the means skip the infinite ratios
+    for key in ("meanGateCountRatio", "meanBaselineRatio", "meanNormRatio"):
+        assert math.isfinite(doc["aggregate"][key])
+    # the CSV still spells an infinite ratio inf
+    assert any(r.startswith("ghz,") and ",inf,inf,inf," in r
+               for r in table.read_text().splitlines())
+    capsys.readouterr()
+    assert main(["bench", str(qasm_dir)]) == 0
+    printed = _strict_json(capsys.readouterr().out)
+    assert printed["aggregate"] == doc["aggregate"]
+
+
+def test_simulate_report_is_strict_json(tmp_path, capsys):
+    # with no noise the input is ideal and the relative error is NaN
+    prog = tmp_path / "ghz.json"
+    assert main(["compile", str(GHZ6), "--out", str(prog)]) == 0
+    capsys.readouterr()
+    assert main(["simulate", str(prog), "--input", str(GHZ6),
+                 "--p-dephase", "0", "--p-depol-tq", "0"]) == 0
+    report = _strict_json(capsys.readouterr().out)
+    assert report["successProbabilityInput"] == 1.0
+    assert report["relativeErrorSuccessProb"] is None

@@ -7,12 +7,12 @@ from pgmq.circuit import (Circuit, CircuitError, Measure, SingleQubit,
                           ZzRotation, cnot, to_unitary)
 from pgmq.cost import NO_ANCILLA, ANCILLA_MERGED, sequence_cost
 from pgmq.gadgets import GadgetSequence, PhaseGadget
-from pgmq.passes import (CnotLayer, CompileOptions, _exact_matching,
-                         _greedy_matching, conjugate_sequence,
+from pgmq.passes import (CnotLayer, CompileOptions, _greedy_matching,
+                         conjugate_sequence,
                          conjugation_cost_matrix, norm_reduction_step,
                          optimize, pg_left, pg_right, sequence_adjoint)
 from pgmq.qasm import to_zz_basis
-from conftest import random_circuit, sequence_unitary
+from conftest import exact_matching, random_circuit, sequence_unitary
 
 
 def zz_circuit(n, depth, rng):
@@ -165,7 +165,7 @@ def test_norm_reduction_step_preserves_unitary_and_improves(rng):
 def test_greedy_matching_half_of_exact():
     weights = {(0, 1): 3.0, (1, 2): 2.9, (2, 3): 3.0, (0, 3): 1.0}
     greedy = _greedy_matching(weights)
-    exact = _exact_matching(weights)
+    exact = exact_matching(weights)
     wg = sum(weights[tuple(sorted(e))] for e in greedy)
     we = sum(weights[tuple(sorted(e))] for e in exact)
     assert wg >= we / 2 - 1e-12
@@ -177,7 +177,7 @@ def test_matchings_are_vertex_disjoint(rng):
     for a in range(6):
         for b in range(a + 1, 6):
             weights[(a, b)] = float(rng.random())
-    for pairs in (_greedy_matching(weights), _exact_matching(weights)):
+    for pairs in (_greedy_matching(weights), exact_matching(weights)):
         used = [q for e in pairs for q in e]
         assert len(used) == len(set(used))
 

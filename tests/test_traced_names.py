@@ -1,0 +1,39 @@
+"""Every name the benchmark's tracer wraps still exists in pgmq.
+
+`perfbench/tracing.py` looks each traced function up on its defining module
+and each traced method up in its class `__dict__`, with no default, so a
+renamed or removed name would break every traced benchmark run.  This test
+loads that file by path and only reads its two name tables.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+TRACING = _tracing()
+
+
+@pytest.mark.parametrize("home, attr", TRACING.FUNCTIONS,
+                         ids=lambda x: x)
+def test_traced_function_exists(home, attr):
+    assert callable(getattr(importlib.import_module(f"pgmq.{home}"), attr))
+
+
+@pytest.mark.parametrize("home, cls_name, attr, span", TRACING.METHODS,
+                         ids=[m[3] for m in TRACING.METHODS])
+def test_traced_method_is_in_class_dict(home, cls_name, attr, span):
+    cls = getattr(importlib.import_module(f"pgmq.{home}"), cls_name)
+    assert callable(cls.__dict__[attr])
