@@ -16,7 +16,9 @@ total nuclear norm) is read straight from its steps:
   * a one-qubit gadget is a frame rotation and never counts;
   * a group of two-qubit gadgets is one programmable gate carrying the
     summed pair phases, counted iff a phase survives MultiQubitGate's
-    zero-drop; its norm comes from one eigvalsh and serves both schemes;
+    zero-drop; its norm comes from one eigvalsh and serves both schemes
+    and every later plan in the same `norms` memo that forms a group with
+    the same pair phases;
   * a run of M gadgets J_1..J_M onto t costs a leading star with |J_1 - t|
     spokes (the support without the target), one merged interface per
     adjacent pair (J, K) and a trailing star with |J_M - t| spokes: two
@@ -28,6 +30,10 @@ total nuclear norm) is read straight from its steps:
 
 Every star gate with k spokes of phase pi/4 has norm star_norm(k) =
 (pi/4) sqrt(k).  `auto` takes the cheaper scheme, no-ancilla on a tie.
+
+`passes.optimize` owns one `norms` memo per compile and hands it to every
+`sequence_cost` of that compile, the CNOT-pair cost matrix included; the
+matrix re-plans only the pairs whose CNOT changes some gadget.
 
 One emitter, `_emit`, builds the native-gate `Circuit` (locals plus
 MultiQubitGate) from either scheme's steps, only for the scheme that runs:
@@ -108,15 +114,22 @@ class _PairGroup:
     norm: float
 
 
-def _pair_group(group: list, axes: dict) -> _PairGroup:
+def _pair_group(group: list, axes: dict, norms: dict) -> _PairGroup:
+    """The group's gate, its norm looked up in (or added to) `norms`, keyed
+    by the gate's sorted pair phases: the key fixes the phase matrix bit for
+    bit, so a hit returns exactly what `nuclear_norm` would."""
     pairs: dict = {}
     for g in group:
         pairs[g.support] = pairs.get(g.support, 0.0) + g.alpha * math.pi / 2
     gate = MultiQubitGate(pairs)
-    return _PairGroup(axes, gate, nuclear_norm(gate))
+    key = tuple(sorted(gate.pairs.items()))
+    norm = norms.get(key)
+    if norm is None:
+        norm = norms[key] = nuclear_norm(gate)
+    return _PairGroup(axes, gate, norm)
 
 
-def _stream_units(gadgets: list) -> list:
+def _stream_units(gadgets: list, norms: dict) -> list:
     """The no-ancilla scheme's steps, in time order: ("single", g);
     ("pairs", _PairGroup) for maximal groups of consecutive two-qubit
     gadgets with consistent per-qubit axes (single-qubit gadgets that
@@ -130,7 +143,7 @@ def _stream_units(gadgets: list) -> list:
     def flush():
         nonlocal axes, group
         if group:
-            units.append(("pairs", _pair_group(group, axes)))
+            units.append(("pairs", _pair_group(group, axes, norms)))
         axes, group = {}, []
 
     for g in gadgets:
@@ -222,8 +235,8 @@ class _Plan:
         return scheme
 
 
-def _plan(seq: GadgetSequence) -> _Plan:
-    units = _stream_units(seq.gadgets)
+def _plan(seq: GadgetSequence, norms: dict) -> _Plan:
+    units = _stream_units(seq.gadgets, norms)
     steps = {NO_ANCILLA: units,
              ANCILLA_MERGED: _group_runs(units, seq.num_qubits)}
     return _Plan(steps, {s: _plan_cost(v) for s, v in steps.items()})
@@ -281,17 +294,22 @@ def realize(seq: GadgetSequence, scheme: str = AUTO) -> Circuit:
     which is added only when a run uses it; without, each costs two star
     gates.  `auto` picks the scheme with the lower planned cost (count
     first, then norm) and emits only that one."""
-    plan = _plan(seq)
+    plan = _plan(seq, {})
     scheme = plan.pick(scheme)
     steps = plan.steps[scheme]
     used = scheme == ANCILLA_MERGED and any(k == "run" for k, _ in steps)
     return _emit(seq, steps, seq.num_qubits + int(used))
 
 
-def sequence_cost(seq: GadgetSequence, scheme: str = AUTO) -> CostVector:
+def sequence_cost(seq: GadgetSequence, scheme: str = AUTO,
+                  norms: dict | None = None) -> CostVector:
     """Planned cost of realizing `seq` with `scheme` (the cheaper one for
-    `auto`); equals the count and norm of the gates `realize` emits."""
-    plan = _plan(seq)
+    `auto`); equals the count and norm of the gates `realize` emits.
+
+    `norms` memoizes pair-group nuclear norms across calls; the caller owns
+    it (`passes.optimize` keeps one per compile).  Only `seq.gadgets` and
+    `seq.num_qubits` are read: the frame and phase cost nothing."""
+    plan = _plan(seq, {} if norms is None else norms)
     return plan.costs[plan.pick(scheme)]
 
 

@@ -213,6 +213,8 @@ class GadgetSequence:
     phase: complex = 1.0 + 0j
 
     def copy(self) -> "GadgetSequence":
+        """Deep copy: fresh gadgets, so in-place edits of the copy (as
+        `simplify` makes) never reach gadgets other sequences share."""
         return GadgetSequence(
             self.num_qubits,
             [PhaseGadget(g.axis, g.alpha, g.support) for g in self.gadgets],
@@ -345,25 +347,24 @@ def commute_cnot(cnot_gate: GeneralizedCnot, g: PhaseGadget) -> PhaseGadget:
     """Move a canonical CNOT across a gadget: C.G = G'.C and G.C = C.G'.
 
     The canonical CNOT is self-inverse, so both directions produce the same
-    conjugated gadget G' = C G C.
+    conjugated gadget G' = C G C.  CNOT(j, k) changes a Z gadget only when
+    its support holds k (it toggles j) and an X gadget only when its support
+    holds j (it toggles k); any other gadget is returned itself, not a copy,
+    so callers must not mutate the result in place.
     """
     if not cnot_gate.is_canonical:
         raise CircuitError("commute_cnot needs a canonical (Z^X) CNOT")
     j, k = cnot_gate.control, cnot_gate.target
-    sup = set(g.support)
     if g.axis == "Z":
-        if k in sup:
-            sup = sup - {j} if j in sup else sup | {j}
+        pivot, toggled = k, j
     elif g.axis == "X":
-        if j in sup:
-            sup = sup - {k} if k in sup else sup | {k}
+        pivot, toggled = j, k
     else:
         raise CircuitError("only X and Z gadgets commute through CNOTs")
-    if not sup:
-        # removing the last qubit cannot happen: the rule removes j (Z case)
-        # only when both j and k are present
-        raise CircuitError("commutation emptied a gadget support")
-    return PhaseGadget(g.axis, g.alpha, tuple(sorted(sup)))
+    if pivot not in g.support:
+        return g
+    # the pivot stays, so the support never empties
+    return PhaseGadget(g.axis, g.alpha, tuple(set(g.support) ^ {toggled}))
 
 
 def pg_commutes(g1: PhaseGadget, g2: PhaseGadget) -> bool:

@@ -60,15 +60,11 @@ class NoiseModel:
 
 
 def _depol_rate(nu: float, model: NoiseModel) -> float:
+    """Per-qubit depolarization probability of a gate of nuclear norm `nu`:
+    the fully entangling two-qubit rate scaled by the norm ratio."""
     if nu == 0.0:
         return 0.0
     return min(1.0, model.p_depol_tq * nu / FULL_TQ_PHASE)
-
-
-def depol_prob(gate, model: NoiseModel) -> float:
-    """Per-qubit depolarization probability of a gate: the fully entangling
-    two-qubit rate scaled by the gate's nuclear-norm ratio."""
-    return _depol_rate(gate_norm(gate), model)
 
 
 def _as_circuit(program) -> Circuit:

@@ -179,7 +179,8 @@ def pg_right(circuit: Circuit,
 
 def conjugate_sequence(seq: GadgetSequence, control: int,
                        target: int) -> GadgetSequence:
-    """C . seq . C for the canonical CNOT (self-inverse conjugation)."""
+    """C . seq . C for the canonical CNOT (self-inverse conjugation).  The
+    gadgets the CNOT leaves alone are shared with `seq`, not copied."""
     c = cnot(control, target)
     frame = seq.frame.copy()
     phase = seq.phase * frame.conjugate_by_cnot_word([(control, target)])
@@ -188,20 +189,29 @@ def conjugate_sequence(seq: GadgetSequence, control: int,
                           frame, phase)
 
 
-def conjugation_cost_matrix(seq: GadgetSequence,
-                            scheme: str = AUTO) -> np.ndarray:
+def conjugation_cost_matrix(seq: GadgetSequence, scheme: str = AUTO,
+                            norms: dict | None = None) -> np.ndarray:
     """Entry (n, m): total nuclear norm after conjugating every gadget with
-    the CNOT controlled on n targeting m; diagonal holds the current norm."""
+    the CNOT controlled on n targeting m; diagonal holds the current norm.
+
+    CNOT(n, m) changes only Z gadgets whose support holds m and X gadgets
+    whose support holds n; a pair that changes no gadget keeps the current
+    norm and is not re-planned.  Every other pair is costed on its gadget
+    list alone (the frame and phase carry no cost), and pair-group norms
+    are looked up in `norms` (`sequence_cost`'s memo)."""
     n = seq.num_qubits
-    cur = float(sequence_cost(seq, scheme).total_norm)
+    norms = {} if norms is None else norms
+    cur = float(sequence_cost(seq, scheme, norms).total_norm)
     out = np.full((n, n), cur, dtype=float)
-    touched = {q for g in seq.gadgets for q in g.support}
+    z_held = {q for g in seq.gadgets if g.axis == "Z" for q in g.support}
+    x_held = {q for g in seq.gadgets if g.axis == "X" for q in g.support}
     for a in range(n):
         for b in range(n):
-            # a CNOT on two untouched wires conjugates every gadget trivially
-            if a != b and (a in touched or b in touched):
-                out[a, b] = sequence_cost(
-                    conjugate_sequence(seq, a, b), scheme).total_norm
+            if a != b and (b in z_held or a in x_held):
+                c = cnot(a, b)
+                gadgets = [commute_cnot(c, g) for g in seq.gadgets]
+                out[a, b] = sequence_cost(GadgetSequence(n, gadgets), scheme,
+                                          norms).total_norm
     return out
 
 
@@ -214,14 +224,17 @@ def _greedy_matching(weights: dict) -> list:
     return chosen
 
 
-def norm_reduction_step(seq: GadgetSequence,
-                        scheme: str = AUTO) -> tuple[list, GadgetSequence, bool]:
+def norm_reduction_step(seq: GadgetSequence, scheme: str = AUTO,
+                        norms: dict | None = None
+                        ) -> tuple[list, GadgetSequence, bool]:
     """One round of commuting-CNOT conjugations lowering the total norm.
 
     Returns (applied CNOTs, conjugated sequence, improved).  Candidate pair
     weights are current norm minus the best of the two conjugation
-    directions, clipped at zero; accepted pairs are vertex-disjoint."""
-    cm = conjugation_cost_matrix(seq, scheme)
+    directions, clipped at zero; accepted pairs are vertex-disjoint.  The
+    returned sequence may share gadgets with `seq` (see `commute_cnot`);
+    `norms` is `sequence_cost`'s pair-group norm memo."""
+    cm = conjugation_cost_matrix(seq, scheme, norms)
     cur = cm[0, 0] if seq.num_qubits else 0.0
     n = seq.num_qubits
     weights = {}
@@ -346,18 +359,21 @@ def optimize(circuit: Circuit, opts: CompileOptions | None = None) -> CompiledPr
         candidates.append((seq_l, pre_l, CnotLayer(n)))
         post_r, seq_r = pg_right(flat, counter)
         candidates.append((seq_r, CnotLayer(n), post_r))
-    keys = [sequence_cost(s, opts.scheme).key(opts.cost_weight)
+    # pair-group norms recur across candidates, proposals and steps: one
+    # memo serves every cost of this compile
+    norms: dict = {}
+    keys = [sequence_cost(s, opts.scheme, norms).key(opts.cost_weight)
             for s, _, _ in candidates]
     cur = min(keys)
     seq, pre, post = candidates[keys.index(cur)]
 
     trace = [cur]
     for _ in range(opts.max_iters):
-        applied, nxt, improved = norm_reduction_step(seq, opts.scheme)
+        applied, nxt, improved = norm_reduction_step(seq, opts.scheme, norms)
         if not improved:
             break
         nxt = simplify(nxt)
-        key = sequence_cost(nxt, opts.scheme).key(opts.cost_weight)
+        key = sequence_cost(nxt, opts.scheme, norms).key(opts.cost_weight)
         if key >= cur:
             break
         # U_PG = C . U_PG' . C: the outer CNOT joins the post layer, the

@@ -24,8 +24,9 @@ from pgmq.cost import (ANCILLA_MERGED, NO_ANCILLA, nuclear_norm, realize,
 from pgmq.gadgets import (GadgetSequence, MultiQubitGate, PhaseGadget,
                           commute_cnot, decompose_pg, fanout_to_mq,
                           merge_interface)
-from pgmq.noise import (NoiseModel, monte_carlo_fidelity, relative_error,
-                        relative_error_ci, success_probability)
+from pgmq.noise import (NoiseModel, _noise_sites, monte_carlo_fidelity,
+                        relative_error, relative_error_ci,
+                        success_probability)
 from pgmq.passes import CompileOptions, _greedy_matching, optimize
 from pgmq.qasm import parse_qasm_file
 from conftest import exact_matching, mq_gates, random_circuit
@@ -236,9 +237,9 @@ def test_star_norm_closed_form_and_power_ratio():
 
 
 def test_depolarization_anchor_k30():
-    from pgmq.noise import depol_prob
     star = MultiQubitGate({(q, 30): math.pi / 4 for q in range(30)})
-    p = depol_prob(star, NoiseModel(p_depol_tq=1e-3))
+    sites = _noise_sites(Circuit(31, [star]), NoiseModel(p_depol_tq=1e-3))
+    p = sites[0][1]
     assert abs(p - 0.00528) / 0.00528 < 0.10
 
 

@@ -162,9 +162,23 @@ def test_commute_cnot_rejects_y_gadget():
 
 
 def test_commute_cnot_untouched_passthrough():
-    g = PhaseGadget("Z", 0.3, (2, 3))
-    gp = commute_cnot(cnot(0, 1), g)
-    assert gp.axis == g.axis and gp.alpha == g.alpha and gp.support == g.support
+    # CNOT(0, 1) changes Z gadgets holding its target and X gadgets holding
+    # its control; any other gadget comes back as the very same object
+    c = cnot(0, 1)
+    for g in (PhaseGadget("Z", 0.3, (2, 3)),
+              PhaseGadget("X", 0.3, (2, 3)),
+              PhaseGadget("Z", 0.3, (0, 2)),    # Z gadget on the control
+              PhaseGadget("X", 0.3, (1, 2))):   # X gadget on the target
+        gp = commute_cnot(c, g)
+        assert gp is g
+        assert (gp.axis, gp.alpha, gp.support) == (g.axis, 0.3, g.support)
+    # a changed gadget is a new object; its input is left as it was
+    for g, want in ((PhaseGadget("Z", 0.3, (1, 2)), (0, 1, 2)),
+                    (PhaseGadget("X", 0.3, (0, 1)), (0,))):
+        before = g.support
+        gp = commute_cnot(c, g)
+        assert gp is not g and gp.support == want
+        assert (g.alpha, g.support) == (0.3, before)
 
 
 def test_pg_commutes_matches_dense(rng):

@@ -10,7 +10,7 @@ from pgmq.cost import ANCILLA_MERGED
 from pgmq.gadgets import MultiQubitGate
 from pgmq.noise import (BOOTSTRAP, MonteCarloResult, NoiseModel,
                         _checkpoint_sites, _noise_sites, _sample_rng,
-                        depol_prob, gate_norm, inject_noise,
+                        gate_norm, inject_noise,
                         monte_carlo_fidelity, probabilities, relative_error,
                         relative_error_ci, statevector, success_probability)
 from pgmq.passes import CompileOptions, optimize
@@ -49,14 +49,21 @@ def test_gate_norm_values():
     assert gate_norm(star) == pytest.approx(math.pi / 4 * math.sqrt(30))
 
 
+def depol_rate(gate, model):
+    """The depolarization rate the site table gives a one-gate circuit
+    (0.0 when the gate is no noise site)."""
+    sites = _noise_sites(Circuit(max(gate.qubits) + 1, [gate]), model)
+    return sites[0][1] if sites else 0.0
+
+
 def test_depol_prob_scales_with_norm():
     m = NoiseModel(p_depol_tq=1e-3)
-    assert depol_prob(cnot(0, 1), m) == pytest.approx(1e-3)
+    assert depol_rate(cnot(0, 1), m) == pytest.approx(1e-3)
     star = MultiQubitGate({(q, 30): math.pi / 4 for q in range(30)})
     # sqrt(30) * 1e-3 ~ 5.477e-3
-    assert depol_prob(star, m) == pytest.approx(math.sqrt(30) * 1e-3)
-    assert depol_prob(hadamard(0), m) == 0.0
-    assert depol_prob(cnot(0, 1), NoiseModel(p_depol_tq=1.0)) == 1.0
+    assert depol_rate(star, m) == pytest.approx(math.sqrt(30) * 1e-3)
+    assert depol_rate(hadamard(0), m) == 0.0
+    assert depol_rate(cnot(0, 1), NoiseModel(p_depol_tq=1.0)) == 1.0
 
 
 # --- injection ---------------------------------------------------------------

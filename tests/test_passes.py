@@ -5,8 +5,8 @@ import pytest
 
 from pgmq.circuit import (Circuit, CircuitError, Measure, SingleQubit,
                           ZzRotation, cnot, to_unitary)
-from pgmq.cost import NO_ANCILLA, ANCILLA_MERGED, sequence_cost
-from pgmq.gadgets import GadgetSequence, PhaseGadget
+from pgmq.cost import AUTO, NO_ANCILLA, ANCILLA_MERGED, sequence_cost
+from pgmq.gadgets import GadgetSequence, PhaseGadget, simplify
 from pgmq.passes import (CnotLayer, CompileOptions, _greedy_matching,
                          conjugate_sequence,
                          conjugation_cost_matrix, norm_reduction_step,
@@ -127,20 +127,108 @@ def test_conjugate_sequence_dense(rng):
         assert np.max(np.abs(sequence_unitary(conj) - want)) < 1e-9
 
 
+def mixed_sequences(rng):
+    """Gadget sequences holding X and Z gadgets on 2 to 6 qubits: pg_left of
+    random circuits, and one sequence on which most CNOT pairs change no
+    gadget (CNOT(a, b) changes Z gadgets holding b and X gadgets holding a)."""
+    seqs = [pg_left(zz_circuit(n, int(rng.integers(4, 24)), rng))[0]
+            for n in range(2, 7) for _ in range(3)]
+    seqs.append(GadgetSequence(6, [PhaseGadget("Z", 0.3, (0, 1)),
+                                   PhaseGadget("X", 0.2, (1, 2, 3)),
+                                   PhaseGadget("Z", -0.4, (1, 4)),
+                                   PhaseGadget("Z", 0.25, (0, 1, 4))]))
+    return seqs
+
+
 def test_conjugation_cost_matrix_matches_bruteforce(rng):
-    n = 3
-    c = zz_circuit(n, 12, rng)
-    seq, _ = pg_left(c)
-    cm = conjugation_cost_matrix(seq, NO_ANCILLA)
-    cur = float(sequence_cost(seq, NO_ANCILLA).total_norm)
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                assert cm[a, b] == pytest.approx(cur)
-            else:
-                want = sequence_cost(conjugate_sequence(seq, a, b),
-                                     NO_ANCILLA).total_norm
-                assert cm[a, b] == pytest.approx(want, abs=1e-12)
+    skipped = 0
+    seqs = mixed_sequences(rng)
+    assert any(g.axis == "X" and len(g.support) > 1
+               for seq in seqs for g in seq.gadgets)
+    for seq in seqs:
+        n = seq.num_qubits
+        for scheme in (NO_ANCILLA, ANCILLA_MERGED, AUTO):
+            cm = conjugation_cost_matrix(seq, scheme)
+            cur = sequence_cost(seq, scheme).total_norm
+            for a in range(n):
+                for b in range(n):
+                    if a == b:
+                        assert cm[a, b] == cur
+                        continue
+                    conj = conjugate_sequence(seq, a, b)
+                    want = sequence_cost(conj, scheme).total_norm
+                    assert cm[a, b] == want
+                    skipped += all(h is g for h, g in
+                                   zip(conj.gadgets, seq.gadgets))
+    # pairs the matrix does not re-plan are covered too
+    assert skipped > 0
+
+
+def snapshot(seq):
+    """Every gadget of `seq` with the values it holds now."""
+    return [(g, (g.axis, g.alpha, g.support)) for g in seq.gadgets]
+
+
+def unchanged(snap) -> bool:
+    return all((g.axis, g.alpha, g.support) == held for g, held in snap)
+
+
+def raw_sequence(n, rng):
+    """An unsimplified sequence: repeated supports and angles in (-2, 2], so
+    `simplify` merges, normalizes and flips signs."""
+    gadgets = []
+    for _ in range(16):
+        k = int(rng.integers(1, n + 1))
+        support = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
+        gadgets.append(PhaseGadget(str(rng.choice(["X", "Z"])),
+                                   float(rng.uniform(-2.0, 2.0)), support))
+        if rng.random() < 0.4:
+            gadgets.append(PhaseGadget(gadgets[-1].axis,
+                                       float(rng.uniform(-2.0, 2.0)), support))
+    return GadgetSequence(n, gadgets)
+
+
+def test_passes_leave_input_gadgets_alone(rng):
+    # conjugated sequences share the gadgets a CNOT leaves alone; nothing
+    # downstream may edit them in place
+    for _ in range(20):
+        n = int(rng.integers(2, 6))
+        seq = raw_sequence(n, rng)
+        snap = snapshot(seq)
+        a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+        conj = conjugate_sequence(seq, a, b)
+        assert unchanged(snap)
+        assert any(h is g for h, g in zip(conj.gadgets, seq.gadgets))
+        conj_snap = snapshot(conj)
+        simplify(conj)
+        simplify(seq)
+        _, nxt, _ = norm_reduction_step(seq, AUTO)
+        simplify(nxt)
+        assert unchanged(snap) and unchanged(conj_snap)
+
+
+def test_optimize_leaves_every_input_gadget_alone(rng, monkeypatch):
+    # snapshot each sequence optimize hands to simplify or costs (extracted
+    # bodies, candidates, cost-matrix gadget lists, proposals) at the call,
+    # and check none moved by the end of the compile
+    import pgmq.passes
+    snaps = []
+
+    def recording(fn):
+        def wrapped(seq, *args):
+            snaps.append(snapshot(seq))
+            return fn(seq, *args)
+        return wrapped
+
+    for name in ("simplify", "sequence_cost"):
+        monkeypatch.setattr(pgmq.passes, name,
+                            recording(getattr(pgmq.passes, name)))
+    accepted = 0
+    for _ in range(6):
+        n = int(rng.integers(4, 7))
+        accepted += optimize(random_circuit(n, 40, rng)).iterations
+    assert accepted > 0
+    assert snaps and all(unchanged(s) for s in snaps)
 
 
 def test_norm_reduction_step_preserves_unitary_and_improves(rng):
