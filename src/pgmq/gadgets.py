@@ -33,7 +33,6 @@ from .circuit import (
     CircuitError,
     GeneralizedCnot,
     SingleQubit,
-    hadamard,
     pauli_gate,
 )
 
@@ -403,24 +402,26 @@ def simplify(seq: GadgetSequence) -> GadgetSequence:
     changed = True
     while changed:
         changed = False
-        # (a)+(b): scan left to right, pulling later equal gadgets back across
-        # everything they commute with
-        i = 0
-        while i < len(out.gadgets):
-            gi = out.gadgets[i]
-            j = i + 1
-            while j < len(out.gadgets):
-                gj = out.gadgets[j]
-                if (gj.axis == gi.axis and gj.support == gi.support
-                        and all(pg_commutes(out.gadgets[k], gj)
-                                for k in range(i + 1, j))):
-                    gi.alpha = gi.alpha + gj.alpha
-                    gi.__post_init__()
-                    del out.gadgets[j]
-                    changed = True
-                    continue
-                j += 1
-            i += 1
+        # (a)+(b): one sweep; each gadget walks back across the kept ones it
+        # commutes with and merges into the first equal one it meets (two
+        # kept equal gadgets have one between them they do not commute with,
+        # so that is also the earliest equal one it could pass)
+        kept: list[PhaseGadget] = []
+        for g in out.gadgets:
+            target = None
+            for k in reversed(kept):
+                if k.axis == g.axis and k.support == g.support:
+                    target = k
+                    break
+                if not pg_commutes(k, g):
+                    break
+            if target is None:
+                kept.append(g)
+            else:
+                target.alpha = target.alpha + g.alpha
+                target.__post_init__()
+                changed = True
+        out.gadgets = kept
         # (c): angle normalization with Pauli extraction
         for idx, g in enumerate(out.gadgets):
             shift = math.floor(g.alpha + 0.5)

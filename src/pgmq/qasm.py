@@ -9,11 +9,19 @@ Inputs are bounded before they are built: registers may declare at most
 MAX_QUBITS qubits (and as many classical bits) in total, and a gate call that
 would push the circuit past MAX_GATES gates is refused before it is inlined,
 from the expanded size each custom gate records when it is defined.
+
+A gate definition is checked where it is written, whether the file calls it
+or not: each body call names a built-in or an earlier gate with its numbers
+of parameters and qubits, its qubits are distinct arguments of the
+definition, and its expressions use only the definition's parameters.  Each
+expression is parsed once, into a function of the parameter values that
+every inlined call evaluates.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -117,12 +125,47 @@ def _ry(theta: float, q: int) -> SingleQubit:
     return u3(theta, 0.0, 0.0, q)
 
 
-# name -> (num params, num qubits, builder(params, qubits) -> (gates, phase))
+def _crz(lam, a, b):
+    return [u1(lam / 2, b), cnot(a, b), u1(-lam / 2, b), cnot(a, b)], 1.0
+
+
+def _cu1(lam, a, b):
+    return ([u1(lam / 2, a), cnot(a, b), u1(-lam / 2, b), cnot(a, b),
+             u1(lam / 2, b)], 1.0)
+
+
+def _ccx(a, b, c):
+    gates = [hadamard(c), cnot(b, c), u1(-math.pi / 4, c), cnot(a, c),
+             u1(math.pi / 4, c), cnot(b, c), u1(-math.pi / 4, c), cnot(a, c),
+             u1(math.pi / 4, b), u1(math.pi / 4, c), hadamard(c),
+             cnot(a, b), u1(math.pi / 4, a), u1(-math.pi / 4, b), cnot(a, b)]
+    return gates, 1.0
+
+
+@dataclass(eq=False)
+class _Gate:
+    """What a call may name: a built-in, whose builder(params, qubits)
+    returns (gates, phase), or a definition, whose body holds one
+    (callee, parameter expressions, argument positions) per call."""
+
+    nparams: int
+    nqubits: int
+    builder: object = None
+    body: tuple = ()
+    size: int = 0  # gates one call inlines
+
+
+def _builtin(nparams: int, nqubits: int, builder) -> _Gate:
+    gates, _ = builder([0.0] * nparams, list(range(nqubits)))
+    return _Gate(nparams, nqubits, builder, size=len(gates))
+
+
 def _single(builder):
     return lambda ps, qs: ([builder(*ps, qs[0])], 1.0)
 
 
-_BUILTIN = {
+# name -> (num params, num qubits, builder(params, qubits) -> (gates, phase))
+_BUILTIN = {name: _builtin(*spec) for name, spec in {
     "U": (3, 1, _single(u3)),
     "u3": (3, 1, _single(u3)),
     "u2": (2, 1, _single(_u2)),
@@ -148,47 +191,22 @@ _BUILTIN = {
     # rzz(theta) == cx; u1(theta) t; cx == e^{i theta/2} exp(-i theta/2 ZZ)
     "rzz": (1, 2, lambda ps, qs:
             ([ZzRotation(-ps[0] / 2, qs[0], qs[1])], np.exp(1j * ps[0] / 2))),
-}
-
-
-def _crz(lam, a, b):
-    return [u1(lam / 2, b), cnot(a, b), u1(-lam / 2, b), cnot(a, b)], 1.0
-
-
-def _cu1(lam, a, b):
-    return ([u1(lam / 2, a), cnot(a, b), u1(-lam / 2, b), cnot(a, b),
-             u1(lam / 2, b)], 1.0)
-
-
-def _ccx(a, b, c):
-    gates = [hadamard(c), cnot(b, c), u1(-math.pi / 4, c), cnot(a, c),
-             u1(math.pi / 4, c), cnot(b, c), u1(-math.pi / 4, c), cnot(a, c),
-             u1(math.pi / 4, b), u1(math.pi / 4, c), hadamard(c),
-             cnot(a, b), u1(math.pi / 4, a), u1(-math.pi / 4, b), cnot(a, b)]
-    return gates, 1.0
-
-
-_BUILTIN["crz"] = (1, 2, lambda ps, qs: _crz(ps[0], qs[0], qs[1]))
-_BUILTIN["cu1"] = (1, 2, lambda ps, qs: _cu1(ps[0], qs[0], qs[1]))
-_BUILTIN["ccx"] = (0, 3, lambda ps, qs: _ccx(qs[0], qs[1], qs[2]))
-
-# gates each built-in expands to
-_BUILTIN_SIZE = {name: len(builder([0.0] * nparams, list(range(nqubits)))[0])
-                 for name, (nparams, nqubits, builder) in _BUILTIN.items()}
+    "crz": (1, 2, lambda ps, qs: _crz(ps[0], qs[0], qs[1])),
+    "cu1": (1, 2, lambda ps, qs: _cu1(ps[0], qs[0], qs[1])),
+    "ccx": (0, 3, lambda ps, qs: _ccx(qs[0], qs[1], qs[2])),
+}.items()}
 
 _FUNCS = {
     "sin": math.sin, "cos": math.cos, "tan": math.tan,
     "exp": math.exp, "ln": math.log, "sqrt": math.sqrt,
 }
+_BINARY = {"+": operator.add, "-": operator.sub,
+           "*": operator.mul, "/": operator.truediv}
 
 
-@dataclass(eq=False)
-class _GateDef:
-    params: list[str]
-    qargs: list[str]
-    # (name token, its _GateDef or None if built in, param exprs, qarg names)
-    body: list
-    size: int  # gates one call inlines
+def _binary(op: str, a, b):
+    f = _BINARY[op]
+    return lambda env: f(a(env), b(env))
 
 
 class Parser:
@@ -197,7 +215,7 @@ class Parser:
         self.pos = 0
         self.qregs: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
         self.cregs: dict[str, tuple[int, int]] = {}
-        self.gate_defs: dict[str, _GateDef] = {}
+        self.gate_defs: dict[str, _Gate] = dict(_BUILTIN)  # name -> gate
         self.num_qubits = 0
         self.num_bits = 0
         self.gates: list = []
@@ -223,6 +241,23 @@ class Parser:
         t = tok or self.peek()
         raise QasmError(msg, t.line, t.col)
 
+    def comma_list(self, item) -> list:
+        """`item {, item}`: what each `item()` call parses, in order."""
+        items = [item()]
+        while self.peek().kind == ",":
+            self.next()
+            items.append(item())
+        return items
+
+    def paren_list(self, item) -> list:
+        """An optional `( [item {, item}] )`: [] when absent or empty."""
+        if self.peek().kind != "(":
+            return []
+        self.next()
+        items = [] if self.peek().kind == ")" else self.comma_list(item)
+        self.expect(")")
+        return items
+
     # -- grammar ------------------------------------------------------------
     def parse(self) -> Circuit:
         t = self.expect("ID")
@@ -235,11 +270,8 @@ class Parser:
         self.expect(";")
         while self.peek().kind != "EOF":
             self.statement()
-        c = Circuit(self.num_qubits, [], classical_bits=self.num_bits,
-                    global_phase=self.phase)
-        for g in self.gates:
-            c.add(g)
-        return c
+        return Circuit(self.num_qubits, self.gates,
+                       classical_bits=self.num_bits, global_phase=self.phase)
 
     def statement(self):
         t = self.peek()
@@ -290,84 +322,61 @@ class Parser:
                 self.gates.append(Measure(q, b))
         elif kw == "barrier":
             self.next()
-            qs: list[int] = []
-            qs.extend(self.operand_qubits())
-            while self.peek().kind == ",":
-                self.next()
-                qs.extend(self.operand_qubits())
+            operands = self.comma_list(self.operand_qubits)
             self.expect(";")
-            self.gates.append(Barrier(tuple(qs)))
+            self.gates.append(Barrier(tuple(q for o in operands for q in o)))
         elif kw in ("if", "reset", "opaque"):
             self.error(f"unsupported statement {kw!r}", t)
         else:
             self.gate_call()
 
     def gate_definition(self):
+        """Parse `gate name(params) qargs { body }` and check each body call
+        where it is written: OpenQASM 2.0 bodies call only built-in or
+        earlier gates, which keeps the call graph acyclic."""
         self.expect("ID")  # 'gate'
         name = self.expect("ID")
-        params: list[str] = []
-        if self.peek().kind == "(":
-            self.next()
-            while self.peek().kind != ")":
-                params.append(self.expect("ID").text)
-                if self.peek().kind == ",":
-                    self.next()
-            self.expect(")")
-        qargs = [self.expect("ID").text]
-        while self.peek().kind == ",":
-            self.next()
-            qargs.append(self.expect("ID").text)
+        params = self._names(self.paren_list(lambda: self.expect("ID")), name)
+        qargs = self._names(self.comma_list(lambda: self.expect("ID")), name)
+
+        def qarg() -> int:
+            t = self.expect("ID")
+            if t.text not in qargs:
+                self.error(f"unknown qubit argument {t.text!r} in gate "
+                           f"{name.text!r}", t)
+            return qargs.index(t.text)
+
         self.expect("{")
-        body: list = []
+        body = []
         while self.peek().kind != "}":
-            t = self.peek()
+            t = self.next()
             if t.kind != "ID":
-                self.error(f"unexpected token {t.text!r} in gate body")
+                self.error(f"unexpected token {t.text!r} in gate body", t)
             if t.text == "barrier":
-                self.next()
-                while self.peek().kind not in (";", "EOF"):
-                    self.next()
+                self.comma_list(qarg)
                 self.expect(";")
                 continue
-            gname = self.next()
-            # OpenQASM 2.0 gate bodies call only built-in or earlier gates;
-            # binding the definition now keeps the call graph acyclic
-            target = self.gate_defs.get(gname.text)
-            if target is None and gname.text not in _BUILTIN:
-                self.error(f"unknown gate {gname.text!r} in the body of "
-                           f"{name.text!r}", gname)
-            pexprs: list[list[Token]] = []
-            if self.peek().kind == "(":
-                self.next()
-                depth = 1
-                cur: list[Token] = []
-                while depth > 0:
-                    tok = self.next()
-                    if tok.kind == "EOF":
-                        self.error("unexpected end of file in gate body", tok)
-                    if tok.kind == "(":
-                        depth += 1
-                    elif tok.kind == ")":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    if tok.kind == "," and depth == 1:
-                        pexprs.append(cur)
-                        cur = []
-                    else:
-                        cur.append(tok)
-                if cur or pexprs:
-                    pexprs.append(cur)
-            gqs = [self.expect("ID").text]
-            while self.peek().kind == ",":
-                self.next()
-                gqs.append(self.expect("ID").text)
+            callee = self.gate_defs.get(t.text)
+            if callee is None:
+                self.error(f"unknown gate {t.text!r} in the body of "
+                           f"{name.text!r}", t)
+            exprs = self.paren_list(lambda: self.expr(params))
+            args = self.comma_list(qarg)
             self.expect(";")
-            body.append((gname, target, pexprs, gqs))
+            self.check_call(t, callee, len(exprs), args)
+            body.append((callee, exprs, args))
         self.expect("}")
-        size = sum(_BUILTIN_SIZE[g.text] if d is None else d.size
-                   for g, d, _, _ in body)
-        self.gate_defs[name.text] = _GateDef(params, qargs, body, size)
+        self.gate_defs[name.text] = _Gate(
+            len(params), len(qargs), body=tuple(body),
+            size=sum(callee.size for callee, _, _ in body))
+
+    def _names(self, tokens: list[Token], gate: Token) -> list[str]:
+        names: list[str] = []
+        for t in tokens:
+            if t.text in names:
+                self.error(f"repeated name {t.text!r} in gate {gate.text!r}", t)
+            names.append(t.text)
+        return names
 
     # -- operands -----------------------------------------------------------
     def _operand(self, table: dict, what: str) -> list[int]:
@@ -392,10 +401,16 @@ class Parser:
         return self._operand(self.cregs, "classical")
 
     # -- expressions --------------------------------------------------------
-    def eval_expr(self, env: dict[str, float]) -> float:
-        start = self.peek()
+    # An expression is parsed once, over the parameter names in scope, into
+    # (first token, f) where f(env) computes it from the parameter values
+    # in that order; `value` evaluates it and locates any error.
+    def expr(self, names: list[str]) -> tuple:
+        return self.peek(), self._expr_add(names)
+
+    def value(self, expr: tuple, env) -> float:
+        start, f = expr
         try:
-            v = self._expr_add(env)
+            v = f(env)
         except OverflowError:
             self.error("expression value out of range", start)
         except (ZeroDivisionError, ValueError) as exc:
@@ -404,124 +419,101 @@ class Parser:
             self.error(f"expression value {v} is not finite", start)
         return v
 
-    def _expr_add(self, env) -> float:
-        v = self._expr_mul(env)
+    def _expr_add(self, names):
+        f = self._expr_mul(names)
         while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            r = self._expr_mul(env)
-            v = v + r if op == "+" else v - r
-        return v
+            f = _binary(self.next().kind, f, self._expr_mul(names))
+        return f
 
-    def _expr_mul(self, env) -> float:
-        v = self._expr_pow(env)
+    def _expr_mul(self, names):
+        f = self._expr_pow(names)
         while self.peek().kind in ("*", "/"):
-            op = self.next().kind
-            r = self._expr_pow(env)
-            v = v * r if op == "*" else v / r
-        return v
+            f = _binary(self.next().kind, f, self._expr_pow(names))
+        return f
 
-    def _expr_pow(self, env) -> float:
-        v = self._expr_atom(env)
-        if self.peek().kind == "^":
-            op = self.next()
-            v = v ** self._expr_pow(env)
+    def _expr_pow(self, names):
+        base = self._expr_atom(names)
+        if self.peek().kind != "^":
+            return base
+        op = self.next()
+        exponent = self._expr_pow(names)
+
+        def power(env):
+            v = base(env) ** exponent(env)
             if isinstance(v, complex):
                 self.error("negative base with a fractional exponent", op)
-        return v
+            return v
+        return power
 
-    def _expr_atom(self, env) -> float:
+    def _expr_atom(self, names):
         t = self.next()
         if t.kind == "-":
-            return -self._expr_atom(env)
+            f = self._expr_atom(names)
+            return lambda env: -f(env)
         if t.kind == "+":
-            return self._expr_atom(env)
+            return self._expr_atom(names)
         if t.kind in ("REAL", "INT"):
-            return float(t.text)
+            v = float(t.text)
+            return lambda env: v
         if t.kind == "(":
-            v = self._expr_add(env)
+            f = self._expr_add(names)
             self.expect(")")
-            return v
+            return f
         if t.kind == "ID":
             if t.text == "pi":
-                return math.pi
+                return lambda env: math.pi
             if t.text in _FUNCS:
+                func = _FUNCS[t.text]
                 self.expect("(")
-                v = self._expr_add(env)
+                f = self._expr_add(names)
                 self.expect(")")
-                return _FUNCS[t.text](v)
-            if t.text in env:
-                return env[t.text]
+                return lambda env: func(f(env))
+            if t.text in names:
+                i = names.index(t.text)
+                return lambda env: env[i]
             self.error(f"unknown identifier {t.text!r} in expression", t)
         self.error(f"unexpected token {t.text!r} in expression", t)
 
     # -- gate application ---------------------------------------------------
+    def check_call(self, name: Token, gate: _Gate, nparams: int,
+                   qubits: list[int]):
+        if nparams != gate.nparams or len(qubits) != gate.nqubits:
+            self.error(f"wrong arity for gate {name.text!r}", name)
+        if len(set(qubits)) != len(qubits):
+            self.error("duplicate qubit operand", name)
+
     def gate_call(self):
         name = self.expect("ID")
-        params: list[float] = []
-        if self.peek().kind == "(":
-            self.next()
-            if self.peek().kind != ")":
-                params.append(self.eval_expr({}))
-                while self.peek().kind == ",":
-                    self.next()
-                    params.append(self.eval_expr({}))
-            self.expect(")")
-        operands = [self.operand_qubits()]
-        while self.peek().kind == ",":
-            self.next()
-            operands.append(self.operand_qubits())
+        gate = self.gate_defs.get(name.text)
+        if gate is None:
+            self.error(f"unknown gate {name.text!r}", name)
+        params = self.paren_list(lambda: self.value(self.expr([]), ()))
+        operands = self.comma_list(self.operand_qubits)
         self.expect(";")
         # register broadcast: all multi-qubit operands must agree in size
         sizes = {len(o) for o in operands if len(o) > 1}
         if len(sizes) > 1:
             self.error("mismatched register sizes in gate call", name)
         reps = sizes.pop() if sizes else 1
-        d = self.gate_defs.get(name.text)
-        size = d.size if d is not None else _BUILTIN_SIZE.get(name.text, 0)
-        if len(self.gates) + reps * size > MAX_GATES:
+        if len(self.gates) + reps * gate.size > MAX_GATES:
             self.error(f"gate {name.text!r} would expand the circuit past "
-                       f"{MAX_GATES} gates ({reps} x {size} more after "
+                       f"{MAX_GATES} gates ({reps} x {gate.size} more after "
                        f"{len(self.gates)})", name)
         for i in range(reps):
             qs = [o[i] if len(o) > 1 else o[0] for o in operands]
-            self.apply_gate(name, d, params, qs)
+            self.check_call(name, gate, len(params), qs)
+            self.apply_gate(gate, params, qs)
 
-    def apply_gate(self, name: Token, d: _GateDef | None,
-                   params: list[float], qs: list[int]):
-        """Apply gate `name`: the definition `d`, or the built-in if None."""
-        if len(set(qs)) != len(qs):
-            self.error("duplicate qubit operand", name)
-        if d is not None:
-            if len(params) != len(d.params) or len(qs) != len(d.qargs):
-                self.error(f"wrong arity for gate {name.text!r}", name)
-            env = dict(zip(d.params, params))
-            qmap = dict(zip(d.qargs, qs))
-            for gname, target, pexprs, gqs in d.body:
-                sub = Parser.__new__(Parser)
-                sub.__dict__.update(self.__dict__)
-                ps = []
-                for expr in pexprs:
-                    sub.tokens = expr + [Token("EOF", "", gname.line, gname.col)]
-                    sub.pos = 0
-                    ps.append(sub.eval_expr(env))
-                    if sub.peek().kind != "EOF":
-                        sub.error(f"unexpected token {sub.peek().text!r} in "
-                                  f"expression")
-                try:
-                    mapped = [qmap[q] for q in gqs]
-                except KeyError as e:
-                    self.error(f"unknown qubit argument {e.args[0]!r} in gate "
-                               f"{name.text!r}", gname)
-                self.apply_gate(gname, target, ps, mapped)
+    def apply_gate(self, gate: _Gate, params: list[float], qs: list[int]):
+        """Inline one checked call of `gate` on qubits `qs`."""
+        if gate.builder is not None:
+            gates, phase = gate.builder(params, qs)
+            self.gates.extend(gates)
+            self.phase *= phase
             return
-        if name.text not in _BUILTIN:
-            self.error(f"unknown gate {name.text!r}", name)
-        nparams, nqubits, builder = _BUILTIN[name.text]
-        if len(params) != nparams or len(qs) != nqubits:
-            self.error(f"wrong arity for gate {name.text!r}", name)
-        gates, phase = builder(params, qs)
-        self.gates.extend(gates)
-        self.phase *= phase
+        for callee, exprs, args in gate.body:
+            self.apply_gate(callee, [self.value(e, params) for e in exprs],
+                            [qs[i] for i in args])
 
 
 def parse_qasm(source: str) -> Circuit:

@@ -280,10 +280,24 @@ def test_compile_mid_circuit_measure_exit_2(tmp_path, capsys):
     ("qreg q[1];\ngate g(t) a { rz(1 2) a; }\ng(0) q[0];\n", "line 4, col 20"),
     ("qreg q[2];\ngate g a, b { cx a, a; }\ng q[0], q[1];\n", "line 4, col 15"),
     ("qreg q[1];\ngate g a { rz(1 ", "line 4, col 17"),
+    # malformed definitions of gates the file never calls
+    ("qreg q[1];\ngate g a { rz(1 2) a; }\n", "line 4, col 17"),
+    ("qreg q[1];\ngate g(t) a { rz(t +) a; }\n", "line 4, col 21"),
+    ("qreg q[1];\ngate g(s) a { rz(t) a; }\n", "line 4, col 18"),
+    ("qreg q[2];\ngate g a { cx a, b; }\n", "line 4, col 18"),
+    ("qreg q[2];\ngate g a { cx a; }\n", "line 4, col 12"),
+    ("qreg q[2];\ngate g a, b { cx a, a; }\n", "line 4, col 15"),
+    ("qreg q[1];\ngate g(s t) a { rz(s) a; }\n", "line 4, col 10"),
+    ("qreg q[2];\ngate g a, a { h a; }\n", "line 4, col 11"),
+    ("qreg q[2];\ngate g a { barrier a, b; }\n", "line 4, col 23"),
 ], ids=["div-zero", "sqrt-negative", "ln-zero", "pow-overflow", "infinite",
         "gate-body-div-zero", "self-call", "deep-parens", "empty-register",
         "complex-power", "gate-body-trailing-token", "gate-body-same-qubit",
-        "gate-body-eof"])
+        "gate-body-eof", "uncalled-trailing-token", "uncalled-broken-expression",
+        "uncalled-unknown-identifier", "uncalled-unknown-qubit",
+        "uncalled-wrong-arity", "uncalled-same-qubit",
+        "uncalled-params-without-comma", "uncalled-repeated-argument",
+        "uncalled-barrier-unknown-qubit"])
 def test_compile_bad_input_exit_2(tmp_path, capsys, body, where):
     f = tmp_path / "bad.qasm"
     f.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\n' + body)

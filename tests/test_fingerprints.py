@@ -7,7 +7,8 @@ count, nuclear norm and SHA-256 with `perfbench/reference.json`, which this
 test only reads.  A change that means to alter compiled output rewrites that
 file with `perfbench/update_reference.py` and says so.  The two forced
 realization schemes, which the benchmark does not run, are checked against
-one SHA-256 each over the 12 corpus programs, kept here.
+one SHA-256 each over the 12 corpus programs, kept here, and so are the
+default programs of acceptance test 1's first 50 random circuits.
 """
 
 import hashlib
@@ -16,12 +17,14 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pgmq import serialize
 from pgmq.cost import ANCILLA_MERGED, NO_ANCILLA, metrics
 from pgmq.passes import CompileOptions, optimize
 from pgmq.qasm import parse_qasm_file
+from conftest import random_circuit
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = json.loads((ROOT / "perfbench" / "reference.json").read_text())
@@ -91,3 +94,20 @@ def test_forced_scheme_corpus_programs_match(scheme):
         prog = optimize(parse_qasm_file(path), CompileOptions(scheme=scheme))
         digest.update(serialize.dumps(prog).encode("utf-8"))
     assert digest.hexdigest() == FORCED_SCHEME_SHA256[scheme]
+
+
+# SHA-256 over serialize.dumps of the programs of acceptance test 1's first
+# 50 random circuits, drawn as that test draws them
+ACCEPTANCE_SHA256 = \
+    "0cdb8f666e94d583d27eda89b77d0c5708d59470d69669a4c30132ecd2da2039"
+
+
+def test_acceptance_circuit_programs_match():
+    rng = np.random.default_rng(20260826)
+    digest = hashlib.sha256()
+    for _ in range(50):
+        n = int(rng.integers(2, 9))
+        depth = int(rng.integers(5, 61))
+        prog = optimize(random_circuit(n, depth, rng))
+        digest.update(serialize.dumps(prog).encode("utf-8"))
+    assert digest.hexdigest() == ACCEPTANCE_SHA256

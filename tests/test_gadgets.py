@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pgmq.circuit import Circuit, GeneralizedCnot, cnot, to_unitary
-from pgmq.gadgets import (GadgetSequence, MultiQubitGate, PauliFrame,
-                          PhaseGadget, commute_cnot, decompose_pg,
-                          fanout_to_mq, merge_interface, pauli_mul,
-                          pg_commutes, simplify)
+from pgmq.gadgets import (ALPHA_EPS, GadgetSequence, MultiQubitGate,
+                          PauliFrame, PhaseGadget, _push_string_to_frame,
+                          commute_cnot, decompose_pg, fanout_to_mq,
+                          merge_interface, pauli_mul, pg_commutes, simplify)
 from conftest import sequence_unitary
 
 
@@ -218,6 +218,67 @@ def test_simplify_cancels_inverse_pair():
     seq = GadgetSequence(2, [PhaseGadget("Z", 0.4, (0, 1)),
                              PhaseGadget("Z", -0.4, (0, 1))])
     assert simplify(seq).gadgets == []
+
+
+def _nested_loop_simplify(seq: GadgetSequence) -> GadgetSequence:
+    """The merge scan `simplify` used before its one-sweep merge: for each
+    gadget, pull every later equal one back across everything between them
+    that it commutes with.  Steps (c) and (d) are `simplify`'s."""
+    out = seq.copy()
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i < len(out.gadgets):
+            gi = out.gadgets[i]
+            j = i + 1
+            while j < len(out.gadgets):
+                gj = out.gadgets[j]
+                if (gj.axis == gi.axis and gj.support == gi.support
+                        and all(pg_commutes(out.gadgets[k], gj)
+                                for k in range(i + 1, j))):
+                    gi.alpha = gi.alpha + gj.alpha
+                    gi.__post_init__()
+                    del out.gadgets[j]
+                    changed = True
+                    continue
+                j += 1
+            i += 1
+        for idx, g in enumerate(out.gadgets):
+            shift = math.floor(g.alpha + 0.5)
+            if shift != 0:
+                g.alpha -= shift
+                string = {q: g.axis for q in g.support} if shift % 2 else {}
+                _push_string_to_frame(out, idx, string, 1j ** (shift % 4))
+                changed = True
+        kept = [g for g in out.gadgets if abs(g.alpha) > ALPHA_EPS]
+        if len(kept) != len(out.gadgets):
+            out.gadgets = kept
+            changed = True
+    return out
+
+
+def test_simplify_matches_nested_loop_merge(rng):
+    # few (axis, support) keys, so most gadgets have equal ones to merge
+    # with across commuting and anticommuting gadgets in between
+    n = 4
+    for _ in range(300):
+        keys = [(str(rng.choice(list("XYZ"))),
+                 tuple(int(q) for q in rng.choice(
+                     n, int(rng.integers(1, n + 1)), replace=False)))
+                for _ in range(int(rng.integers(1, 6)))]
+        gads = []
+        for _ in range(int(rng.integers(1, 25))):
+            axis, support = keys[int(rng.integers(len(keys)))]
+            alpha = (float(rng.uniform(-2, 2)) if rng.random() < 0.5
+                     else 0.25 * int(rng.integers(-8, 9)))
+            gads.append(PhaseGadget(axis, alpha, support))
+        seq = GadgetSequence(n, gads, PauliFrame({0: "Y"}), 1j)
+        got, want = simplify(seq), _nested_loop_simplify(seq)
+        assert [(g.axis, g.support, g.alpha.hex()) for g in got.gadgets] \
+            == [(g.axis, g.support, g.alpha.hex()) for g in want.gadgets]
+        assert got.frame.paulis == want.frame.paulis
+        assert got.phase == want.phase
 
 
 def test_frame_cnot_conjugation_signs(rng):

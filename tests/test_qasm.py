@@ -37,6 +37,26 @@ def test_gate_definition_inlines():
     b = _u("qreg q[2];\ncx q[0],q[1];\nrz(0.5) q[1];\ncx q[0],q[1];\n")
     assert np.max(np.abs(_u(src) - b)) < 1e-12
 
+    # a nested definition called twice with different parameter expressions
+    src = ("qreg q[2];\n"
+           "gate inner(a, b) x, y { rz(a*b) x; cx x, y; u3(a, -b, a/2+b) y; }\n"
+           "gate outer(s, t) p, r { inner(s+t, s-t) p, r; "
+           "inner(2*s, t^2) r, p; }\n"
+           "outer(0.3, -1.2) q[0], q[1];\n"
+           "outer(pi/4, sin(0.5)) q[1], q[0];\n")
+
+    def inner(a, b, x, y):
+        return (f"rz({a * b!r}) q[{x}];\ncx q[{x}],q[{y}];\n"
+                f"u3({a!r},{-b!r},{a / 2 + b!r}) q[{y}];\n")
+
+    def outer(s, t, p, r):
+        return inner(s + t, s - t, p, r) + inner(2 * s, t ** 2, r, p)
+
+    b = _u("qreg q[2];\n" + outer(0.3, -1.2, 0, 1)
+           + outer(math.pi / 4, math.sin(0.5), 1, 0))
+    assert len(parse_qasm(HEADER + src).gates) == 12
+    assert np.max(np.abs(_u(src) - b)) < 1e-12
+
 
 def test_expression_arithmetic():
     a = _u("qreg q[1];\nrz(pi/4+sin(0)) q[0];\n")
