@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,6 +132,12 @@ class ZzRotation:
     def local_unitary(self) -> np.ndarray:
         return np.cos(self.theta) * np.eye(4) + 1j * np.sin(self.theta) * ZZ
 
+    def diagonal(self, n: int) -> np.ndarray:
+        """The gate's diagonal over an n-qubit register."""
+        x = np.arange(2 ** n)
+        z = 1 - 2 * (((x >> self.qubit_a) ^ (x >> self.qubit_b)) & 1)
+        return np.cos(self.theta) + 1j * np.sin(self.theta) * z
+
 
 @dataclass(eq=False)
 class Measure:
@@ -163,7 +170,13 @@ def u3(theta: float, phi: float, lam: float, q: int) -> SingleQubit:
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     m = np.array([[c, -np.exp(1j * lam) * s],
                   [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c]])
-    return SingleQubit(q, m, "u3")
+    try:
+        return SingleQubit(q, m, "u3")
+    except CircuitError:
+        # phi + lam rounds the smaller angle away once the other is huge
+        # (1e17 has an ulp of 16); the product of the two phases keeps both
+        m[1, 1] = np.exp(1j * phi) * np.exp(1j * lam) * c
+        return SingleQubit(q, m, "u3")
 
 
 def hadamard(q: int) -> SingleQubit:
@@ -214,7 +227,9 @@ def apply_local(mat: np.ndarray, local: np.ndarray, qubits: tuple[int, ...],
                 n: int) -> np.ndarray:
     """Left-multiply a 2^n x (...) array by a local operator on `qubits`.
 
-    `local` is 2^k x 2^k with qubits[0] as its least significant index.
+    `local` is 2^k x 2^k with qubits[0] as its least significant index.  This
+    is the reference every structured kernel of `gate_apply` is tested
+    against.
     """
     k = len(qubits)
     rest = mat.shape[1:]
@@ -233,18 +248,74 @@ def apply_local(mat: np.ndarray, local: np.ndarray, qubits: tuple[int, ...],
     return t.reshape((2 ** n,) + rest)
 
 
-def gate_apply(mat: np.ndarray, gate, n: int) -> np.ndarray:
-    """Apply one gate to the rows of `mat` (a unitary or statevector)."""
-    if isinstance(gate, Barrier):
-        return mat
+PHASE, PERMUTE, ONE_QUBIT, LOCAL = "phase", "permute", "one-qubit", "local"
+# a one-qubit gate's batched matmul pays per batch entry; from this many
+# entries of at most _FOLD_REST columns each (low wires of a state vector),
+# one matmul of the rows with m (x) I is cheaper, and always for one column
+_FOLD_BATCH, _FOLD_REST = 64, 16
+
+
+class Kernel(NamedTuple):
+    """How `gate_apply` applies one gate to the rows of a 2^n x (...) array."""
+
+    kind: str               # PHASE, PERMUTE, ONE_QUBIT or LOCAL
+    table: np.ndarray       # phase vector, row permutation, 2x2 or dense local
+    qubits: tuple = ()      # the wires of ONE_QUBIT and LOCAL
+
+
+def gate_kernel(gate, n: int) -> Kernel:
+    """The kernel of one gate on an n-qubit register: a diagonal gate
+    (`ZzRotation`, `MultiQubitGate`) is its phase vector over the register, a
+    canonical CNOT a permutation of the rows, a one-qubit gate its 2x2 on one
+    wire, and any other gate its dense local operator (`apply_local`)."""
     if isinstance(gate, Measure):
         raise CircuitError("measurement has no unitary action")
-    local = gate.local_unitary()
-    return apply_local(mat, local, gate.qubits, n)
+    if isinstance(gate, SingleQubit):
+        return Kernel(ONE_QUBIT, gate.matrix, (gate.qubit,))
+    if isinstance(gate, GeneralizedCnot) and gate.is_canonical:
+        x = np.arange(2 ** n)
+        return Kernel(PERMUTE, x ^ (((x >> gate.control) & 1) << gate.target))
+    if hasattr(gate, "diagonal"):
+        return Kernel(PHASE, gate.diagonal(n))
+    return Kernel(LOCAL, gate.local_unitary(), gate.qubits)
+
+
+def _one_qubit(mat: np.ndarray, m: np.ndarray, q: int, n: int) -> np.ndarray:
+    """m on wire q: one batched matmul of the 2x2 over the (2^(n-1-q), 2,
+    rest) view of the rows, with no axis-moving copy."""
+    batch = 2 ** (n - 1 - q)
+    view = mat.reshape(batch, 2, -1)
+    rest = view.shape[2]
+    if rest == 1:
+        wide = m.T
+    elif batch >= _FOLD_BATCH and rest <= _FOLD_REST:
+        wide = (m.T[:, None, :, None] * np.eye(rest)[:, None, :]).reshape(
+            2 * rest, 2 * rest)
+    else:
+        return np.matmul(m, view).reshape(mat.shape)
+    return (mat.reshape(batch, 2 * rest) @ wide).reshape(mat.shape)
+
+
+def gate_apply(mat: np.ndarray, gate, n: int) -> np.ndarray:
+    """Apply one gate to the rows of `mat` (a unitary or statevector) through
+    its kernel; `gate` may also be a `Kernel` built beforehand."""
+    if isinstance(gate, Barrier):
+        return mat
+    kind, table, qubits = gate if isinstance(gate, Kernel) \
+        else gate_kernel(gate, n)
+    if kind == PHASE:
+        return mat * table.reshape(table.shape + (1,) * (mat.ndim - 1))
+    if kind == PERMUTE:
+        return mat[table]
+    if kind == ONE_QUBIT:
+        return _one_qubit(mat, table, qubits[0], n)
+    return apply_local(mat, table, qubits, n)
 
 
 def to_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense 2^N x 2^N unitary of the circuit (leftmost gate applied first)."""
+    """Dense 2^N x 2^N unitary of the circuit (leftmost gate applied first).
+    The one-qubit gates on a wire between two gates that touch it are
+    multiplied into one 2x2 before they are applied."""
     n = circuit.num_qubits
     if n > DEFAULT_ORACLE_CAP:
         raise CircuitError(f"register too large for dense oracle "
@@ -252,8 +323,18 @@ def to_unitary(circuit: Circuit) -> np.ndarray:
     if any(isinstance(g, Measure) for g in circuit.gates):
         raise CircuitError("measurement present; strip measures first")
     u = np.eye(2 ** n, dtype=complex)
+    pending: dict[int, np.ndarray] = {}     # wire -> product of its locals
     for g in circuit.gates:
+        if isinstance(g, SingleQubit):
+            prev = pending.get(g.qubit)
+            pending[g.qubit] = g.matrix if prev is None else g.matrix @ prev
+            continue
+        for q in g.qubits:
+            if q in pending:
+                u = gate_apply(u, Kernel(ONE_QUBIT, pending.pop(q), (q,)), n)
         u = gate_apply(u, g, n)
+    for q, m in pending.items():
+        u = gate_apply(u, Kernel(ONE_QUBIT, m, (q,)), n)
     return circuit.global_phase * u
 
 

@@ -86,11 +86,14 @@ class CostVector:
 
 
 def nuclear_norm(gate: MultiQubitGate | np.ndarray) -> float:
-    """Sum of absolute eigenvalues of the symmetric phase matrix."""
-    m = gate.phase_matrix() if isinstance(gate, MultiQubitGate) else np.asarray(gate)
+    """Sum of absolute eigenvalues of the symmetric phase matrix (a raw
+    array is checked for symmetry; a gate's phase matrix is symmetric by
+    construction)."""
+    raw = not isinstance(gate, MultiQubitGate)
+    m = np.asarray(gate) if raw else gate.phase_matrix()
     if m.size == 0:
         return 0.0
-    if np.max(np.abs(m - m.T)) > 1e-12:
+    if raw and np.max(np.abs(m - m.T)) > 1e-12:
         raise CircuitError("phase matrix must be symmetric")
     return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
 

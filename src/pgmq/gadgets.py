@@ -140,16 +140,24 @@ class MultiQubitGate:
             m[idx[b], idx[a]] += th / 2
         return m
 
-    def local_unitary(self) -> np.ndarray:
+    def diagonal(self, n: int | None = None) -> np.ndarray:
+        """The gate's diagonal over an n-qubit register, or (n None) over
+        its support with support[0] least significant."""
         qs = self.support
-        pos = {q: i for i, q in enumerate(qs)}
-        x = np.arange(2 ** len(qs))
+        if n is None:
+            n, pos = len(qs), {q: i for i, q in enumerate(qs)}
+        else:
+            pos = {q: q for q in qs}
+        x = np.arange(2 ** n)
         diag = np.zeros(x.size)
         for (a, b), th in self.pairs.items():
             sa = 1 - 2 * ((x >> pos[a]) & 1)
             sb = 1 - 2 * ((x >> pos[b]) & 1)
             diag += th * sa * sb
-        return np.diag(np.exp(1j * diag))
+        return np.exp(1j * diag)
+
+    def local_unitary(self) -> np.ndarray:
+        return np.diag(self.diagonal())
 
 
 @dataclass(eq=False)

@@ -15,15 +15,18 @@ draw loop, picks the Pauli errors of one noisy instance from the table;
 
 The Monte Carlo sampler simulates the clean circuit once per call, keeping
 the state before the noise sites (as many as fit in `CHECKPOINT_BYTES`,
-evenly spaced).  A sample that draws no error reuses the clean bitstring
+evenly spaced).  It builds each gate's kernel (`circuit.gate_kernel`) once
+per call too, in what is left of that budget, for the clean run and every
+replay.  A sample that draws no error reuses the clean bitstring
 distribution; any other sample restarts from the last checkpoint at or
 before its first error and replays only the rest of the circuit with its
-errors inserted.  Gates are applied in the same order as a full simulation
-of the noisy instance, so results are bit-for-bit those of re-simulating
-every sample, and the cost grows with the error rate, not with samples
-times gates.  Each sample draws from its own counter-based substream, so
-the result is reproducible regardless of evaluation order; its distribution
-is compared to the ideal one via total variation distance.
+errors inserted.  Gates are applied in the same order and through the same
+kernels as a full simulation of the noisy instance, so results are
+bit-for-bit those of re-simulating every sample, and the cost grows with
+the error rate, not with samples times gates.  Each sample draws from its
+own counter-based substream, so the result is reproducible regardless of
+evaluation order; its distribution is compared to the ideal one via total
+variation distance.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import (Barrier, Circuit, InputError, Measure, SingleQubit,
-                      gate_apply, pauli_gate)
+                      gate_apply, gate_kernel, pauli_gate)
 from .cost import FULL_TQ_PHASE, gate_norm
 
 STATEVECTOR_CAP = 16
@@ -86,21 +89,48 @@ def _noise_sites(circuit: Circuit, model: NoiseModel) -> dict:
     return sites
 
 
-def _draw(sites: dict, model: NoiseModel, rng) -> dict:
+def _slots(sites: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (site, qubit) slots of a site table in draw order: each slot's
+    gate index, qubit and depolarization rate."""
+    site = [i for i, (qubits, _) in sites.items() for _ in qubits]
+    qubit = [q for qubits, _ in sites.values() for q in qubits]
+    p_dep = [p for qubits, p in sites.values() for _ in qubits]
+    return (np.array(site, dtype=int), np.array(qubit, dtype=int),
+            np.array(p_dep, dtype=float))
+
+
+def _draw(slots: tuple, model: NoiseModel, rng) -> dict:
     """The Pauli errors of one noisy instance: each site's index, in time
     order, mapped to the error gates inserted before its gate (sites that
     drew none are left out).  Draw order is fixed (time-major, then
-    qubit-major, dephasing before depolarization) for reproducibility."""
-    errors = {}
-    for i, (qubits, p_dep) in sites.items():
-        paulis = []
-        for q in qubits:
-            if rng.random() < model.p_dephase:
-                paulis.append(pauli_gate("Z", q))
-            if rng.random() < p_dep:
-                paulis.append(pauli_gate(_PAULI_CHOICES[rng.integers(3)], q))
-        if paulis:
-            errors[i] = paulis
+    qubit-major, dephasing before depolarization) for reproducibility.
+
+    Each slot draws a dephasing and a depolarization double, and a
+    depolarized slot then draws its Pauli.  The doubles are drawn in one
+    block up to the next depolarized slot, so the stream is that of
+    drawing slot by slot."""
+    site, qubit, p_dep = slots
+    errors: dict = {}
+
+    def add(k: int, axis: str) -> None:
+        gate = pauli_gate(axis, int(qubit[k]))
+        errors.setdefault(int(site[k]), []).append(gate)
+
+    j = 0
+    while j < site.size:
+        state = rng.bit_generator.state
+        u = rng.random(2 * (site.size - j)).reshape(-1, 2)
+        hits = np.flatnonzero(u[:, 1] < p_dep[j:])
+        end = j + (int(hits[0]) + 1 if hits.size else len(u))
+        for k in j + np.flatnonzero(u[:end - j, 0] < model.p_dephase):
+            add(int(k), "Z")
+        if hits.size:
+            # rewind to just after the depolarized slot's doubles: its
+            # Pauli is drawn next
+            rng.bit_generator.state = state
+            rng.random(2 * (end - j))
+            add(end - 1, _PAULI_CHOICES[rng.integers(3)])
+        j = end
     return errors
 
 
@@ -108,7 +138,7 @@ def inject_noise(program, model: NoiseModel, rng) -> Circuit:
     """One noisy instance: the circuit with random Pauli errors inserted
     before each entangling gate (single-qubit gates stay noiseless)."""
     circuit = _as_circuit(program)
-    errors = _draw(_noise_sites(circuit, model), model, rng)
+    errors = _draw(_slots(_noise_sites(circuit, model)), model, rng)
     gates = []
     for i, g in enumerate(circuit.gates):
         gates.extend(errors.get(i, ()))
@@ -131,22 +161,42 @@ def success_probability(program, model: NoiseModel) -> float:
 # ---------------------------------------------------------------------------
 
 def _run(circuit: Circuit, psi: np.ndarray, start: int = 0,
-         errors: dict | None = None, keep: dict | None = None) -> np.ndarray:
+         errors: dict | None = None, keep: dict | None = None,
+         ops: list | None = None) -> np.ndarray:
     """U |psi> for the gates from index `start` on, each preceded by its
     entries of `errors` (see `_draw`); for every gate index that is a key of
-    `keep`, the state before that gate is stored there.  `psi` is left
-    unchanged."""
+    `keep`, the state before that gate is stored there.  `ops`, if given,
+    holds what `gate_apply` applies in place of each gate (see `_kernels`).
+    `psi` is left unchanged."""
     n = circuit.num_qubits
     errors = errors or {}
+    ops = ops or circuit.gates
     for i in range(start, len(circuit.gates)):
         if keep is not None and i in keep:
             keep[i] = psi
         for e in errors.get(i, ()):
             psi = gate_apply(psi, e, n)
-        g = circuit.gates[i]
-        if not isinstance(g, (Barrier, Measure)):
-            psi = gate_apply(psi, g, n)
+        if not isinstance(circuit.gates[i], (Barrier, Measure)):
+            psi = gate_apply(psi, ops[i], n)
     return circuit.global_phase * psi
+
+
+def _kernels(circuit: Circuit, room: int) -> list:
+    """Each gate's kernel, built once, in place of the gate while the
+    kernels' tables fit in `room` bytes together; barriers, measurements and
+    the gates past that stay themselves (their kernel is built at each
+    application)."""
+    n = circuit.num_qubits
+    ops = list(circuit.gates)
+    for i, g in enumerate(ops):
+        if isinstance(g, (Barrier, Measure)):
+            continue
+        kernel = gate_kernel(g, n)
+        if kernel.table.nbytes > room:
+            break
+        room -= kernel.table.nbytes
+        ops[i] = kernel
+    return ops
 
 
 def apply_circuit(circuit: Circuit, psi: np.ndarray) -> np.ndarray:
@@ -251,25 +301,29 @@ def monte_carlo_fidelity(program, input_circuit: Circuit, model: NoiseModel,
     seed = model.seed
 
     sites = _noise_sites(circuit, model)
+    slots = _slots(sites)
     psi0 = _zero_state(circuit.num_qubits)
     # the clean run keeps the state before each checkpoint site; a sample
     # restarts from the last one at or before its first error
     checkpoints = dict.fromkeys(_checkpoint_sites(sites, circuit.num_qubits))
     starts = list(checkpoints)
+    # the gates' kernels share the checkpoints' memory budget
+    ops = _kernels(circuit, CHECKPOINT_BYTES - psi0.nbytes * len(checkpoints))
 
     def normalized(psi):
         p = _marginal(psi, num_bits)
         return p / p.sum()
 
-    clean = normalized(_run(circuit, psi0, keep=checkpoints))
+    clean = normalized(_run(circuit, psi0, keep=checkpoints, ops=ops))
     drawn = np.empty((samples, shots), dtype=np.int64)
     for s in range(samples):
         rng = _sample_rng(seed, s)
-        errors = _draw(sites, model, rng)
+        errors = _draw(slots, model, rng)
         p = clean
         if errors:
             start = starts[bisect.bisect_right(starts, min(errors)) - 1]
-            p = normalized(_run(circuit, checkpoints[start], start, errors))
+            p = normalized(_run(circuit, checkpoints[start], start, errors,
+                                ops=ops))
         drawn[s] = rng.choice(dim, size=shots, p=p)
 
     total = samples * shots

@@ -277,6 +277,7 @@ class CompiledProgram:
     scheme: str = AUTO
     commutation_events: int = 0
     cost_trace: list = field(default_factory=list)  # accepted cost keys
+    _realized: Circuit | None = field(default=None, init=False, repr=False)
 
     @property
     def iterations(self) -> int:
@@ -299,9 +300,14 @@ class CompiledProgram:
 
     def realized_circuit(self) -> Circuit:
         """Replay with the body realized as native multiqubit gates (the
-        ancilla, when used, is the final qubit)."""
-        r = realize(self.body, self.scheme)
-        return self._replay(r.num_qubits, r.gates, r.global_phase)
+        ancilla, when used, is the final qubit).  Built on the first call
+        and kept: nothing changes a program once it is built, and callers
+        only read the circuit."""
+        if self._realized is None:
+            r = realize(self.body, self.scheme)
+            self._realized = self._replay(r.num_qubits, r.gates,
+                                          r.global_phase)
+        return self._realized
 
 
 def _strip_measures(circuit: Circuit) -> tuple[Circuit, dict]:

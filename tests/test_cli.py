@@ -346,6 +346,18 @@ def test_compile_unreadable_input_exit_2(tmp_path, capsys, kind):
     assert "in.qasm" in err
 
 
+def test_compile_huge_u2_angle_then_verify(tmp_path, capsys):
+    # phi + lam once rounded lam away, so the built u3 was not unitary and
+    # compile stopped with an internal error (exit 3)
+    f = tmp_path / "huge.qasm"
+    f.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+                 'u2(1e17, 0.5) q[0];\ncx q[0], q[1];\n')
+    out = tmp_path / "p.json"
+    assert main(["compile", str(f), "--out", str(out)]) == 0
+    assert main(["verify", str(out), str(f)]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_compile_empty_circuit_ok(tmp_path):
     f = tmp_path / "empty.qasm"
     f.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n')

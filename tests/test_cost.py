@@ -49,6 +49,14 @@ def test_nuclear_norm_rejects_asymmetric():
         nuclear_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_nuclear_norm_of_gate_is_norm_of_its_phase_matrix(rng):
+    # a gate skips the symmetry check; the reduction is the same
+    for k in range(2, 9):
+        g = MultiQubitGate({(a, b): float(rng.uniform(-2, 2))
+                            for a in range(k) for b in range(a + 1, k)})
+        assert nuclear_norm(g) == nuclear_norm(g.phase_matrix())
+
+
 def test_cost_vector_lex_key():
     assert CostVector(2, 1.0).key() < CostVector(3, 0.1).key()
     assert CostVector(2, 0.5).key() < CostVector(2, 0.6).key()

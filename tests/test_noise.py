@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from pgmq import noise
-from pgmq.circuit import (Circuit, InputError, Measure, SingleQubit,
-                          ZzRotation, cnot, hadamard)
+from pgmq.circuit import (Circuit, InputError, Kernel, Measure, SingleQubit,
+                          ZzRotation, cnot, hadamard, pauli_gate)
 from pgmq.cost import ANCILLA_MERGED
 from pgmq.gadgets import MultiQubitGate
 from pgmq.noise import (BOOTSTRAP, MonteCarloResult, NoiseModel,
-                        _checkpoint_sites, _noise_sites, _sample_rng,
-                        gate_norm, inject_noise,
+                        _checkpoint_sites, _draw, _noise_sites, _sample_rng,
+                        _slots, gate_norm, inject_noise,
                         monte_carlo_fidelity, probabilities, relative_error,
                         relative_error_ci, statevector, success_probability)
 from pgmq.passes import CompileOptions, optimize
@@ -110,6 +110,52 @@ def test_single_qubit_gates_collect_no_noise(rng):
     noisy = inject_noise(c, NoiseModel(1.0, 1.0), rng)
     assert len(noisy.gates) == 2
     assert success_probability(c, NoiseModel(1.0, 1.0)) == 1.0
+
+
+def _draw_slot_by_slot(sites, model, rng):
+    """Reference draw loop: one scalar draw per test, site by site, qubit by
+    qubit, dephasing before depolarization."""
+    errors = {}
+    for i, (qubits, p_dep) in sites.items():
+        paulis = []
+        for q in qubits:
+            if rng.random() < model.p_dephase:
+                paulis.append(pauli_gate("Z", q))
+            if rng.random() < p_dep:
+                paulis.append(pauli_gate(("X", "Y", "Z")[rng.integers(3)], q))
+        if paulis:
+            errors[i] = paulis
+    return errors
+
+
+def _named(errors):
+    return {i: [(g.qubit, g.name) for g in gates] for i, gates in errors.items()}
+
+
+@pytest.mark.parametrize("p", [1e-3, 2e-2])
+def test_block_draw_is_slot_by_slot_draw(p):
+    # the same errors and the generator left at the same point (the shots
+    # are drawn from it next), on Philox substreams and on a PCG64 stream;
+    # norms differ per site, so the depolarization rates do too
+    c = parse_qasm(MEASURED_BELL)
+    realized, source = _ancilla_program()
+    hits = 0
+    for circuit in (c, realized, source):
+        model = NoiseModel(p, p)
+        sites = _noise_sites(circuit, model)
+        slots = _slots(sites)
+        for seed in range(400):
+            for make in (lambda: _sample_rng(7, seed),
+                         lambda: np.random.default_rng(seed)):
+                fast, slow = make(), make()
+                got = _draw(slots, model, fast)
+                assert _named(got) == _named(
+                    _draw_slot_by_slot(sites, model, slow))
+                assert fast.random() == slow.random()
+                assert fast.integers(3) == slow.integers(3)
+                hits += sum(g.name != "z" for gates in got.values()
+                            for g in gates)
+    assert hits > 0      # depolarization hits, and with them the rewind, ran
 
 
 # --- success probability -------------------------------------------------------
@@ -293,6 +339,22 @@ def test_monte_carlo_replays_from_earlier_checkpoint(monkeypatch, states):
     assert len(kept) == states < len(sites)
     assert kept[0] == next(iter(sites))
     _assert_resimulated(circuit, input_circuit, model)
+
+
+def test_monte_carlo_builds_kernels_within_the_budget(monkeypatch):
+    # every checkpoint fits, with room left for two states' worth of kernel
+    # tables: the gates past that build their kernel at each application,
+    # and the result is still that of re-simulating every sample
+    circuit, input_circuit = _ancilla_program()
+    state = 16 * 2 ** circuit.num_qubits
+    sites = _noise_sites(circuit, NoiseModel())
+    monkeypatch.setattr(noise, "CHECKPOINT_BYTES", state * (len(sites) + 2))
+    assert _checkpoint_sites(sites, circuit.num_qubits) == list(sites)
+    ops = noise._kernels(circuit, 2 * state)
+    held = [op for op in ops if isinstance(op, Kernel)]
+    assert held and len(held) < len(ops)
+    assert sum(k.table.nbytes for k in held) <= 2 * state
+    _assert_resimulated(circuit, input_circuit, NoiseModel(0.1, 0.1, seed=5))
 
 
 def test_monte_carlo_mismatched_register_rejected():

@@ -284,6 +284,27 @@ def test_optimize_preserves_unitary(rng):
         assert np.max(np.abs(program_unitary(prog) - to_unitary(c))) < 1e-8
 
 
+def test_realized_circuit_is_built_once(rng, monkeypatch):
+    # repeated calls, and the noise library's calls, reuse one realization
+    from pgmq import noise, passes
+    calls = []
+    realize = passes.realize
+    monkeypatch.setattr(passes, "realize",
+                        lambda *a: calls.append(a) or realize(*a))
+    c = random_circuit(4, 30, rng)
+    opts = CompileOptions(scheme=ANCILLA_MERGED)
+    prog = optimize(c, opts)
+    first = prog.realized_circuit()
+    model = noise.NoiseModel(1e-2, 1e-2)
+    noise.success_probability(prog, model)
+    noise.monte_carlo_fidelity(prog, c, model, samples=3, shots=2)
+    again = prog.realized_circuit()
+    assert len(calls) == 1 and again.gates == first.gates
+    # and it is the realization a fresh compile of the same circuit gives
+    fresh = optimize(c, opts).realized_circuit()
+    assert np.array_equal(to_unitary(again), to_unitary(fresh))
+
+
 def test_optimize_realized_circuit_no_ancilla(rng):
     for _ in range(6):
         n = 3
