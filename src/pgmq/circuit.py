@@ -249,10 +249,6 @@ def apply_local(mat: np.ndarray, local: np.ndarray, qubits: tuple[int, ...],
 
 
 PHASE, PERMUTE, ONE_QUBIT, LOCAL = "phase", "permute", "one-qubit", "local"
-# a one-qubit gate's batched matmul pays per batch entry; from this many
-# entries of at most _FOLD_REST columns each (low wires of a state vector),
-# one matmul of the rows with m (x) I is cheaper, and always for one column
-_FOLD_BATCH, _FOLD_REST = 64, 16
 
 
 class Kernel(NamedTuple):
@@ -280,22 +276,6 @@ def gate_kernel(gate, n: int) -> Kernel:
     return Kernel(LOCAL, gate.local_unitary(), gate.qubits)
 
 
-def _one_qubit(mat: np.ndarray, m: np.ndarray, q: int, n: int) -> np.ndarray:
-    """m on wire q: one batched matmul of the 2x2 over the (2^(n-1-q), 2,
-    rest) view of the rows, with no axis-moving copy."""
-    batch = 2 ** (n - 1 - q)
-    view = mat.reshape(batch, 2, -1)
-    rest = view.shape[2]
-    if rest == 1:
-        wide = m.T
-    elif batch >= _FOLD_BATCH and rest <= _FOLD_REST:
-        wide = (m.T[:, None, :, None] * np.eye(rest)[:, None, :]).reshape(
-            2 * rest, 2 * rest)
-    else:
-        return np.matmul(m, view).reshape(mat.shape)
-    return (mat.reshape(batch, 2 * rest) @ wide).reshape(mat.shape)
-
-
 def gate_apply(mat: np.ndarray, gate, n: int) -> np.ndarray:
     """Apply one gate to the rows of `mat` (a unitary or statevector) through
     its kernel; `gate` may also be a `Kernel` built beforehand."""
@@ -308,7 +288,10 @@ def gate_apply(mat: np.ndarray, gate, n: int) -> np.ndarray:
     if kind == PERMUTE:
         return mat[table]
     if kind == ONE_QUBIT:
-        return _one_qubit(mat, table, qubits[0], n)
+        # one batched matmul of the 2x2 over the (2^(n-1-q), 2, rest) view
+        # of the rows, with no axis-moving copy
+        view = mat.reshape(2 ** (n - 1 - qubits[0]), 2, -1)
+        return np.matmul(table, view).reshape(mat.shape)
     return apply_local(mat, table, qubits, n)
 
 

@@ -107,30 +107,31 @@ def _draw(slots: tuple, model: NoiseModel, rng) -> dict:
 
     Each slot draws a dephasing and a depolarization double, and a
     depolarized slot then draws its Pauli.  The doubles are drawn in one
-    block up to the next depolarized slot, so the stream is that of
-    drawing slot by slot."""
+    block up to the first depolarized slot and slot by slot from there on,
+    so the stream is that of drawing slot by slot throughout."""
     site, qubit, p_dep = slots
+    p_z = model.p_dephase
     errors: dict = {}
 
-    def add(k: int, axis: str) -> None:
-        gate = pauli_gate(axis, int(qubit[k]))
-        errors.setdefault(int(site[k]), []).append(gate)
+    def add(i: int, q: int, axis: str) -> None:
+        errors.setdefault(i, []).append(pauli_gate(axis, q))
 
-    j = 0
-    while j < site.size:
-        state = rng.bit_generator.state
-        u = rng.random(2 * (site.size - j)).reshape(-1, 2)
-        hits = np.flatnonzero(u[:, 1] < p_dep[j:])
-        end = j + (int(hits[0]) + 1 if hits.size else len(u))
-        for k in j + np.flatnonzero(u[:end - j, 0] < model.p_dephase):
-            add(int(k), "Z")
-        if hits.size:
-            # rewind to just after the depolarized slot's doubles: its
-            # Pauli is drawn next
-            rng.bit_generator.state = state
-            rng.random(2 * (end - j))
-            add(end - 1, _PAULI_CHOICES[rng.integers(3)])
-        j = end
+    state = rng.bit_generator.state
+    u = rng.random(2 * site.size).reshape(-1, 2)
+    hits = np.flatnonzero(u[:, 1] < p_dep)
+    first = int(hits[0]) if hits.size else site.size
+    for k in np.flatnonzero(u[:first, 0] < p_z).tolist():
+        add(int(site[k]), int(qubit[k]), "Z")
+    if hits.size:
+        # rewind to the first depolarized slot's doubles and go on slot by
+        # slot: its Pauli is drawn right after them
+        rng.bit_generator.state = state
+        rng.random(2 * first)
+        for i, q, p in zip(*(a[first:].tolist() for a in slots)):
+            if rng.random() < p_z:
+                add(i, q, "Z")
+            if rng.random() < p:
+                add(i, q, _PAULI_CHOICES[rng.integers(3)])
     return errors
 
 

@@ -1,7 +1,7 @@
 """The structured kernels of `gate_apply` against the dense reference.
 
-Every kernel path (phase vector, row permutation, the one-qubit matmul in
-each of its shapes, and the dense fallback) is compared with `apply_local`
+Every kernel path (phase vector, row permutation, the one-qubit matmul on
+every wire, and the dense fallback) is compared with `apply_local`
 on random gates at widths 1-9, the top qubit (where an ancilla sits)
 included, on state vectors and on unitaries.  `to_unitary`, which also
 fuses runs of one-qubit gates, is compared with a product built from
@@ -88,9 +88,8 @@ def test_every_kernel_matches_apply_local(n, rng):
 
 
 def test_one_qubit_kernel_covers_every_shape(rng):
-    # on nine qubits a state vector's low wires fold the batch into one
-    # matmul (one column, and a few columns), its high wires and every wire
-    # of a unitary take the batched matmul
+    # every wire of a nine-qubit state vector and unitary: the batched
+    # matmul's view runs from one trailing column to one batch entry
     n = 9
     psi, u = _arrays(n, rng)
     for q in range(n):

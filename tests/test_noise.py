@@ -132,7 +132,7 @@ def _named(errors):
     return {i: [(g.qubit, g.name) for g in gates] for i, gates in errors.items()}
 
 
-@pytest.mark.parametrize("p", [1e-3, 2e-2])
+@pytest.mark.parametrize("p", [1e-3, 2e-2, 0.3])
 def test_block_draw_is_slot_by_slot_draw(p):
     # the same errors and the generator left at the same point (the shots
     # are drawn from it next), on Philox substreams and on a PCG64 stream;
