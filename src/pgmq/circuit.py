@@ -141,12 +141,10 @@ class ZzRotation:
 
 @dataclass(eq=False)
 class Measure:
+    """An entry of `Circuit.measures`, never a gate."""
+
     qubit: int
     bit: int
-
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return (self.qubit,)
 
 
 @dataclass(eq=False)
@@ -197,21 +195,29 @@ def cnot(control: int, target: int) -> GeneralizedCnot:
 
 @dataclass(eq=False)
 class Circuit:
+    """Gates in time order, then the terminal measurements in written order."""
+
     num_qubits: int
     gates: list = field(default_factory=list)
     classical_bits: int = 0
     global_phase: complex = 1.0 + 0j
+    measures: list = field(default_factory=list)
 
     def __post_init__(self):
         for g in self.gates:
             self._check(g)
+        for m in self.measures:
+            if not (0 <= m.qubit < self.num_qubits
+                    and 0 <= m.bit < self.classical_bits):
+                raise CircuitError(f"measurement of qubit {m.qubit} into bit "
+                                   f"{m.bit} out of range")
 
     def _check(self, g):
+        if isinstance(g, Measure):
+            raise CircuitError("a measurement belongs in measures, not gates")
         for q in g.qubits:
             if not (0 <= q < self.num_qubits):
                 raise CircuitError(f"qubit {q} out of range (N={self.num_qubits})")
-        if isinstance(g, Measure) and not (0 <= g.bit < self.classical_bits):
-            raise CircuitError(f"classical bit {g.bit} out of range")
 
     def add(self, g) -> "Circuit":
         self._check(g)
@@ -264,8 +270,6 @@ def gate_kernel(gate, n: int) -> Kernel:
     (`ZzRotation`, `MultiQubitGate`) is its phase vector over the register, a
     canonical CNOT a permutation of the rows, a one-qubit gate its 2x2 on one
     wire, and any other gate its dense local operator (`apply_local`)."""
-    if isinstance(gate, Measure):
-        raise CircuitError("measurement has no unitary action")
     if isinstance(gate, SingleQubit):
         return Kernel(ONE_QUBIT, gate.matrix, (gate.qubit,))
     if isinstance(gate, GeneralizedCnot) and gate.is_canonical:
@@ -303,8 +307,6 @@ def to_unitary(circuit: Circuit) -> np.ndarray:
     if n > DEFAULT_ORACLE_CAP:
         raise CircuitError(f"register too large for dense oracle "
                            f"({n} > {DEFAULT_ORACLE_CAP})")
-    if any(isinstance(g, Measure) for g in circuit.gates):
-        raise CircuitError("measurement present; strip measures first")
     u = np.eye(2 ** n, dtype=complex)
     pending: dict[int, np.ndarray] = {}     # wire -> product of its locals
     for g in circuit.gates:
@@ -323,7 +325,7 @@ def to_unitary(circuit: Circuit) -> np.ndarray:
 
 def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Max-entry distance between a and b modulo a global phase."""
-    tr = np.trace(a.conj().T @ b)
+    tr = np.vdot(a, b)      # trace(a^dag b) in O(size), not a product
     ph = tr / abs(tr) if abs(tr) > 1e-14 else 1.0
     return float(np.max(np.abs(a * ph - b)))
 

@@ -24,7 +24,7 @@ from .cost import ANCILLA_MERGED, AUTO, NO_ANCILLA, metrics
 from .noise import (STATEVECTOR_CAP, NoiseModel, apply_circuit,
                     check_simulable, monte_carlo_fidelity, relative_error,
                     success_probability)
-from .passes import CompileOptions, CompiledProgram, _strip_measures, optimize
+from .passes import CompileOptions, CompiledProgram, optimize
 from .qasm import QasmError, parse_qasm_file
 from .serialize import dumps as program_dumps, load as program_load
 
@@ -114,7 +114,6 @@ def _verify_program(prog: CompiledProgram, circuit: Circuit, cap: int,
     projected on |0>.  Both run on the same columns: every basis state up to
     `cap` source qubits (the dense unitaries), 20 seeded random states above.
     Returns (pass, max deviation, ancilla leakage)."""
-    stripped, _ = _strip_measures(circuit)
     realized = prog.realized_circuit()
     check_simulable(realized.num_qubits)
     dim = 2 ** circuit.num_qubits
@@ -128,7 +127,7 @@ def _verify_program(prog: CompiledProgram, circuit: Circuit, cap: int,
     full = np.zeros((2 ** realized.num_qubits, cols.shape[1]), dtype=complex)
     full[:dim] = cols
     out = apply_circuit(realized, full)
-    err = phase_distance(apply_circuit(stripped, cols), out[:dim])
+    err = phase_distance(apply_circuit(circuit, cols), out[:dim])
     leak = float(np.max(np.abs(out[dim:]), initial=0.0))
     return err <= VERIFY_TOL and leak <= LEAK_TOL, err, leak
 

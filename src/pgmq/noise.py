@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import (Barrier, Circuit, InputError, Measure, SingleQubit,
-                      gate_apply, gate_kernel, pauli_gate)
+from .circuit import (Barrier, Circuit, InputError, gate_apply, gate_kernel,
+                      pauli_gate)
 from .cost import FULL_TQ_PHASE, gate_norm
 
 STATEVECTOR_CAP = 16
@@ -81,8 +81,6 @@ def _noise_sites(circuit: Circuit, model: NoiseModel) -> dict:
     mapped to (its participating qubits ascending, its depolarization rate)."""
     sites = {}
     for i, g in enumerate(circuit.gates):
-        if isinstance(g, (Barrier, Measure, SingleQubit)):
-            continue
         nu = gate_norm(g)
         if nu > 0.0:
             sites[i] = tuple(sorted(set(g.qubits))), _depol_rate(nu, model)
@@ -145,7 +143,7 @@ def inject_noise(program, model: NoiseModel, rng) -> Circuit:
         gates.extend(errors.get(i, ()))
         gates.append(g)
     return Circuit(circuit.num_qubits, gates, circuit.classical_bits,
-                   circuit.global_phase)
+                   circuit.global_phase, circuit.measures)
 
 
 def success_probability(program, model: NoiseModel) -> float:
@@ -177,20 +175,18 @@ def _run(circuit: Circuit, psi: np.ndarray, start: int = 0,
             keep[i] = psi
         for e in errors.get(i, ()):
             psi = gate_apply(psi, e, n)
-        if not isinstance(circuit.gates[i], (Barrier, Measure)):
-            psi = gate_apply(psi, ops[i], n)
+        psi = gate_apply(psi, ops[i], n)
     return circuit.global_phase * psi
 
 
 def _kernels(circuit: Circuit, room: int) -> list:
     """Each gate's kernel, built once, in place of the gate while the
-    kernels' tables fit in `room` bytes together; barriers, measurements and
-    the gates past that stay themselves (their kernel is built at each
-    application)."""
+    kernels' tables fit in `room` bytes together; barriers and the gates past
+    that stay themselves (their kernel is built at each application)."""
     n = circuit.num_qubits
     ops = list(circuit.gates)
     for i, g in enumerate(ops):
-        if isinstance(g, (Barrier, Measure)):
+        if isinstance(g, Barrier):
             continue
         kernel = gate_kernel(g, n)
         if kernel.table.nbytes > room:
@@ -202,7 +198,7 @@ def _kernels(circuit: Circuit, room: int) -> list:
 
 def apply_circuit(circuit: Circuit, psi: np.ndarray) -> np.ndarray:
     """U |psi> for the circuit's unitary U (gates applied in time order,
-    barriers and measurements skipped); `psi` is left unchanged."""
+    barriers skipped); `psi` is left unchanged."""
     return _run(circuit, psi)
 
 

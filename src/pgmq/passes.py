@@ -16,8 +16,6 @@ from .circuit import (
     Circuit,
     CircuitError,
     GeneralizedCnot,
-    InputError,
-    Measure,
     SingleQubit,
     ZzRotation,
     cnot,
@@ -31,6 +29,7 @@ from .gadgets import (
     PhaseGadget,
     _push_string_to_frame,
     commute_cnot,
+    decompose_pg,
     simplify,
 )
 from .qasm import to_zz_basis
@@ -118,8 +117,6 @@ def _pull_cnots(circuit: Circuit, dagger: bool,
     for g in reversed(circuit.gates) if dagger else circuit.gates:
         if isinstance(g, Barrier):
             continue
-        if isinstance(g, Measure):
-            raise CircuitError("strip measurements before compiling")
         if isinstance(g, SingleQubit):
             gads, ph = single_qubit_gadgets(
                 g.matrix.conj().T if dagger else g.matrix, g.qubit)
@@ -293,10 +290,13 @@ class CompiledProgram:
                                *self.post.to_gates()], global_phase=phase)
 
     def to_circuit(self) -> Circuit:
-        """Ideal replay: pre layer, gadget body, frame, post layer."""
+        """Ideal replay: pre layer, gadget body, frame, post layer, each
+        gadget as one- and two-qubit gates (`decompose_pg`)."""
         body = self.body
-        return self._replay(self.num_qubits,
-                            [*body.gadgets, *body.frame.gates()], body.phase)
+        gates = [g for gad in body.gadgets
+                 for g in decompose_pg(gad, gad.support[0]).gates]
+        return self._replay(self.num_qubits, [*gates, *body.frame.gates()],
+                            body.phase)
 
     def realized_circuit(self) -> Circuit:
         """Replay with the body realized as native multiqubit gates (the
@@ -311,23 +311,11 @@ class CompiledProgram:
 
 
 def _strip_measures(circuit: Circuit) -> tuple[Circuit, dict]:
-    mmap = {}
-    gates = []
-    for g in circuit.gates:
-        if isinstance(g, Measure):
-            mmap[g.qubit] = g.bit
-            measured = g.qubit
-        elif isinstance(g, Barrier):
-            continue
-        else:
-            if mmap:
-                raise InputError(
-                    f"gate on qubit(s) {', '.join(map(str, g.qubits))} after "
-                    f"the measurement of qubit {measured}: only terminal "
-                    f"measurements are supported")
-            gates.append(g)
-    return Circuit(circuit.num_qubits, gates,
-                   global_phase=circuit.global_phase), mmap
+    """The circuit's gates without barriers, and its measurement map."""
+    gates = [g for g in circuit.gates if not isinstance(g, Barrier)]
+    return (Circuit(circuit.num_qubits, gates,
+                    global_phase=circuit.global_phase),
+            {m.qubit: m.bit for m in circuit.measures})
 
 
 def _block_pass(circuit: Circuit) -> Circuit:

@@ -16,6 +16,9 @@ of parameters and qubits, its qubits are distinct arguments of the
 definition, and its expressions use only the definition's parameters.  Each
 expression is parsed once, into a function of the parameter values that
 every inlined call evaluates.
+
+Measurements are terminal: each `measure` is recorded in `Circuit.measures`,
+and a gate call after one is refused at the call.
 """
 
 from __future__ import annotations
@@ -219,6 +222,7 @@ class Parser:
         self.num_qubits = 0
         self.num_bits = 0
         self.gates: list = []
+        self.measures: list[Measure] = []
         self.phase: complex = 1.0 + 0j
 
     # -- token helpers ------------------------------------------------------
@@ -270,8 +274,8 @@ class Parser:
         self.expect(";")
         while self.peek().kind != "EOF":
             self.statement()
-        return Circuit(self.num_qubits, self.gates,
-                       classical_bits=self.num_bits, global_phase=self.phase)
+        return Circuit(self.num_qubits, self.gates, self.num_bits,
+                       self.phase, self.measures)
 
     def statement(self):
         t = self.peek()
@@ -318,8 +322,7 @@ class Parser:
             self.expect(";")
             if len(qbits) != len(cbits):
                 self.error("measure operand sizes differ", t)
-            for q, b in zip(qbits, cbits):
-                self.gates.append(Measure(q, b))
+            self.measures.extend(map(Measure, qbits, cbits))
         elif kw == "barrier":
             self.next()
             operands = self.comma_list(self.operand_qubits)
@@ -490,6 +493,11 @@ class Parser:
         params = self.paren_list(lambda: self.value(self.expr([]), ()))
         operands = self.comma_list(self.operand_qubits)
         self.expect(";")
+        if self.measures:
+            qubits = ", ".join(str(q) for o in operands for q in o)
+            self.error(f"gate on qubit(s) {qubits} after the measurement of "
+                       f"qubit {self.measures[-1].qubit}: only terminal "
+                       "measurements are supported", name)
         # register broadcast: all multi-qubit operands must agree in size
         sizes = {len(o) for o in operands if len(o) > 1}
         if len(sizes) > 1:
@@ -554,7 +562,7 @@ def to_zz_basis(circuit: Circuit) -> Circuit:
     """Rewrite every entangling gate as canonical CNOTs / ZZ rotations plus
     single-qubit gates; the unitary is preserved exactly."""
     out = Circuit(circuit.num_qubits, [], circuit.classical_bits,
-                  circuit.global_phase)
+                  circuit.global_phase, circuit.measures)
     for g in circuit.gates:
         if isinstance(g, GeneralizedCnot) and g.control_axis == "Z" \
                 and g.target_axis == "Z":

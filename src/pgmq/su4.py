@@ -9,10 +9,9 @@ spectrum: the eigenphases of (M^dag V M)^T (M^dag V M), with
 V = U.W^dag / det^(1/4), are twice the interaction coefficients mapped
 through `_DIAG_SYSTEM`
 (Zhang et al., quant-ph/0209120), so the summed |reduced coefficient| needs
-no eigenvectors and no local factors.  Only the completions whose spectral
-score ties the best to 1e-10 get a full `_reduced_kak`; among them the
-exact key (rounded ZZ phase, word length, order) decides, and only the
-winner is assembled.
+no eigenvectors and no local factors.  The key (score rounded to 12 digits,
+word length, order) picks the completion, and only the winner is decomposed
+and assembled.
 
 Matrix conventions follow circuit.py: a 4x4 block unitary acts on an ordered
 qubit pair (low, high) with the low qubit as the least significant index, so
@@ -289,13 +288,6 @@ def _reduced_kak(u: np.ndarray) -> KakDecomposition:
     return k
 
 
-def _zz_phase(k: KakDecomposition) -> float:
-    """`_assemble(k).total_phase()`, summed in emission order (the Pauli
-    clean-up only flips signs), without assembling the block."""
-    cx, cy, cz = k.c
-    return float(sum(abs(a) for a in (cz, cy, cx) if abs(a) >= _EPS))
-
-
 def _assemble(k: KakDecomposition, pair: tuple[int, int]) -> LhBlock:
     """Lay a reduced KAK form out as single-qubit layers alternating with at
     most three ZZ rotations, a rotation leading all other non-local content."""
@@ -348,8 +340,9 @@ _PHASES_TO_COEFFS = np.linalg.inv(_DIAG_SYSTEM)[:3]
 
 
 def _spectral_scores(us: np.ndarray) -> np.ndarray:
-    """`_zz_phase(_reduced_kak(u))` for each unitary of a (k, 4, 4) stack,
-    read from the eigenvalues of the magic-basis invariant alone.
+    """`_assemble(_reduced_kak(u), pair).total_phase()` for each unitary of a
+    (k, 4, 4) stack, read from the eigenvalues of the magic-basis invariant
+    alone.
 
     The summed |coefficient| does not depend on the order of the eigenphases
     (reordering them permutes the coefficients and flips pairs of signs), so
@@ -373,14 +366,11 @@ def minimize_block_phase(u: np.ndarray, pair: tuple[int, int]) -> LhBlock:
     """Pick the CNOT-word completion W minimizing the summed |ZZ angle| of
     the block decomposition of U.W^dag; ties prefer fewer trailing CNOTs,
     then the fixed completion order.  All completions are scored from one
-    batched spectrum; those within 1e-10 of the best are decomposed and
-    ranked by their exact key, and only the winner is assembled."""
+    batched spectrum, and only the winner is decomposed and assembled."""
     u = _checked_unitary(u)
     scores = _spectral_scores(u @ _WORD_ADJOINTS)
-    ks = {int(i): _reduced_kak(u @ _WORD_ADJOINTS[i])
-          for i in np.flatnonzero(scores <= scores.min() + 1e-10)}
-    best = min(ks, key=lambda i: (round(_zz_phase(ks[i]), 12),
-                                  len(_WORDS[i]), i))
-    blk = _assemble(ks[best], pair)
+    best = min(range(len(_WORDS)),
+               key=lambda i: (round(float(scores[i]), 12), len(_WORDS[i]), i))
+    blk = _assemble(_reduced_kak(u @ _WORD_ADJOINTS[best]), pair)
     blk.trailing = [(pair[c], pair[t]) for c, t in _WORDS[best]]
     return blk

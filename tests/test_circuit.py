@@ -191,10 +191,32 @@ def test_generalized_cnot_local_unitary_table():
 
 
 def test_measure_rejected_in_unitary():
+    # a measurement is never a gate: the circuit refuses one among its gates
     from pgmq.circuit import Measure
-    c = Circuit(1, [Measure(0, 0)], classical_bits=1)
-    with pytest.raises(CircuitError):
-        to_unitary(c)
+    with pytest.raises(CircuitError, match="measures"):
+        Circuit(1, [Measure(0, 0)], classical_bits=1)
+    with pytest.raises(CircuitError, match="measures"):
+        Circuit(1, classical_bits=1).add(Measure(0, 0))
+    c = Circuit(1, [pauli_gate("X", 0)], 1, measures=[Measure(0, 0)])
+    assert np.array_equal(to_unitary(c), pauli_gate("X", 0).matrix)
+
+
+@pytest.mark.parametrize("qubit, bit", [(1, 0), (-1, 0), (0, 1), (0, -1)])
+def test_measures_range_checked(qubit, bit):
+    from pgmq.circuit import Measure
+    with pytest.raises(CircuitError, match="out of range"):
+        Circuit(1, [], 1, measures=[Measure(qubit, bit)])
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (16, 5)])
+def test_phase_distance_matches_trace_form(rng, shape):
+    # the fitted phase is that of trace(a^dag b), read without the product
+    for _ in range(20):
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        b = a * np.exp(1j * rng.uniform(-3, 3)) + 1e-3 * rng.normal(size=shape)
+        tr = np.trace(a.conj().T @ b)
+        want = float(np.max(np.abs(a * tr / abs(tr) - b)))
+        assert abs(phase_distance(a, b) - want) < 1e-12
 
 
 def test_oracle_cap():

@@ -253,16 +253,39 @@ def test_verify_malformed_program_exit_2(qasm_dir, tmp_path, capsys,
     assert captured.err.count("\n") == 1 and field in captured.err
 
 
+MID_MEASURE = ('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+               'creg c[2];\nh q[0];\nmeasure q[0] -> c[0];\ncx q[0],q[1];\n')
+
+
 def test_compile_mid_circuit_measure_exit_2(tmp_path, capsys):
     f = tmp_path / "mid.qasm"
-    f.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
-                 'creg c[2];\nh q[0];\nmeasure q[0] -> c[0];\n'
-                 'cx q[0],q[1];\n')
+    f.write_text(MID_MEASURE)
     assert main(["compile", str(f), "--out", str(tmp_path / "p.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "measurement of qubit 0" in err
+    assert "line 7, col 1" in err and "measurement of qubit 0" in err
     assert not (tmp_path / "p.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    lambda prog, src: ["verify", prog, src],
+    lambda prog, src: ["simulate", prog, "--input", src, "--samples", "50"],
+], ids=["verify", "simulate"])
+def test_mid_circuit_measure_input_exit_2(qasm_dir, tmp_path, capsys,
+                                          command):
+    # simulate --input used to score the file as if the measurement were
+    # not there
+    prog = tmp_path / "p.json"
+    assert main(["compile", str(qasm_dir / "bell.qasm"), "--out",
+                 str(prog)]) == 0
+    (tmp_path / "mid.qasm").write_text(MID_MEASURE)
+    capsys.readouterr()
+    assert main(command(str(prog), str(tmp_path / "mid.qasm"))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 7, col 1: ")
+    assert captured.err.count("\n") == 1
+    assert "after the measurement of qubit 0" in captured.err
 
 
 @pytest.mark.parametrize("body, where", [
@@ -504,11 +527,14 @@ def test_bench_scores_every_width(tmp_path):
 
 def test_bench_skips_malformed_file(qasm_dir, tmp_path):
     (qasm_dir / "broken.qasm").write_text("OPENQASM 2.0;\nqreg q[2];\nfoo;\n")
+    (qasm_dir / "mid.qasm").write_text(MID_MEASURE)
     out = tmp_path / "report.json"
     assert main(["bench", str(qasm_dir), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert [r["name"] for r in doc["circuits"]] == ["bell", "small"]
-    assert [s["name"] for s in doc["skipped"]] == ["broken"]
+    assert [s["name"] for s in doc["skipped"]] == ["broken", "mid"]
+    assert doc["skipped"][1]["error"].startswith(
+        "line 7, col 1: gate on qubit(s) 0, 1 after the measurement of qubit 0")
 
 
 def test_bench_internal_error_exit_3(qasm_dir, monkeypatch, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pgmq import noise
-from pgmq.circuit import (Circuit, InputError, Kernel, Measure, SingleQubit,
+from pgmq.circuit import (Circuit, InputError, Kernel, SingleQubit,
                           ZzRotation, cnot, hadamard, pauli_gate)
 from pgmq.cost import ANCILLA_MERGED
 from pgmq.gadgets import MultiQubitGate
@@ -101,8 +101,8 @@ def test_inject_noise_keeps_measurements(rng):
     noisy = inject_noise(c, NoiseModel(p_dephase=1.0, p_depol_tq=0.0), rng)
     assert noisy.classical_bits == c.classical_bits == 2
     assert len(noisy.gates) == len(c.gates) + 2  # one Z per CNOT qubit
-    measures = [g for g in noisy.gates if isinstance(g, Measure)]
-    assert measures == [g for g in c.gates if isinstance(g, Measure)]
+    assert [(m.qubit, m.bit) for m in noisy.measures] == \
+        [(m.qubit, m.bit) for m in c.measures] == [(0, 0), (1, 1)]
 
 
 def test_single_qubit_gates_collect_no_noise(rng):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pgmq.circuit import (Circuit, CircuitError, Measure, SingleQubit,
-                          ZzRotation, cnot, to_unitary)
+                          ZzRotation, cnot, hadamard, to_unitary, u1)
 from pgmq.cost import AUTO, NO_ANCILLA, ANCILLA_MERGED, sequence_cost
 from pgmq.gadgets import GadgetSequence, PhaseGadget, simplify
 from pgmq.passes import (CnotLayer, CompileOptions, _greedy_matching,
@@ -74,9 +74,9 @@ def test_pg_right_factors_exactly(rng):
 
 
 def test_pg_left_rejects_measure():
-    c = Circuit(1, [Measure(0, 0)], classical_bits=1)
-    with pytest.raises(CircuitError):
-        pg_left(c)
+    # no measurement reaches pg_left among the gates: the circuit refuses it
+    with pytest.raises(CircuitError, match="measures"):
+        pg_left(Circuit(1, [Measure(0, 0)], classical_bits=1))
 
 
 def test_pg_left_rejects_noncanonical_cnot():
@@ -340,16 +340,10 @@ def test_optimize_cost_trace_strictly_decreasing(rng):
 
 
 def test_optimize_keeps_measurement_map():
-    c = Circuit(2, [cnot(0, 1), Measure(0, 1), Measure(1, 0)],
-                classical_bits=2)
+    c = Circuit(2, [cnot(0, 1)], classical_bits=2,
+                measures=[Measure(0, 1), Measure(1, 0)])
     prog = optimize(c)
     assert prog.measurement_map == {0: 1, 1: 0}
-
-
-def test_optimize_rejects_mid_circuit_measure():
-    c = Circuit(2, [Measure(0, 0), cnot(0, 1)], classical_bits=1)
-    with pytest.raises(CircuitError):
-        optimize(c)
 
 
 def test_optimize_never_worse_than_baseline_count(rng):
@@ -360,6 +354,18 @@ def test_optimize_never_worse_than_baseline_count(rng):
         prog = optimize(c)
         base_count, _ = baseline_parallel_merge(to_zz_basis(c))
         assert prog.cost().mq_count <= base_count
+
+
+def test_to_circuit_replays_gadgets_as_two_qubit_gates():
+    # a 16-qubit parity circuit compiles to a 16-qubit gadget, whose dense
+    # local operator would take 64 GiB
+    n = 16
+    ladder = [cnot(q, q + 1) for q in range(n - 1)]
+    c = Circuit(n, [*map(hadamard, range(n)), *ladder, u1(0.3, n - 1),
+                    *ladder[::-1]])
+    prog = optimize(c)
+    assert max(len(g.support) for g in prog.body.gadgets) == n
+    assert max(len(g.qubits) for g in prog.to_circuit().gates) <= 2
 
 
 def test_optimize_empty_circuit():

@@ -66,8 +66,22 @@ def test_expression_arithmetic():
 
 def test_register_broadcast_and_measure():
     c = parse_qasm(HEADER + "qreg q[3];\ncreg c[3];\nh q;\nmeasure q -> c;\n")
-    assert sum(isinstance(g, Measure) for g in c.gates) == 3
+    assert [(m.qubit, m.bit) for m in c.measures] == [(0, 0), (1, 1), (2, 2)]
+    assert not any(isinstance(g, Measure) for g in c.gates)
     assert c.classical_bits == 3
+    assert to_zz_basis(c).measures == c.measures
+
+
+def test_gate_after_measurement_rejected_at_call():
+    # a barrier may follow a measurement; the gate call after it may not
+    src = HEADER + ("qreg q[2];\ncreg c[2];\nmeasure q[1] -> c[0];\n"
+                    "barrier q;\n  cx q[0],q[1];\n")
+    with pytest.raises(QasmError) as ei:
+        parse_qasm(src)
+    assert (ei.value.line, ei.value.col) == (7, 3)
+    assert str(ei.value) == (
+        "line 7, col 3: gate on qubit(s) 0, 1 after the measurement of "
+        "qubit 1: only terminal measurements are supported")
 
 
 def test_parse_error_carries_location():

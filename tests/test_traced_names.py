@@ -1,13 +1,16 @@
-"""Every name the benchmark's tracer wraps still exists in pgmq.
+"""Every pgmq name the benchmark uses still exists in pgmq.
 
 `perfbench/tracing.py` looks each traced function up on its defining module
 and each traced method up in its class `__dict__`, with no default, so a
 renamed or removed name would break every traced benchmark run.  This test
-loads that file by path and only reads its two name tables.
+loads that file by path and only reads its two name tables.  The workloads
+and the worker name `pgmq.<module>.<name>` attributes directly; those are
+read from the files' text.
 """
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -37,3 +40,19 @@ def test_traced_function_exists(home, attr):
 def test_traced_method_is_in_class_dict(home, cls_name, attr, span):
     cls = getattr(importlib.import_module(f"pgmq.{home}"), cls_name)
     assert callable(cls.__dict__[attr])
+
+
+def _direct_names():
+    """Every `pgmq.<module>.<name>` the benchmark's workloads and worker
+    use, read from their text (neither file is imported)."""
+    names = set()
+    for path in ("workloads.py", "worker.py"):
+        text = (ROOT / "perfbench" / path).read_text(encoding="utf-8")
+        names.update(re.findall(r"pgmq\.(\w+)\.(\w+)", text))
+    return sorted(names)
+
+
+@pytest.mark.parametrize("home, attr", _direct_names(),
+                         ids=lambda x: x)
+def test_benchmark_name_exists(home, attr):
+    assert hasattr(importlib.import_module(f"pgmq.{home}"), attr)
