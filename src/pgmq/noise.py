@@ -24,9 +24,13 @@ errors inserted.  Gates are applied in the same order and through the same
 kernels as a full simulation of the noisy instance, so results are
 bit-for-bit those of re-simulating every sample, and the cost grows with
 the error rate, not with samples times gates.  Each sample draws from its
-own counter-based substream, so the result is reproducible regardless of
-evaluation order; its distribution is compared to the ideal one via total
-variation distance.
+own counter-based Philox substream, so the result is reproducible
+regardless of evaluation order; its distribution is compared to the ideal
+one via total variation distance.  The shots are drawn in whole arrays (one
+search of each sample's doubles in its cumulative distribution, one for all
+error-free samples) and so are the bootstrap replicates (one draw of every
+replicate's rows per memory-bounded chunk), with results bit for bit those
+of drawing them one by one with `Generator.choice` and `Generator.integers`.
 """
 
 from __future__ import annotations
@@ -266,8 +270,17 @@ class MonteCarloResult:
                 "seed": self.seed}
 
 
-def _sample_rng(seed: int, sample: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, sample]))
+def _substreams(seed: int, samples: int):
+    """One generator per call, rekeyed in turn to each sample's substream:
+    for sample s it yields the stream of a fresh Philox(key=[seed, s])
+    (counter 0, empty buffer, no stored half-word) without seeding a new
+    generator, which first reads OS entropy, per sample."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    fresh = rng.bit_generator.state
+    for s in range(samples):
+        fresh["state"]["key"][1] = s
+        rng.bit_generator.state = fresh
+        yield rng
 
 
 def _checkpoint_sites(sites: dict, n: int) -> list[int]:
@@ -307,21 +320,27 @@ def monte_carlo_fidelity(program, input_circuit: Circuit, model: NoiseModel,
     # the gates' kernels share the checkpoints' memory budget
     ops = _kernels(circuit, CHECKPOINT_BYTES - psi0.nbytes * len(checkpoints))
 
-    def normalized(psi):
+    def cdf(psi):
+        # the cumulative distribution Generator.choice(dim, p=p) searches
         p = _marginal(psi, num_bits)
-        return p / p.sum()
+        c = (p / p.sum()).cumsum()
+        c /= c[-1]
+        return c
 
-    clean = normalized(_run(circuit, psi0, keep=checkpoints, ops=ops))
+    clean_cdf = cdf(_run(circuit, psi0, keep=checkpoints, ops=ops))
+    u = np.empty((samples, shots))
     drawn = np.empty((samples, shots), dtype=np.int64)
-    for s in range(samples):
-        rng = _sample_rng(seed, s)
+    error_free = np.ones(samples, dtype=bool)
+    for s, rng in enumerate(_substreams(seed, samples)):
         errors = _draw(slots, model, rng)
-        p = clean
+        rng.random(out=u[s])
         if errors:
             start = starts[bisect.bisect_right(starts, min(errors)) - 1]
-            p = normalized(_run(circuit, checkpoints[start], start, errors,
-                                ops=ops))
-        drawn[s] = rng.choice(dim, size=shots, p=p)
+            psi = _run(circuit, checkpoints[start], start, errors, ops=ops)
+            drawn[s] = cdf(psi).searchsorted(u[s], side="right")
+            error_free[s] = False
+    drawn[error_free] = clean_cdf.searchsorted(u[error_free], side="right")
+    del u
 
     total = samples * shots
     merged = np.bincount(drawn.ravel(), minlength=dim) / total
@@ -336,16 +355,27 @@ def monte_carlo_fidelity(program, input_circuit: Circuit, model: NoiseModel,
         table = table.astype(float)
 
         def replicate_counts(rows):
-            return np.bincount(rows, minlength=samples) @ table
+            k = len(rows)
+            picks = np.bincount((rows + samples * np.arange(k)[:, None]).ravel(),
+                                minlength=k * samples).reshape(k, samples)
+            return picks @ table
     else:
         def replicate_counts(rows):
-            return np.bincount(drawn[rows].ravel(), minlength=dim)
+            return np.array([np.bincount(drawn[r].ravel(), minlength=dim)
+                             for r in rows])
 
+    # the replicates a chunk at a time within CHECKPOINT_BYTES, each taking
+    # about 32 bytes per sample (rows, offsets, picks as integers and as
+    # doubles) and per outcome (counts and three temporaries); one draw of
+    # (k, samples) is the stream of k draws of `samples`
     boot_rng = np.random.Generator(np.random.Philox(key=[seed, 2 ** 63]))
+    chunk = max(1, CHECKPOINT_BYTES // (32 * (samples + dim)))
     fids = np.empty(BOOTSTRAP)
-    for b in range(BOOTSTRAP):
-        counts = replicate_counts(boot_rng.integers(0, samples, size=samples))
-        fids[b] = 1.0 - 0.5 * float(np.abs(counts / total - ideal).sum())
+    for b in range(0, BOOTSTRAP, chunk):
+        k = min(chunk, BOOTSTRAP - b)
+        counts = replicate_counts(boot_rng.integers(0, samples,
+                                                    size=(k, samples)))
+        fids[b:b + k] = 1.0 - 0.5 * np.abs(counts / total - ideal).sum(axis=1)
     # basic (reversed-percentile) bootstrap: resampling re-adds shot noise,
     # which biases the convex TVD statistic down; reflection corrects this
     q_lo, q_hi = np.percentile(fids, [2.5, 97.5])
@@ -359,8 +389,10 @@ def relative_error_ci(mc_comp: MonteCarloResult,
     """Relative error with a basic-bootstrap 95% CI, pairing the bootstrap
     replicates of two independent Monte Carlo runs."""
     eps = relative_error(mc_comp.fidelity, mc_inp.fidelity)
-    reps = np.array([relative_error(fc, fi)
-                     for fc, fi in zip(mc_comp.bootstrap_fidelities,
-                                       mc_inp.bootstrap_fidelities)])
+    f_comp, f_inp = mc_comp.bootstrap_fidelities, mc_inp.bootstrap_fidelities
+    # relative_error of each replicate pair, NaN where the input is ideal
+    reps = np.full(f_inp.shape, math.nan)
+    room = ~(f_inp >= 1.0)
+    reps[room] = (f_comp[room] - f_inp[room]) / (1.0 - f_inp[room])
     q_lo, q_hi = np.percentile(reps, [2.5, 97.5])
     return eps, float(2 * eps - q_hi), float(2 * eps - q_lo)

@@ -77,38 +77,28 @@ _TOKEN_RE = re.compile(r"""
   | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<string>"[^"\n]*")
   | (?P<symbol>->|==|[;,(){}\[\]+\-*/^=])
+  | (?P<bad>.)
 """, re.VERBOSE)
 
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise QasmError(f"unexpected character {source[pos]!r}", line, col)
-        text = m.group(0)
-        kind = m.lastgroup
-        if kind == "ws" or kind == "comment":
-            pass
-        elif kind == "real":
-            tokens.append(Token("REAL", text, line, col))
-        elif kind == "int":
-            tokens.append(Token("INT", text, line, col))
-        elif kind == "id":
-            tokens.append(Token("ID", text, line, col))
-        elif kind == "string":
-            tokens.append(Token("STRING", text, line, col))
-        else:
-            tokens.append(Token(text, text, line, col))
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("EOF", "", line, col))
+    # only whitespace can hold a line break: a token's column is its offset
+    # from the start of its line
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(source):
+        kind, text = m.lastgroup, m.group()
+        if kind == "ws":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = m.start() + text.rfind("\n") + 1
+        elif kind != "comment":
+            col = m.start() - line_start + 1
+            if kind == "bad":
+                raise QasmError(f"unexpected character {text!r}", line, col)
+            tokens.append(Token(text if kind == "symbol" else kind.upper(),
+                                text, line, col))
+    tokens.append(Token("EOF", "", line, len(source) - line_start + 1))
     return tokens
 
 

@@ -5,7 +5,10 @@ the default options, as `perfbench` does (parse -> optimize ->
 serialize.dumps -> cost.metrics), and compares each program's multiqubit
 count, nuclear norm and SHA-256 with `perfbench/reference.json`, which this
 test only reads.  A change that means to alter compiled output rewrites that
-file with `perfbench/update_reference.py` and says so.  The two forced
+file with `perfbench/update_reference.py` and says so.  The benchmark's
+fixed-seed Monte Carlo pair (`mc_low@reference`, `mc_high@reference`) is
+checked against the same file, so a change to the sampler's random stream
+fails here, not only in a benchmark run.  The two forced
 realization schemes, which the benchmark does not run, are checked against
 one SHA-256 each over the 12 corpus programs, kept here, and so are the
 default programs of acceptance test 1's first 50 random circuits.
@@ -22,23 +25,28 @@ import pytest
 
 from pgmq import serialize
 from pgmq.cost import ANCILLA_MERGED, NO_ANCILLA, metrics
+from pgmq.noise import NoiseModel, monte_carlo_fidelity
 from pgmq.passes import CompileOptions, optimize
 from pgmq.qasm import parse_qasm_file
 from conftest import random_circuit
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = json.loads((ROOT / "perfbench" / "reference.json").read_text())
-NORM_RTOL = 1e-9            # perfbench's own tolerance on the norm
+NORM_RTOL = 1e-9            # perfbench's own tolerance on the norm and fidelities
 
 
-def _random_pool() -> dict:
+def _workloads():
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     # dataclasses look their defining module up in sys.modules
     sys.modules[spec.name] = workloads
     spec.loader.exec_module(workloads)
-    return workloads.random_pool()
+    return workloads
+
+
+def _random_pool() -> dict:
+    return _workloads().random_pool()
 
 
 def _fingerprint(circuit) -> dict:
@@ -76,6 +84,26 @@ def test_random_pool_programs_match_reference():
     assert len(pool) == 8
     for name, circuit in pool.items():
         _assert_matches(f"random/{name}", _fingerprint(circuit))
+
+
+@pytest.mark.parametrize("workload", ["mc_low", "mc_high"])
+def test_monte_carlo_fidelities_match_reference(workload):
+    # the benchmark's fingerprinted Monte Carlo pair: the compiled program
+    # and its input at the fixed reference noise seed
+    w = _workloads()
+    p = w.MC_NOISE[workload]
+    circuit = parse_qasm_file(ROOT / "benchmarks" / f"{w.MC_CIRCUIT}.qasm")
+    model = NoiseModel(p, p, w.REFERENCE_NOISE_SEED)
+    got = {name: monte_carlo_fidelity(program, circuit, model,
+                                      samples=w.REFERENCE_SAMPLES,
+                                      shots=w.MC_SHOTS).fidelity
+           for name, program in (("fidelity_compiled", optimize(circuit)),
+                                 ("fidelity_input", circuit))}
+    want = REFERENCE[f"{workload}/{workload}@reference"]
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name] == pytest.approx(want[name], rel=NORM_RTOL,
+                                          abs=NORM_RTOL), name
 
 
 # SHA-256 over serialize.dumps of the 12 corpus programs, in sorted file order

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from pgmq.circuit import (Circuit, InputError, Kernel, SingleQubit,
 from pgmq.cost import ANCILLA_MERGED
 from pgmq.gadgets import MultiQubitGate
 from pgmq.noise import (BOOTSTRAP, MonteCarloResult, NoiseModel,
-                        _checkpoint_sites, _draw, _noise_sites, _sample_rng,
-                        _slots, gate_norm, inject_noise,
+                        _checkpoint_sites, _draw, _noise_sites,
+                        _slots, _substreams, gate_norm, inject_noise,
                         monte_carlo_fidelity, probabilities, relative_error,
                         relative_error_ci, statevector, success_probability)
 from pgmq.passes import CompileOptions, optimize
@@ -112,6 +114,11 @@ def test_single_qubit_gates_collect_no_noise(rng):
     assert success_probability(c, NoiseModel(1.0, 1.0)) == 1.0
 
 
+def _substream(seed, sample):
+    """A fresh generator on one sample's substream."""
+    return np.random.Generator(np.random.Philox(key=[seed, sample]))
+
+
 def _draw_slot_by_slot(sites, model, rng):
     """Reference draw loop: one scalar draw per test, site by site, qubit by
     qubit, dephasing before depolarization."""
@@ -145,7 +152,7 @@ def test_block_draw_is_slot_by_slot_draw(p):
         sites = _noise_sites(circuit, model)
         slots = _slots(sites)
         for seed in range(400):
-            for make in (lambda: _sample_rng(7, seed),
+            for make in (lambda: _substream(7, seed),
                          lambda: np.random.default_rng(seed)):
                 fast, slow = make(), make()
                 got = _draw(slots, model, fast)
@@ -156,6 +163,28 @@ def test_block_draw_is_slot_by_slot_draw(p):
                 hits += sum(g.name != "z" for gates in got.values()
                             for g in gates)
     assert hits > 0      # depolarization hits, and with them the rewind, ran
+
+
+def test_rekeyed_substreams_are_fresh_generators():
+    # each rekeyed sample draws the doubles and integers of a fresh
+    # Philox(key=[seed, s]), also after _draw rewinds it and after the
+    # sample before left a stored half-word (an odd number of 32-bit draws)
+    c = parse_qasm(MEASURED_BELL)
+    model = NoiseModel(0.3, 0.3)
+    sites = _noise_sites(c, model)
+    slots = _slots(sites)
+    rewound = 0
+    for seed in (0, 5, 2 ** 40):
+        for s, rng in enumerate(_substreams(seed, 60)):
+            fresh = _substream(seed, s)
+            got = _draw(slots, model, rng)
+            assert _named(got) == _named(_draw(slots, model, fresh))
+            assert np.array_equal(rng.random(7), fresh.random(7))
+            assert np.array_equal(rng.integers(0, 5, size=3),
+                                  fresh.integers(0, 5, size=3))
+            rewound += any(g.name != "z" for gates in got.values()
+                           for g in gates)
+    assert rewound > 0
 
 
 # --- success probability -------------------------------------------------------
@@ -270,7 +299,7 @@ def _resimulated(circuit, input_circuit, model, samples, shots):
     ideal = probabilities(input_circuit)
     drawn = np.empty((samples, shots), dtype=np.int64)
     for s in range(samples):
-        rng = _sample_rng(model.seed, s)
+        rng = _substream(model.seed, s)
         p = probabilities(inject_noise(circuit, model, rng), nb)
         p = p / p.sum()
         drawn[s] = rng.choice(dim, size=shots, p=p)
@@ -287,16 +316,52 @@ def _resimulated(circuit, input_circuit, model, samples, shots):
     return fid, float(2 * fid - q_hi), float(2 * fid - q_lo), fids
 
 
-def _assert_resimulated(circuit, input_circuit, model, samples=30):
+def _assert_resimulated(circuit, input_circuit, model):
     # 3 shots are fewer and 9 more than the 4 or 8 outcomes: both ways of
-    # counting bootstrap replicates run
-    for shots in (3, 9):
+    # counting bootstrap replicates run; an odd number of samples leaves a
+    # half-word between the replicates' 32-bit draws
+    for samples, shots in itertools.product((30, 31), (3, 9)):
         mc = monte_carlo_fidelity(circuit, input_circuit, model,
                                   samples=samples, shots=shots)
         fid, lo, hi, fids = _resimulated(circuit, input_circuit, model,
                                          samples, shots)
         assert (mc.fidelity, mc.ci_low, mc.ci_high) == (fid, lo, hi)
         assert np.array_equal(mc.bootstrap_fidelities, fids)
+
+
+def test_bootstrap_chunks_equal_one_chunk(monkeypatch):
+    # a budget of three replicates per chunk (the last chunk holds two)
+    # gives every replicate of the unchunked call, in both ways of counting
+    circuit, input_circuit = _ancilla_program()
+    model = NoiseModel(0.1, 0.1, seed=6)
+    samples, dim = 31, 2 ** input_circuit.num_qubits
+    for shots in (3, 9):
+        whole = monte_carlo_fidelity(circuit, input_circuit, model,
+                                     samples=samples, shots=shots)
+        with monkeypatch.context() as m:
+            m.setattr(noise, "CHECKPOINT_BYTES", 3 * 32 * (samples + dim))
+            chunked = monte_carlo_fidelity(circuit, input_circuit, model,
+                                           samples=samples, shots=shots)
+        assert (chunked.fidelity, chunked.ci_low, chunked.ci_high) == \
+            (whole.fidelity, whole.ci_low, whole.ci_high)
+        assert np.array_equal(chunked.bootstrap_fidelities,
+                              whole.bootstrap_fidelities)
+
+
+def test_bootstrap_chunks_fit_the_budget(monkeypatch):
+    # 200 replicates of 5000 picks would take about 32 MB at once; under a
+    # 1 MB budget they are drawn a few at a time
+    c = Circuit(1, [hadamard(0)])
+    model = NoiseModel(0.0, 0.0, seed=1)
+    monkeypatch.setattr(noise, "CHECKPOINT_BYTES", 2 ** 20)
+    monte_carlo_fidelity(c, c, model, samples=1, shots=2)   # first-call costs
+    tracemalloc.start()
+    try:
+        monte_carlo_fidelity(c, c, model, samples=5000, shots=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
 
 
 def _ancilla_program():
@@ -382,6 +447,37 @@ def test_relative_error_ci_sign():
     eps, lo, hi = relative_error_ci(mc_comp, mc_inp)
     assert lo <= eps <= hi
     assert eps > 0  # shallower circuit is strictly better here
+
+
+def _relative_error_ci_by_pairs(mc_comp, mc_inp):
+    """Reference: relative_error_ci over a Python list of replicate pairs."""
+    eps = relative_error(mc_comp.fidelity, mc_inp.fidelity)
+    reps = np.array([relative_error(fc, fi)
+                     for fc, fi in zip(mc_comp.bootstrap_fidelities,
+                                       mc_inp.bootstrap_fidelities)])
+    q_lo, q_hi = np.percentile(reps, [2.5, 97.5])
+    return eps, float(2 * eps - q_hi), float(2 * eps - q_lo)
+
+
+@pytest.mark.parametrize("p, seed, ideal", [
+    (5e-2, 9, 0),
+    (0.0, 9, BOOTSTRAP),    # noiseless: every input replicate is ideal
+    (1e-3, 0, 64),          # ... and here some of them are
+])
+def test_relative_error_ci_is_list_form(p, seed, ideal):
+    # a deterministic input (|11>), so a replicate without an error sample
+    # scores exactly 1 and its relative error is NaN
+    c = Circuit(2, [SingleQubit(0, np.array([[0, 1], [1, 0]]), "x"),
+                    cnot(0, 1)])
+    deep = Circuit(2, list(c.gates) + [cnot(0, 1), cnot(0, 1)])
+    m = NoiseModel(p, p, seed)
+    mc_inp = monte_carlo_fidelity(deep, c, m, samples=40, shots=20)
+    mc_comp = monte_carlo_fidelity(c, c, m, samples=40, shots=20)
+    assert np.sum(mc_inp.bootstrap_fidelities >= 1.0) == ideal
+    got = relative_error_ci(mc_comp, mc_inp)
+    assert np.array_equal(got, _relative_error_ci_by_pairs(mc_comp, mc_inp),
+                          equal_nan=True)
+    assert all(map(math.isnan, got)) == (ideal == BOOTSTRAP)
 
 
 def test_monte_carlo_result_to_dict_roundtrip():

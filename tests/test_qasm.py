@@ -1,12 +1,15 @@
 import math
+import re
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pgmq.circuit import Circuit, GeneralizedCnot, Measure, to_unitary
-from pgmq.qasm import QasmError, parse_qasm, to_zz_basis, two_qubit_count
+from pgmq.qasm import (QasmError, Token, parse_qasm, to_zz_basis, tokenize,
+                       two_qubit_count)
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
@@ -196,3 +199,94 @@ def test_gate_budget_counts_broadcast_copies():
 def test_register_width_limit(decl, name):
     with pytest.raises(QasmError, match=f"register {name}"):
         parse_qasm(HEADER + decl + "\n")
+
+
+# --- the tokenizer against its line-counting reference -----------------------
+
+_REFERENCE_TOKEN_RE = re.compile(r"""
+    (?P<ws>\s+)
+  | (?P<comment>//[^\n]*)
+  | (?P<real>(\d+\.\d*|\.\d+)([eE][+-]?\d+)?|\d+[eE][+-]?\d+)
+  | (?P<int>\d+)
+  | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<string>"[^"\n]*")
+  | (?P<symbol>->|==|[;,(){}\[\]+\-*/^=])
+""", re.VERBOSE)
+
+
+def _reference_tokenize(source):
+    """Reference tokenizer: one match at a time, counting the line breaks in
+    every match's text."""
+    tokens = []
+    line, col, pos = 1, 1, 0
+    while pos < len(source):
+        m = _REFERENCE_TOKEN_RE.match(source, pos)
+        if m is None:
+            raise QasmError(f"unexpected character {source[pos]!r}", line, col)
+        text = m.group(0)
+        kind = m.lastgroup
+        if kind in ("real", "int", "id", "string"):
+            tokens.append(Token(kind.upper(), text, line, col))
+        elif kind == "symbol":
+            tokens.append(Token(text, text, line, col))
+        nl = text.count("\n")
+        if nl:
+            line += nl
+            col = len(text) - text.rfind("\n")
+        else:
+            col += len(text)
+        pos = m.end()
+    tokens.append(Token("EOF", "", line, col))
+    return tokens
+
+
+def _tokens_or_error(tokenize_fn, source):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize_fn(source)]
+    except QasmError as e:
+        return str(e), e.line, e.col
+
+
+_BENCHMARKS = sorted(
+    (Path(__file__).resolve().parent.parent / "benchmarks").glob("*.qasm"))
+
+# the malformed inputs of the tests above, and stray characters, strings and
+# comments around line breaks of every kind
+_MALFORMED = [
+    HEADER + "qreg q[1];\nnosuchgate q[0];\n",
+    HEADER + "qreg q[1];\ncreg c[1];\nif(c==1) x q[0];\n",
+    HEADER + ("qreg q[2];\ncreg c[2];\nmeasure q[1] -> c[0];\n"
+              "barrier q;\n  cx q[0],q[1];\n"),
+    HEADER + "qreg q[2000];\n",
+    HEADER + "qreg q[1];\n\tgate g a { rz(1 ",
+    HEADER + "qreg q[1];\nrz(1e400) q[0]; // trailing comment",
+    HEADER + "qreg q[1];\r\nh q[0];\r\n\r\n  $h q[0];\n",
+    'OPENQASM 2.0;\ninclude "qelib1.inc\n";\n',
+    "qreg q[1];\n// comment\n\n   \u00e9",
+    "h q[0];\n\n\n\t  \"",
+    "\n\n",
+    "",
+]
+
+
+@pytest.mark.parametrize("path", _BENCHMARKS, ids=lambda p: p.stem)
+def test_tokenize_matches_reference_on_corpus(path):
+    source = path.read_text()
+    assert _tokens_or_error(tokenize, source) == \
+        _tokens_or_error(_reference_tokenize, source)
+
+
+@pytest.mark.parametrize("source", _MALFORMED)
+def test_tokenize_matches_reference_on_malformed_input(source):
+    assert _tokens_or_error(tokenize, source) == \
+        _tokens_or_error(_reference_tokenize, source)
+
+
+@settings(max_examples=150, deadline=None)
+@given(statements=st.lists(
+    _STATEMENT | st.text(alphabet='ab1.e+-/"$;(q) \t\r\n\u00e9', max_size=12),
+    max_size=12))
+def test_tokenize_matches_reference_fuzz(statements):
+    source = "\n".join(statements)
+    assert _tokens_or_error(tokenize, source) == \
+        _tokens_or_error(_reference_tokenize, source)
