@@ -11,6 +11,7 @@ Conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -181,7 +182,10 @@ def hadamard(q: int) -> SingleQubit:
     return SingleQubit(q, np.array([[1, 1], [1, -1]]) / np.sqrt(2), "h")
 
 
+@functools.lru_cache(maxsize=None)
 def pauli_gate(axis: str, q: int) -> SingleQubit:
+    """The Pauli gate on qubit q, built and checked once per (axis, q) and
+    then shared: nothing changes a gate after construction."""
     return SingleQubit(q, PAULI[axis], axis.lower())
 
 

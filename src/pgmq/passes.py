@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import starmap
 
 import numpy as np
 
@@ -34,33 +35,6 @@ from .gadgets import (
 )
 from .qasm import to_zz_basis
 from .su4 import minimize_block_phase
-
-
-# ---------------------------------------------------------------------------
-# GF(2) CNOT layers
-# ---------------------------------------------------------------------------
-
-@dataclass(eq=False)
-class CnotLayer:
-    """A CNOT-only circuit on n qubits, kept as its CNOT word: (control,
-    target) pairs in time order.  `serialize` derives its GF(2) matrix."""
-
-    n: int
-    word: list = field(default_factory=list)
-
-    def append(self, control: int, target: int) -> None:
-        """Add a CNOT at the end (later in time)."""
-        self.word.append((control, target))
-
-    def prepend(self, control: int, target: int) -> None:
-        """Add a CNOT at the beginning (earlier in time)."""
-        self.word.insert(0, (control, target))
-
-    def adjoint(self) -> "CnotLayer":
-        return CnotLayer(self.n, self.word[::-1])
-
-    def to_gates(self) -> list:
-        return [cnot(c, t) for c, t in self.word]
 
 
 # ---------------------------------------------------------------------------
@@ -104,45 +78,60 @@ def single_qubit_gadgets(u: np.ndarray, q: int) -> tuple[list, complex]:
 # ---------------------------------------------------------------------------
 
 def _pull_cnots(circuit: Circuit, dagger: bool,
-                counter: dict | None) -> tuple[GadgetSequence, CnotLayer]:
-    """Gadgetize the circuit, or with `dagger` its adjoint (gates walked
-    from the last, one-qubit gates and ZZ rotations inverted, CNOTs
+                counter: dict | None) -> tuple[GadgetSequence, list]:
+    """Gadgetize the circuit, or with `dagger` its adjoint (gates in
+    reverse order, one-qubit gates and ZZ rotations inverted, CNOTs
     self-inverse, phase conjugated), pulling every CNOT to the beginning
-    through the accumulated gadgets."""
+    through the gadgets before it; returns the gadgets and the CNOT word.
+
+    The walk runs from that circuit's last gate to its first, with z[q] and
+    x[q] the bitmasks of what Z_q and X_q become under the CNOTs met so far.
+    CNOTs map Z and X strings to strings of the same axis and no sign, so
+    each gadget is mapped once, by the XOR of its support qubits' masks."""
     n = circuit.num_qubits
-    layer = CnotLayer(n)
-    phase = circuit.global_phase
-    seq = GadgetSequence(n, [], phase=np.conj(phase) if dagger else phase)
+    z = [1 << q for q in range(n)]
+    x = list(z)
+    gadgets, phases, word = [], [], []
     events = 0
-    for g in reversed(circuit.gates) if dagger else circuit.gates:
-        if isinstance(g, Barrier):
-            continue
-        if isinstance(g, SingleQubit):
-            gads, ph = single_qubit_gadgets(
-                g.matrix.conj().T if dagger else g.matrix, g.qubit)
-            seq.gadgets.extend(gads)
-            seq.phase *= ph
-        elif isinstance(g, ZzRotation):
-            theta = -g.theta if dagger else g.theta
-            seq.gadgets.append(
-                PhaseGadget("Z", 2 * theta / math.pi, (g.qubit_a, g.qubit_b)))
-        elif isinstance(g, GeneralizedCnot):
+    for g in circuit.gates if dagger else reversed(circuit.gates):
+        if isinstance(g, GeneralizedCnot):
             if not g.is_canonical:
                 raise CircuitError("pg_left needs canonical CNOTs; "
                                    "run to_zz_basis first")
-            for i in range(len(seq.gadgets) - 1, -1, -1):
-                seq.gadgets[i] = commute_cnot(g, seq.gadgets[i])
-                events += 1
-            layer.append(g.control, g.target)
+            z[g.target] ^= z[g.control]
+            x[g.control] ^= x[g.target]
+            word.append((g.control, g.target))
+            continue
+        if isinstance(g, SingleQubit):
+            met, ph = single_qubit_gadgets(
+                g.matrix.conj().T if dagger else g.matrix, g.qubit)
+            phases.append(ph)
+        elif isinstance(g, ZzRotation):
+            theta = -g.theta if dagger else g.theta
+            met = [PhaseGadget("Z", 2 * theta / math.pi,
+                               (g.qubit_a, g.qubit_b))]
+        elif isinstance(g, Barrier):
+            continue
         else:
             raise CircuitError(f"unsupported gate kind: {type(g).__name__}")
+        events += len(met) * len(word)  # each later CNOT crosses each gadget
+        for gad in reversed(met):
+            images, mask = (z if gad.axis == "Z" else x), 0
+            for q in gad.support:
+                mask ^= images[q]
+            support = tuple(q for q in range(n) if mask >> q & 1)
+            gadgets.append(gad if support == gad.support else
+                           PhaseGadget(gad.axis, gad.alpha, support))
+    phase = np.conj(circuit.global_phase) if dagger else circuit.global_phase
+    for ph in reversed(phases):  # in time order: each product is rounded
+        phase *= ph
     if counter is not None:
         counter["events"] = counter.get("events", 0) + events
-    return simplify(seq), layer
+    return simplify(GadgetSequence(n, gadgets[::-1], phase=phase)), word[::-1]
 
 
 def pg_left(circuit: Circuit,
-            counter: dict | None = None) -> tuple[GadgetSequence, CnotLayer]:
+            counter: dict | None = None) -> tuple[GadgetSequence, list]:
     """Factor circuit = U_PG . U_C (matrix order) by pulling every CNOT to
     the beginning of the circuit through the accumulated gadgets."""
     return _pull_cnots(circuit, False, counter)
@@ -163,11 +152,11 @@ def sequence_adjoint(seq: GadgetSequence) -> GadgetSequence:
 
 
 def pg_right(circuit: Circuit,
-             counter: dict | None = None) -> tuple[CnotLayer, GadgetSequence]:
+             counter: dict | None = None) -> tuple[list, GadgetSequence]:
     """Factor circuit = U_C . U_PG (matrix order): the mirrored primitive,
     pg_left's factorization U^dag = U_PG' . U_C' of the adjoint, inverted."""
-    seq_t, layer_t = _pull_cnots(circuit, True, counter)
-    return layer_t.adjoint(), sequence_adjoint(seq_t)
+    seq_t, word_t = _pull_cnots(circuit, True, counter)
+    return word_t[::-1], sequence_adjoint(seq_t)
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +256,10 @@ class CompiledProgram:
     Pauli frame and phase), CNOT layer; plus the stripped measurement map."""
 
     num_qubits: int
-    pre: CnotLayer
+    pre: list  # CNOT word: (control, target) pairs in time order
     body: GadgetSequence
-    post: CnotLayer
-    measurement_map: dict = field(default_factory=dict)  # qubit -> bit
+    post: list
+    measurement_map: dict = field(default_factory=dict)  # bit -> qubit
     scheme: str = AUTO
     commutation_events: int = 0
     cost_trace: list = field(default_factory=list)  # accepted cost keys
@@ -286,8 +275,8 @@ class CompiledProgram:
 
     def _replay(self, width: int, middle: list, phase: complex) -> Circuit:
         """Pre layer, then `middle`, then post layer, on `width` qubits."""
-        return Circuit(width, [*self.pre.to_gates(), *middle,
-                               *self.post.to_gates()], global_phase=phase)
+        return Circuit(width, [*starmap(cnot, self.pre), *middle,
+                               *starmap(cnot, self.post)], global_phase=phase)
 
     def to_circuit(self) -> Circuit:
         """Ideal replay: pre layer, gadget body, frame, post layer, each
@@ -311,11 +300,12 @@ class CompiledProgram:
 
 
 def _strip_measures(circuit: Circuit) -> tuple[Circuit, dict]:
-    """The circuit's gates without barriers, and its measurement map."""
+    """The circuit's gates without barriers, and its measurement map: each
+    classical bit to the last qubit measured into it."""
     gates = [g for g in circuit.gates if not isinstance(g, Barrier)]
     return (Circuit(circuit.num_qubits, gates,
                     global_phase=circuit.global_phase),
-            {m.qubit: m.bit for m in circuit.measures})
+            {m.bit: m.qubit for m in circuit.measures})
 
 
 def _block_pass(circuit: Circuit) -> Circuit:
@@ -350,9 +340,9 @@ def optimize(circuit: Circuit, opts: CompileOptions | None = None) -> CompiledPr
     candidates = []
     for flat in (blocked, raw):
         seq_l, pre_l = pg_left(flat, counter)
-        candidates.append((seq_l, pre_l, CnotLayer(n)))
+        candidates.append((seq_l, pre_l, []))
         post_r, seq_r = pg_right(flat, counter)
-        candidates.append((seq_r, CnotLayer(n), post_r))
+        candidates.append((seq_r, [], post_r))
     # pair-group norms recur across candidates, proposals and steps: one
     # memo serves every cost of this compile
     norms: dict = {}
@@ -373,8 +363,8 @@ def optimize(circuit: Circuit, opts: CompileOptions | None = None) -> CompiledPr
         # U_PG = C . U_PG' . C: the outer CNOT joins the post layer, the
         # inner one the pre layer
         for c, t in applied:
-            post.prepend(c, t)
-            pre.append(c, t)
+            post.insert(0, (c, t))
+            pre.append((c, t))
         seq, cur = nxt, key
         trace.append(cur)
 

@@ -18,7 +18,7 @@ import math
 from .circuit import InputError
 from .cost import ANCILLA_MERGED, AUTO, NO_ANCILLA
 from .gadgets import GadgetSequence, PauliFrame, PhaseGadget
-from .passes import CnotLayer, CompiledProgram
+from .passes import CompiledProgram
 
 SCHEMA_VERSION = "1.0"
 
@@ -29,18 +29,18 @@ def _fmt(x: float) -> float:
     return float(f"{float(x):.17g}")
 
 
-def _row_bits(layer: CnotLayer) -> list[int]:
-    """Rows of the layer's GF(2) matrix as integers, by replaying its word:
-    CNOT(c, t) adds row c to row t."""
-    rows = [1 << i for i in range(layer.n)]
-    for c, t in layer.word:
+def _row_bits(word: list, n: int) -> list[int]:
+    """Rows of the GF(2) matrix of a CNOT word on n qubits as integers, by
+    replaying the word: CNOT(c, t) adds row c to row t."""
+    rows = [1 << i for i in range(n)]
+    for c, t in word:
         rows[t] ^= rows[c]
     return rows
 
 
-def _layer_to_json(layer: CnotLayer) -> dict:
-    return {"matrix": [format(bits, "x") for bits in _row_bits(layer)],
-            "word": [[int(c), int(t)] for c, t in layer.word]}
+def _layer_to_json(word: list, n: int) -> dict:
+    return {"matrix": [format(bits, "x") for bits in _row_bits(word, n)],
+            "word": [[int(c), int(t)] for c, t in word]}
 
 
 def _body_to_json(seq: GadgetSequence) -> list:
@@ -96,24 +96,24 @@ def _choice(x, options: tuple, where: str) -> str:
     return x
 
 
-def _layer_from_json(obj, n: int, where: str) -> CnotLayer:
-    layer = CnotLayer(n)
-    word = _list(_field(obj, "word", where, []), f"{where}.word")
-    for i, cw in enumerate(word):
+def _layer_from_json(obj, n: int, where: str) -> list:
+    word = []
+    for i, cw in enumerate(_list(_field(obj, "word", where, []),
+                                 f"{where}.word")):
         at = f"{where}.word[{i}]"
         c, t = (_int(q, at, n) for q in _list(cw, at, 2))
         if c == t:
             raise InputError(f"{at}: control and target are both qubit {c}")
-        layer.append(c, t)
+        word.append((c, t))
     rows = _field(obj, "matrix", where, None)
     if rows is not None:
         try:
             bits = [int(h, 16) for h in _list(rows, f"{where}.matrix")]
         except (TypeError, ValueError):
             raise InputError(f"{where}.matrix: rows must be hex strings") from None
-        if bits != _row_bits(layer):
+        if bits != _row_bits(word, n):
             raise InputError(f"{where}.matrix: inconsistent with its CNOT word")
-    return layer
+    return word
 
 
 def _body_from_json(items, n: int) -> list:
@@ -140,13 +140,13 @@ def program_to_json(prog: CompiledProgram) -> dict:
         "version": SCHEMA_VERSION,
         "numQubits": int(prog.num_qubits),
         "ancilla": None,
-        "preLayer": _layer_to_json(prog.pre),
+        "preLayer": _layer_to_json(prog.pre, prog.num_qubits),
         "body": _body_to_json(prog.body),
         "frames": [[int(q), p] for q, p in sorted(prog.body.frame.paulis.items())],
         "phase": [_fmt(ph.real), _fmt(ph.imag)],
-        "postLayer": _layer_to_json(prog.post),
-        "measurementMap": [[int(q), int(b)]
-                           for q, b in sorted(prog.measurement_map.items())],
+        "postLayer": _layer_to_json(prog.post, prog.num_qubits),
+        "measurementMap": sorted([int(q), int(b)] for b, q
+                                 in prog.measurement_map.items()),
         "scheme": prog.scheme,
     }
 
@@ -173,9 +173,12 @@ def program_from_json(obj) -> CompiledProgram:
     mmap = {}
     for i, qb in enumerate(_list(_field(obj, "measurementMap", "program", []),
                                  "measurementMap")):
-        q, b = _list(qb, f"measurementMap[{i}]", 2)
-        mmap[_int(q, f"measurementMap[{i}]", n)] = _int(
-            b, f"measurementMap[{i}]")
+        at = f"measurementMap[{i}]"
+        q, b = _list(qb, at, 2)
+        q, b = _int(q, at, n), _int(b, at)
+        if b in mmap:
+            raise InputError(f"{at}: bit {b} is listed twice")
+        mmap[b] = q
     return CompiledProgram(
         n,
         _layer_from_json(_field(obj, "preLayer", "program"), n, "preLayer"),

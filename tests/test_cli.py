@@ -232,9 +232,11 @@ def _set_body(doc, item):
     (lambda d: d.update(version="9.9"), "version"),
     (lambda d: d.update(frames=[[0, "Q"]]), "frames[0]"),
     (lambda d: d.update(scheme="fastest"), "scheme"),
+    (lambda d: d.update(measurementMap=[[0, 0], [1, 0]]),
+     "measurementMap[1]"),
 ], ids=["not-json", "no-body", "word-range", "word-self", "matrix",
         "support-range", "axis", "mq-pair", "mq-element", "ancilla-set",
-        "version", "frame", "scheme"])
+        "version", "frame", "scheme", "map-bit-twice"])
 def test_verify_malformed_program_exit_2(qasm_dir, tmp_path, capsys,
                                          corrupt, field):
     out = tmp_path / "p.json"
@@ -251,6 +253,20 @@ def test_verify_malformed_program_exit_2(qasm_dir, tmp_path, capsys,
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1 and field in captured.err
+
+
+@pytest.mark.parametrize("measures, want", [
+    # one qubit into two bits: both bits are kept
+    ("measure q[0] -> c[0];\nmeasure q[0] -> c[1];\n", [[0, 0], [0, 1]]),
+    # two qubits into one bit: the bit holds the last one
+    ("measure q[1] -> c[0];\nmeasure q[0] -> c[0];\n", [[0, 0]]),
+])
+def test_measurement_map_has_one_entry_per_bit(measures, want):
+    from pgmq.qasm import parse_qasm
+    prog = optimize(parse_qasm(BELL.replace("measure q -> c;\n", measures)))
+    text = serialize.dumps(prog)
+    assert json.loads(text)["measurementMap"] == want
+    assert serialize.dumps(serialize.loads(text)) == text
 
 
 MID_MEASURE = ('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from pgmq.circuit import (Circuit, CircuitError, Measure, SingleQubit,
-                          ZzRotation, cnot, hadamard, to_unitary, u1)
+from pgmq.circuit import (Barrier, Circuit, CircuitError, GeneralizedCnot,
+                          Measure, SingleQubit, ZzRotation, cnot, hadamard,
+                          to_unitary, u1)
 from pgmq.cost import AUTO, NO_ANCILLA, ANCILLA_MERGED, sequence_cost
-from pgmq.gadgets import GadgetSequence, PhaseGadget, simplify
-from pgmq.passes import (CnotLayer, CompileOptions, _greedy_matching,
+from pgmq.gadgets import GadgetSequence, PhaseGadget, commute_cnot, simplify
+from pgmq.passes import (CompileOptions, _greedy_matching,
                          conjugate_sequence,
                          conjugation_cost_matrix, norm_reduction_step,
-                         optimize, pg_left, pg_right, sequence_adjoint)
+                         optimize, pg_left, pg_right, sequence_adjoint,
+                         single_qubit_gadgets)
+from pgmq.serialize import _row_bits
 from pgmq.qasm import to_zz_basis
 from conftest import exact_matching, random_circuit, sequence_unitary
 
@@ -19,40 +22,29 @@ def zz_circuit(n, depth, rng):
     return to_zz_basis(random_circuit(n, depth, rng))
 
 
-def layer_unitary(layer):
-    c = Circuit(layer.n, layer.to_gates())
-    return to_unitary(c)
+def layer_unitary(word, n):
+    """Dense unitary of a CNOT word, (control, target) pairs in time order."""
+    return to_unitary(Circuit(n, [cnot(c, t) for c, t in word]))
 
 
-# --- CnotLayer -------------------------------------------------------------
+# --- CNOT layers -----------------------------------------------------------
 
 def test_cnot_layer_replay_and_invertibility(rng):
-    from pgmq.serialize import _row_bits
     for _ in range(30):
         n = 4
-        layer = CnotLayer(n)
-        for _ in range(int(rng.integers(0, 10))):
-            a, b = rng.choice(n, size=2, replace=False)
-            layer.append(int(a), int(b))
+        word = [tuple(int(q) for q in rng.choice(n, size=2, replace=False))
+                for _ in range(int(rng.integers(0, 10)))]
         # the serialized GF(2) rows are the basis permutation |x> -> |Ax>
-        rows = _row_bits(layer)
+        rows = _row_bits(word, n)
         perm = np.zeros((2 ** n, 2 ** n))
         for x in range(2 ** n):
             y = sum((bin(r & x).count("1") % 2) << i for i, r in enumerate(rows))
             perm[y, x] = 1
-        u = layer_unitary(layer)
+        u = layer_unitary(word, n)
         assert np.max(np.abs(u - perm)) < 1e-12
-        v = layer_unitary(layer.adjoint())
+        # the reversed word is the inverse layer
+        v = layer_unitary(word[::-1], n)
         assert np.max(np.abs(u @ v - np.eye(2 ** n))) < 1e-12
-
-
-def test_cnot_layer_prepend_runs_first():
-    layer = CnotLayer(3)
-    layer.append(0, 1)
-    layer.prepend(1, 2)
-    u = layer_unitary(layer)
-    want = to_unitary(Circuit(3, [cnot(1, 2), cnot(0, 1)]))
-    assert np.max(np.abs(u - want)) < 1e-12
 
 
 # --- gadget extraction -----------------------------------------------------
@@ -60,16 +52,16 @@ def test_cnot_layer_prepend_runs_first():
 def test_pg_left_factors_exactly(rng):
     for _ in range(25):
         c = zz_circuit(int(rng.integers(2, 5)), int(rng.integers(1, 25)), rng)
-        seq, layer = pg_left(c)
-        got = sequence_unitary(seq) @ layer_unitary(layer)
+        seq, word = pg_left(c)
+        got = sequence_unitary(seq) @ layer_unitary(word, c.num_qubits)
         assert np.max(np.abs(got - to_unitary(c))) < 1e-9
 
 
 def test_pg_right_factors_exactly(rng):
     for _ in range(25):
         c = zz_circuit(int(rng.integers(2, 5)), int(rng.integers(1, 25)), rng)
-        layer, seq = pg_right(c)
-        got = layer_unitary(layer) @ sequence_unitary(seq)
+        word, seq = pg_right(c)
+        got = layer_unitary(word, c.num_qubits) @ sequence_unitary(seq)
         assert np.max(np.abs(got - to_unitary(c))) < 1e-9
 
 
@@ -80,17 +72,15 @@ def test_pg_left_rejects_measure():
 
 
 def test_pg_left_rejects_noncanonical_cnot():
-    from pgmq.circuit import GeneralizedCnot
     c = Circuit(2, [GeneralizedCnot("X", 0, "Z", 1)])
     with pytest.raises(CircuitError):
         pg_left(c)
 
 
 def test_pg_right_skips_barriers_and_rejects_measure():
-    from pgmq.circuit import Barrier
     c = Circuit(2, [ZzRotation(0.3, 0, 1), Barrier((0, 1)), cnot(0, 1)])
-    layer, seq = pg_right(c)
-    got = layer_unitary(layer) @ sequence_unitary(seq)
+    word, seq = pg_right(c)
+    got = layer_unitary(word, 2) @ sequence_unitary(seq)
     assert np.max(np.abs(got - to_unitary(c))) < 1e-12
     with pytest.raises(CircuitError):
         pg_right(Circuit(1, [Measure(0, 0)], classical_bits=1))
@@ -111,6 +101,102 @@ def test_pg_left_counts_commutation_events(rng):
     pg_left(c, counter)
     # first CNOT crosses one gadget, second crosses one gadget
     assert counter["events"] == 2
+
+
+# --- extraction against the per-CNOT reference walk ------------------------
+
+def reference_pull_cnots(circuit, dagger, counter):
+    """Extraction as one walk in time order that moves each CNOT across
+    every gadget gathered before it (`commute_cnot`), counting one event per
+    crossing: the reference for `passes._pull_cnots`, which maps each gadget
+    once."""
+    phase = circuit.global_phase
+    seq = GadgetSequence(circuit.num_qubits, [],
+                         phase=np.conj(phase) if dagger else phase)
+    word = []
+    for g in reversed(circuit.gates) if dagger else circuit.gates:
+        if isinstance(g, Barrier):
+            continue
+        if isinstance(g, SingleQubit):
+            gads, ph = single_qubit_gadgets(
+                g.matrix.conj().T if dagger else g.matrix, g.qubit)
+            seq.gadgets.extend(gads)
+            seq.phase *= ph
+        elif isinstance(g, ZzRotation):
+            theta = -g.theta if dagger else g.theta
+            seq.gadgets.append(
+                PhaseGadget("Z", 2 * theta / math.pi, (g.qubit_a, g.qubit_b)))
+        else:
+            for i in range(len(seq.gadgets) - 1, -1, -1):
+                seq.gadgets[i] = commute_cnot(g, seq.gadgets[i])
+                counter["events"] = counter.get("events", 0) + 1
+            word.append((g.control, g.target))
+    return simplify(seq), word
+
+
+def extraction_bits(seq, word):
+    """Everything an extraction returns, with every double as its bits."""
+    phase = complex(seq.phase)
+    return ([(g.axis, g.alpha.hex(), g.support) for g in seq.gadgets],
+            sorted(seq.frame.paulis.items()),
+            (phase.real.hex(), phase.imag.hex()), list(word))
+
+
+def _zz(theta, a, b):
+    return [cnot(a, b), u1(theta, b), cnot(a, b)]
+
+
+def qft_circuit(n):
+    """QFT with each controlled phase as two CNOTs and three u1, and the
+    closing qubit reversal as three CNOTs per swap."""
+    gates = []
+    for j in range(n):
+        gates.append(hadamard(j))
+        for k in range(j + 1, n):
+            lam = math.pi / 2 ** (k - j)
+            gates += [u1(lam / 2, k), cnot(k, j), u1(-lam / 2, j),
+                      cnot(k, j), u1(lam / 2, j)]
+    for a in range(n // 2):
+        b = n - 1 - a
+        gates += [cnot(a, b), cnot(b, a), cnot(a, b)]
+    return Circuit(n, gates)
+
+
+def xx_zz_chain(n, steps, dt=0.1):
+    """Trotter steps of an open XX+ZZ chain, each ZZ term as CNOT, u1, CNOT
+    and each XX term as that between Hadamards."""
+    gates = []
+    for _ in range(steps):
+        for q in range(n - 1):
+            gates += _zz(dt, q, q + 1)
+        for q in range(n - 1):
+            gates += [hadamard(q), hadamard(q + 1), *_zz(dt, q, q + 1),
+                      hadamard(q), hadamard(q + 1)]
+    return Circuit(n, gates)
+
+
+def test_extraction_matches_per_cnot_reference_walk(rng):
+    from pgmq.passes import _block_pass
+    circuits = [to_zz_basis(qft_circuit(n)) for n in range(2, 17)]
+    circuits += [xx_zz_chain(n, 1 + n % 3) for n in range(2, 17)]
+    for i in range(180):
+        n = int(rng.integers(2, 17))
+        c = zz_circuit(n, int(rng.integers(1, 4 * n + 8)), rng)
+        circuits.append(_block_pass(c) if i % 4 == 0 and n <= 6 else c)
+    crossed = 0
+    for c in circuits:
+        counter, ref_counter = {}, {}
+        seq, word = pg_left(c, counter)
+        ref_seq, ref_word = reference_pull_cnots(c, False, ref_counter)
+        assert extraction_bits(seq, word) == extraction_bits(ref_seq,
+                                                             ref_word)
+        word, seq = pg_right(c, counter)
+        ref_seq, ref_word = reference_pull_cnots(c, True, ref_counter)
+        assert extraction_bits(seq, word) == extraction_bits(
+            sequence_adjoint(ref_seq), ref_word[::-1])
+        assert counter.get("events", 0) == ref_counter.get("events", 0)
+        crossed += counter.get("events", 0)
+    assert len(circuits) >= 200 and crossed > 0
 
 
 # --- conjugation and norm reduction ----------------------------------------

@@ -56,3 +56,21 @@ def _direct_names():
                          ids=lambda x: x)
 def test_benchmark_name_exists(home, attr):
     assert hasattr(importlib.import_module(f"pgmq.{home}"), attr)
+
+
+def test_norm_reduction_step_result_is_what_the_tracer_reads():
+    # the tracer counts a norm-reduction proposal when result[2] of
+    # passes.norm_reduction_step is true; a reordered or reshaped result
+    # would silently zero the benchmark's proposal count
+    from pgmq.gadgets import GadgetSequence, PhaseGadget
+    from pgmq.passes import norm_reduction_step
+    seen = set()
+    for support in ((0, 1), (0,)):
+        result = norm_reduction_step(
+            GadgetSequence(2, [PhaseGadget("Z", 0.3, support)]))
+        assert isinstance(result, tuple) and len(result) == 3
+        applied, seq, improved = result
+        assert isinstance(applied, list) and isinstance(seq, GadgetSequence)
+        assert improved is bool(applied)
+        seen.add(improved)
+    assert seen == {True, False}
