@@ -430,14 +430,22 @@ def simplify(seq: GadgetSequence) -> GadgetSequence:
                 target.__post_init__()
                 changed = True
         out.gadgets = kept
-        # (c): angle normalization with Pauli extraction
-        for idx, g in enumerate(out.gadgets):
+        # (c): angle normalization with Pauli extraction; `pushed` is the
+        # product, up to a scalar, of the strings moved to the frame so far,
+        # each gadget flipped at its own turn if it anticommutes with it
+        pushed = PauliFrame()
+        for g in out.gadgets:
+            if sum(1 for q in g.support
+                   if pushed.paulis.get(q, "I") not in ("I", g.axis)) % 2:
+                g.alpha = -g.alpha
             shift = math.floor(g.alpha + 0.5)
             if shift != 0:
                 g.alpha -= shift
                 scalar = 1j ** (shift % 4)
                 string = {q: g.axis for q in g.support} if shift % 2 else {}
-                _push_string_to_frame(out, idx, string, scalar)
+                pushed.multiply_right(string)
+                scalar *= out.frame.multiply_right(string)
+                out.phase *= scalar
                 changed = True
         # (d): drop trivial gadgets
         kept = [g for g in out.gadgets if abs(g.alpha) > ALPHA_EPS]

@@ -6,6 +6,7 @@ producing the three-layer compiled form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import starmap
@@ -59,18 +60,22 @@ def _zyz_angles(u: np.ndarray) -> tuple[float, float, float, float]:
     return delta, (a_plus_c + a_minus_c) / 2, b, (a_plus_c - a_minus_c) / 2
 
 
-def single_qubit_gadgets(u: np.ndarray, q: int) -> tuple[list, complex]:
-    """Exact rewrite of the one-qubit unitary u on qubit q as up to three
-    axis gadgets (Z, X, Z pattern) plus a scalar phase."""
-    delta, a, b, c = _zyz_angles(u)
+@functools.lru_cache(maxsize=1024)
+def _gadget_angles(matrix: bytes, dagger: bool) -> tuple[tuple, complex]:
+    """Exact rewrite of the one-qubit unitary with these complex bytes, or
+    with `dagger` of its adjoint, as up to three axis gadgets (Z, X, Z
+    pattern), as (axis, alpha) pairs in time order, plus a scalar phase.
+    Cached: a compile meets the same gates many times over."""
+    u = np.frombuffer(matrix, dtype=complex).reshape(2, 2)
+    delta, a, b, c = _zyz_angles(u.conj().T if dagger else u)
     # Ry(b) = Rz(pi/2) Rx(b) Rz(-pi/2); Rz(t) = G_Z(-t/pi), Rx(t) = G_X(-t/pi)
     angles = [("Z", c - math.pi / 2), ("X", b), ("Z", a + math.pi / 2)]
     out = []
     for axis, theta in angles:  # time order
         alpha = -theta / math.pi
         if abs(math.fmod(alpha, 4.0)) > 1e-14:
-            out.append(PhaseGadget(axis, alpha, (q,)))
-    return out, np.exp(1j * delta)
+            out.append((axis, alpha))
+    return tuple(out), np.exp(1j * delta)
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +88,8 @@ def _pull_cnots(circuit: Circuit, dagger: bool,
     reverse order, one-qubit gates and ZZ rotations inverted, CNOTs
     self-inverse, phase conjugated), pulling every CNOT to the beginning
     through the gadgets before it; returns the gadgets and the CNOT word.
+    Fresh gadgets are built from the cached angles on every use, since
+    `simplify` edits them in place.
 
     The walk runs from that circuit's last gate to its first, with z[q] and
     x[q] the bitmasks of what Z_q and X_q become under the CNOTs met so far.
@@ -103,8 +110,8 @@ def _pull_cnots(circuit: Circuit, dagger: bool,
             word.append((g.control, g.target))
             continue
         if isinstance(g, SingleQubit):
-            met, ph = single_qubit_gadgets(
-                g.matrix.conj().T if dagger else g.matrix, g.qubit)
+            raw, ph = _gadget_angles(g.matrix.tobytes(), dagger)
+            met = [PhaseGadget(axis, alpha, (g.qubit,)) for axis, alpha in raw]
             phases.append(ph)
         elif isinstance(g, ZzRotation):
             theta = -g.theta if dagger else g.theta
@@ -309,13 +316,16 @@ def _strip_measures(circuit: Circuit) -> tuple[Circuit, dict]:
 
 
 def _block_pass(circuit: Circuit) -> Circuit:
-    """layerize -> SU(4) blocks -> per-block phase minimization, flattened
-    back to locals + ZZ rotations + canonical CNOTs."""
+    """layerize -> SU(4) blocks -> phase minimization of all blocks in one
+    stacked call, flattened back to locals + ZZ rotations + canonical
+    CNOTs."""
     items = form_su4_blocks(layerize(circuit))
+    blocks = iter(minimize_block_phase(
+        [it for it in items if isinstance(it, Su4Block)]))
     out = Circuit(circuit.num_qubits, [], global_phase=circuit.global_phase)
     for it in items:
         if isinstance(it, Su4Block):
-            blk = minimize_block_phase(it.unitary, it.pair)
+            blk = next(blocks)
             out.global_phase *= blk.phase
             for g in blk.to_gates():
                 out.add(g)

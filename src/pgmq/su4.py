@@ -4,14 +4,24 @@ rewriting into blocks of at most three Z(x)Z rotations with a leading
 rotation, and total-entanglement-phase minimization over the six CNOT-pair
 completions.
 
-The minimization scores all six completions U.W^dag from one batched
-spectrum: the eigenphases of (M^dag V M)^T (M^dag V M), with
-V = U.W^dag / det^(1/4), are twice the interaction coefficients mapped
-through `_DIAG_SYSTEM`
+The minimization runs once per circuit, over a stack of all its SU(4)
+blocks.  Each distinct unitary (by its bytes) is decomposed once and laid
+onto the qubits of every block that holds it.  All six completions U.W^dag
+of every distinct U are scored from one batched spectrum: the eigenphases of
+(M^dag V M)^T (M^dag V M), with V = U.W^dag / det^(1/4), are twice the
+interaction coefficients mapped through `_DIAG_SYSTEM`
 (Zhang et al., quant-ph/0209120), so the summed |reduced coefficient| needs
 no eigenvectors and no local factors.  The key (score rounded to 12 digits,
-word length, order) picks the completion, and only the winner is decomposed
-and assembled.
+word length, order) picks each completion, and only the winners are
+decomposed and assembled.
+
+The KAK decomposition (`_kak_raw`) takes a stack too: every step is the
+one-matrix step batched (stacked det, eigh, solve and svd, matmuls in the
+same operand order), so each member's result is bit for bit what a stack
+of one gives.  The column order and sign fixes, the determinant fixes and
+the checks act per member, and the diagonalizer's retries with another
+real/imaginary mix run only on the members that need them.  `to_lh_block`
+is the same code on a stack of one.
 
 Matrix conventions follow circuit.py: a 4x4 block unitary acts on an ordered
 qubit pair (low, high) with the low qubit as the least significant index, so
@@ -31,6 +41,7 @@ from .circuit import (
     Circuit,
     CircuitError,
     SingleQubit,
+    Su4Block,
     ZZ,
     ZzRotation,
     cnot,
@@ -74,17 +85,21 @@ def interaction_unitary(c: tuple[float, float, float]) -> np.ndarray:
     return MAGIC @ np.diag(np.exp(1j * phases)) @ MAGIC.conj().T
 
 
-def factor_kron(m: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    """Split a 4x4 tensor-product matrix into (high, low) 2x2 factors."""
-    r = m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+def factor_kron(ms: np.ndarray,
+                tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """Split each 4x4 tensor-product matrix of a (k, 4, 4) stack into its
+    (high, low) 2x2 factors, two (k, 2, 2) stacks."""
+    r = ms.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
     u, s, vh = np.linalg.svd(r)
-    if s.size > 1 and s[1] > tol:
+    if np.any(s[:, 1] > tol):
         raise CircuitError("matrix is not a tensor product of single-qubit factors")
-    hi = (u[:, 0] * math.sqrt(s[0])).reshape(2, 2)
-    lo = (vh[0] * math.sqrt(s[0])).reshape(2, 2)
+    scale = np.sqrt(s[:, :1])
+    hi = (u[:, :, 0] * scale).reshape(-1, 2, 2)
+    lo = (vh[:, 0] * scale).reshape(-1, 2, 2)
     # deterministic gauge: largest entry of the high factor made positive real
-    k = int(np.argmax(np.abs(hi)))
-    ph = hi.flat[k] / abs(hi.flat[k])
+    flat = hi.reshape(-1, 4)
+    top = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)]
+    ph = (top / np.hypot(top.real, top.imag))[:, None, None]
     return hi / ph, lo * ph
 
 
@@ -104,53 +119,66 @@ class KakDecomposition:
                 @ interaction_unitary(self.c) @ np.kron(self.b_hi, self.b_lo))
 
 
+_DIAG = np.arange(4)
+
+
+def _diag(v: np.ndarray) -> np.ndarray:
+    """Diagonal matrices of a (k, 4) stack of vectors, as np.diag builds one."""
+    out = np.zeros(v.shape + (4,), dtype=v.dtype)
+    out[:, _DIAG, _DIAG] = v
+    return out
+
+
 def _orthogonal_diagonalizer(t: np.ndarray) -> np.ndarray:
-    """Real orthogonal O with O^T t O diagonal, for symmetric unitary t."""
+    """Real orthogonal O with O^T t O diagonal, for each symmetric unitary t
+    of a (k, 4, 4) stack; a member that one mix of t's real and imaginary
+    parts fails to diagonalize is retried with the next mix."""
     re, im = np.real(t), np.imag(t)
+    o = np.empty(t.shape)
+    todo = np.arange(len(t))
     for mu in (0.0, 1.0, 0.5, 0.7268339, 1.6180339887, 0.3141592653):
-        _, o = np.linalg.eigh(re + mu * im)
-        d = o.T @ t @ o
-        if np.max(np.abs(d - np.diag(np.diag(d)))) < 1e-10:
+        _, trial = np.linalg.eigh(re[todo] + mu * im[todo])
+        d = trial.mT @ t[todo] @ trial
+        d[:, _DIAG, _DIAG] = 0.0
+        ok = np.abs(d).max(axis=(1, 2)) < 1e-10
+        o[todo[ok]] = trial[ok]
+        todo = todo[~ok]
+        if not todo.size:
             return o
     raise CircuitError("failed to diagonalize the symmetric invariant matrix")
 
 
-def _kak_raw(u: np.ndarray) -> KakDecomposition:
-    """KAK form with unconstrained interaction coefficients."""
-    det = np.linalg.det(u)
-    g0 = det ** 0.25
-    v = u / g0
-    vm = MAGIC.conj().T @ v @ MAGIC
-    t = vm.T @ vm
+def _kak_raw(us: np.ndarray) -> list[KakDecomposition]:
+    """KAK forms with unconstrained interaction coefficients, one per member
+    of a (k, 4, 4) stack of unitaries."""
+    g0 = np.linalg.det(us) ** 0.25
+    vm = MAGIC.conj().T @ (us / g0[:, None, None]) @ MAGIC
+    t = vm.mT @ vm
     o = _orthogonal_diagonalizer(t)
     # deterministic column order and sign
-    d = np.diag(o.T @ t @ o)
-    order = np.lexsort((np.arange(4), np.round(np.angle(d), 10)))
-    o = o[:, order]
-    for j in range(4):
-        nz = np.flatnonzero(np.abs(o[:, j]) > 1e-8)[0]
-        if o[nz, j] < 0:
-            o[:, j] = -o[:, j]
-    if np.linalg.det(o) < 0:
-        o[:, 3] = -o[:, 3]
-    d = np.diag(o.T @ t @ o)
+    d = np.diagonal(o.mT @ t @ o, axis1=1, axis2=2)
+    order = np.argsort(np.round(np.angle(d), 10), axis=1, kind="stable")
+    o = np.take_along_axis(o, order[:, None, :], axis=2)
+    lead = np.take_along_axis(
+        o, np.argmax(np.abs(o) > 1e-8, axis=1)[:, None, :], axis=1)
+    o = np.where(lead < 0, -o, o)
+    neg = np.linalg.det(o) < 0
+    o[neg, :, 3] = -o[neg, :, 3]
+    d = np.diagonal(o.mT @ t @ o, axis1=1, axis2=2)
     phi = np.angle(d) / 2.0
-    k2 = o.T
-    k1 = vm @ o @ np.diag(np.exp(-1j * phi))
-    if np.real(np.linalg.det(k1)) < 0:
-        phi[0] -= math.pi
-        k1 = vm @ o @ np.diag(np.exp(-1j * phi))
+    k1 = vm @ o @ _diag(np.exp(-1j * phi))
+    neg = np.real(np.linalg.det(k1)) < 0
+    if neg.any():
+        phi[neg, 0] -= math.pi
+        k1[neg] = vm[neg] @ o[neg] @ _diag(np.exp(-1j * phi[neg]))
     if np.max(np.abs(np.imag(k1))) > 1e-8:
         raise CircuitError("left orthogonal factor failed to be real")
-    k1 = np.real(k1)
-    sol = np.linalg.solve(_DIAG_SYSTEM, phi)
-    cx, cy, cz, c0 = (float(x) for x in sol)
-    l1 = MAGIC @ k1 @ MAGIC.conj().T
-    l2 = MAGIC @ k2 @ MAGIC.conj().T
-    a_hi, a_lo = factor_kron(l1)
-    b_hi, b_lo = factor_kron(l2)
-    return KakDecomposition(g0 * np.exp(1j * c0), a_lo, a_hi,
-                            (cx, cy, cz), b_lo, b_hi)
+    sol = np.linalg.solve(_DIAG_SYSTEM, phi[:, :, None])[:, :, 0]
+    a_hi, a_lo = factor_kron(MAGIC @ np.real(k1) @ MAGIC.conj().T)
+    b_hi, b_lo = factor_kron(MAGIC @ o.mT @ MAGIC.conj().T)
+    return [KakDecomposition(g0[i] * np.exp(1j * c0), a_lo[i], a_hi[i],
+                             (cx, cy, cz), b_lo[i], b_hi[i])
+            for i, (cx, cy, cz, c0) in enumerate(sol.tolist())]
 
 
 def _shift_coeff(k: KakDecomposition, axis: int) -> None:
@@ -273,19 +301,23 @@ def _push_loc(elements: list, lo: np.ndarray, hi: np.ndarray) -> None:
         elements.append(("loc", lo, hi))
 
 
-def _checked_unitary(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (4, 4) or np.max(np.abs(u @ u.conj().T - np.eye(4))) > 1e-10:
+def _checked_unitaries(us) -> np.ndarray:
+    """The (k, 4, 4) stack as complex matrices, each checked unitary."""
+    us = np.asarray(us, dtype=complex)
+    if (us.ndim != 3 or us.shape[1:] != (4, 4)
+            or np.max(np.abs(us @ us.conj().mT - np.eye(4))) > 1e-10):
         raise CircuitError("to_lh_block needs a 4x4 unitary")
-    return u
+    return us
 
 
-def _reduced_kak(u: np.ndarray) -> KakDecomposition:
-    """KAK form with each interaction coefficient reduced into (-pi/4, pi/4]."""
-    k = _kak_raw(_checked_unitary(u))
-    for axis in range(3):
-        _shift_coeff(k, axis)
-    return k
+def _reduced_kak(us: np.ndarray) -> list[KakDecomposition]:
+    """KAK forms of a stack of unitaries with each interaction coefficient
+    reduced into (-pi/4, pi/4]."""
+    kaks = _kak_raw(us)
+    for k in kaks:
+        for axis in range(3):
+            _shift_coeff(k, axis)
+    return kaks
 
 
 def _assemble(k: KakDecomposition, pair: tuple[int, int]) -> LhBlock:
@@ -325,7 +357,8 @@ def to_lh_block(u: np.ndarray, pair: tuple[int, int] = (0, 1)) -> LhBlock:
     Uses the un-permuted interaction frame (each coefficient reduced into
     (-pi/4, pi/4] only), so axis-pure inputs keep their natural axis and do
     not pick up spurious local layers from Weyl-chamber reordering."""
-    return _assemble(_reduced_kak(u), pair)
+    us = _checked_unitaries(np.asarray(u)[None])
+    return _assemble(_reduced_kak(us)[0], pair)
 
 
 # the six CNOT-pair completions as (control, target) words over the local
@@ -362,15 +395,31 @@ def _spectral_scores(us: np.ndarray) -> np.ndarray:
     return np.where(a >= _EPS, a, 0.0).sum(axis=1)
 
 
-def minimize_block_phase(u: np.ndarray, pair: tuple[int, int]) -> LhBlock:
-    """Pick the CNOT-word completion W minimizing the summed |ZZ angle| of
-    the block decomposition of U.W^dag; ties prefer fewer trailing CNOTs,
-    then the fixed completion order.  All completions are scored from one
-    batched spectrum, and only the winner is decomposed and assembled."""
-    u = _checked_unitary(u)
-    scores = _spectral_scores(u @ _WORD_ADJOINTS)
-    best = min(range(len(_WORDS)),
-               key=lambda i: (round(float(scores[i]), 12), len(_WORDS[i]), i))
-    blk = _assemble(_reduced_kak(u @ _WORD_ADJOINTS[best]), pair)
-    blk.trailing = [(pair[c], pair[t]) for c, t in _WORDS[best]]
-    return blk
+def minimize_block_phase(blocks: list[Su4Block]) -> list[LhBlock]:
+    """For each block U of a circuit, in order, pick the CNOT-word completion
+    W minimizing the summed |ZZ angle| of the block decomposition of
+    U.W^dag; ties prefer fewer trailing CNOTs, then the fixed completion
+    order.
+
+    Each distinct unitary is decomposed once, and its block is laid onto
+    the qubits of every block that holds it.  All completions of all
+    distinct unitaries are scored from one batched spectrum, and only the
+    winners are decomposed (in one stacked pass) and assembled."""
+    if not blocks:
+        return []
+    us = _checked_unitaries(np.stack([b.unitary for b in blocks]))
+    slot: dict[bytes, int] = {}
+    which = [slot.setdefault(u.tobytes(), len(slot)) for u in us]
+    distinct = us[np.unique(which, return_index=True)[1]]
+    tried = distinct[:, None] @ _WORD_ADJOINTS
+    scores = _spectral_scores(tried.reshape(-1, 4, 4)).reshape(-1, len(_WORDS))
+    best = [min(range(len(_WORDS)),
+                key=lambda i: (round(float(row[i]), 12), len(_WORDS[i]), i))
+            for row in scores]
+    kaks = _reduced_kak(tried[np.arange(len(best)), best])
+    shapes = [_assemble(k, (0, 1)) for k in kaks]
+    # blocks holding the same unitary share its "loc" arrays, as do the
+    # SingleQubit gates built from them: nothing may write into them
+    return [LhBlock(b.pair, list(shapes[j].elements), shapes[j].phase,
+                    [(b.pair[c], b.pair[t]) for c, t in _WORDS[best[j]]])
+            for b, j in zip(blocks, which)]

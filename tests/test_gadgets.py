@@ -221,9 +221,11 @@ def test_simplify_cancels_inverse_pair():
 
 
 def _nested_loop_simplify(seq: GadgetSequence) -> GadgetSequence:
-    """The merge scan `simplify` used before its one-sweep merge: for each
-    gadget, pull every later equal one back across everything between them
-    that it commutes with.  Steps (c) and (d) are `simplify`'s."""
+    """`simplify` as it was before its one-sweep merge and its running
+    string: for each gadget, pull every later equal one back across
+    everything between them that it commutes with; then, for each shifted
+    angle, push its Pauli string through every later gadget
+    (`_push_string_to_frame`).  Step (d) is `simplify`'s."""
     out = seq.copy()
     changed = True
     while changed:
@@ -280,6 +282,33 @@ def test_simplify_matches_nested_loop_merge(rng):
         assert got.frame.paulis == want.frame.paulis
         assert got.phase == want.phase
 
+
+
+def test_simplify_matches_old_walk_up_to_16_qubits(rng):
+    # many gadgets over up to 16 qubits, most angles shifted: every shift
+    # that pushes a string flips the later gadgets it anticommutes with
+    for _ in range(120):
+        n = int(rng.integers(1, 17))
+        gads = []
+        for _ in range(int(rng.integers(1, 60))):
+            k = int(rng.integers(1, min(n, 5) + 1))
+            alpha = (float(rng.uniform(-2, 2)) if rng.random() < 0.6
+                     else 0.5 * int(rng.integers(-4, 5)))
+            gads.append(PhaseGadget(
+                str(rng.choice(list("XYZ"))), alpha,
+                tuple(int(q) for q in rng.choice(n, k, replace=False))))
+        frame = {int(q): str(rng.choice(list("XYZ")))
+                 for q in rng.choice(n, int(rng.integers(0, n + 1)),
+                                     replace=False)}
+        seq = GadgetSequence(n, gads, PauliFrame(frame),
+                             complex(np.exp(1j * rng.uniform(-3, 3))))
+        got, want = simplify(seq), _nested_loop_simplify(seq)
+        assert [(g.axis, g.support, g.alpha.hex()) for g in got.gadgets] \
+            == [(g.axis, g.support, g.alpha.hex()) for g in want.gadgets]
+        assert got.frame.paulis == want.frame.paulis
+        phase, ref = complex(got.phase), complex(want.phase)
+        assert (phase.real.hex(), phase.imag.hex()) == \
+            (ref.real.hex(), ref.imag.hex())
 
 def test_frame_cnot_conjugation_signs(rng):
     # A P A^dag for random frames and CNOT words, dense-checked

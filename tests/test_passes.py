@@ -4,18 +4,20 @@ import numpy as np
 import pytest
 
 from pgmq.circuit import (Barrier, Circuit, CircuitError, GeneralizedCnot,
-                          Measure, SingleQubit, ZzRotation, cnot, hadamard,
-                          to_unitary, u1)
+                          Measure, SingleQubit, Su4Block, ZzRotation, cnot,
+                          form_su4_blocks, hadamard, layerize, to_unitary, u1)
 from pgmq.cost import AUTO, NO_ANCILLA, ANCILLA_MERGED, sequence_cost
 from pgmq.gadgets import GadgetSequence, PhaseGadget, commute_cnot, simplify
 from pgmq.passes import (CompileOptions, _greedy_matching,
                          conjugate_sequence,
                          conjugation_cost_matrix, norm_reduction_step,
                          optimize, pg_left, pg_right, sequence_adjoint,
-                         single_qubit_gadgets)
+                         _gadget_angles)
 from pgmq.serialize import _row_bits
-from pgmq.qasm import to_zz_basis
+from pgmq.qasm import parse_qasm_file, to_zz_basis
+from pgmq.su4 import minimize_block_phase
 from conftest import exact_matching, random_circuit, sequence_unitary
+from test_fingerprints import ROOT, _random_pool
 
 
 def zz_circuit(n, depth, rng):
@@ -118,9 +120,9 @@ def reference_pull_cnots(circuit, dagger, counter):
         if isinstance(g, Barrier):
             continue
         if isinstance(g, SingleQubit):
-            gads, ph = single_qubit_gadgets(
-                g.matrix.conj().T if dagger else g.matrix, g.qubit)
-            seq.gadgets.extend(gads)
+            angles, ph = _gadget_angles(g.matrix.tobytes(), dagger)
+            seq.gadgets.extend(PhaseGadget(axis, alpha, (g.qubit,))
+                               for axis, alpha in angles)
             seq.phase *= ph
         elif isinstance(g, ZzRotation):
             theta = -g.theta if dagger else g.theta
@@ -197,6 +199,59 @@ def test_extraction_matches_per_cnot_reference_walk(rng):
         assert counter.get("events", 0) == ref_counter.get("events", 0)
         crossed += counter.get("events", 0)
     assert len(circuits) >= 200 and crossed > 0
+
+
+# --- the stacked block pass against the per-block loop ---------------------
+
+def reference_block_pass(circuit):
+    """The block pass as a loop over the blocks, each decomposed alone (a
+    stack of one): the reference for `passes._block_pass`, which decomposes
+    all of a circuit's blocks in one stacked call."""
+    out = Circuit(circuit.num_qubits, [], global_phase=circuit.global_phase)
+    for it in form_su4_blocks(layerize(circuit)):
+        if isinstance(it, Su4Block):
+            blk = minimize_block_phase([it])[0]
+            out.global_phase *= blk.phase
+            for g in blk.to_gates():
+                out.add(g)
+        else:
+            out.add(it)
+    return out
+
+
+def circuit_bits(c):
+    """Every gate's kind, qubits and doubles as bits, and the phase's bits."""
+    def bits(g):
+        if isinstance(g, SingleQubit):
+            return g.matrix.tobytes()
+        if isinstance(g, ZzRotation):
+            return g.theta.hex()
+        return (g.control, g.target, g.control_axis, g.target_axis)
+    phase = complex(c.global_phase)
+    return ([(type(g).__name__, g.qubits, bits(g)) for g in c.gates],
+            phase.real.hex(), phase.imag.hex())
+
+
+def test_block_pass_matches_per_block_loop():
+    from pgmq.passes import _block_pass, _strip_measures
+    circuits = [parse_qasm_file(f)
+                for f in sorted((ROOT / "benchmarks").glob("*.qasm"))]
+    assert len(circuits) >= 10
+    circuits += list(_random_pool().values())
+    rng = np.random.default_rng(20260826)  # acceptance test 1's circuits
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        circuits.append(random_circuit(n, int(rng.integers(5, 61)), rng))
+    repeated = 0
+    for c in circuits:
+        raw = to_zz_basis(_strip_measures(c)[0])
+        want = reference_block_pass(raw)
+        assert circuit_bits(_block_pass(raw)) == circuit_bits(want)
+        blocks = [it.unitary.tobytes()
+                  for it in form_su4_blocks(layerize(raw))
+                  if isinstance(it, Su4Block)]
+        repeated += len(blocks) - len(set(blocks))
+    assert repeated > 0
 
 
 # --- conjugation and norm reduction ----------------------------------------

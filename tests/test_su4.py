@@ -5,18 +5,22 @@ import pytest
 from scipy.stats import unitary_group
 
 from pgmq import su4
-from pgmq.circuit import Circuit, CircuitError, ZzRotation, cnot, to_unitary
+from pgmq.circuit import (Circuit, CircuitError, Su4Block, ZzRotation, cnot,
+                          to_unitary)
 from pgmq.su4 import (LhBlock, _WORD_ADJOINTS, _assemble, _kak_raw,
                       _reduced_kak, factor_kron,
                       interaction_unitary, minimize_block_phase, to_lh_block)
 
 
+def minimize_one(u, pair):
+    """`minimize_block_phase` on a stack of one block."""
+    return minimize_block_phase([Su4Block(pair, u)])[0]
+
+
 def test_kak_reconstructs_haar(rng):
-    worst = 0.0
-    for _ in range(200):
-        u = unitary_group.rvs(4, random_state=rng)
-        k = _kak_raw(u)
-        worst = max(worst, float(np.max(np.abs(k.reconstruct() - u))))
+    us = np.stack([unitary_group.rvs(4, random_state=rng) for _ in range(200)])
+    worst = max(float(np.max(np.abs(k.reconstruct() - u)))
+                for u, k in zip(us, _kak_raw(us)))
     assert worst < 1e-9
 
 
@@ -33,8 +37,8 @@ def test_lh_block_anchors():
 def test_factor_kron(rng):
     a = unitary_group.rvs(2, random_state=rng)
     b = unitary_group.rvs(2, random_state=rng)
-    hi, lo = factor_kron(np.kron(a, b))
-    assert np.max(np.abs(np.kron(hi, lo) - np.kron(a, b))) < 1e-10
+    hi, lo = factor_kron(np.kron(a, b)[None])
+    assert np.max(np.abs(np.kron(hi[0], lo[0]) - np.kron(a, b))) < 1e-10
 
 
 def test_interaction_unitary_diagonal_in_magic_basis():
@@ -67,7 +71,7 @@ def test_lh_block_pure_zz_has_no_locals():
 def test_minimize_block_phase_reduces_norm(rng):
     for _ in range(50):
         u = unitary_group.rvs(4, random_state=rng)
-        best = minimize_block_phase(u, (0, 1))
+        best = minimize_one(u, (0, 1))
         plain = to_lh_block(u)
         assert best.total_phase() <= plain.total_phase() + 1e-12
         # gates replay the block exactly
@@ -79,7 +83,7 @@ def test_minimize_block_phase_absorbs_cnot():
     # a bare CNOT is all Clifford: it should land in the trailing word with
     # zero leftover ZZ rotation
     u = to_unitary(Circuit(2, [cnot(0, 1)]))
-    blk = minimize_block_phase(u, (0, 1))
+    blk = minimize_one(u, (0, 1))
     assert blk.total_phase() == pytest.approx(0.0, abs=1e-12)
     assert blk.trailing
     c = Circuit(2, blk.to_gates(), global_phase=blk.phase)
@@ -89,7 +93,7 @@ def test_minimize_block_phase_absorbs_cnot():
 def test_to_lh_block_cnot_plus_zz_keeps_only_zz():
     from pgmq.circuit import ZzRotation
     u = to_unitary(Circuit(2, [cnot(0, 1), ZzRotation(0.3, 0, 1)]))
-    blk = minimize_block_phase(u, (0, 1))
+    blk = minimize_one(u, (0, 1))
     assert blk.total_phase() == pytest.approx(0.3, abs=1e-10)
 
 
@@ -134,26 +138,15 @@ def _block_inputs(rng):
 def test_minimize_block_phase_matches_full_assembly(rng):
     for i, u in enumerate(_block_inputs(rng)):
         for pair in ((0, 1), (2, 5)):
-            got, want = minimize_block_phase(u, pair), _reference_block(u, pair)
-            where = f"input {i} on {pair}"
-            assert got.pair == want.pair
-            assert got.trailing == want.trailing, where
-            assert got.phase == want.phase, where
-            assert [e[0] for e in got.elements] == \
-                [e[0] for e in want.elements], where
-            for eg, ew in zip(got.elements, want.elements):
-                if eg[0] == "zz":
-                    assert eg[1] == ew[1], where
-                else:
-                    assert np.array_equal(eg[1], ew[1]), where
-                    assert np.array_equal(eg[2], ew[2]), where
+            assert_same_block(minimize_one(u, pair), _reference_block(u, pair),
+                              f"input {i} on {pair}")
 
 
 def test_spectral_score_is_reduced_kak_phase(rng):
     for i, u in enumerate(_block_inputs(rng)):
         got = su4._spectral_scores(u @ _WORD_ADJOINTS)
-        want = [_assemble(_reduced_kak(u @ w_adj), (2, 5)).total_phase()
-                for w_adj in _WORD_ADJOINTS]
+        want = [_assemble(k, (2, 5)).total_phase()
+                for k in _reduced_kak(u @ _WORD_ADJOINTS)]
         assert np.max(np.abs(got - want)) < 1e-12, f"input {i}"
 
 
@@ -163,7 +156,9 @@ def test_spectral_score_rejects_non_unitary_spectrum():
 
 
 def test_minimize_block_phase_assembles_once(rng, monkeypatch):
-    counts = {"assemble": 0, "reduced_kak": 0, "circuit": 0, "to_unitary": 0}
+    # one assembly per distinct unitary, one stacked KAK pass per call, and
+    # no circuit built at all
+    counts = {"assemble": 0, "kak_raw": 0, "circuit": 0, "to_unitary": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -172,12 +167,69 @@ def test_minimize_block_phase_assembles_once(rng, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(su4, "_assemble", counted("assemble", su4._assemble))
-    monkeypatch.setattr(su4, "_reduced_kak",
-                        counted("reduced_kak", su4._reduced_kak))
+    monkeypatch.setattr(su4, "_kak_raw", counted("kak_raw", su4._kak_raw))
     monkeypatch.setattr(su4, "Circuit", counted("circuit", su4.Circuit))
     monkeypatch.setattr(su4, "to_unitary",
                         counted("to_unitary", su4.to_unitary))
-    for _ in range(5):
-        minimize_block_phase(unitary_group.rvs(4, random_state=rng), (0, 1))
-    assert counts == {"assemble": 5, "reduced_kak": 5, "circuit": 0,
+    us = [unitary_group.rvs(4, random_state=rng) for _ in range(5)]
+    blocks = [Su4Block((q, q + 1), us[j % 5])
+              for q, j in enumerate([0, 1, 2, 0, 3, 4, 1, 0])]
+    minimize_block_phase(blocks)
+    assert counts == {"assemble": 5, "kak_raw": 1, "circuit": 0,
                       "to_unitary": 0}
+
+
+def assert_same_block(got, want, where):
+    """Two LhBlocks equal bit for bit."""
+    assert got.pair == want.pair, where
+    assert got.trailing == want.trailing, where
+    assert got.phase == want.phase, where
+    assert [e[0] for e in got.elements] == \
+        [e[0] for e in want.elements], where
+    for eg, ew in zip(got.elements, want.elements):
+        if eg[0] == "zz":
+            assert eg[1] == ew[1], where
+        else:
+            assert np.array_equal(eg[1], ew[1]), where
+            assert np.array_equal(eg[2], ew[2]), where
+
+
+def test_stacked_blocks_match_stacks_of_one(rng, monkeypatch):
+    # one stack mixing duplicates (on other pairs), members the first mix of
+    # the diagonalizer fails on, both sign fixes and Haar inputs: each member
+    # is decomposed as on its own
+    us = _block_inputs(rng)
+    rng.shuffle(us)
+    blocks = [Su4Block((i % 3, 3 + i % 2), u) for i, u in enumerate(us)]
+    blocks += [Su4Block((1, 4), b.unitary) for b in blocks[::7]]
+    eighs, dets = [], []
+    eigh, det = np.linalg.eigh, np.linalg.det
+
+    def seen(log, fn):
+        def wrapper(a):
+            out = fn(a)
+            log.append(out)
+            return out
+        return wrapper
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", seen(eighs, eigh))
+        m.setattr(np.linalg, "det", seen(dets, det))
+        stacked = minimize_block_phase(blocks)
+    # the mixes tried on the winners, then det(o) and det(k1) per pass
+    retried = [len(w.eigenvalues) for w in eighs[1:]]
+    assert retried and retried[0] > 0
+    det_o, det_k1 = dets[-2], dets[-1]
+    assert np.any(det_o < 0) and np.any(det_k1.real < 0)
+    assert len(stacked) == len(blocks)
+    for i, (b, got) in enumerate(zip(blocks, stacked)):
+        assert_same_block(got, minimize_block_phase([b])[0], f"member {i}")
+
+
+def test_stack_with_one_non_unitary_member_raises(rng):
+    blocks = [Su4Block((0, 1), unitary_group.rvs(4, random_state=rng))
+              for _ in range(4)]
+    blocks.insert(2, Su4Block((1, 2), np.diag([1.0, 1.0, 1.0, 1.5]) + 0j))
+    with pytest.raises(CircuitError):
+        minimize_block_phase(blocks)
+    assert minimize_block_phase([]) == []
