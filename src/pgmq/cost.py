@@ -4,21 +4,22 @@ the straightforward parallel-merge baseline, and benchmark metrics.
 
 A gadget sequence is realized in two steps, plan then cost or emit.
 
-The plan partitions the gadget stream once into time-ordered steps: free
-one-qubit rotations, groups of two-qubit gadgets, and runs of larger
-gadgets.  A run is realized through one fanout target t as fanout, target
-rotation, merged interface, target rotation, ..., fanout.  Without an
-ancilla each larger gadget is a run of one whose target is its first
-support qubit; with one, consecutive larger gadgets form one run whose
-target is the ancilla.  Each scheme's cost (multiqubit-gate count, then
-total nuclear norm) is read straight from its steps:
+The plan is one left-to-right scan of the gadget list that makes both
+schemes' time-ordered steps at once: free one-qubit rotations, groups of
+two-qubit gadgets, and runs of larger gadgets.  A run is realized through
+one fanout target t as fanout, target rotation, merged interface, target
+rotation, ..., fanout.  Without an ancilla each larger gadget is a run of
+one whose target is its first support qubit; with one, consecutive larger
+gadgets form one run whose target is the ancilla.  Next to the steps the
+scan lists, per scheme and in step order, the norm term of every gate the
+steps emit; a scheme's cost (multiqubit-gate count, then total nuclear
+norm) is the number of its terms and their sum:
 
   * a one-qubit gadget is a frame rotation and never counts;
   * a group of two-qubit gadgets is one programmable gate carrying the
     summed pair phases, counted iff a phase survives MultiQubitGate's
-    zero-drop; its norm comes from one eigvalsh and serves both schemes
-    and every later plan in the same `norms` memo that forms a group with
-    the same pair phases;
+    zero-drop; its term is its key, the sorted surviving pair phases, which
+    fix the phase matrix bit for bit.  Both schemes share the group;
   * a run of M gadgets J_1..J_M onto t costs a leading star with |J_1 - t|
     spokes (the support without the target), one merged interface per
     adjacent pair (J, K) and a trailing star with |J_M - t| spokes: two
@@ -29,11 +30,17 @@ total nuclear norm) is read straight from its steps:
     control it is no gate.
 
 Every star gate with k spokes of phase pi/4 has norm star_norm(k) =
-(pi/4) sqrt(k).  `auto` takes the cheaper scheme, no-ancilla on a tie.
+(pi/4) sqrt(k).  Pair-group norms live in a `norms` memo keyed by the
+group key.  Costing plans all of its gadget lists first, then fills every
+key the memo lacks with one stacked eigvalsh per support size (each
+member's bits are what `nuclear_norm` gives the same gate), and only then
+sums.  `auto` takes the cheaper scheme, no-ancilla on a tie.
 
 `passes.optimize` owns one `norms` memo per compile and hands it to every
-`sequence_cost` of that compile, the CNOT-pair cost matrix included; the
-matrix re-plans only the pairs whose CNOT changes some gadget.
+cost of that compile.  `sequence_costs` costs many gadget lists on one
+register in one batch: the CNOT-pair cost matrix hands it the current list
+and, for each pair whose CNOT changes some gadget, that list with only the
+changed gadgets mapped.
 
 One emitter, `_emit`, builds the native-gate `Circuit` (locals plus
 MultiQubitGate) from either scheme's steps, only for the scheme that runs:
@@ -107,90 +114,98 @@ def star_norm(k: int) -> float:
 # Plan
 # ---------------------------------------------------------------------------
 
+def _group_key(pairs: dict) -> tuple:
+    """Memo key of a pair group: its sorted pair phases that survive
+    MultiQubitGate's zero-drop, which fix its phase matrix bit for bit;
+    empty when the phases cancel to no gate."""
+    return tuple(sorted(kv for kv in pairs.items() if abs(kv[1]) > 1e-15))
+
+
 @dataclass(eq=False)
-class _PairGroup:
-    """Consecutive two-qubit gadgets with consistent per-qubit axes, as the
-    one programmable gate that implements them."""
+class _Plan:
+    """Both schemes' realization steps of one gadget list, and the norm of
+    each gate a scheme's steps emit, in step order: a star's closed form, or
+    a pair group's memo key."""
 
-    axes: dict                   # qubit -> gadget axis
-    gate: MultiQubitGate         # summed pair phases alpha*pi/2
-    norm: float
-
-
-def _pair_group(group: list, axes: dict, norms: dict) -> _PairGroup:
-    """The group's gate, its norm looked up in (or added to) `norms`, keyed
-    by the gate's sorted pair phases: the key fixes the phase matrix bit for
-    bit, so a hit returns exactly what `nuclear_norm` would."""
-    pairs: dict = {}
-    for g in group:
-        pairs[g.support] = pairs.get(g.support, 0.0) + g.alpha * math.pi / 2
-    gate = MultiQubitGate(pairs)
-    key = tuple(sorted(gate.pairs.items()))
-    norm = norms.get(key)
-    if norm is None:
-        norm = norms[key] = nuclear_norm(gate)
-    return _PairGroup(axes, gate, norm)
+    steps: dict                  # scheme -> step list
+    terms: dict                  # scheme -> [float | pair-group key]
 
 
-def _stream_units(gadgets: list, norms: dict) -> list:
-    """The no-ancilla scheme's steps, in time order: ("single", g);
-    ("pairs", _PairGroup) for maximal groups of consecutive two-qubit
-    gadgets with consistent per-qubit axes (single-qubit gadgets that
-    commute with a pending group hop in front of it); and, for a larger
-    gadget g, ("run", ([g], g.support[0])): a run of one whose fanouts
-    target its first support qubit."""
-    units: list = []
-    axes: dict = {}
-    group: list = []
+def _plan(gadgets: list, ancilla: int) -> _Plan:
+    """One left-to-right scan producing both schemes' steps, in time order.
 
-    def flush():
-        nonlocal axes, group
-        if group:
-            units.append(("pairs", _pair_group(group, axes, norms)))
-        axes, group = {}, []
+    No-ancilla steps: ("single", g); ("pairs", (axes, pairs, key)) for each
+    maximal group of consecutive two-qubit gadgets with consistent
+    per-qubit axes, whose summed pair phases `pairs` (insertion order) the
+    emitter turns into one MultiQubitGate; and, for a larger gadget g,
+    ("run", ([g], g.support[0])), a run of one onto its first support
+    qubit.  A single-qubit gadget that commutes with a pending group hops
+    in front of it.  Each no-ancilla step passes on to the ancilla schedule
+    as it is made: there consecutive runs merge into one run onto qubit
+    `ancilla`, and a single-qubit step that commutes with the pending run
+    hops in front of it."""
+    no_steps, no_terms, anc_steps, anc_terms = [], [], [], []
+    axes: dict = {}              # pending pair group: qubit -> axis
+    pairs: dict = {}             # pending pair group: support -> phase
+    run: list = []               # pending ancilla run
+
+    def end_run():
+        # the ancilla is in no support: each end star has |J| spokes
+        nonlocal run
+        anc_steps.append(("run", (run, ancilla)))
+        anc_terms.append(star_norm(len(run[0].support)))
+        for g, h in zip(run, run[1:]):
+            k = _interface_live(g, h)
+            if k:
+                anc_terms.append(star_norm(k))
+        anc_terms.append(star_norm(len(run[-1].support)))
+        run = []
+
+    def end_group():
+        nonlocal axes, pairs
+        key = _group_key(pairs)
+        step = ("pairs", (axes, pairs, key))
+        if run:
+            end_run()
+        no_steps.append(step)
+        anc_steps.append(step)
+        if key:
+            no_terms.append(key)
+            anc_terms.append(key)
+        axes, pairs = {}, {}
 
     for g in gadgets:
-        k = len(g.support)
+        support, axis = g.support, g.axis
+        k = len(support)
         if k == 2:
-            if group and any(axes.get(q, g.axis) != g.axis for q in g.support):
-                flush()
-            group.append(g)
-            for q in g.support:
-                axes[q] = g.axis
+            a, b = support
+            if axes.get(a, axis) != axis or axes.get(b, axis) != axis:
+                end_group()
+            pairs[support] = pairs.get(support, 0.0) + g.alpha * math.pi / 2
+            axes[a] = axes[b] = axis
         elif k == 1:
-            if group and not all(pg_commutes(g, h) for h in group):
-                flush()
-            units.append(("single", g))
+            # every group gadget on q carries axes[q], so g commutes with
+            # the group iff that axis is its own or q is not in the group
+            q = support[0]
+            if axes.get(q, axis) != axis:
+                end_group()
+            step = ("single", g)
+            no_steps.append(step)
+            if run and not all(pg_commutes(g, h) for h in run):
+                end_run()
+            anc_steps.append(step)
         else:
-            flush()
-            units.append(("run", ([g], g.support[0])))
-    flush()
-    return units
-
-
-def _group_runs(units: list, ancilla: int) -> list:
-    """The ancilla scheme's steps: consecutive runs become one run whose
-    fanouts and interfaces all target `ancilla`; single-qubit units that
-    commute with a pending run hop in front of it."""
-    schedule: list = []
-    run: list = []
-    for kind, val in units:
-        if kind == "run":
-            run.extend(val[0])
-            continue
-        if run and not (kind == "single"
-                        and all(pg_commutes(val, h) for h in run)):
-            schedule.append(("run", (run, ancilla)))
-            run = []
-        schedule.append((kind, val))
+            if axes:
+                end_group()
+            no_steps.append(("run", ([g], support[0])))
+            no_terms += [star_norm(k - 1)] * 2
+            run.append(g)
+    if axes:
+        end_group()
     if run:
-        schedule.append(("run", (run, ancilla)))
-    return schedule
-
-
-def _fanout_spokes(g: PhaseGadget, target: int) -> int:
-    """Controls of `fanout(g, target)`: the support minus the target."""
-    return len(g.support) - (target in g.support)
+        end_run()
+    return _Plan({NO_ANCILLA: no_steps, ANCILLA_MERGED: anc_steps},
+                 {NO_ANCILLA: no_terms, ANCILLA_MERGED: anc_terms})
 
 
 def _interface_live(g: PhaseGadget, h: PhaseGadget) -> int:
@@ -201,48 +216,54 @@ def _interface_live(g: PhaseGadget, h: PhaseGadget) -> int:
     return len(set(g.support) | set(h.support))
 
 
-def _plan_cost(steps: list) -> CostVector:
-    """Gate count and total norm of one scheme's steps."""
-    count, norm = 0, 0.0
-    for kind, val in steps:
-        if kind == "pairs":
-            if val.gate.pairs:
-                count += 1
-                norm += val.norm
-        elif kind == "run":
-            run, t = val
-            for k in (_fanout_spokes(run[0], t),
-                      *(_interface_live(g, h) for g, h in zip(run, run[1:])),
-                      _fanout_spokes(run[-1], t)):
-                if k:
-                    count += 1
-                    norm += star_norm(k)
-    return CostVector(count, norm)
+def _fill_norms(keys, norms: dict) -> None:
+    """Add to `norms` the nuclear norm of every pair-group key it lacks,
+    with one stacked eigvalsh per support size.  Each phase matrix is the
+    one MultiQubitGate(pairs).phase_matrix() builds (theta/2 on both slots
+    of each pair, over the sorted support), and a stacked eigvalsh and a
+    row sum give each member's bits as `nuclear_norm` does."""
+    by_size: dict = {}
+    for key in dict.fromkeys(k for k in keys if k not in norms):
+        support = sorted({q for pair, _ in key for q in pair})
+        by_size.setdefault(len(support), []).append((key, support))
+    for k, group in by_size.items():
+        m = np.zeros((len(group), k, k))
+        for i, (key, support) in enumerate(group):
+            for (a, b), th in key:
+                ia, ib = support.index(a), support.index(b)
+                m[i, ia, ib] = m[i, ib, ia] = th / 2
+        ev = np.sum(np.abs(np.linalg.eigvalsh(m)), axis=1)
+        norms.update(zip((key for key, _ in group), ev.tolist()))
 
 
-@dataclass(eq=False)
-class _Plan:
-    """Realization steps of one gadget sequence and their costs, per scheme."""
-
-    steps: dict                  # scheme -> step list
-    costs: dict                  # scheme -> CostVector
-
-    def pick(self, scheme: str) -> str:
-        """The scheme to emit: `auto` takes the cheaper, no-ancilla on a tie."""
-        if scheme == AUTO:
-            if self.costs[NO_ANCILLA].key() <= self.costs[ANCILLA_MERGED].key():
-                return NO_ANCILLA
-            return ANCILLA_MERGED
-        if scheme not in self.costs:
-            raise CircuitError(f"unknown realization scheme {scheme!r}")
-        return scheme
+def _total(terms: list, norms: dict) -> CostVector:
+    """Gate count and total norm of one scheme's terms, summed in step
+    order."""
+    norm = 0.0
+    for t in terms:
+        norm += norms[t] if type(t) is tuple else t
+    return CostVector(len(terms), norm)
 
 
-def _plan(seq: GadgetSequence, norms: dict) -> _Plan:
-    units = _stream_units(seq.gadgets, norms)
-    steps = {NO_ANCILLA: units,
-             ANCILLA_MERGED: _group_runs(units, seq.num_qubits)}
-    return _Plan(steps, {s: _plan_cost(v) for s, v in steps.items()})
+def _pick(costs: dict, scheme: str) -> str:
+    """The scheme to emit: `auto` takes the cheaper, no-ancilla on a tie."""
+    if scheme == AUTO:
+        if costs[NO_ANCILLA].key() <= costs[ANCILLA_MERGED].key():
+            return NO_ANCILLA
+        return ANCILLA_MERGED
+    if scheme not in costs:
+        raise CircuitError(f"unknown realization scheme {scheme!r}")
+    return scheme
+
+
+def _costs(plans: list, norms: dict) -> list:
+    """Each plan's cost per scheme, after filling every pair-group norm
+    the plans need and `norms` lacks in one batch."""
+    # both schemes' steps hold the same pair groups
+    _fill_norms((t for p in plans for t in p.terms[NO_ANCILLA]
+                 if type(t) is tuple), norms)
+    return [{s: _total(terms, norms) for s, terms in p.terms.items()}
+            for p in plans]
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +291,13 @@ def _emit(seq: GadgetSequence, steps: list, width: int) -> Circuit:
         if kind == "single":
             items.append(target_rotation(val, val.support[0]))
         elif kind == "pairs":
-            conj = sorted(q for q, ax in val.axes.items() if ax != "Z")
-            items.extend(SingleQubit(q, _Z_TO[val.axes[q]].conj().T, "basis")
+            axes, pairs, key = val
+            conj = sorted(q for q, ax in axes.items() if ax != "Z")
+            items.extend(SingleQubit(q, _Z_TO[axes[q]].conj().T, "basis")
                          for q in conj)
-            if val.gate.pairs:
-                items.append(val.gate)
-            items.extend(SingleQubit(q, _Z_TO[val.axes[q]], "basis")
+            if key:
+                items.append(MultiQubitGate(pairs))
+            items.extend(SingleQubit(q, _Z_TO[axes[q]], "basis")
                          for q in conj)
         else:
             run, t = val
@@ -297,8 +319,8 @@ def realize(seq: GadgetSequence, scheme: str = AUTO) -> Circuit:
     which is added only when a run uses it; without, each costs two star
     gates.  `auto` picks the scheme with the lower planned cost (count
     first, then norm) and emits only that one."""
-    plan = _plan(seq, {})
-    scheme = plan.pick(scheme)
+    plan = _plan(seq.gadgets, seq.num_qubits)
+    scheme = _pick(_costs([plan], {})[0], scheme)
     steps = plan.steps[scheme]
     used = scheme == ANCILLA_MERGED and any(k == "run" for k, _ in steps)
     return _emit(seq, steps, seq.num_qubits + int(used))
@@ -312,8 +334,17 @@ def sequence_cost(seq: GadgetSequence, scheme: str = AUTO,
     `norms` memoizes pair-group nuclear norms across calls; the caller owns
     it (`passes.optimize` keeps one per compile).  Only `seq.gadgets` and
     `seq.num_qubits` are read: the frame and phase cost nothing."""
-    plan = _plan(seq, {} if norms is None else norms)
-    return plan.costs[plan.pick(scheme)]
+    return sequence_costs([seq.gadgets], seq.num_qubits, scheme, norms)[0]
+
+
+def sequence_costs(gadget_lists: list, num_qubits: int, scheme: str = AUTO,
+                   norms: dict | None = None) -> list[CostVector]:
+    """`sequence_cost` of each gadget list on `num_qubits` qubits, with the
+    pair-group norms that all of them need and `norms` lacks computed in
+    one batch before any cost is summed."""
+    plans = [_plan(gadgets, num_qubits) for gadgets in gadget_lists]
+    costs = _costs(plans, {} if norms is None else norms)
+    return [c[_pick(c, scheme)] for c in costs]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .circuit import (
     form_su4_blocks,
     Su4Block,
 )
-from .cost import AUTO, CostVector, realize, sequence_cost
+from .cost import AUTO, CostVector, realize, sequence_cost, sequence_costs
 from .gadgets import (
     GadgetSequence,
     PhaseGadget,
@@ -188,23 +188,35 @@ def conjugation_cost_matrix(seq: GadgetSequence, scheme: str = AUTO,
     the CNOT controlled on n targeting m; diagonal holds the current norm.
 
     CNOT(n, m) changes only Z gadgets whose support holds m and X gadgets
-    whose support holds n; a pair that changes no gadget keeps the current
-    norm and is not re-planned.  Every other pair is costed on its gadget
-    list alone (the frame and phase carry no cost), and pair-group norms
-    are looked up in `norms` (`sequence_cost`'s memo)."""
+    whose support holds n, so each pair maps just those, found in a
+    per-qubit index, and shares the rest; a pair that changes no gadget
+    keeps the current norm and is not planned.  The current list and every
+    other pair's are costed together on their gadgets alone (the frame and
+    phase carry no cost), and pair-group norms are looked up in, or filled
+    in one batch into, `norms` (`sequence_cost`'s memo)."""
     n = seq.num_qubits
-    norms = {} if norms is None else norms
-    cur = float(sequence_cost(seq, scheme, norms).total_norm)
-    out = np.full((n, n), cur, dtype=float)
-    z_held = {q for g in seq.gadgets if g.axis == "Z" for q in g.support}
-    x_held = {q for g in seq.gadgets if g.axis == "X" for q in g.support}
+    gadgets = seq.gadgets
+    held = {"Z": [[] for _ in range(n)], "X": [[] for _ in range(n)]}
+    for i, g in enumerate(gadgets):
+        if g.axis not in held:
+            raise CircuitError("only X and Z gadgets commute through CNOTs")
+        for q in g.support:
+            held[g.axis][q].append(i)
+    moves, lists = [], [gadgets]
     for a in range(n):
         for b in range(n):
-            if a != b and (b in z_held or a in x_held):
+            changed = held["Z"][b] + held["X"][a]
+            if a != b and changed:
                 c = cnot(a, b)
-                gadgets = [commute_cnot(c, g) for g in seq.gadgets]
-                out[a, b] = sequence_cost(GadgetSequence(n, gadgets), scheme,
-                                          norms).total_norm
+                moved = list(gadgets)
+                for i in changed:
+                    moved[i] = commute_cnot(c, gadgets[i])
+                moves.append((a, b))
+                lists.append(moved)
+    costs = sequence_costs(lists, n, scheme, norms)
+    out = np.full((n, n), costs[0].total_norm, dtype=float)
+    for (a, b), cv in zip(moves, costs[1:]):
+        out[a, b] = cv.total_norm
     return out
 
 

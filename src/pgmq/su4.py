@@ -372,6 +372,27 @@ _WORD_ADJOINTS = np.stack([
 _PHASES_TO_COEFFS = np.linalg.inv(_DIAG_SYSTEM)[:3]
 
 
+def _invariant_spectra(t: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each symmetric unitary of a (k, 4, 4) stack.  One
+    member on which LAPACK's general solver does not converge (an invariant
+    equal to a multiple of I up to rounding can do that) fails the whole
+    stacked call; then each member is solved alone, which gives the stacked
+    call's bits, and a failing one is read off the diagonal of
+    `_orthogonal_diagonalizer`'s O^T t O instead."""
+    try:
+        return np.linalg.eigvals(t)
+    except np.linalg.LinAlgError:
+        pass
+    lam = np.empty(t.shape[:2], dtype=complex)
+    for i, m in enumerate(t):
+        try:
+            lam[i] = np.linalg.eigvals(m)
+        except np.linalg.LinAlgError:
+            o = _orthogonal_diagonalizer(m[None])[0]
+            lam[i] = np.diagonal(o.T @ m @ o)
+    return lam
+
+
 def _spectral_scores(us: np.ndarray) -> np.ndarray:
     """`_assemble(_reduced_kak(u), pair).total_phase()` for each unitary of a
     (k, 4, 4) stack, read from the eigenvalues of the magic-basis invariant
@@ -382,7 +403,7 @@ def _spectral_scores(us: np.ndarray) -> np.ndarray:
     sorting stands in for `_kak_raw`'s eigenvector ordering."""
     det = np.linalg.det(us)
     vm = MAGIC.conj().T @ (us / (det ** 0.25)[:, None, None]) @ MAGIC
-    lam = np.linalg.eigvals(np.swapaxes(vm, 1, 2) @ vm)
+    lam = _invariant_spectra(np.swapaxes(vm, 1, 2) @ vm)
     if np.max(np.abs(np.abs(lam) - 1.0)) > 1e-8:
         raise CircuitError("magic-basis invariant has an eigenvalue off the "
                            "unit circle")

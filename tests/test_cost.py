@@ -5,9 +5,10 @@ import pytest
 
 from pgmq.circuit import (Circuit, SingleQubit, ZzRotation, cnot, hadamard,
                           to_unitary)
-from pgmq.cost import (ANCILLA_MERGED, NO_ANCILLA, CostVector,
-                       baseline_parallel_merge, input_norm, metrics,
-                       nuclear_norm, realize, sequence_cost, star_norm)
+from pgmq.cost import (ANCILLA_MERGED, NO_ANCILLA, CostVector, _fill_norms,
+                       _group_key, baseline_parallel_merge, input_norm,
+                       metrics, nuclear_norm, realize, sequence_cost,
+                       star_norm)
 from pgmq.gadgets import (GadgetSequence, MultiQubitGate, PhaseGadget,
                           decompose_pg, fanout_to_mq)
 from conftest import mq_gates, sequence_unitary
@@ -175,6 +176,38 @@ def test_pair_group_cancelling_to_rounding_residual_is_no_gate():
         dim = 2 ** seq.num_qubits
         assert np.max(np.abs(got[:dim, :dim] - sequence_unitary(seq))) < 1e-12
     assert MultiQubitGate({(0, 1): 1e-16, (1, 2): 0.4}).support == (1, 2)
+
+
+def test_batched_norms_equal_nuclear_norm():
+    # one batch over support sizes 2-8, keys met twice or already in the
+    # memo, a pair below MultiQubitGate's 1e-15 drop (which also leaves the
+    # support) and a group whose phases cancel to no gate
+    rng = np.random.default_rng(19)
+    groups = []
+    for k in range(2, 9):
+        for _ in range(5):
+            qs = sorted(int(q) for q in rng.choice(10, size=k, replace=False))
+            pairs = {p: float(rng.uniform(-3, 3)) for p in zip(qs, qs[1:])}
+            for _ in range(int(rng.integers(0, k))):
+                a, b = sorted(int(q) for q in rng.choice(qs, 2, replace=False))
+                pairs[(a, b)] = float(rng.uniform(-3, 3))
+            groups.append(pairs)
+    groups.append({(0, 1): 0.4, (1, 2): 1e-16, (2, 3): -0.7})
+    groups.append({(0, 1): 0.3 + 0.6 - 0.9})
+    groups.append(dict(groups[3]))
+    keys = [_group_key(p) for p in groups]
+    assert keys[-3] == (((0, 1), 0.4), ((2, 3), -0.7))
+    assert keys[-2] == ()
+    assert not MultiQubitGate(groups[-2]).pairs
+    norms = {keys[0]: nuclear_norm(MultiQubitGate(groups[0]))}
+    seeded = norms[keys[0]]
+    _fill_norms([k for k in keys if k], norms)
+    assert norms[keys[0]] is seeded
+    for pairs, key in zip(groups[:-2], keys):
+        gate = MultiQubitGate(pairs)
+        assert key == tuple(sorted(gate.pairs.items()))
+        assert norms[key] == nuclear_norm(gate)
+    assert len(norms) == len(set(keys)) - 1
 
 
 def test_single_qubit_gadgets_are_free():

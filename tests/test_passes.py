@@ -6,8 +6,10 @@ import pytest
 from pgmq.circuit import (Barrier, Circuit, CircuitError, GeneralizedCnot,
                           Measure, SingleQubit, Su4Block, ZzRotation, cnot,
                           form_su4_blocks, hadamard, layerize, to_unitary, u1)
-from pgmq.cost import AUTO, NO_ANCILLA, ANCILLA_MERGED, sequence_cost
-from pgmq.gadgets import GadgetSequence, PhaseGadget, commute_cnot, simplify
+from pgmq.cost import (AUTO, NO_ANCILLA, ANCILLA_MERGED, nuclear_norm,
+                       sequence_cost)
+from pgmq.gadgets import (GadgetSequence, MultiQubitGate, PhaseGadget,
+                          commute_cnot, simplify)
 from pgmq.passes import (CompileOptions, _greedy_matching,
                          conjugate_sequence,
                          conjugation_cost_matrix, norm_reduction_step,
@@ -303,6 +305,68 @@ def test_conjugation_cost_matrix_matches_bruteforce(rng):
                                    zip(conj.gadgets, seq.gadgets))
     # pairs the matrix does not re-plan are covered too
     assert skipped > 0
+
+
+def whole_sequence_matrix(seq, scheme, norms):
+    """The cost matrix computed the long way: each pair whose CNOT changes
+    some gadget costs `commute_cnot` of every gadget with `sequence_cost`,
+    and every other entry keeps the current norm."""
+    n = seq.num_qubits
+    cur = float(sequence_cost(seq, scheme, norms).total_norm)
+    out = np.full((n, n), cur, dtype=float)
+    z_held = {q for g in seq.gadgets if g.axis == "Z" for q in g.support}
+    x_held = {q for g in seq.gadgets if g.axis == "X" for q in g.support}
+    for a in range(n):
+        for b in range(n):
+            if a != b and (b in z_held or a in x_held):
+                c = cnot(a, b)
+                gadgets = [commute_cnot(c, g) for g in seq.gadgets]
+                out[a, b] = sequence_cost(GadgetSequence(n, gadgets), scheme,
+                                          norms).total_norm
+    return out
+
+
+def matrix_reference_circuits():
+    """The corpus, the benchmark's random pool, and 30 circuits drawn as
+    acceptance test 1 draws them."""
+    circuits = [parse_qasm_file(str(p))
+                for p in sorted((ROOT / "benchmarks").glob("*.qasm"))]
+    circuits += _random_pool().values()
+    rng = np.random.default_rng(20261019)
+    for _ in range(30):
+        n = int(rng.integers(2, 9))
+        depth = int(rng.integers(5, 61))
+        circuits.append(random_circuit(n, depth, rng))
+    return circuits
+
+
+@pytest.mark.parametrize("scheme", [NO_ANCILLA, ANCILLA_MERGED, AUTO])
+def test_cost_matrix_equals_whole_sequence_reference(scheme, monkeypatch):
+    # every matrix optimize asks for, on the compile's own memo: the batch
+    # fills it first, and the reference's sequence_cost calls then read the
+    # norms it filled; each memo entry is checked against nuclear_norm
+    import pgmq.passes
+    real = pgmq.passes.conjugation_cost_matrix
+    memos, calls = [], 0
+
+    def checked(seq, scheme_, norms):
+        nonlocal calls
+        got = real(seq, scheme_, norms)
+        want = whole_sequence_matrix(seq, scheme_, norms)
+        assert got.tobytes() == want.tobytes()
+        calls += 1
+        if not any(m is norms for m in memos):
+            memos.append(norms)
+        return got
+
+    monkeypatch.setattr(pgmq.passes, "conjugation_cost_matrix", checked)
+    accepted = 0
+    for c in matrix_reference_circuits():
+        accepted += optimize(c, CompileOptions(scheme=scheme)).iterations
+    assert calls > 60 and accepted > 0
+    for norms in memos:
+        for key, norm in norms.items():
+            assert norm == nuclear_norm(MultiQubitGate(dict(key)))
 
 
 def snapshot(seq):

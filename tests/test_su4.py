@@ -233,3 +233,46 @@ def test_stack_with_one_non_unitary_member_raises(rng):
     with pytest.raises(CircuitError):
         minimize_block_phase(blocks)
     assert minimize_block_phase([]) == []
+
+
+# The magic-basis invariant of one completion of a block met while compiling
+# circuit 123 of default_rng(7) (drawn as acceptance test 1 draws them): i*I
+# up to 8e-18 off the diagonal, on which LAPACK's eigvals does not converge.
+_D, _E = float.fromhex("0x1.ffffffffffffep-1"), float.fromhex("0x1.27d0d79624b00p-57")
+_UNCONVERGED = 1j * np.array([[_D, 0, 0, _E], [0, _D, -_E, 0],
+                              [0, -_E, _D, 0], [_E, 0, 0, _D]])
+
+
+def test_invariant_spectra_fall_back_only_for_failing_members(rng, monkeypatch):
+    # the failure is forced, as another LAPACK may converge on this matrix
+    real = np.linalg.eigvals
+
+    def eigvals(a):
+        a = np.asarray(a)
+        if any(np.array_equal(m, _UNCONVERGED) for m in a.reshape(-1, 4, 4)):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(a)
+
+    us = np.stack([unitary_group.rvs(4, random_state=rng) for _ in range(3)])
+    good = us.mT @ us
+    want = real(good)
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    lam = su4._invariant_spectra(np.stack([good[0], _UNCONVERGED, good[1],
+                                           good[2]]))
+    # the members that converge keep the stacked call's bits
+    assert np.array_equal(lam[[0, 2, 3]], want)
+    assert np.max(np.abs(lam[1] - 1j * _D)) < 1e-15
+
+
+def test_compile_with_unconverged_invariant_verifies():
+    from pgmq.cli import _verify_program
+    from pgmq.passes import optimize
+    from conftest import random_circuit
+    rng = np.random.default_rng(7)
+    for _ in range(124):
+        n = int(rng.integers(2, 9))
+        depth = int(rng.integers(5, 61))
+        c = random_circuit(n, depth, rng)
+    assert (n, depth) == (4, 28)
+    ok, err, leak = _verify_program(optimize(c), c, cap=10)
+    assert ok, (err, leak)
