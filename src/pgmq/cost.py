@@ -26,7 +26,8 @@ norm) is the number of its terms and their sum:
     stars with |J|-1 spokes for a run of one without an ancilla, at most
     M+1 gates with one.  An interface's live controls number |J ^ K|
     (symmetric difference) when both gadgets share an axis, since a
-    repeated Pauli cancels, and |J | K| (union) otherwise; with no live
+    repeated Pauli cancels, and |J | K| (union) otherwise, each the
+    popcount of the gadgets' support masks so combined; with no live
     control it is no gate.
 
 Every star gate with k spokes of phase pi/4 has norm star_norm(k) =
@@ -212,8 +213,8 @@ def _interface_live(g: PhaseGadget, h: PhaseGadget) -> int:
     """Live controls of the merged interface between run neighbours g, h:
     a qubit in both supports cancels iff the two axes are equal."""
     if g.axis == h.axis:
-        return len(set(g.support) ^ set(h.support))
-    return len(set(g.support) | set(h.support))
+        return (g.mask ^ h.mask).bit_count()
+    return (g.mask | h.mask).bit_count()
 
 
 def _fill_norms(keys, norms: dict) -> None:

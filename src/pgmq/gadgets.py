@@ -18,11 +18,23 @@ its own support qubits, or onto an ancilla outside the support.  Both
 `decompose_pg` and the realization emitter in `cost` use it, and the
 emitter fuses it with `fanout_to_mq` (or, between two gadgets sharing the
 ancilla, `merge_interface`).
+
+A gadget carries its support twice: as the sorted qubit tuple `support`
+and as the GF(2) bitmask `mask` (bit q set iff q is in the support), the
+bit-packed Pauli view.  Both are fixed when the gadget is built, and
+nothing reassigns either afterwards (`simplify` edits only `alpha`), so
+commutation (`pg_commutes`: same axis, or an even popcount of the masks'
+AND), CNOT conjugation (`commute_cnot`: one bit toggled), merging and
+anticommutation parities are integer operations.  The public constructor
+validates its input; `_gadget` builds a gadget from parts already checked
+(a sorted support, its mask and an alpha in (-2, 2]) and skips that.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,28 +83,45 @@ _Z_TO = {
 # Domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
+def normalized_alpha(alpha: float) -> float:
+    """alpha reduced modulo its period 4 into (-2, 2]; a value already
+    there comes back unchanged, bit for bit."""
+    a = math.fmod(alpha, 4.0)
+    if a > 2.0:
+        a -= 4.0
+    elif a <= -2.0:
+        a += 4.0
+    return a
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def support_of(mask: int) -> tuple[int, ...]:
+    """The sorted qubits of a support bitmask.  Cached, in a bounded table:
+    a compile reads the same few supports off their masks many times."""
+    return tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
+
+
+@dataclass(eq=False, slots=True)
 class PhaseGadget:
-    """G_P(alpha, J) = exp(i * alpha * pi/2 * P_j1 P_j2 ...)."""
+    """G_P(alpha, J) = exp(i * alpha * pi/2 * P_j1 P_j2 ...), with J held
+    both as the sorted tuple `support` and as the bitmask `mask`."""
 
     axis: str
     alpha: float
     support: tuple[int, ...]
+    mask: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.axis not in ("X", "Y", "Z"):
             raise CircuitError("gadget axis must be X, Y or Z")
-        sup = tuple(sorted(self.support))
+        sup = tuple(sorted(operator.index(q) for q in self.support))
         if not sup or len(set(sup)) != len(sup):
             raise CircuitError("gadget support must be a nonempty set")
+        if sup[0] < 0:
+            raise CircuitError("gadget support must hold qubit indices >= 0")
         self.support = sup
-        # alpha has period 4; keep it in (-2, 2]
-        a = math.fmod(self.alpha, 4.0)
-        if a > 2.0:
-            a -= 4.0
-        elif a <= -2.0:
-            a += 4.0
-        self.alpha = a
+        self.mask = sum(1 << q for q in sup)
+        self.alpha = normalized_alpha(self.alpha)
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -105,6 +134,18 @@ class PhaseGadget:
             p = np.kron(PAULI[self.axis], p)
         ang = self.alpha * math.pi / 2
         return math.cos(ang) * np.eye(2 ** k) + 1j * math.sin(ang) * p
+
+
+_new = object.__new__
+
+
+def _gadget(axis: str, alpha: float, support: tuple[int, ...],
+            mask: int) -> PhaseGadget:
+    """A gadget from checked parts, without `__post_init__`: `support`
+    sorted and distinct, `mask` its bitmask, `alpha` in (-2, 2]."""
+    g = _new(PhaseGadget)
+    g.axis, g.alpha, g.support, g.mask = axis, alpha, support, mask
+    return g
 
 
 @dataclass(eq=False)
@@ -224,7 +265,8 @@ class GadgetSequence:
         `simplify` makes) never reach gadgets other sequences share."""
         return GadgetSequence(
             self.num_qubits,
-            [PhaseGadget(g.axis, g.alpha, g.support) for g in self.gadgets],
+            [_gadget(g.axis, g.alpha, g.support, g.mask)
+             for g in self.gadgets],
             self.frame.copy(), self.phase)
 
 
@@ -342,8 +384,7 @@ def merge_interface(j_set, k_set, a: int, first_axis: str,
     """Fuse the closing fanout of a first gadget (first_axis over j_set) with
     the opening fanout of the next (second_axis over k_set), both targeting
     the ancilla a with axis Y, into one star-shaped Clifford U_MQ."""
-    j_set, k_set = set(j_set), set(k_set)
-    if a in j_set | k_set:
+    if a in j_set or a in k_set:
         raise CircuitError("ancilla lies inside the merged supports")
     controls = [(q, first_axis) for q in sorted(j_set)]
     controls += [(q, second_axis) for q in sorted(k_set)]
@@ -368,17 +409,16 @@ def commute_cnot(cnot_gate: GeneralizedCnot, g: PhaseGadget) -> PhaseGadget:
         pivot, toggled = j, k
     else:
         raise CircuitError("only X and Z gadgets commute through CNOTs")
-    if pivot not in g.support:
+    if not g.mask >> pivot & 1:
         return g
     # the pivot stays, so the support never empties
-    return PhaseGadget(g.axis, g.alpha, tuple(set(g.support) ^ {toggled}))
+    mask = g.mask ^ (1 << toggled)
+    return _gadget(g.axis, g.alpha, support_of(mask), mask)
 
 
 def pg_commutes(g1: PhaseGadget, g2: PhaseGadget) -> bool:
     """Gadgets commute iff same axis or an even support overlap."""
-    if g1.axis == g2.axis:
-        return True
-    return len(set(g1.support) & set(g2.support)) % 2 == 0
+    return g1.axis == g2.axis or not (g1.mask & g2.mask).bit_count() & 1
 
 
 # ---------------------------------------------------------------------------
@@ -388,16 +428,37 @@ def pg_commutes(g1: PhaseGadget, g2: PhaseGadget) -> bool:
 ALPHA_EPS = 1e-12
 
 
+def _string_bits(string: dict) -> tuple[int, int]:
+    """A Pauli string {qubit: axis} as its X-part and Z-part bitmasks (a Y
+    sets both)."""
+    xs = zs = 0
+    for q, p in string.items():
+        if p != "Z":
+            xs |= 1 << q
+        if p != "X":
+            zs |= 1 << q
+    return xs, zs
+
+
+def _anticommutes(g: PhaseGadget, xs: int, zs: int) -> int:
+    """1 iff g anticommutes with the Pauli string of X part xs and Z part zs:
+    an odd number of its support qubits carry a letter other than its axis
+    (a Z gadget meets the X part, an X gadget the Z part, a Y gadget the
+    qubits with exactly one of the two)."""
+    axis = g.axis
+    bits = xs if axis == "Z" else zs if axis == "X" else xs ^ zs
+    return (bits & g.mask).bit_count() & 1
+
+
 def _push_string_to_frame(seq: GadgetSequence, start: int, string: dict,
                           scalar: complex) -> None:
     """Move a Pauli string from just after gadget `start` through the rest of
     the sequence into the trailing frame, flipping angles it anticommutes
     with."""
+    xs, zs = _string_bits(string)
     for g in seq.gadgets[start + 1:]:
-        odd = sum(1 for q in g.support
-                  if string.get(q, "I") not in ("I", g.axis)) % 2
-        if odd:
-            g.alpha = -g.alpha
+        if _anticommutes(g, xs, zs):
+            g.alpha = normalized_alpha(-g.alpha)
     scalar *= seq.frame.multiply_right(string)
     seq.phase *= scalar
 
@@ -418,7 +479,7 @@ def simplify(seq: GadgetSequence) -> GadgetSequence:
         for g in out.gadgets:
             target = None
             for k in reversed(kept):
-                if k.axis == g.axis and k.support == g.support:
+                if k.mask == g.mask and k.axis == g.axis:
                     target = k
                     break
                 if not pg_commutes(k, g):
@@ -426,24 +487,27 @@ def simplify(seq: GadgetSequence) -> GadgetSequence:
             if target is None:
                 kept.append(g)
             else:
-                target.alpha = target.alpha + g.alpha
-                target.__post_init__()
+                target.alpha = normalized_alpha(target.alpha + g.alpha)
                 changed = True
         out.gadgets = kept
-        # (c): angle normalization with Pauli extraction; `pushed` is the
+        # (c): angle normalization with Pauli extraction; (xs, zs) is the
         # product, up to a scalar, of the strings moved to the frame so far,
         # each gadget flipped at its own turn if it anticommutes with it
-        pushed = PauliFrame()
+        xs = zs = 0
         for g in out.gadgets:
-            if sum(1 for q in g.support
-                   if pushed.paulis.get(q, "I") not in ("I", g.axis)) % 2:
+            if _anticommutes(g, xs, zs):
                 g.alpha = -g.alpha
             shift = math.floor(g.alpha + 0.5)
             if shift != 0:
                 g.alpha -= shift
                 scalar = 1j ** (shift % 4)
-                string = {q: g.axis for q in g.support} if shift % 2 else {}
-                pushed.multiply_right(string)
+                string = {}
+                if shift % 2:
+                    string = dict.fromkeys(g.support, g.axis)
+                    if g.axis != "Z":
+                        xs ^= g.mask
+                    if g.axis != "X":
+                        zs ^= g.mask
                 scalar *= out.frame.multiply_right(string)
                 out.phase *= scalar
                 changed = True

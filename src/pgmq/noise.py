@@ -23,14 +23,16 @@ before its first error and replays only the rest of the circuit with its
 errors inserted.  Gates are applied in the same order and through the same
 kernels as a full simulation of the noisy instance, so results are
 bit-for-bit those of re-simulating every sample, and the cost grows with
-the error rate, not with samples times gates.  Each sample draws from its
-own counter-based Philox substream, so the result is reproducible
-regardless of evaluation order; its distribution is compared to the ideal
-one via total variation distance.  The shots are drawn in whole arrays (one
-search of each sample's doubles in its cumulative distribution, one for all
-error-free samples) and so are the bootstrap replicates (one draw of every
-replicate's rows per memory-bounded chunk), with results bit for bit those
-of drawing them one by one with `Generator.choice` and `Generator.integers`.
+the error rate, not with samples times gates.  When the program is the
+input circuit itself, its clean run also gives the ideal distribution.
+Each sample draws from its own counter-based Philox substream, so the
+result is reproducible regardless of evaluation order; its distribution is
+compared to the ideal one via total variation distance.  The shots are
+drawn in whole arrays (one search of each sample's doubles in its
+cumulative distribution, one for all error-free samples) and so are the
+bootstrap replicates (one draw of every replicate's rows per
+memory-bounded chunk), with results bit for bit those of drawing them one
+by one with `Generator.choice` and `Generator.integers`.
 """
 
 from __future__ import annotations
@@ -283,6 +285,13 @@ def _substreams(seed: int, samples: int):
         yield rng
 
 
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The cumulative distribution Generator.choice(p.size, p=p) searches."""
+    c = (p / p.sum()).cumsum()
+    c /= c[-1]
+    return c
+
+
 def _checkpoint_sites(sites: dict, n: int) -> list[int]:
     """Evenly spaced noise sites, the first included, whose pre-gate states
     of an n-qubit register fit in CHECKPOINT_BYTES together (at least one)."""
@@ -306,7 +315,6 @@ def monte_carlo_fidelity(program, input_circuit: Circuit, model: NoiseModel,
     if circuit.num_qubits < num_bits:
         raise InputError(f"program register of {circuit.num_qubits} qubits "
                          f"is smaller than the input's {num_bits}")
-    ideal = probabilities(input_circuit)
     dim = 2 ** num_bits
     seed = model.seed
 
@@ -320,14 +328,12 @@ def monte_carlo_fidelity(program, input_circuit: Circuit, model: NoiseModel,
     # the gates' kernels share the checkpoints' memory budget
     ops = _kernels(circuit, CHECKPOINT_BYTES - psi0.nbytes * len(checkpoints))
 
-    def cdf(psi):
-        # the cumulative distribution Generator.choice(dim, p=p) searches
-        p = _marginal(psi, num_bits)
-        c = (p / p.sum()).cumsum()
-        c /= c[-1]
-        return c
-
-    clean_cdf = cdf(_run(circuit, psi0, keep=checkpoints, ops=ops))
+    clean = _marginal(_run(circuit, psi0, keep=checkpoints, ops=ops), num_bits)
+    clean_cdf = _cdf(clean)
+    # a program that is the input itself (the input side of `pgmq simulate
+    # --input`) has its clean run for the ideal: the same gates through the
+    # same kernels, so the same bits as simulating the input again
+    ideal = clean if circuit is input_circuit else probabilities(input_circuit)
     u = np.empty((samples, shots))
     drawn = np.empty((samples, shots), dtype=np.int64)
     error_free = np.ones(samples, dtype=bool)
@@ -337,7 +343,8 @@ def monte_carlo_fidelity(program, input_circuit: Circuit, model: NoiseModel,
         if errors:
             start = starts[bisect.bisect_right(starts, min(errors)) - 1]
             psi = _run(circuit, checkpoints[start], start, errors, ops=ops)
-            drawn[s] = cdf(psi).searchsorted(u[s], side="right")
+            drawn[s] = _cdf(_marginal(psi, num_bits)).searchsorted(
+                u[s], side="right")
             error_free[s] = False
     drawn[error_free] = clean_cdf.searchsorted(u[error_free], side="right")
     del u

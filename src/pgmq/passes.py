@@ -28,11 +28,13 @@ from .circuit import (
 from .cost import AUTO, CostVector, realize, sequence_cost, sequence_costs
 from .gadgets import (
     GadgetSequence,
-    PhaseGadget,
+    _gadget,
     _push_string_to_frame,
     commute_cnot,
     decompose_pg,
+    normalized_alpha,
     simplify,
+    support_of,
 )
 from .qasm import to_zz_basis
 from .su4 import minimize_block_phase
@@ -64,8 +66,9 @@ def _zyz_angles(u: np.ndarray) -> tuple[float, float, float, float]:
 def _gadget_angles(matrix: bytes, dagger: bool) -> tuple[tuple, complex]:
     """Exact rewrite of the one-qubit unitary with these complex bytes, or
     with `dagger` of its adjoint, as up to three axis gadgets (Z, X, Z
-    pattern), as (axis, alpha) pairs in time order, plus a scalar phase.
-    Cached: a compile meets the same gates many times over."""
+    pattern), as (axis, alpha) pairs in time order with alpha normalized
+    into (-2, 2], plus a scalar phase.  Cached: a compile meets the same
+    gates many times over."""
     u = np.frombuffer(matrix, dtype=complex).reshape(2, 2)
     delta, a, b, c = _zyz_angles(u.conj().T if dagger else u)
     # Ry(b) = Rz(pi/2) Rx(b) Rz(-pi/2); Rz(t) = G_Z(-t/pi), Rx(t) = G_X(-t/pi)
@@ -74,7 +77,7 @@ def _gadget_angles(matrix: bytes, dagger: bool) -> tuple[tuple, complex]:
     for axis, theta in angles:  # time order
         alpha = -theta / math.pi
         if abs(math.fmod(alpha, 4.0)) > 1e-14:
-            out.append((axis, alpha))
+            out.append((axis, normalized_alpha(alpha)))
     return tuple(out), np.exp(1j * delta)
 
 
@@ -94,7 +97,8 @@ def _pull_cnots(circuit: Circuit, dagger: bool,
     The walk runs from that circuit's last gate to its first, with z[q] and
     x[q] the bitmasks of what Z_q and X_q become under the CNOTs met so far.
     CNOTs map Z and X strings to strings of the same axis and no sign, so
-    each gadget is mapped once, by the XOR of its support qubits' masks."""
+    each gadget is mapped once, by the XOR of its support qubits' masks,
+    and built from that image mask (its support read off it)."""
     n = circuit.num_qubits
     z = [1 << q for q in range(n)]
     x = list(z)
@@ -111,24 +115,21 @@ def _pull_cnots(circuit: Circuit, dagger: bool,
             continue
         if isinstance(g, SingleQubit):
             raw, ph = _gadget_angles(g.matrix.tobytes(), dagger)
-            met = [PhaseGadget(axis, alpha, (g.qubit,)) for axis, alpha in raw]
+            # (axis, alpha, image mask), in time order
+            met = [(axis, alpha, (z if axis == "Z" else x)[g.qubit])
+                   for axis, alpha in raw]
             phases.append(ph)
         elif isinstance(g, ZzRotation):
             theta = -g.theta if dagger else g.theta
-            met = [PhaseGadget("Z", 2 * theta / math.pi,
-                               (g.qubit_a, g.qubit_b))]
+            met = [("Z", normalized_alpha(2 * theta / math.pi),
+                    z[g.qubit_a] ^ z[g.qubit_b])]
         elif isinstance(g, Barrier):
             continue
         else:
             raise CircuitError(f"unsupported gate kind: {type(g).__name__}")
         events += len(met) * len(word)  # each later CNOT crosses each gadget
-        for gad in reversed(met):
-            images, mask = (z if gad.axis == "Z" else x), 0
-            for q in gad.support:
-                mask ^= images[q]
-            support = tuple(q for q in range(n) if mask >> q & 1)
-            gadgets.append(gad if support == gad.support else
-                           PhaseGadget(gad.axis, gad.alpha, support))
+        for axis, alpha, mask in reversed(met):
+            gadgets.append(_gadget(axis, alpha, support_of(mask), mask))
     phase = np.conj(circuit.global_phase) if dagger else circuit.global_phase
     for ph in reversed(phases):  # in time order: each product is rounded
         phase *= ph
@@ -147,7 +148,7 @@ def pg_left(circuit: Circuit,
 def sequence_adjoint(seq: GadgetSequence) -> GadgetSequence:
     """Adjoint of a gadget sequence, renormalized to the standard shape
     (gadgets, then trailing Pauli frame, then scalar)."""
-    gadgets = [PhaseGadget(g.axis, -g.alpha, g.support)
+    gadgets = [_gadget(g.axis, normalized_alpha(-g.alpha), g.support, g.mask)
                for g in reversed(seq.gadgets)]
     out = GadgetSequence(seq.num_qubits, gadgets)
     # move the (Hermitian) frame string from the front of the adjoint to the

@@ -372,24 +372,38 @@ _WORD_ADJOINTS = np.stack([
 _PHASES_TO_COEFFS = np.linalg.inv(_DIAG_SYSTEM)[:3]
 
 
+# off-diagonal size below which an invariant is taken as diagonal
+_NEAR_SCALAR = 1e-15
+
+
 def _invariant_spectra(t: np.ndarray) -> np.ndarray:
-    """Eigenvalues of each symmetric unitary of a (k, 4, 4) stack.  One
-    member on which LAPACK's general solver does not converge (an invariant
-    equal to a multiple of I up to rounding can do that) fails the whole
-    stacked call; then each member is solved alone, which gives the stacked
+    """Eigenvalues of each symmetric unitary of a (k, 4, 4) stack.
+
+    A member whose off-diagonal entries are all below _NEAR_SCALAR in size
+    (an invariant equal to a multiple of I up to rounding) is read off its
+    diagonal: on such a member LAPACK's general solver can take a hundred
+    times its usual time, or not converge.  The rest are solved in one
+    stacked call.  One member on which that does not converge fails the
+    whole call; then each member is solved alone, which gives the stacked
     call's bits, and a failing one is read off the diagonal of
     `_orthogonal_diagonalizer`'s O^T t O instead."""
+    lam = np.diagonal(t, axis1=1, axis2=2).astype(complex)
+    off = np.abs(t)
+    off[:, _DIAG, _DIAG] = 0.0
+    rest = np.flatnonzero(off.max(axis=(1, 2)) >= _NEAR_SCALAR)
+    if rest.size == 0:
+        return lam
     try:
-        return np.linalg.eigvals(t)
+        lam[rest] = np.linalg.eigvals(t[rest])
+        return lam
     except np.linalg.LinAlgError:
         pass
-    lam = np.empty(t.shape[:2], dtype=complex)
-    for i, m in enumerate(t):
+    for i in rest:
         try:
-            lam[i] = np.linalg.eigvals(m)
+            lam[i] = np.linalg.eigvals(t[i])
         except np.linalg.LinAlgError:
-            o = _orthogonal_diagonalizer(m[None])[0]
-            lam[i] = np.diagonal(o.T @ m @ o)
+            o = _orthogonal_diagonalizer(t[i][None])[0]
+            lam[i] = np.diagonal(o.T @ t[i] @ o)
     return lam
 
 

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pgmq.circuit import Circuit, GeneralizedCnot, cnot, to_unitary
+from pgmq.cost import _interface_live
 from pgmq.gadgets import (ALPHA_EPS, GadgetSequence, MultiQubitGate,
-                          PauliFrame, PhaseGadget, _push_string_to_frame,
-                          commute_cnot, decompose_pg, fanout_to_mq,
-                          merge_interface, pauli_mul, pg_commutes, simplify)
+                          PauliFrame, PhaseGadget, _anticommutes,
+                          _push_string_to_frame, _string_bits, commute_cnot,
+                          decompose_pg, fanout_to_mq, merge_interface,
+                          pauli_mul, pg_commutes, simplify, support_of)
 from conftest import sequence_unitary
 
 
@@ -31,6 +33,16 @@ def test_alpha_period_normalization():
     assert g.alpha == pytest.approx(0.3)
     g = PhaseGadget("X", -2.0, (0,))
     assert g.alpha == pytest.approx(2.0)
+
+
+def test_support_is_checked_and_masked():
+    from pgmq.circuit import CircuitError
+    g = PhaseGadget("Y", 0.3, (np.int64(5), 0, 2))
+    assert g.support == (0, 2, 5) and g.mask == 0b100101
+    assert all(type(q) is int for q in g.support)
+    for bad in ((), (1, 1), (-1, 2)):
+        with pytest.raises(CircuitError):
+            PhaseGadget("Z", 0.3, bad)
 
 
 def test_pauli_mul_table():
@@ -194,6 +206,67 @@ def test_pg_commutes_matches_dense(rng):
         u2g = to_unitary(Circuit(n, [g2]))
         dense = np.max(np.abs(u1g @ u2g - u2g @ u1g)) < 1e-10
         assert pg_commutes(g1, g2) == dense
+
+
+# The set-based definitions the bitmask forms replaced.
+
+def set_commutes(g1, g2) -> bool:
+    if g1.axis == g2.axis:
+        return True
+    return len(set(g1.support) & set(g2.support)) % 2 == 0
+
+
+def set_interface_live(g, h) -> int:
+    if g.axis == h.axis:
+        return len(set(g.support) ^ set(h.support))
+    return len(set(g.support) | set(h.support))
+
+
+def set_parity(g, string: dict) -> int:
+    return sum(1 for q in g.support
+               if string.get(q, "I") not in ("I", g.axis)) % 2
+
+
+def set_commute_cnot(c, t, g) -> tuple:
+    pivot, toggled = (t, c) if g.axis == "Z" else (c, t)
+    if pivot not in g.support:
+        return g.support
+    return tuple(sorted(set(g.support) ^ {toggled}))
+
+
+def test_mask_forms_match_set_definitions(rng):
+    # seeded random gadgets of all three axes on up to 16 qubits, and
+    # random Pauli strings over the same register
+    for _ in range(400):
+        n = int(rng.integers(1, 17))
+
+        def gadget():
+            k = int(rng.integers(1, n + 1))
+            return PhaseGadget(str(rng.choice(list("XYZ"))), 0.3,
+                               tuple(int(q) for q in
+                                     rng.choice(n, k, replace=False)))
+
+        g, h = gadget(), gadget()
+        assert g.mask == sum(1 << q for q in g.support)
+        assert support_of(g.mask) == g.support
+        assert pg_commutes(g, h) == set_commutes(g, h)
+        assert _interface_live(g, h) == set_interface_live(g, h)
+        string = {int(q): str(rng.choice(list("XYZ")))
+                  for q in rng.choice(n, int(rng.integers(0, n + 1)),
+                                      replace=False)}
+        assert _anticommutes(g, *_string_bits(string)) == \
+            set_parity(g, string)
+        if n > 1 and g.axis != "Y":
+            c, t = (int(q) for q in rng.choice(n, 2, replace=False))
+            moved = commute_cnot(cnot(c, t), g)
+            assert moved.support == set_commute_cnot(c, t, g)
+            assert moved.mask == sum(1 << q for q in moved.support)
+        # _push_string_to_frame flips exactly the gadgets of odd parity
+        seq = GadgetSequence(n, [gadget() for _ in range(4)])
+        want = [-x.alpha if set_parity(x, string) else x.alpha
+                for x in seq.gadgets]
+        _push_string_to_frame(seq, -1, string, 1.0)
+        assert [x.alpha for x in seq.gadgets] == want
 
 
 def test_simplify_preserves_unitary_and_merges(rng):

@@ -364,6 +364,52 @@ def test_bootstrap_chunks_fit_the_budget(monkeypatch):
     assert peak < 3 * 2 ** 20
 
 
+def test_bootstrap_counted_shots_fit_the_budget(monkeypatch):
+    # with more outcomes than shots each replicate counts its picked
+    # samples' shots: 200 replicates of 5000 picks of 6 shots hold about
+    # 48 MB of shots; under a 1 MB budget no more than a chunk of them is
+    # held at once
+    c = Circuit(3, [hadamard(0), hadamard(1), hadamard(2)])
+    model = NoiseModel(0.0, 0.0, seed=1)
+    monkeypatch.setattr(noise, "CHECKPOINT_BYTES", 2 ** 20)
+    monte_carlo_fidelity(c, c, model, samples=1, shots=2)   # first-call costs
+    tracemalloc.start()
+    try:
+        monte_carlo_fidelity(c, c, model, samples=5000, shots=6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
+
+
+def test_input_side_reuses_its_clean_run_as_the_ideal(monkeypatch):
+    # monte_carlo_fidelity(c, c, ...) takes the ideal from its clean run,
+    # never from probabilities, with the bits of simulating the input
+    # again (which a distinct but equal input circuit still does)
+    from pathlib import Path
+    from pgmq.qasm import parse_qasm_file
+    root = Path(__file__).resolve().parent.parent
+    real = noise.probabilities
+    for path in sorted((root / "benchmarks").glob("*.qasm")):
+        c = parse_qasm_file(path)
+        twin = Circuit(c.num_qubits, list(c.gates), c.classical_bits,
+                       c.global_phase, c.measures)
+        model = NoiseModel(2e-2, 2e-2, seed=3)
+        want = monte_carlo_fidelity(c, twin, model, samples=12, shots=5)
+
+        def refused(circuit, num_bits=None):
+            assert circuit is not c
+            return real(circuit, num_bits)
+
+        with monkeypatch.context() as m:
+            m.setattr(noise, "probabilities", refused)
+            got = monte_carlo_fidelity(c, c, model, samples=12, shots=5)
+        assert (got.fidelity, got.ci_low, got.ci_high) == \
+            (want.fidelity, want.ci_low, want.ci_high), path.stem
+        assert got.bootstrap_fidelities.tobytes() == \
+            want.bootstrap_fidelities.tobytes(), path.stem
+
+
 def _ancilla_program():
     c = Circuit(3, [hadamard(0), hadamard(1), hadamard(2),
                     ZzRotation(0.4, 0, 1), ZzRotation(0.4, 1, 2),

@@ -436,6 +436,61 @@ def test_optimize_leaves_every_input_gadget_alone(rng, monkeypatch):
     assert snaps and all(unchanged(s) for s in snaps)
 
 
+def assert_well_formed(gadgets) -> None:
+    """What `gadgets._gadget` takes on trust: a sorted support of distinct
+    qubits, `mask` its bitmask, alpha in (-2, 2]."""
+    for g in gadgets:
+        assert g.axis in ("X", "Y", "Z")
+        assert g.support and all(a < b for a, b in zip(g.support,
+                                                       g.support[1:]))
+        assert type(g.mask) is int
+        assert g.mask == sum(1 << q for q in g.support)
+        assert -2.0 < g.alpha <= 2.0
+
+
+def test_every_gadget_optimize_builds_is_well_formed(monkeypatch):
+    # every sequence optimize builds or returns, checked when it is made and
+    # again at the end of the compile (nothing may reassign a support or a
+    # mask afterwards): the extracted bodies and adjoints behind the four
+    # candidates, every gadget list costed (proposals' lists, with the
+    # gadgets commute_cnot maps), every proposal and conjugation, every
+    # simplify, and the program's serialize round trip
+    import pgmq.passes
+    from pgmq import serialize
+    made = []
+
+    def checked(fn, pick):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            for gadgets in pick(args, out):
+                assert_well_formed(gadgets)
+                made.append(gadgets)
+            return out
+        return wrapped
+
+    for name, pick in (
+            ("pg_left", lambda a, out: [out[0].gadgets]),
+            ("pg_right", lambda a, out: [out[1].gadgets]),
+            ("sequence_adjoint", lambda a, out: [out.gadgets]),
+            ("simplify", lambda a, out: [out.gadgets]),
+            ("conjugate_sequence", lambda a, out: [out.gadgets]),
+            ("norm_reduction_step", lambda a, out: [out[1].gadgets]),
+            ("sequence_costs", lambda a, out: a[0])):
+        monkeypatch.setattr(pgmq.passes, name,
+                            checked(getattr(pgmq.passes, name), pick))
+    accepted = 0
+    for c in matrix_reference_circuits():
+        prog = optimize(c)
+        accepted += prog.iterations
+        back = serialize.loads(serialize.dumps(prog)).body.gadgets
+        assert_well_formed(back)
+        assert [(g.axis, g.alpha, g.support, g.mask) for g in back] == \
+            [(g.axis, g.alpha, g.support, g.mask) for g in prog.body.gadgets]
+    assert accepted > 0 and len(made) > 1000
+    for gadgets in made:
+        assert_well_formed(gadgets)
+
+
 def test_norm_reduction_step_preserves_unitary_and_improves(rng):
     hits = 0
     for _ in range(20):

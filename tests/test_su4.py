@@ -276,3 +276,68 @@ def test_compile_with_unconverged_invariant_verifies():
     assert (n, depth) == (4, 28)
     ok, err, leak = _verify_program(optimize(c), c, cap=10)
     assert ok, (err, leak)
+
+
+def test_near_scalar_invariants_are_read_off_the_diagonal(monkeypatch):
+    # qft_n5's completions include invariants equal to a multiple of I up to
+    # about 1e-17 off the diagonal, on some of which LAPACK's eigvals is
+    # about a hundred times slower than usual; they are read off their
+    # diagonal, never solved, and every score keeps the bits it has when
+    # each member is solved
+    from pathlib import Path
+    from pgmq.passes import optimize
+    from pgmq.qasm import parse_qasm_file
+    root = Path(__file__).resolve().parent.parent
+    scored = []
+    real_scores = su4._spectral_scores
+    monkeypatch.setattr(su4, "_spectral_scores",
+                        lambda us: scored.append(us) or real_scores(us))
+    optimize(parse_qasm_file(root / "benchmarks" / "qft_n5.qasm"))
+    us = np.concatenate(scored)
+    monkeypatch.setattr(su4, "_spectral_scores", real_scores)
+    vm = su4.MAGIC.conj().T @ (us / (np.linalg.det(us) ** 0.25)[:, None, None]) \
+        @ su4.MAGIC
+    t = np.swapaxes(vm, 1, 2) @ vm
+    off = np.abs(t - np.einsum("kii->ki", t)[:, :, None] * np.eye(4))
+    near = off.max(axis=(1, 2)) < su4._NEAR_SCALAR
+    assert near.sum() >= 2 and not near.all()
+
+    real = np.linalg.eigvals
+    solved = []
+
+    def eigvals(a):
+        solved.extend(np.asarray(a).reshape(-1, 4, 4))
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    got = su4._spectral_scores(us)
+    assert len(solved) == (~near).sum()
+    lam = su4._invariant_spectra(t[near])
+    assert np.array_equal(lam, np.einsum("kii->ki", t[near]))
+    monkeypatch.setattr(su4, "_NEAR_SCALAR", 0.0)
+    assert got.tobytes() == su4._spectral_scores(us).tobytes()
+
+
+def test_invariant_spectra_fall_back_for_a_failing_solved_member(rng,
+                                                                  monkeypatch):
+    # a near-scalar member never reaches LAPACK, so the per-member fallback
+    # is forced on an ordinary one: the others keep the stacked call's bits
+    # and the failing one is read off O^T t O
+    real = np.linalg.eigvals
+    us = np.stack([unitary_group.rvs(4, random_state=rng) for _ in range(3)])
+    good = us.mT @ us
+    want = real(good)
+
+    def eigvals(a):
+        a = np.asarray(a)
+        if any(np.array_equal(m, good[1]) for m in a.reshape(-1, 4, 4)):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    lam = su4._invariant_spectra(np.stack([good[0], _UNCONVERGED, good[1],
+                                           good[2]]))
+    assert np.array_equal(lam[[0, 3]], want[[0, 2]])
+    assert np.array_equal(lam[1], np.diagonal(_UNCONVERGED))
+    assert np.max(np.abs(np.sort_complex(lam[2])
+                         - np.sort_complex(want[1]))) < 1e-10
