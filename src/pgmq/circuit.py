@@ -347,30 +347,34 @@ _KIND_RANK = {SingleQubit: 0, GeneralizedCnot: 1, ZzRotation: 2}
 
 def _commutator_size(a, b) -> float | None:
     """Max-entry size of [a, b] on the joint support for two gates sharing a
-    wire, from their 2x2 entries; None for kinds without a closed form."""
+    wire, from their 2x2 entries (as Python scalars); None for kinds without
+    a closed form."""
     ra, rb = _KIND_RANK.get(type(a)), _KIND_RANK.get(type(b))
     if ra is None or rb is None:
         return None
     if ra > rb:
-        a, b = b, a
-    if any(isinstance(g, GeneralizedCnot) and not g.is_canonical for g in (a, b)):
+        a, b, ra, rb = b, a, rb, ra
+    if (ra == 1 and not a.is_canonical) or (rb == 1 and not b.is_canonical):
         return None
-    if isinstance(a, SingleQubit):
-        u = a.matrix
-        if isinstance(b, SingleQubit):
-            v = b.matrix
-            return float(np.max(np.abs(u @ v - v @ u)))
-        off = max(abs(u[0, 1]), abs(u[1, 0]))
-        if isinstance(b, ZzRotation):
+    if ra == 0:
+        (u00, u01), (u10, u11) = a.matrix.tolist()
+        if rb == 0:
+            (v00, v01), (v10, v11) = b.matrix.tolist()
+            # [u, v] has opposite diagonal entries
+            return max(abs(u01 * v10 - v01 * u10),
+                       abs(u00 * v01 + u01 * v11 - v00 * u01 - v01 * u11),
+                       abs(u10 * v00 + u11 * v10 - v10 * u00 - v11 * u10))
+        off = max(abs(u01), abs(u10))
+        if rb == 2:
             # [u (x) I, cos + i sin ZZ] = i sin [u, Z] (x) Z
             return 2.0 * abs(math.sin(b.theta)) * off
         if a.qubit == b.control:
             # [u, P0] (x) (I - X)
             return off
         # P1 (x) [u, X]
-        return max(abs(u[0, 1] - u[1, 0]), abs(u[0, 0] - u[1, 1]))
-    if isinstance(a, GeneralizedCnot):
-        if isinstance(b, GeneralizedCnot):
+        return max(abs(u01 - u10), abs(u00 - u11))
+    if ra == 1:
+        if rb == 1:
             return float(a.control == b.target or b.control == a.target)
         # CNOT maps Z_t to Z_c Z_t and fixes Z_c
         return 2.0 * abs(math.sin(b.theta)) if a.target in b.qubits else 0.0
@@ -395,8 +399,11 @@ def gates_commute(a, b) -> bool:
     gates, canonical CNOTs and ZZ rotations are decided from the closed-form
     commutator size unless it lies within [1e-11, 1e-9]; those and all
     other kinds take the dense check."""
-    if set(a.qubits).isdisjoint(b.qubits):
-        return True
+    return set(a.qubits).isdisjoint(b.qubits) or _sharing_commute(a, b)
+
+
+def _sharing_commute(a, b) -> bool:
+    """`gates_commute` for two gates known to share a wire."""
     m = _commutator_size(a, b)
     if m is None or _DECIDED_BELOW <= m <= _DECIDED_ABOVE:
         return _dense_commute(a, b)
@@ -409,27 +416,34 @@ _LAYERABLE = (SingleQubit, GeneralizedCnot, ZzRotation)
 def layerize(circuit: Circuit) -> list[list]:
     """Greedy commuting layers, each a list of gates: each gate goes right
     after the last layer it fails to commute with (layer 0 if it commutes
-    with everything).  `gates_commute` decides one-qubit gates, CNOTs and
-    ZZ rotations in closed form; only commutators within 1e-11..1e-9 of
-    size build dense matrices."""
+    with everything).  Each layer keeps its gates by wire, and a gate is
+    checked only against the gates that share a wire with it, since gates
+    on disjoint wires commute.  `gates_commute` decides one-qubit gates,
+    CNOTs and ZZ rotations in closed form; only commutators within
+    1e-11..1e-9 of size build dense matrices."""
     layers: list[list] = []
-    supports: list[set] = []    # the wires each layer's gates act on
+    on_wire: list[dict] = []    # per layer: wire -> that layer's gates on it
     for g in circuit.gates:
         if not isinstance(g, _LAYERABLE):
             raise CircuitError(f"unsupported gate kind for layerize: {type(g).__name__}")
+        qs = g.qubits
         blocked = -1
         for idx in range(len(layers) - 1, -1, -1):
-            if supports[idx].isdisjoint(g.qubits):
-                continue
-            if any(not gates_commute(g, other) for other in layers[idx]):
+            wires = on_wire[idx]
+            met = wires.get(qs[0], [])
+            if len(qs) == 2 and qs[1] in wires:
+                # a gate on both wires is already in met
+                met = met + [o for o in wires[qs[1]] if qs[0] not in o.qubits]
+            if any(not _sharing_commute(g, other) for other in met):
                 blocked = idx
                 break
         target = blocked + 1
         if target == len(layers):
             layers.append([])
-            supports.append(set())
+            on_wire.append({})
         layers[target].append(g)
-        supports[target].update(g.qubits)
+        for q in qs:
+            on_wire[target].setdefault(q, []).append(g)
     return layers
 
 
@@ -452,13 +466,36 @@ class Su4Block:
         return self.pair
 
     def absorb(self, gate) -> None:
+        """Left-multiply the block by a gate on its wires, by the gate's
+        kind: a one-qubit gate and a canonical CNOT through `gate_apply`'s
+        ONE_QUBIT and PERMUTE kernels, a ZZ rotation as its 4x4 times the
+        block, any other gate through `apply_local`.  Each gives the bits of
+        `apply_local` (tests/test_passes.py checks this)."""
         pos = tuple(self.pair.index(q) for q in gate.qubits)
-        self.unitary = apply_local(self.unitary, gate.local_unitary(), pos, 2)
+        if isinstance(gate, SingleQubit):
+            kernel = Kernel(ONE_QUBIT, gate.matrix, pos)
+        elif isinstance(gate, GeneralizedCnot) and gate.is_canonical:
+            kernel = _BLOCK_CNOT_KERNELS[pos]
+        elif isinstance(gate, ZzRotation):
+            # not the phase-vector multiply, whose bits differ
+            self.unitary = gate.local_unitary() @ self.unitary
+            return
+        else:
+            kernel = Kernel(LOCAL, gate.local_unitary(), pos)
+        self.unitary = gate_apply(self.unitary, kernel, 2)
+
+
+# the PERMUTE kernel of a canonical CNOT (control, target) on a block's
+# local positions
+_BLOCK_CNOT_KERNELS = {(c, t): gate_kernel(cnot(c, t), 2)
+                       for c, t in ((0, 1), (1, 0))}
 
 
 def form_su4_blocks(layers: list[list]) -> list:
     """Collapse the layered circuit into Su4Blocks plus leftover single-qubit
-    gates, preserving the overall unitary.  Returns the ordered item list."""
+    gates, preserving the overall unitary.  Returns the ordered item list.
+    Each gate enters its block by its kind (`Su4Block.absorb`), with the
+    bits of the dense `apply_local` product."""
     items: list = []
     last_touch: dict[int, int] = {}
 

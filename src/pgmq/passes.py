@@ -15,6 +15,7 @@ import numpy as np
 
 from .circuit import (
     Barrier,
+    I2,
     Circuit,
     CircuitError,
     GeneralizedCnot,
@@ -331,20 +332,27 @@ def _strip_measures(circuit: Circuit) -> tuple[Circuit, dict]:
 def _block_pass(circuit: Circuit) -> Circuit:
     """layerize -> SU(4) blocks -> phase minimization of all blocks in one
     stacked call, flattened back to locals + ZZ rotations + canonical
-    CNOTs."""
+    CNOTs.  The blocks' "loc" gates are built unchecked, and every factor
+    they emit is checked for unitarity here in one stacked test."""
     items = form_su4_blocks(layerize(circuit))
     blocks = iter(minimize_block_phase(
         [it for it in items if isinstance(it, Su4Block)]))
-    out = Circuit(circuit.num_qubits, [], global_phase=circuit.global_phase)
+    phase = circuit.global_phase
+    gates, locs = [], []
     for it in items:
         if isinstance(it, Su4Block):
             blk = next(blocks)
-            out.global_phase *= blk.phase
-            for g in blk.to_gates():
-                out.add(g)
+            phase *= blk.phase
+            emitted = blk.to_gates()
+            locs += [g.matrix for g in emitted if isinstance(g, SingleQubit)]
+            gates += emitted
         else:
-            out.add(it)
-    return out
+            gates.append(it)
+    if locs:
+        m = np.stack(locs)
+        if np.max(np.abs(m @ m.conj().mT - I2)) > 1e-12:
+            raise CircuitError("gate 'loc' is not unitary to 1e-12")
+    return Circuit(circuit.num_qubits, gates, global_phase=phase)
 
 
 def optimize(circuit: Circuit, opts: CompileOptions | None = None) -> CompiledProgram:

@@ -20,8 +20,14 @@ one-matrix step batched (stacked det, eigh, solve and svd, matmuls in the
 same operand order), so each member's result is bit for bit what a stack
 of one gives.  The column order and sign fixes, the determinant fixes and
 the checks act per member, and the diagonalizer's retries with another
-real/imaginary mix run only on the members that need them.  `to_lh_block`
-is the same code on a stack of one.
+real/imaginary mix run only on the members that need them.
+
+Assembly is interpreter-bound, so its exact tests on 2x2 factors
+(`_is_identity`, `_as_phase_pauli`) first reject on the four entries as
+Python scalars, and only a factor that passes runs the numpy test.
+`LhBlock.to_gates` builds its "loc" gates without
+`SingleQubit.__post_init__`: `passes._block_pass` checks every emitted
+factor for unitarity in one stacked test.
 
 Matrix conventions follow circuit.py: a 4x4 block unitary acts on an ordered
 qubit pair (low, high) with the low qubit as the least significant index, so
@@ -74,15 +80,14 @@ _DIAG_SYSTEM = np.column_stack(
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / _SQ2
 _VX = (math.cos(math.pi / 4) * I2
        + 1j * math.sin(math.pi / 4) * PAULI["X"])  # swaps the YY and ZZ terms
+_VX_DAG = _VX.conj().T
+_H_VX = _H @ _VX
+# shared by every assembled block: nothing may write into them
+_H.setflags(write=False)
+_VX_DAG.setflags(write=False)
+_H_VX.setflags(write=False)
 
 _EPS = 1e-12
-
-
-def interaction_unitary(c: tuple[float, float, float]) -> np.ndarray:
-    """E(c) = exp(i (cx XX + cy YY + cz ZZ)) as a dense 4x4 matrix."""
-    # the three terms commute and are jointly diagonal in the magic basis
-    phases = _DIAG_SYSTEM[:, :3] @ np.asarray(c, dtype=float)
-    return MAGIC @ np.diag(np.exp(1j * phases)) @ MAGIC.conj().T
 
 
 def factor_kron(ms: np.ndarray,
@@ -113,10 +118,6 @@ class KakDecomposition:
     c: tuple[float, float, float]
     b_lo: np.ndarray
     b_hi: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.phase * np.kron(self.a_hi, self.a_lo)
-                @ interaction_unitary(self.c) @ np.kron(self.b_hi, self.b_lo))
 
 
 _DIAG = np.arange(4)
@@ -181,10 +182,14 @@ def _kak_raw(us: np.ndarray) -> list[KakDecomposition]:
             for i, (cx, cy, cz, c0) in enumerate(sol.tolist())]
 
 
+# P^0 .. P^3 of each Pauli X, Y, Z, as np.linalg.matrix_power builds them
+_PAULI_POWERS = [[np.linalg.matrix_power(PAULI[name], m) for m in range(4)]
+                 for name in "XYZ"]
+
+
 def _shift_coeff(k: KakDecomposition, axis: int) -> None:
     """Reduce coefficient `axis` into [-pi/4, pi/4] by quarter-period shifts,
     absorbing the leftover Pauli pair into the right locals."""
-    names = "XYZ"
     c = list(k.c)
     # round half down so the reduced angle lies in (-pi/4, pi/4]; the small
     # slack keeps values at the -pi/4 boundary (up to fp noise) mapping to
@@ -193,8 +198,7 @@ def _shift_coeff(k: KakDecomposition, axis: int) -> None:
     if m == 0:
         return
     c[axis] -= m * math.pi / 2
-    p = PAULI[names[axis]]
-    pm = np.linalg.matrix_power(p, m % 4)
+    pm = _PAULI_POWERS[axis][m % 4]
     k.phase *= 1j ** (m % 4)
     k.b_lo = pm @ k.b_lo
     k.b_hi = pm @ k.b_hi
@@ -206,7 +210,19 @@ def _shift_coeff(k: KakDecomposition, axis: int) -> None:
 # ---------------------------------------------------------------------------
 
 def _is_identity(m: np.ndarray, tol: float = 1e-12) -> bool:
+    (a, b), (c, d) = m.tolist()
+    # a factor 2 tol away in Python arithmetic fails the numpy test too
+    if max(abs(a - 1), abs(b), abs(c), abs(d - 1)) >= 2 * tol:
+        return False
     return bool(np.max(np.abs(m - I2)) < tol)
+
+
+def _loc(q: int, m: np.ndarray) -> SingleQubit:
+    """A "loc" gate built without `SingleQubit.__post_init__`; its caller
+    checks the factor for unitarity."""
+    g = object.__new__(SingleQubit)
+    g.qubit, g.matrix, g.name = q, m, "loc"
+    return g
 
 
 @dataclass(eq=False)
@@ -226,24 +242,19 @@ class LhBlock:
     phase: complex = 1.0 + 0j
     trailing: list = field(default_factory=list)
 
-    def zz_angles(self) -> list[float]:
-        return [e[1] for e in self.elements if e[0] == "zz"]
-
-    def total_phase(self) -> float:
-        return float(sum(abs(a) for a in self.zz_angles()))
-
     def to_gates(self) -> list:
         """Block contents as IR gates on the actual qubit pair, time order:
         the completion CNOT word first, then the alternation.  The block's
-        scalar phase is not included."""
+        scalar phase is not included, and the "loc" gates are not checked
+        for unitarity here (`passes._block_pass` checks them all at once)."""
         lo, hi = self.pair
         out = [cnot(c, t) for c, t in self.trailing]
         for e in self.elements:
             if e[0] == "loc":
                 if not _is_identity(e[1]):
-                    out.append(SingleQubit(lo, e[1], "loc"))
+                    out.append(_loc(lo, e[1]))
                 if not _is_identity(e[2]):
-                    out.append(SingleQubit(hi, e[2], "loc"))
+                    out.append(_loc(hi, e[2]))
             else:
                 out.append(ZzRotation(e[1], lo, hi))
         return out
@@ -251,7 +262,19 @@ class LhBlock:
 
 def _as_phase_pauli(m: np.ndarray, tol: float = 1e-12):
     """If m = s * P for a phase s and Pauli/identity P, return (s, P-name)."""
-    for name in "IXYZ":
+    (a, b), (c, d) = m.tolist()
+    # I and Z need the off-diagonal entries below tol, X and Y the diagonal
+    # ones, and |s| near 1 rules out the other class; within a class, I
+    # needs d = a, Z d = -a, X c = b and Y c = -b.  Only the Paulis whose
+    # pattern holds to 2 tol in Python arithmetic take the numpy test.
+    t = 2 * tol
+    if max(abs(b), abs(c)) < t:
+        names = "I" * (abs(d - a) < t) + "Z" * (abs(d + a) < t)
+    elif max(abs(a), abs(d)) < t:
+        names = "X" * (abs(c - b) < t) + "Y" * (abs(c + b) < t)
+    else:
+        return None
+    for name in names:
         p = PAULI[name]
         k = int(np.argmax(np.abs(p)))
         s = m.flat[k] / p.flat[k]
@@ -306,13 +329,15 @@ def _checked_unitaries(us) -> np.ndarray:
     us = np.asarray(us, dtype=complex)
     if (us.ndim != 3 or us.shape[1:] != (4, 4)
             or np.max(np.abs(us @ us.conj().mT - np.eye(4))) > 1e-10):
-        raise CircuitError("to_lh_block needs a 4x4 unitary")
+        raise CircuitError("an SU(4) block is not a 4x4 unitary to 1e-10")
     return us
 
 
 def _reduced_kak(us: np.ndarray) -> list[KakDecomposition]:
     """KAK forms of a stack of unitaries with each interaction coefficient
-    reduced into (-pi/4, pi/4]."""
+    reduced into (-pi/4, pi/4] only: the frame is not permuted into the
+    Weyl chamber, so axis-pure inputs keep their natural axis and pick up
+    no spurious local layers."""
     kaks = _kak_raw(us)
     for k in kaks:
         for axis in range(3):
@@ -330,7 +355,7 @@ def _assemble(k: KakDecomposition, pair: tuple[int, int]) -> LhBlock:
     cx, cy, cz = k.c
     # time order: ZZ(cz) . Vy^dag . ZZ(cy) . (H Vy) . ZZ(cx) . H, then A,
     # where Vy = _VX maps Z to Y by conjugation
-    steps = [(cz, _VX.conj().T), (cy, _H @ _VX), (cx, _H)]
+    steps = [(cz, _VX_DAG), (cy, _H_VX), (cx, _H)]
     pending = None  # a local layer, the same on both qubits, not yet placed
     for ang, after in steps:
         if abs(ang) < _EPS:
@@ -348,17 +373,6 @@ def _assemble(k: KakDecomposition, pair: tuple[int, int]) -> LhBlock:
         _push_loc(els, a_lo, a_hi)
     _cleanup_pauli_locals(blk)
     return blk
-
-
-def to_lh_block(u: np.ndarray, pair: tuple[int, int] = (0, 1)) -> LhBlock:
-    """Rewrite a two-qubit unitary as single-qubit layers alternating with at
-    most three ZZ rotations, a rotation leading all other non-local content.
-
-    Uses the un-permuted interaction frame (each coefficient reduced into
-    (-pi/4, pi/4] only), so axis-pure inputs keep their natural axis and do
-    not pick up spurious local layers from Weyl-chamber reordering."""
-    us = _checked_unitaries(np.asarray(u)[None])
-    return _assemble(_reduced_kak(us)[0], pair)
 
 
 # the six CNOT-pair completions as (control, target) words over the local
@@ -408,9 +422,9 @@ def _invariant_spectra(t: np.ndarray) -> np.ndarray:
 
 
 def _spectral_scores(us: np.ndarray) -> np.ndarray:
-    """`_assemble(_reduced_kak(u), pair).total_phase()` for each unitary of a
-    (k, 4, 4) stack, read from the eigenvalues of the magic-basis invariant
-    alone.
+    """The summed |ZZ angle| of `_assemble(_reduced_kak(u), pair)` for each
+    unitary of a (k, 4, 4) stack, read from the eigenvalues of the
+    magic-basis invariant alone.
 
     The summed |coefficient| does not depend on the order of the eigenphases
     (reordering them permutes the coefficients and flips pairs of signs), so

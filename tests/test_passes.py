@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from pgmq.circuit import (Barrier, Circuit, CircuitError, GeneralizedCnot,
-                          Measure, SingleQubit, Su4Block, ZzRotation, cnot,
-                          form_su4_blocks, hadamard, layerize, to_unitary, u1)
+from pgmq.circuit import (I2, Barrier, Circuit, CircuitError, GeneralizedCnot,
+                          Measure, SingleQubit, Su4Block, ZzRotation,
+                          apply_local, cnot, form_su4_blocks, gates_commute,
+                          hadamard, layerize, to_unitary, u1)
 from pgmq.cost import (AUTO, NO_ANCILLA, ANCILLA_MERGED, nuclear_norm,
                        sequence_cost)
 from pgmq.gadgets import (GadgetSequence, MultiQubitGate, PhaseGadget,
@@ -205,16 +206,47 @@ def test_extraction_matches_per_cnot_reference_walk(rng):
 
 # --- the stacked block pass against the per-block loop ---------------------
 
-def reference_block_pass(circuit):
-    """The block pass as a loop over the blocks, each decomposed alone (a
-    stack of one): the reference for `passes._block_pass`, which decomposes
-    all of a circuit's blocks in one stacked call."""
+def reference_layerize(circuit):
+    """`layerize` as a scan of every gate of each layer whose wires meet the
+    new gate's: the reference for the scan of only the gates on its wires."""
+    layers, supports = [], []
+    for g in circuit.gates:
+        blocked = -1
+        for idx in range(len(layers) - 1, -1, -1):
+            if supports[idx].isdisjoint(g.qubits):
+                continue
+            if any(not gates_commute(g, other) for other in layers[idx]):
+                blocked = idx
+                break
+        if blocked + 1 == len(layers):
+            layers.append([])
+            supports.append(set())
+        layers[blocked + 1].append(g)
+        supports[blocked + 1].update(g.qubits)
+    return layers
+
+
+def reference_absorb(block, gate):
+    """`Su4Block.absorb` as the dense local product of `apply_local`: the
+    reference for the absorbs by gate kind."""
+    pos = tuple(block.pair.index(q) for q in gate.qubits)
+    block.unitary = apply_local(block.unitary, gate.local_unitary(), pos, 2)
+
+
+def reference_block_pass(circuit, items):
+    """The block pass over `form_su4_blocks`' items as a loop over the
+    blocks, each decomposed alone (a stack of one) and each emitted "loc"
+    gate checked as it is built: the reference for `passes._block_pass`,
+    which decomposes all of a circuit's blocks in one stacked call and
+    checks all emitted factors in one stacked test."""
     out = Circuit(circuit.num_qubits, [], global_phase=circuit.global_phase)
-    for it in form_su4_blocks(layerize(circuit)):
+    for it in items:
         if isinstance(it, Su4Block):
             blk = minimize_block_phase([it])[0]
             out.global_phase *= blk.phase
             for g in blk.to_gates():
+                if isinstance(g, SingleQubit):
+                    g = SingleQubit(g.qubit, g.matrix, g.name)
                 out.add(g)
         else:
             out.add(it)
@@ -234,7 +266,15 @@ def circuit_bits(c):
             phase.real.hex(), phase.imag.hex())
 
 
-def test_block_pass_matches_per_block_loop():
+def item_bits(items):
+    """Each block's pair and matrix bytes, each loose gate's identity."""
+    return [it.pair + (it.unitary.tobytes(),) if isinstance(it, Su4Block)
+            else id(it) for it in items]
+
+
+def test_block_pass_matches_per_block_loop(monkeypatch):
+    # each stage against its reference, bit for bit: the layers as gate
+    # identities, every block matrix as bytes, the flattened circuit
     from pgmq.passes import _block_pass, _strip_measures
     circuits = [parse_qasm_file(f)
                 for f in sorted((ROOT / "benchmarks").glob("*.qasm"))]
@@ -247,13 +287,46 @@ def test_block_pass_matches_per_block_loop():
     repeated = 0
     for c in circuits:
         raw = to_zz_basis(_strip_measures(c)[0])
-        want = reference_block_pass(raw)
-        assert circuit_bits(_block_pass(raw)) == circuit_bits(want)
-        blocks = [it.unitary.tobytes()
-                  for it in form_su4_blocks(layerize(raw))
+        layers = layerize(raw)
+        assert [list(map(id, lay)) for lay in layers] == \
+            [list(map(id, lay)) for lay in reference_layerize(raw)]
+        items = form_su4_blocks(layers)
+        with monkeypatch.context() as m:
+            m.setattr(Su4Block, "absorb", reference_absorb)
+            want = form_su4_blocks(layers)
+        assert item_bits(items) == item_bits(want)
+        assert circuit_bits(_block_pass(raw)) == \
+            circuit_bits(reference_block_pass(raw, want))
+        blocks = [it.unitary.tobytes() for it in items
                   if isinstance(it, Su4Block)]
         repeated += len(blocks) - len(set(blocks))
     assert repeated > 0
+
+
+def test_block_pass_checks_every_emitted_local(monkeypatch):
+    # the "loc" gates are built unchecked; one stacked test over every
+    # factor the blocks emit keeps the 1e-12 unitarity bound
+    from pgmq import passes
+    real = passes.minimize_block_phase
+
+    def scaled_by(eps):
+        # a Hadamard on the high wire of the last block, 2 eps off unitary
+        bad = hadamard(0).matrix * (1.0 + eps)
+
+        def minimize(blocks):
+            out = real(blocks)
+            out[-1].elements.append(("loc", I2, bad))
+            return out
+        return bad, minimize
+
+    c = Circuit(3, [hadamard(2), cnot(0, 1), ZzRotation(0.3, 1, 2),
+                    cnot(1, 2)])
+    bad, minimize = scaled_by(1e-14)
+    monkeypatch.setattr(passes, "minimize_block_phase", minimize)
+    assert passes._block_pass(c).gates[-1].matrix is bad
+    monkeypatch.setattr(passes, "minimize_block_phase", scaled_by(1e-11)[1])
+    with pytest.raises(CircuitError, match="not unitary to 1e-12"):
+        passes._block_pass(c)
 
 
 # --- conjugation and norm reduction ----------------------------------------
