@@ -28,6 +28,16 @@ AND), CNOT conjugation (`commute_cnot`: one bit toggled), merging and
 anticommutation parities are integer operations.  The public constructor
 validates its input; `_gadget` builds a gadget from parts already checked
 (a sorted support, its mask and an alpha in (-2, 2]) and skips that.
+
+Every other Pauli string (the frame, a string pushed into it, a fused
+fanout's net control string) is an X-part mask x and a Z-part mask z:
+qubit q carries "IXZY"[x_q | z_q << 1], with Y = i X Z so every letter is
+Hermitian (the tableau form of Aaronson & Gottesman, quant-ph/0406196).
+With |.| a popcount, P(x1, z1) P(x2, z2) = i^k P(x1 ^ x2, z1 ^ z2) for
+k = |x1 & z1| + |x2 & z2| - |(x1 ^ x2) & (z1 ^ z2)| + 2 |z1 & x2| (mod 4),
+and CNOT(c, t) conjugation sets x ^= x_c << t, z ^= z_t << c and flips the
+sign iff x_c z_t (x_t ^ z_c ^ 1).  Letters appear only at the edges,
+`PauliFrame.from_letters` and `PauliFrame.paulis`.
 """
 
 from __future__ import annotations
@@ -48,19 +58,20 @@ from .circuit import (
     pauli_gate,
 )
 
-TWO_PI = 2 * math.pi
-
-# Pauli single-qubit products: (a, b) -> (coeff, axis), meaning a @ b = coeff * axis
-_PAULI_MUL = {
-    ("I", "I"): (1, "I"), ("I", "X"): (1, "X"), ("I", "Y"): (1, "Y"), ("I", "Z"): (1, "Z"),
-    ("X", "I"): (1, "X"), ("X", "X"): (1, "I"), ("X", "Y"): (1j, "Z"), ("X", "Z"): (-1j, "Y"),
-    ("Y", "I"): (1, "Y"), ("Y", "X"): (-1j, "Z"), ("Y", "Y"): (1, "I"), ("Y", "Z"): (1j, "X"),
-    ("Z", "I"): (1, "Z"), ("Z", "X"): (1j, "Y"), ("Z", "Y"): (-1j, "X"), ("Z", "Z"): (1, "I"),
-}
+_LETTERS = "IXZY"
+_I_POW = (1.0 + 0j, 1j, -1.0 + 0j, complex(0.0, -1.0))  # i^k, k mod 4
 
 
-def pauli_mul(a: str, b: str) -> tuple[complex, str]:
-    return _PAULI_MUL[(a, b)]
+def _product_power(x1: int, z1: int, x2: int, z2: int) -> int:
+    """k mod 4 in P(x1, z1) P(x2, z2) = i^k P(x1 ^ x2, z1 ^ z2)."""
+    return ((x1 & z1).bit_count() + (x2 & z2).bit_count()
+            - ((x1 ^ x2) & (z1 ^ z2)).bit_count()
+            + 2 * (z1 & x2).bit_count()) % 4
+
+
+def _axis_bits(axis: str, mask: int) -> tuple[int, int]:
+    """The X and Z parts of the string with `axis` on every qubit of mask."""
+    return (0 if axis == "Z" else mask), (0 if axis == "X" else mask)
 
 
 def pauli_rotation(axis: str, theta: float, q: int) -> SingleQubit:
@@ -203,52 +214,50 @@ class MultiQubitGate:
 
 @dataclass(eq=False)
 class PauliFrame:
-    """A Pauli-string correction applied after a gadget sequence."""
+    """A Pauli-string correction applied after a gadget sequence: X part
+    `x`, Z part `z`."""
 
-    paulis: dict = field(default_factory=dict)  # qubit -> axis, identities omitted
+    x: int = 0
+    z: int = 0
 
-    def multiply_right(self, string: dict) -> complex:
-        """Frame <- frame * string (matrix order); returns the scalar picked up."""
-        coeff = 1.0 + 0j
-        for q, p in string.items():
-            c, r = pauli_mul(self.paulis.get(q, "I"), p)
-            coeff *= c
-            if r == "I":
-                self.paulis.pop(q, None)
-            else:
-                self.paulis[q] = r
-        return coeff
+    @classmethod
+    def from_letters(cls, letters: dict) -> "PauliFrame":
+        """The frame of a {qubit: "X", "Y" or "Z"} string."""
+        bits = [_axis_bits(p, 1 << q) for q, p in letters.items()]
+        return cls(sum(b[0] for b in bits), sum(b[1] for b in bits))
+
+    @property
+    def paulis(self) -> list[tuple[int, str]]:
+        """(qubit, letter) of every non-identity qubit, ascending."""
+        x, z = self.x, self.z
+        return [(q, _LETTERS[(x >> q & 1) | (z >> q & 1) << 1])
+                for q in support_of(x | z)]
+
+    def multiply_right(self, x: int, z: int) -> complex:
+        """Frame <- frame * P(x, z) (matrix order); returns the i^k picked up."""
+        k = _product_power(self.x, self.z, x, z)
+        self.x ^= x
+        self.z ^= z
+        return _I_POW[k]
 
     def gates(self) -> list[SingleQubit]:
-        return [pauli_gate(p, q) for q, p in sorted(self.paulis.items())]
-
-    # images of single-qubit Paulis under conjugation by CNOT(c, t):
-    # letter on the control contributes (on_c, on_t), ditto for the target
-    _CNOT_CTRL = {"X": ("X", "X"), "Y": ("Y", "X"), "Z": ("Z", "I")}
-    _CNOT_TARG = {"X": ("I", "X"), "Y": ("Z", "Y"), "Z": ("Z", "Z")}
+        return [pauli_gate(p, q) for q, p in self.paulis]
 
     def conjugate_by_cnot_word(self, word: list[tuple[int, int]]) -> complex:
         """Replace the frame P by A P A^dag for the CNOT circuit A given as a
         (control, target) word in time order; returns the +/-1 sign picked up
         (conjugation can flip signs, e.g. X_c Z_t -> -Y_c Y_t)."""
-        coeff = 1.0 + 0j
+        x, z, flip = self.x, self.z, 0
         for c, t in word:
-            cc, ct = self._CNOT_CTRL[self.paulis.get(c, "I")] \
-                if c in self.paulis else ("I", "I")
-            tc, tt = self._CNOT_TARG[self.paulis.get(t, "I")] \
-                if t in self.paulis else ("I", "I")
-            kc, rc = pauli_mul(cc, tc)
-            kt, rt = pauli_mul(ct, tt)
-            coeff *= kc * kt
-            for q, r in ((c, rc), (t, rt)):
-                if r == "I":
-                    self.paulis.pop(q, None)
-                else:
-                    self.paulis[q] = r
-        return coeff
+            xc, zt = x >> c & 1, z >> t & 1
+            flip ^= xc & zt & (x >> t ^ z >> c ^ 1)
+            x ^= xc << t
+            z ^= zt << c
+        self.x, self.z = x, z
+        return _I_POW[2 * flip]
 
     def copy(self) -> "PauliFrame":
-        return PauliFrame(dict(self.paulis))
+        return PauliFrame(self.x, self.z)
 
 
 @dataclass(eq=False)
@@ -331,22 +340,20 @@ def _fuse(controls: list[tuple[int, str]], target: int,
           target_axis: str) -> tuple[MultiQubitGate, LocalFrame]:
     """Exact U_MQ + locals for an ordered product of generalized CNOTs sharing
     (target, target_axis).  Later list entries act later in time."""
-    # net Pauli per control qubit, built in matrix order (later gates left)
-    net: dict[int, tuple[complex, str]] = {}
+    # net control string, built in matrix order (later gates left); the
+    # controls' first-appearance order fixes the gate's pair order
+    x = z = k = 0
     for q, axis in controls:
-        c0, p0 = net.get(q, (1.0 + 0j, "I"))
-        c1, p1 = pauli_mul(axis, p0)
-        net[q] = (c0 * c1, p1)
-    coeff = 1.0 + 0j
-    live: dict[int, str] = {}
-    for q, (c, p) in net.items():
-        coeff *= c
-        if p != "I":
-            live[q] = p
-    n_live = len(live)
-    # sector equations: e^{i(chi+t)} = 1,  e^{i(chi-t)} (-i)^n coeff_sector = coeff
-    # where coeff_sector comes from prod e^{-i pi/2 P} = (-i)^n prod P
-    delta = n_live * math.pi / 2 + np.angle(coeff)
+        cx, cz = _axis_bits(axis, 1 << q)
+        k += _product_power(cx, cz, x, z)
+        x ^= cx
+        z ^= cz
+    letters = dict(PauliFrame(x, z).paulis)
+    live = [q for q in dict.fromkeys(q for q, _ in controls) if q in letters]
+    # sector equations (coeff = i^k): e^{i(chi+t)} = 1,
+    # e^{i(chi-t)} (-i)^n coeff_sector = coeff, where coeff_sector comes
+    # from prod e^{-i pi/2 P} = (-i)^n prod P
+    delta = len(live) * math.pi / 2 + np.angle(_I_POW[k % 4])
     chi = delta / 2
     tshift = -delta / 2
     mq = MultiQubitGate({(q, target): math.pi / 4 for q in live})
@@ -358,7 +365,8 @@ def _fuse(controls: list[tuple[int, str]], target: int,
     exp_t = math.cos(tshift) * np.eye(2) + 1j * math.sin(tshift) * q_t
     frame.left[target] = exp_t @ vq_t
     frame.right[target] = vq_t.conj().T
-    for q, p in live.items():
+    for q in live:
+        p = letters[q]
         v = _Z_TO[p]
         rot = (math.cos(math.pi / 4) * np.eye(2)
                - 1j * math.sin(math.pi / 4) * PAULI[p])  # e^{-i pi/4 P}
@@ -428,18 +436,6 @@ def pg_commutes(g1: PhaseGadget, g2: PhaseGadget) -> bool:
 ALPHA_EPS = 1e-12
 
 
-def _string_bits(string: dict) -> tuple[int, int]:
-    """A Pauli string {qubit: axis} as its X-part and Z-part bitmasks (a Y
-    sets both)."""
-    xs = zs = 0
-    for q, p in string.items():
-        if p != "Z":
-            xs |= 1 << q
-        if p != "X":
-            zs |= 1 << q
-    return xs, zs
-
-
 def _anticommutes(g: PhaseGadget, xs: int, zs: int) -> int:
     """1 iff g anticommutes with the Pauli string of X part xs and Z part zs:
     an odd number of its support qubits carry a letter other than its axis
@@ -450,16 +446,15 @@ def _anticommutes(g: PhaseGadget, xs: int, zs: int) -> int:
     return (bits & g.mask).bit_count() & 1
 
 
-def _push_string_to_frame(seq: GadgetSequence, start: int, string: dict,
+def _push_string_to_frame(seq: GadgetSequence, start: int, xs: int, zs: int,
                           scalar: complex) -> None:
-    """Move a Pauli string from just after gadget `start` through the rest of
-    the sequence into the trailing frame, flipping angles it anticommutes
-    with."""
-    xs, zs = _string_bits(string)
+    """Move the Pauli string P(xs, zs) from just after gadget `start` through
+    the rest of the sequence into the trailing frame, flipping angles it
+    anticommutes with."""
     for g in seq.gadgets[start + 1:]:
         if _anticommutes(g, xs, zs):
             g.alpha = normalized_alpha(-g.alpha)
-    scalar *= seq.frame.multiply_right(string)
+    scalar *= seq.frame.multiply_right(xs, zs)
     seq.phase *= scalar
 
 
@@ -490,26 +485,20 @@ def simplify(seq: GadgetSequence) -> GadgetSequence:
                 target.alpha = normalized_alpha(target.alpha + g.alpha)
                 changed = True
         out.gadgets = kept
-        # (c): angle normalization with Pauli extraction; (xs, zs) is the
-        # product, up to a scalar, of the strings moved to the frame so far,
-        # each gadget flipped at its own turn if it anticommutes with it
-        xs = zs = 0
+        # (c): angle normalization with Pauli extraction; the frame's masks
+        # XOR their values at the sweep's start are the product, up to a
+        # scalar, of the strings moved to the frame so far, each gadget
+        # flipped at its own turn if it anticommutes with it
+        frame = out.frame
+        x0, z0 = frame.x, frame.z
         for g in out.gadgets:
-            if _anticommutes(g, xs, zs):
+            if _anticommutes(g, frame.x ^ x0, frame.z ^ z0):
                 g.alpha = -g.alpha
             shift = math.floor(g.alpha + 0.5)
             if shift != 0:
                 g.alpha -= shift
-                scalar = 1j ** (shift % 4)
-                string = {}
-                if shift % 2:
-                    string = dict.fromkeys(g.support, g.axis)
-                    if g.axis != "Z":
-                        xs ^= g.mask
-                    if g.axis != "X":
-                        zs ^= g.mask
-                scalar *= out.frame.multiply_right(string)
-                out.phase *= scalar
+                string = _axis_bits(g.axis, g.mask) if shift % 2 else (0, 0)
+                out.phase *= 1j ** (shift % 4) * frame.multiply_right(*string)
                 changed = True
         # (d): drop trivial gadgets
         kept = [g for g in out.gadgets if abs(g.alpha) > ALPHA_EPS]

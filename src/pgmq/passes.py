@@ -155,7 +155,7 @@ def sequence_adjoint(seq: GadgetSequence) -> GadgetSequence:
     # move the (Hermitian) frame string from the front of the adjoint to the
     # back; into an empty frame it picks up no scalar, so the phase is set
     # after, not multiplied by 1 + 0j, which can flip a zero's sign
-    _push_string_to_frame(out, -1, dict(seq.frame.paulis), 1.0)
+    _push_string_to_frame(out, -1, seq.frame.x, seq.frame.z, 1.0)
     out.phase = np.conj(seq.phase)
     return out
 

@@ -4,6 +4,8 @@ A CNOT layer is written as its word and as the GF(2) matrix |x> -> |Ax>
 that the word performs, derived here by replaying the word; rows are hex
 strings (row i encodes sum_j A[i,j] << j), and a loaded matrix must equal
 the one derived from the loaded word.  The body holds phase gadgets only.
+"frames" lists each qubit of the trailing Pauli string once, ascending, and
+"phase" is [re, im] of magnitude 1 to within 1e-9.
 "ancilla" is always null: the ancilla, when the realization uses one, is
 qubit numQubits.  Angles are printed with 17 significant digits so parsing
 reproduces the exact IEEE-754 double.  Serialization is deterministic:
@@ -142,7 +144,7 @@ def program_to_json(prog: CompiledProgram) -> dict:
         "ancilla": None,
         "preLayer": _layer_to_json(prog.pre, prog.num_qubits),
         "body": _body_to_json(prog.body),
-        "frames": [[int(q), p] for q, p in sorted(prog.body.frame.paulis.items())],
+        "frames": [[q, p] for q, p in prog.body.frame.paulis],
         "phase": [_fmt(ph.real), _fmt(ph.imag)],
         "postLayer": _layer_to_json(prog.post, prog.num_qubits),
         "measurementMap": sorted([int(q), int(b)] for b, q
@@ -166,10 +168,16 @@ def program_from_json(obj) -> CompiledProgram:
     frames = {}
     for i, fq in enumerate(_list(_field(obj, "frames", "program", []),
                                  "frames")):
-        q, p = _list(fq, f"frames[{i}]", 2)
-        frames[_int(q, f"frames[{i}]", n)] = _choice(p, _AXES, f"frames[{i}]")
-    phase = [_number(x, "phase") for x in
-             _list(_field(obj, "phase", "program", [1.0, 0.0]), "phase", 2)]
+        at = f"frames[{i}]"
+        q, p = _list(fq, at, 2)
+        q = _int(q, at, n)
+        if q in frames:
+            raise InputError(f"{at}: qubit {q} is listed twice")
+        frames[q] = _choice(p, _AXES, at)
+    phase = complex(*(_number(x, "phase") for x in _list(
+        _field(obj, "phase", "program", [1.0, 0.0]), "phase", 2)))
+    if abs(abs(phase) - 1.0) > 1e-9:  # compiled programs: under 2e-14
+        raise InputError(f"phase: expected magnitude 1, got {abs(phase)!r}")
     mmap = {}
     for i, qb in enumerate(_list(_field(obj, "measurementMap", "program", []),
                                  "measurementMap")):
@@ -182,7 +190,7 @@ def program_from_json(obj) -> CompiledProgram:
     return CompiledProgram(
         n,
         _layer_from_json(_field(obj, "preLayer", "program"), n, "preLayer"),
-        GadgetSequence(n, gadgets, PauliFrame(frames), complex(*phase)),
+        GadgetSequence(n, gadgets, PauliFrame.from_letters(frames), phase),
         _layer_from_json(_field(obj, "postLayer", "program"), n, "postLayer"),
         mmap,
         _choice(_field(obj, "scheme", "program", AUTO),

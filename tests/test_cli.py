@@ -231,12 +231,17 @@ def _set_body(doc, item):
     (lambda d: d.update(ancilla=9), "ancilla"),
     (lambda d: d.update(version="9.9"), "version"),
     (lambda d: d.update(frames=[[0, "Q"]]), "frames[0]"),
+    # a repeated qubit used to keep its last letter silently
+    (lambda d: d.update(frames=[[0, "X"], [0, "Z"]]), "frames[1]"),
+    # a phase off the unit circle used to fail verify with exit 1
+    (lambda d: d.update(phase=[2.0, 0.0]), "phase"),
     (lambda d: d.update(scheme="fastest"), "scheme"),
     (lambda d: d.update(measurementMap=[[0, 0], [1, 0]]),
      "measurementMap[1]"),
 ], ids=["not-json", "no-body", "word-range", "word-self", "matrix",
         "support-range", "axis", "mq-pair", "mq-element", "ancilla-set",
-        "version", "frame", "scheme", "map-bit-twice"])
+        "version", "frame", "frame-qubit-twice", "phase-off-circle",
+        "scheme", "map-bit-twice"])
 def test_verify_malformed_program_exit_2(qasm_dir, tmp_path, capsys,
                                          corrupt, field):
     out = tmp_path / "p.json"

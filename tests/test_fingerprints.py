@@ -11,12 +11,16 @@ checked against the same file, so a change to the sampler's random stream
 fails here, not only in a benchmark run.  The two forced
 realization schemes, which the benchmark does not run, are checked against
 one SHA-256 each over the 12 corpus programs, kept here, and so are the
-default programs of acceptance test 1's first 50 random circuits.
+default programs of acceptance test 1's first 50 random circuits.  One more
+SHA-256 pins the realized native-gate circuits of the corpus under all
+three schemes, so a change below the program bytes (locals, pair phases,
+the global phase) fails here too.
 """
 
 import hashlib
 import importlib.util
 import json
+import struct
 import sys
 from pathlib import Path
 
@@ -24,7 +28,9 @@ import numpy as np
 import pytest
 
 from pgmq import serialize
-from pgmq.cost import ANCILLA_MERGED, NO_ANCILLA, metrics
+from pgmq.circuit import GeneralizedCnot, SingleQubit
+from pgmq.cost import ANCILLA_MERGED, AUTO, NO_ANCILLA, metrics
+from pgmq.gadgets import MultiQubitGate
 from pgmq.noise import NoiseModel, monte_carlo_fidelity
 from pgmq.passes import CompileOptions, optimize
 from pgmq.qasm import parse_qasm_file
@@ -139,3 +145,37 @@ def test_acceptance_circuit_programs_match():
         prog = optimize(random_circuit(n, depth, rng))
         digest.update(serialize.dumps(prog).encode("utf-8"))
     assert digest.hexdigest() == ACCEPTANCE_SHA256
+
+
+# SHA-256 over the realized circuits of the 12 corpus programs, in sorted
+# file order, under each of the three schemes in turn
+REALIZED_SHA256 = \
+    "d273e4023d9d84b51a016ed71ff7dabfeddd8ddab1a22d8be8e4f60278472049"
+
+
+def _gate_bytes(g) -> bytes:
+    """A native gate's kind, qubits and exact parameters."""
+    if isinstance(g, SingleQubit):
+        return b"S" + struct.pack("<q", g.qubit) + \
+            np.ascontiguousarray(g.matrix, dtype=complex).tobytes()
+    if isinstance(g, MultiQubitGate):
+        return b"M" + b"".join(struct.pack("<qqd", a, b, th)
+                               for (a, b), th in g.pairs.items())
+    assert isinstance(g, GeneralizedCnot), type(g).__name__
+    return b"C" + struct.pack("<qq", g.control, g.target) + \
+        (g.control_axis + g.target_axis).encode("ascii")
+
+
+def test_corpus_realized_circuits_match():
+    digest = hashlib.sha256()
+    for path in CORPUS:
+        circuit = parse_qasm_file(path)
+        for scheme in (AUTO, ANCILLA_MERGED, NO_ANCILLA):
+            realized = optimize(circuit, CompileOptions(scheme=scheme)) \
+                .realized_circuit()
+            digest.update(struct.pack("<q", realized.num_qubits))
+            for g in realized.gates:
+                digest.update(_gate_bytes(g))
+            phase = complex(realized.global_phase)
+            digest.update(struct.pack("<dd", phase.real, phase.imag))
+    assert digest.hexdigest() == REALIZED_SHA256

@@ -9,9 +9,9 @@ from pgmq.circuit import Circuit, GeneralizedCnot, cnot, to_unitary
 from pgmq.cost import _interface_live
 from pgmq.gadgets import (ALPHA_EPS, GadgetSequence, MultiQubitGate,
                           PauliFrame, PhaseGadget, _anticommutes,
-                          _push_string_to_frame, _string_bits, commute_cnot,
+                          _product_power, _push_string_to_frame, commute_cnot,
                           decompose_pg, fanout_to_mq, merge_interface,
-                          pauli_mul, pg_commutes, simplify, support_of)
+                          pg_commutes, simplify, support_of)
 from conftest import sequence_unitary
 
 
@@ -45,14 +45,34 @@ def test_support_is_checked_and_masked():
             PhaseGadget("Z", 0.3, bad)
 
 
-def test_pauli_mul_table():
-    mats = {"I": np.eye(2, dtype=complex),
-            "X": np.array([[0, 1], [1, 0]], dtype=complex),
-            "Y": np.array([[0, -1j], [1j, 0]]),
-            "Z": np.diag([1.0 + 0j, -1.0])}
-    for a, b in itertools.product("IXYZ", repeat=2):
-        coeff, r = pauli_mul(a, b)
-        assert np.max(np.abs(coeff * mats[r] - mats[a] @ mats[b])) < 1e-12
+def _string_unitary(n, x, z):
+    """Dense P(x, z) on n qubits, one Hermitian letter per qubit."""
+    frame = PauliFrame(x, z)
+    assert len(frame.gates()) == (x | z).bit_count()
+    return to_unitary(Circuit(n, frame.gates()))
+
+
+def test_product_power_dense(rng):
+    # all 16 one-qubit pairs, then random strings on up to 4 qubits:
+    # P(x1, z1) P(x2, z2) = i^k P(x1 ^ x2, z1 ^ z2)
+    cases = [(1, a & 1, a >> 1, b & 1, b >> 1)
+             for a, b in itertools.product(range(4), repeat=2)]
+    for _ in range(200):
+        n = int(rng.integers(1, 5))
+        cases.append((n, *(int(v) for v in rng.integers(0, 2 ** n, 4))))
+    for n, x1, z1, x2, z2 in cases:
+        k = _product_power(x1, z1, x2, z2)
+        assert 0 <= k < 4
+        got = 1j ** k * _string_unitary(n, x1 ^ x2, z1 ^ z2)
+        want = _string_unitary(n, x1, z1) @ _string_unitary(n, x2, z2)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_frame_letters_round_trip():
+    letters = {0: "X", 2: "Y", 5: "Z"}
+    frame = PauliFrame.from_letters(letters)
+    assert (frame.x, frame.z) == (0b101, 0b100100)
+    assert frame.paulis == sorted(letters.items())
 
 
 def test_decompose_pg_matches_gadget(rng):
@@ -128,6 +148,20 @@ def test_merge_interface(rng):
         mq, frame = merge_interface(j, k, a, ax1, ax2)
         got = frame.phase * _frame_sandwich(n + 1, frame, mq)
         assert np.max(np.abs(got - want)) < 1e-10
+
+
+def test_merge_interface_pair_order():
+    # the gate's pairs follow the controls' first appearance (3 before 1),
+    # which fixes the order its phases are summed in; a qubit whose net
+    # Pauli cancels (3 under one axis twice) is no pair
+    for ax1, ax2, want in (("X", "Z", [(3, 4), (1, 4)]),
+                           ("Z", "Z", [(1, 4)])):
+        mq, frame = merge_interface({3}, {1, 3}, 4, ax1, ax2)
+        assert list(mq.pairs) == want
+        fan = [GeneralizedCnot(ax1, 3, "Y", 4), GeneralizedCnot(ax2, 1, "Y", 4),
+               GeneralizedCnot(ax2, 3, "Y", 4)]
+        got = frame.phase * _frame_sandwich(5, frame, mq)
+        assert np.max(np.abs(got - to_unitary(Circuit(5, fan)))) < 1e-10
 
 
 def test_mq_local_unitary_matches_basis_loop(rng):
@@ -254,8 +288,8 @@ def test_mask_forms_match_set_definitions(rng):
         string = {int(q): str(rng.choice(list("XYZ")))
                   for q in rng.choice(n, int(rng.integers(0, n + 1)),
                                       replace=False)}
-        assert _anticommutes(g, *_string_bits(string)) == \
-            set_parity(g, string)
+        frame = PauliFrame.from_letters(string)
+        assert _anticommutes(g, frame.x, frame.z) == set_parity(g, string)
         if n > 1 and g.axis != "Y":
             c, t = (int(q) for q in rng.choice(n, 2, replace=False))
             moved = commute_cnot(cnot(c, t), g)
@@ -265,8 +299,9 @@ def test_mask_forms_match_set_definitions(rng):
         seq = GadgetSequence(n, [gadget() for _ in range(4)])
         want = [-x.alpha if set_parity(x, string) else x.alpha
                 for x in seq.gadgets]
-        _push_string_to_frame(seq, -1, string, 1.0)
+        _push_string_to_frame(seq, -1, frame.x, frame.z, 1.0)
         assert [x.alpha for x in seq.gadgets] == want
+        assert seq.frame.paulis == sorted(string.items())
 
 
 def test_simplify_preserves_unitary_and_merges(rng):
@@ -323,8 +358,10 @@ def _nested_loop_simplify(seq: GadgetSequence) -> GadgetSequence:
             shift = math.floor(g.alpha + 0.5)
             if shift != 0:
                 g.alpha -= shift
-                string = {q: g.axis for q in g.support} if shift % 2 else {}
-                _push_string_to_frame(out, idx, string, 1j ** (shift % 4))
+                string = PauliFrame.from_letters(
+                    {q: g.axis for q in g.support} if shift % 2 else {})
+                _push_string_to_frame(out, idx, string.x, string.z,
+                                      1j ** (shift % 4))
                 changed = True
         kept = [g for g in out.gadgets if abs(g.alpha) > ALPHA_EPS]
         if len(kept) != len(out.gadgets):
@@ -348,7 +385,7 @@ def test_simplify_matches_nested_loop_merge(rng):
             alpha = (float(rng.uniform(-2, 2)) if rng.random() < 0.5
                      else 0.25 * int(rng.integers(-8, 9)))
             gads.append(PhaseGadget(axis, alpha, support))
-        seq = GadgetSequence(n, gads, PauliFrame({0: "Y"}), 1j)
+        seq = GadgetSequence(n, gads, PauliFrame.from_letters({0: "Y"}), 1j)
         got, want = simplify(seq), _nested_loop_simplify(seq)
         assert [(g.axis, g.support, g.alpha.hex()) for g in got.gadgets] \
             == [(g.axis, g.support, g.alpha.hex()) for g in want.gadgets]
@@ -373,7 +410,7 @@ def test_simplify_matches_old_walk_up_to_16_qubits(rng):
         frame = {int(q): str(rng.choice(list("XYZ")))
                  for q in rng.choice(n, int(rng.integers(0, n + 1)),
                                      replace=False)}
-        seq = GadgetSequence(n, gads, PauliFrame(frame),
+        seq = GadgetSequence(n, gads, PauliFrame.from_letters(frame),
                              complex(np.exp(1j * rng.uniform(-3, 3))))
         got, want = simplify(seq), _nested_loop_simplify(seq)
         assert [(g.axis, g.support, g.alpha.hex()) for g in got.gadgets] \
@@ -394,10 +431,10 @@ def test_frame_cnot_conjugation_signs(rng):
                 paulis[q] = p
         word = [tuple(int(x) for x in rng.choice(n, 2, replace=False))
                 for _ in range(int(rng.integers(1, 4)))]
-        frame = PauliFrame(dict(paulis))
+        frame = PauliFrame.from_letters(paulis)
         coeff = frame.conjugate_by_cnot_word(word)
         a = to_unitary(Circuit(n, [cnot(c, t) for c, t in word]))
-        p_in = to_unitary(Circuit(n, PauliFrame(paulis).gates()))
+        p_in = to_unitary(Circuit(n, PauliFrame.from_letters(paulis).gates()))
         p_out = coeff * to_unitary(Circuit(n, frame.gates()))
         assert np.max(np.abs(a @ p_in @ a.conj().T - p_out)) < 1e-10
 

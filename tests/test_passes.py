@@ -143,7 +143,7 @@ def extraction_bits(seq, word):
     """Everything an extraction returns, with every double as its bits."""
     phase = complex(seq.phase)
     return ([(g.axis, g.alpha.hex(), g.support) for g in seq.gadgets],
-            sorted(seq.frame.paulis.items()),
+            seq.frame.paulis,
             (phase.real.hex(), phase.imag.hex()), list(word))
 
 
