@@ -80,7 +80,10 @@ def pauli_rotation(axis: str, theta: float, q: int) -> SingleQubit:
     return SingleQubit(q, m, f"r{axis.lower()}")
 
 
-# Clifford V with V Z V^dag = P, used to turn P-type couplings into Z-type.
+# Clifford V with V Z V^dag = P, used to turn P-type couplings into Z-type;
+# H = _Z_TO["X"] also has H X H^dag = Z.  Every basis change in the package
+# reads these arrays, and gates and frames share them: nothing may write
+# into them.
 _Z_TO = {
     "Z": np.eye(2, dtype=complex),
     "X": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
@@ -88,6 +91,8 @@ _Z_TO = {
     "Y": (math.cos(math.pi / 4) * np.eye(2)
           + 1j * math.sin(math.pi / 4) * PAULI["X"]),
 }
+for _v in _Z_TO.values():
+    _v.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------

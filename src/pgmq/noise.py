@@ -389,17 +389,3 @@ def monte_carlo_fidelity(program, input_circuit: Circuit, model: NoiseModel,
     lo, hi = 2 * fid - q_hi, 2 * fid - q_lo
     return MonteCarloResult(fid, float(lo), float(hi), samples, shots, seed,
                             fids)
-
-
-def relative_error_ci(mc_comp: MonteCarloResult,
-                      mc_inp: MonteCarloResult) -> tuple[float, float, float]:
-    """Relative error with a basic-bootstrap 95% CI, pairing the bootstrap
-    replicates of two independent Monte Carlo runs."""
-    eps = relative_error(mc_comp.fidelity, mc_inp.fidelity)
-    f_comp, f_inp = mc_comp.bootstrap_fidelities, mc_inp.bootstrap_fidelities
-    # relative_error of each replicate pair, NaN where the input is ideal
-    reps = np.full(f_inp.shape, math.nan)
-    room = ~(f_inp >= 1.0)
-    reps[room] = (f_comp[room] - f_inp[room]) / (1.0 - f_inp[room])
-    q_lo, q_hi = np.percentile(reps, [2.5, 97.5])
-    return eps, float(2 * eps - q_hi), float(2 * eps - q_lo)

@@ -539,11 +539,10 @@ def parse_qasm_file(path: str) -> Circuit:
 # Entangling-basis normalization
 # ---------------------------------------------------------------------------
 
-_SQ2 = math.sqrt(2.0)
 # W with W X W^dag = Q, used on the target wire of a generalized CNOT
 _X_TO = {
     "X": np.eye(2, dtype=complex),
-    "Z": np.array([[1, 1], [1, -1]], dtype=complex) / _SQ2,
+    "Z": _Z_TO["X"],  # the Hadamard
     "Y": np.diag([1.0, 1j]).astype(complex),
 }
 

@@ -6,14 +6,16 @@ completions.
 
 The minimization runs once per circuit, over a stack of all its SU(4)
 blocks.  Each distinct unitary (by its bytes) is decomposed once and laid
-onto the qubits of every block that holds it.  All six completions U.W^dag
-of every distinct U are scored from one batched spectrum: the eigenphases of
-(M^dag V M)^T (M^dag V M), with V = U.W^dag / det^(1/4), are twice the
-interaction coefficients mapped through `_DIAG_SYSTEM`
-(Zhang et al., quant-ph/0209120), so the summed |reduced coefficient| needs
-no eigenvectors and no local factors.  The key (score rounded to 12 digits,
-word length, order) picks each completion, and only the winners are
-decomposed and assembled.
+onto the qubits of every block that holds it.  One diagonalization serves
+both the scores and the decompositions (`_invariants`): for all six
+completions U.W^dag of every distinct U, with V = U.W^dag / det^(1/4), the
+symmetric unitary t = (M^dag V M)^T (M^dag V M) is diagonalized by a real
+orthogonal O (Zhang et al., quant-ph/0209120).  The eigenphases on the
+diagonal of O^T t O are twice the interaction coefficients mapped through
+`_DIAG_SYSTEM`, so the summed |reduced coefficient| of every completion
+needs no local factors.  The key (score rounded to 12 digits, word length,
+order) picks each completion, and the winners' slices of the same arrays
+are decomposed and assembled.
 
 The KAK decomposition (`_kak_raw`) takes a stack too: every step is the
 one-matrix step batched (stacked det, eigh, solve and svd, matmuls in the
@@ -53,8 +55,7 @@ from .circuit import (
     cnot,
     to_unitary,
 )
-
-_SQ2 = math.sqrt(2.0)
+from .gadgets import _Z_TO
 
 # Magic basis: columns are the Bell-like states in which SU(2)xSU(2) becomes
 # SO(4) and exp(i sum c_k P_k(x)P_k) becomes diagonal.
@@ -63,7 +64,7 @@ MAGIC = np.array([
     [0, 1j, 1, 0],
     [0, 1j, -1, 0],
     [1, 0, 0, -1j],
-], dtype=complex) / _SQ2
+], dtype=complex) / math.sqrt(2.0)
 
 _PP = {k: np.kron(PAULI[k], PAULI[k]) for k in "XY"} | {"Z": ZZ}
 
@@ -77,26 +78,25 @@ _DIAG_SYSTEM = np.column_stack(
 
 # Single-qubit Cliffords that move interaction axes by conjugation:
 # (W(x)W) E(cx,cy,cz) (W(x)W)^dag = E(permuted c).
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / _SQ2
-_VX = (math.cos(math.pi / 4) * I2
-       + 1j * math.sin(math.pi / 4) * PAULI["X"])  # swaps the YY and ZZ terms
+_H = _Z_TO["X"]
+_VX = _Z_TO["Y"]  # swaps the YY and ZZ terms
 _VX_DAG = _VX.conj().T
 _H_VX = _H @ _VX
 # shared by every assembled block: nothing may write into them
-_H.setflags(write=False)
 _VX_DAG.setflags(write=False)
 _H_VX.setflags(write=False)
 
 _EPS = 1e-12
+_KRON_TOL = 1e-9     # second singular value of a tensor-product matrix
+_EXACT_TOL = 1e-12   # identity and phase-Pauli tests on 2x2 factors
 
 
-def factor_kron(ms: np.ndarray,
-                tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def factor_kron(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split each 4x4 tensor-product matrix of a (k, 4, 4) stack into its
     (high, low) 2x2 factors, two (k, 2, 2) stacks."""
     r = ms.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
     u, s, vh = np.linalg.svd(r)
-    if np.any(s[:, 1] > tol):
+    if np.any(s[:, 1] > _KRON_TOL):
         raise CircuitError("matrix is not a tensor product of single-qubit factors")
     scale = np.sqrt(s[:, :1])
     hi = (u[:, :, 0] * scale).reshape(-1, 2, 2)
@@ -149,15 +149,23 @@ def _orthogonal_diagonalizer(t: np.ndarray) -> np.ndarray:
     raise CircuitError("failed to diagonalize the symmetric invariant matrix")
 
 
-def _kak_raw(us: np.ndarray) -> list[KakDecomposition]:
-    """KAK forms with unconstrained interaction coefficients, one per member
-    of a (k, 4, 4) stack of unitaries."""
+def _invariants(us: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(g0, vm, t, o, d) for each unitary u of a (k, 4, 4) stack: g0 =
+    det(u)^(1/4), vm = M^dag (u / g0) M, its symmetric unitary invariant
+    t = vm^T vm, a real orthogonal o with o^T t o diagonal, and that
+    diagonal d, the spectrum of t."""
     g0 = np.linalg.det(us) ** 0.25
     vm = MAGIC.conj().T @ (us / g0[:, None, None]) @ MAGIC
     t = vm.mT @ vm
     o = _orthogonal_diagonalizer(t)
+    return g0, vm, t, o, np.diagonal(o.mT @ t @ o, axis1=1, axis2=2)
+
+
+def _kak_raw(g0: np.ndarray, vm: np.ndarray, t: np.ndarray, o: np.ndarray,
+             d: np.ndarray) -> list[KakDecomposition]:
+    """KAK forms with unconstrained interaction coefficients, one per member
+    of a stack of `_invariants`."""
     # deterministic column order and sign
-    d = np.diagonal(o.mT @ t @ o, axis1=1, axis2=2)
     order = np.argsort(np.round(np.angle(d), 10), axis=1, kind="stable")
     o = np.take_along_axis(o, order[:, None, :], axis=2)
     lead = np.take_along_axis(
@@ -209,12 +217,13 @@ def _shift_coeff(k: KakDecomposition, axis: int) -> None:
 # Blocks of ZZ rotations with single-qubit layers
 # ---------------------------------------------------------------------------
 
-def _is_identity(m: np.ndarray, tol: float = 1e-12) -> bool:
+def _is_identity(m: np.ndarray) -> bool:
     (a, b), (c, d) = m.tolist()
-    # a factor 2 tol away in Python arithmetic fails the numpy test too
-    if max(abs(a - 1), abs(b), abs(c), abs(d - 1)) >= 2 * tol:
+    # a factor 2 _EXACT_TOL away in Python arithmetic fails the numpy
+    # test too
+    if max(abs(a - 1), abs(b), abs(c), abs(d - 1)) >= 2 * _EXACT_TOL:
         return False
-    return bool(np.max(np.abs(m - I2)) < tol)
+    return bool(np.max(np.abs(m - I2)) < _EXACT_TOL)
 
 
 def _loc(q: int, m: np.ndarray) -> SingleQubit:
@@ -260,14 +269,15 @@ class LhBlock:
         return out
 
 
-def _as_phase_pauli(m: np.ndarray, tol: float = 1e-12):
+def _as_phase_pauli(m: np.ndarray):
     """If m = s * P for a phase s and Pauli/identity P, return (s, P-name)."""
     (a, b), (c, d) = m.tolist()
-    # I and Z need the off-diagonal entries below tol, X and Y the diagonal
-    # ones, and |s| near 1 rules out the other class; within a class, I
-    # needs d = a, Z d = -a, X c = b and Y c = -b.  Only the Paulis whose
-    # pattern holds to 2 tol in Python arithmetic take the numpy test.
-    t = 2 * tol
+    # I and Z need the off-diagonal entries below _EXACT_TOL, X and Y the
+    # diagonal ones, and |s| near 1 rules out the other class; within a
+    # class, I needs d = a, Z d = -a, X c = b and Y c = -b.  Only the Paulis
+    # whose pattern holds to 2 _EXACT_TOL in Python arithmetic take the
+    # numpy test.
+    t = 2 * _EXACT_TOL
     if max(abs(b), abs(c)) < t:
         names = "I" * (abs(d - a) < t) + "Z" * (abs(d + a) < t)
     elif max(abs(a), abs(d)) < t:
@@ -278,7 +288,8 @@ def _as_phase_pauli(m: np.ndarray, tol: float = 1e-12):
         p = PAULI[name]
         k = int(np.argmax(np.abs(p)))
         s = m.flat[k] / p.flat[k]
-        if abs(abs(s) - 1.0) < 1e-9 and np.max(np.abs(m - s * p)) < tol:
+        if (abs(abs(s) - 1.0) < 1e-9
+                and np.max(np.abs(m - s * p)) < _EXACT_TOL):
             return s, name
     return None
 
@@ -333,12 +344,12 @@ def _checked_unitaries(us) -> np.ndarray:
     return us
 
 
-def _reduced_kak(us: np.ndarray) -> list[KakDecomposition]:
-    """KAK forms of a stack of unitaries with each interaction coefficient
-    reduced into (-pi/4, pi/4] only: the frame is not permuted into the
-    Weyl chamber, so axis-pure inputs keep their natural axis and pick up
-    no spurious local layers."""
-    kaks = _kak_raw(us)
+def _reduced_kak(*inv: np.ndarray) -> list[KakDecomposition]:
+    """KAK forms of a stack of `_invariants` with each interaction
+    coefficient reduced into (-pi/4, pi/4] only: the frame is not permuted
+    into the Weyl chamber, so axis-pure inputs keep their natural axis and
+    pick up no spurious local layers."""
+    kaks = _kak_raw(*inv)
     for k in kaks:
         for axis in range(3):
             _shift_coeff(k, axis)
@@ -350,7 +361,7 @@ def _assemble(k: KakDecomposition, pair: tuple[int, int]) -> LhBlock:
     most three ZZ rotations, a rotation leading all other non-local content."""
     blk = LhBlock(pair, [], k.phase, [])
     els = blk.elements
-    if not (_is_identity(k.b_lo, 1e-12) and _is_identity(k.b_hi, 1e-12)):
+    if not (_is_identity(k.b_lo) and _is_identity(k.b_hi)):
         _push_loc(els, k.b_lo, k.b_hi)
     cx, cy, cz = k.c
     # time order: ZZ(cz) . Vy^dag . ZZ(cy) . (H Vy) . ZZ(cx) . H, then A,
@@ -369,7 +380,7 @@ def _assemble(k: KakDecomposition, pair: tuple[int, int]) -> LhBlock:
     if pending is None:
         pending = I2
     a_lo, a_hi = k.a_lo @ pending, k.a_hi @ pending
-    if not (_is_identity(a_lo, 1e-12) and _is_identity(a_hi, 1e-12)):
+    if not (_is_identity(a_lo) and _is_identity(a_hi)):
         _push_loc(els, a_lo, a_hi)
     _cleanup_pauli_locals(blk)
     return blk
@@ -386,52 +397,14 @@ _WORD_ADJOINTS = np.stack([
 _PHASES_TO_COEFFS = np.linalg.inv(_DIAG_SYSTEM)[:3]
 
 
-# off-diagonal size below which an invariant is taken as diagonal
-_NEAR_SCALAR = 1e-15
-
-
-def _invariant_spectra(t: np.ndarray) -> np.ndarray:
-    """Eigenvalues of each symmetric unitary of a (k, 4, 4) stack.
-
-    A member whose off-diagonal entries are all below _NEAR_SCALAR in size
-    (an invariant equal to a multiple of I up to rounding) is read off its
-    diagonal: on such a member LAPACK's general solver can take a hundred
-    times its usual time, or not converge.  The rest are solved in one
-    stacked call.  One member on which that does not converge fails the
-    whole call; then each member is solved alone, which gives the stacked
-    call's bits, and a failing one is read off the diagonal of
-    `_orthogonal_diagonalizer`'s O^T t O instead."""
-    lam = np.diagonal(t, axis1=1, axis2=2).astype(complex)
-    off = np.abs(t)
-    off[:, _DIAG, _DIAG] = 0.0
-    rest = np.flatnonzero(off.max(axis=(1, 2)) >= _NEAR_SCALAR)
-    if rest.size == 0:
-        return lam
-    try:
-        lam[rest] = np.linalg.eigvals(t[rest])
-        return lam
-    except np.linalg.LinAlgError:
-        pass
-    for i in rest:
-        try:
-            lam[i] = np.linalg.eigvals(t[i])
-        except np.linalg.LinAlgError:
-            o = _orthogonal_diagonalizer(t[i][None])[0]
-            lam[i] = np.diagonal(o.T @ t[i] @ o)
-    return lam
-
-
-def _spectral_scores(us: np.ndarray) -> np.ndarray:
-    """The summed |ZZ angle| of `_assemble(_reduced_kak(u), pair)` for each
-    unitary of a (k, 4, 4) stack, read from the eigenvalues of the
-    magic-basis invariant alone.
+def _spectral_scores(lam: np.ndarray) -> np.ndarray:
+    """The summed |ZZ angle| of `_assemble(_reduced_kak(...), pair)` for each
+    member of a stack of `_invariants`, read from its spectra `lam` (the d
+    of `_invariants`) alone.
 
     The summed |coefficient| does not depend on the order of the eigenphases
     (reordering them permutes the coefficients and flips pairs of signs), so
     sorting stands in for `_kak_raw`'s eigenvector ordering."""
-    det = np.linalg.det(us)
-    vm = MAGIC.conj().T @ (us / (det ** 0.25)[:, None, None]) @ MAGIC
-    lam = _invariant_spectra(np.swapaxes(vm, 1, 2) @ vm)
     if np.max(np.abs(np.abs(lam) - 1.0)) > 1e-8:
         raise CircuitError("magic-basis invariant has an eigenvalue off the "
                            "unit circle")
@@ -452,20 +425,22 @@ def minimize_block_phase(blocks: list[Su4Block]) -> list[LhBlock]:
 
     Each distinct unitary is decomposed once, and its block is laid onto
     the qubits of every block that holds it.  All completions of all
-    distinct unitaries are scored from one batched spectrum, and only the
-    winners are decomposed (in one stacked pass) and assembled."""
+    distinct unitaries are diagonalized once and scored from the spectra,
+    and only the winners are decomposed (from their slices of the same
+    arrays) and assembled."""
     if not blocks:
         return []
     us = _checked_unitaries(np.stack([b.unitary for b in blocks]))
     slot: dict[bytes, int] = {}
     which = [slot.setdefault(u.tobytes(), len(slot)) for u in us]
     distinct = us[np.unique(which, return_index=True)[1]]
-    tried = distinct[:, None] @ _WORD_ADJOINTS
-    scores = _spectral_scores(tried.reshape(-1, 4, 4)).reshape(-1, len(_WORDS))
+    inv = _invariants((distinct[:, None] @ _WORD_ADJOINTS).reshape(-1, 4, 4))
+    scores = _spectral_scores(inv[-1]).reshape(-1, len(_WORDS))
     best = [min(range(len(_WORDS)),
                 key=lambda i: (round(float(row[i]), 12), len(_WORDS[i]), i))
             for row in scores]
-    kaks = _reduced_kak(tried[np.arange(len(best)), best])
+    won = np.arange(0, inv[0].size, len(_WORDS)) + best
+    kaks = _reduced_kak(*(a[won] for a in inv))
     shapes = [_assemble(k, (0, 1)) for k in kaks]
     # blocks holding the same unitary share its "loc" arrays, as do the
     # SingleQubit gates built from them: nothing may write into them

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
 from pgmq.circuit import Circuit, SingleQubit, ZzRotation, cnot, to_unitary
 from pgmq.gadgets import GadgetSequence, MultiQubitGate
+from pgmq.noise import MonteCarloResult, relative_error
 
 
 def random_circuit(n: int, depth: int, rng, p_local=0.35, p_cnot=0.35) -> Circuit:
@@ -47,6 +50,20 @@ def exact_matching(weights: dict) -> list:
     for (a, b), w in weights.items():
         g.add_edge(a, b, weight=w)
     return [tuple(sorted(e)) for e in nx.max_weight_matching(g)]
+
+
+def relative_error_ci(mc_comp: MonteCarloResult,
+                      mc_inp: MonteCarloResult) -> tuple[float, float, float]:
+    """Relative error with a basic-bootstrap 95% CI, pairing the bootstrap
+    replicates of two independent Monte Carlo runs."""
+    eps = relative_error(mc_comp.fidelity, mc_inp.fidelity)
+    f_comp, f_inp = mc_comp.bootstrap_fidelities, mc_inp.bootstrap_fidelities
+    # relative_error of each replicate pair, NaN where the input is ideal
+    reps = np.full(f_inp.shape, math.nan)
+    room = ~(f_inp >= 1.0)
+    reps[room] = (f_comp[room] - f_inp[room]) / (1.0 - f_inp[room])
+    q_lo, q_hi = np.percentile(reps, [2.5, 97.5])
+    return eps, float(2 * eps - q_hi), float(2 * eps - q_lo)
 
 
 @pytest.fixture

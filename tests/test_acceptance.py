@@ -25,11 +25,11 @@ from pgmq.gadgets import (GadgetSequence, MultiQubitGate, PhaseGadget,
                           commute_cnot, decompose_pg, fanout_to_mq,
                           merge_interface)
 from pgmq.noise import (NoiseModel, _noise_sites, monte_carlo_fidelity,
-                        relative_error, relative_error_ci,
-                        success_probability)
+                        relative_error, success_probability)
 from pgmq.passes import CompileOptions, _greedy_matching, optimize
 from pgmq.qasm import parse_qasm_file
-from conftest import exact_matching, mq_gates, random_circuit
+from conftest import (exact_matching, mq_gates, random_circuit,
+                      relative_error_ci)
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 PAULI = {"X": np.array([[0, 1], [1, 0]], dtype=complex),

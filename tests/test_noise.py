@@ -14,9 +14,10 @@ from pgmq.noise import (BOOTSTRAP, MonteCarloResult, NoiseModel,
                         _checkpoint_sites, _draw, _noise_sites,
                         _slots, _substreams, gate_norm, inject_noise,
                         monte_carlo_fidelity, probabilities, relative_error,
-                        relative_error_ci, statevector, success_probability)
+                        statevector, success_probability)
 from pgmq.passes import CompileOptions, optimize
 from pgmq.qasm import parse_qasm
+from conftest import relative_error_ci
 
 MEASURED_BELL = """OPENQASM 2.0;
 include "qelib1.inc";

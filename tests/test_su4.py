@@ -7,9 +7,9 @@ from scipy.stats import unitary_group
 from pgmq import su4
 from pgmq.circuit import (Circuit, CircuitError, Su4Block, ZzRotation, cnot,
                           to_unitary)
-from pgmq.su4 import (_DIAG_SYSTEM, _WORD_ADJOINTS, MAGIC, _assemble,
-                      _checked_unitaries, _kak_raw, _reduced_kak, factor_kron,
-                      minimize_block_phase)
+from pgmq.su4 import (_DIAG_SYSTEM, _WORD_ADJOINTS, _WORDS, MAGIC, _assemble,
+                      _checked_unitaries, _invariants, _kak_raw, _reduced_kak,
+                      factor_kron, minimize_block_phase)
 
 
 def minimize_one(u, pair):
@@ -34,8 +34,8 @@ def to_lh_block(u, pair=(0, 1)):
     """One two-qubit unitary as single-qubit layers alternating with at most
     three ZZ rotations, without a completion: the block pass's assembly on
     a stack of one."""
-    return _assemble(_reduced_kak(_checked_unitaries(np.asarray(u)[None]))[0],
-                     pair)
+    inv = _invariants(_checked_unitaries(np.asarray(u)[None]))
+    return _assemble(_reduced_kak(*inv)[0], pair)
 
 
 def zz_angles(blk):
@@ -50,7 +50,7 @@ def total_phase(blk):
 def test_kak_reconstructs_haar(rng):
     us = np.stack([unitary_group.rvs(4, random_state=rng) for _ in range(200)])
     worst = max(float(np.max(np.abs(reconstruct(k) - u)))
-                for u, k in zip(us, _kak_raw(us)))
+                for u, k in zip(us, _kak_raw(*_invariants(us))))
     assert worst < 1e-9
 
 
@@ -174,21 +174,22 @@ def test_minimize_block_phase_matches_full_assembly(rng):
 
 def test_spectral_score_is_reduced_kak_phase(rng):
     for i, u in enumerate(_block_inputs(rng)):
-        got = su4._spectral_scores(u @ _WORD_ADJOINTS)
-        want = [total_phase(_assemble(k, (2, 5)))
-                for k in _reduced_kak(u @ _WORD_ADJOINTS)]
+        inv = _invariants(u @ _WORD_ADJOINTS)
+        got = su4._spectral_scores(inv[-1])
+        want = [total_phase(_assemble(k, (2, 5))) for k in _reduced_kak(*inv)]
         assert np.max(np.abs(got - want)) < 1e-12, f"input {i}"
 
 
 def test_spectral_score_rejects_non_unitary_spectrum():
-    with pytest.raises(CircuitError):
-        su4._spectral_scores(np.diag([1.0, 1.0, 1.0, 2.0]).astype(complex)[None])
+    with pytest.raises(CircuitError, match="off the unit circle"):
+        su4._spectral_scores(np.array([[1.0, 1.0, 1.0, 2.0]], dtype=complex))
 
 
 def test_minimize_block_phase_assembles_once(rng, monkeypatch):
-    # one assembly per distinct unitary, one stacked KAK pass per call, and
-    # no circuit built at all
-    counts = {"assemble": 0, "kak_raw": 0, "circuit": 0, "to_unitary": 0}
+    # one assembly per distinct unitary, one diagonalization and one stacked
+    # KAK pass per call, no general eigensolver and no circuit built at all
+    counts = {"assemble": 0, "kak_raw": 0, "diagonalizer": 0, "eigvals": 0,
+              "circuit": 0, "to_unitary": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -198,6 +199,10 @@ def test_minimize_block_phase_assembles_once(rng, monkeypatch):
 
     monkeypatch.setattr(su4, "_assemble", counted("assemble", su4._assemble))
     monkeypatch.setattr(su4, "_kak_raw", counted("kak_raw", su4._kak_raw))
+    monkeypatch.setattr(su4, "_orthogonal_diagonalizer",
+                        counted("diagonalizer", su4._orthogonal_diagonalizer))
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        counted("eigvals", np.linalg.eigvals))
     monkeypatch.setattr(su4, "Circuit", counted("circuit", su4.Circuit))
     monkeypatch.setattr(su4, "to_unitary",
                         counted("to_unitary", su4.to_unitary))
@@ -205,8 +210,10 @@ def test_minimize_block_phase_assembles_once(rng, monkeypatch):
     blocks = [Su4Block((q, q + 1), us[j % 5])
               for q, j in enumerate([0, 1, 2, 0, 3, 4, 1, 0])]
     minimize_block_phase(blocks)
-    assert counts == {"assemble": 5, "kak_raw": 1, "circuit": 0,
-                      "to_unitary": 0}
+    assert counts == {"assemble": 5, "kak_raw": 1, "diagonalizer": 1,
+                      "eigvals": 0, "circuit": 0, "to_unitary": 0}
+    minimize_block_phase(blocks[:3])
+    assert (counts["kak_raw"], counts["diagonalizer"]) == (2, 2)
 
 
 def assert_same_block(got, want, where):
@@ -246,7 +253,9 @@ def test_stacked_blocks_match_stacks_of_one(rng, monkeypatch):
         m.setattr(np.linalg, "eigh", seen(eighs, eigh))
         m.setattr(np.linalg, "det", seen(dets, det))
         stacked = minimize_block_phase(blocks)
-    # the mixes tried on the winners, then det(o) and det(k1) per pass
+    # the first eigh covers every completion of every distinct unitary;
+    # then the mixes retried on the members that need them, and det(o) and
+    # det(k1) of the winners
     retried = [len(w.eigenvalues) for w in eighs[1:]]
     assert retried and retried[0] > 0
     det_o, det_k1 = dets[-2], dets[-1]
@@ -267,31 +276,16 @@ def test_stack_with_one_non_unitary_member_raises(rng):
 
 # The magic-basis invariant of one completion of a block met while compiling
 # circuit 123 of default_rng(7) (drawn as acceptance test 1 draws them): i*I
-# up to 8e-18 off the diagonal, on which LAPACK's eigvals does not converge.
+# up to 8e-18 off the diagonal, on which LAPACK's general eigensolver
+# (np.linalg.eigvals) does not converge.
 _D, _E = float.fromhex("0x1.ffffffffffffep-1"), float.fromhex("0x1.27d0d79624b00p-57")
 _UNCONVERGED = 1j * np.array([[_D, 0, 0, _E], [0, _D, -_E, 0],
                               [0, -_E, _D, 0], [_E, 0, 0, _D]])
 
 
-def test_invariant_spectra_fall_back_only_for_failing_members(rng, monkeypatch):
-    # the failure is forced, as another LAPACK may converge on this matrix
-    real = np.linalg.eigvals
-
-    def eigvals(a):
-        a = np.asarray(a)
-        if any(np.array_equal(m, _UNCONVERGED) for m in a.reshape(-1, 4, 4)):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real(a)
-
-    us = np.stack([unitary_group.rvs(4, random_state=rng) for _ in range(3)])
-    good = us.mT @ us
-    want = real(good)
-    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
-    lam = su4._invariant_spectra(np.stack([good[0], _UNCONVERGED, good[1],
-                                           good[2]]))
-    # the members that converge keep the stacked call's bits
-    assert np.array_equal(lam[[0, 2, 3]], want)
-    assert np.max(np.abs(lam[1] - 1j * _D)) < 1e-15
+def test_orthogonal_diagonalizer_on_unconverged_invariant():
+    o = su4._orthogonal_diagonalizer(_UNCONVERGED[None])[0]
+    assert np.max(np.abs(o.T @ _UNCONVERGED @ o - 1j * _D * np.eye(4))) < 1e-15
 
 
 def test_compile_with_unconverged_invariant_verifies():
@@ -308,66 +302,48 @@ def test_compile_with_unconverged_invariant_verifies():
     assert ok, (err, leak)
 
 
-def test_near_scalar_invariants_are_read_off_the_diagonal(monkeypatch):
-    # qft_n5's completions include invariants equal to a multiple of I up to
-    # about 1e-17 off the diagonal, on some of which LAPACK's eigvals is
-    # about a hundred times slower than usual; they are read off their
-    # diagonal, never solved, and every score keeps the bits it has when
-    # each member is solved
-    from pathlib import Path
-    from pgmq.passes import optimize
+def _distinct_block_unitaries(circuits):
+    """The distinct SU(4) block unitaries (by bytes) the block pass forms
+    from the circuits."""
+    from pgmq.circuit import form_su4_blocks, layerize
+    from pgmq.passes import _strip_measures
+    from pgmq.qasm import to_zz_basis
+    seen = {}
+    for c in circuits:
+        raw = to_zz_basis(_strip_measures(c)[0])
+        for it in form_su4_blocks(layerize(raw)):
+            if isinstance(it, Su4Block):
+                seen.setdefault(it.unitary.tobytes(), it.unitary)
+    return np.stack(list(seen.values()))
+
+
+def _choices(scores):
+    return [min(range(len(_WORDS)),
+                key=lambda i: (round(float(row[i]), 12), len(_WORDS[i]), i))
+            for row in scores]
+
+
+def test_scores_match_general_eigensolver():
+    # the spectra read off O^T t O against np.linalg.eigvals of the same
+    # invariants, on every distinct block of the corpus, the benchmark's
+    # random pool and acceptance test 1's first 50 circuits
+    from conftest import random_circuit
     from pgmq.qasm import parse_qasm_file
-    root = Path(__file__).resolve().parent.parent
-    scored = []
-    real_scores = su4._spectral_scores
-    monkeypatch.setattr(su4, "_spectral_scores",
-                        lambda us: scored.append(us) or real_scores(us))
-    optimize(parse_qasm_file(root / "benchmarks" / "qft_n5.qasm"))
-    us = np.concatenate(scored)
-    monkeypatch.setattr(su4, "_spectral_scores", real_scores)
-    vm = su4.MAGIC.conj().T @ (us / (np.linalg.det(us) ** 0.25)[:, None, None]) \
-        @ su4.MAGIC
-    t = np.swapaxes(vm, 1, 2) @ vm
-    off = np.abs(t - np.einsum("kii->ki", t)[:, :, None] * np.eye(4))
-    near = off.max(axis=(1, 2)) < su4._NEAR_SCALAR
-    assert near.sum() >= 2 and not near.all()
-
-    real = np.linalg.eigvals
-    solved = []
-
-    def eigvals(a):
-        solved.extend(np.asarray(a).reshape(-1, 4, 4))
-        return real(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
-    got = su4._spectral_scores(us)
-    assert len(solved) == (~near).sum()
-    lam = su4._invariant_spectra(t[near])
-    assert np.array_equal(lam, np.einsum("kii->ki", t[near]))
-    monkeypatch.setattr(su4, "_NEAR_SCALAR", 0.0)
-    assert got.tobytes() == su4._spectral_scores(us).tobytes()
-
-
-def test_invariant_spectra_fall_back_for_a_failing_solved_member(rng,
-                                                                  monkeypatch):
-    # a near-scalar member never reaches LAPACK, so the per-member fallback
-    # is forced on an ordinary one: the others keep the stacked call's bits
-    # and the failing one is read off O^T t O
-    real = np.linalg.eigvals
-    us = np.stack([unitary_group.rvs(4, random_state=rng) for _ in range(3)])
-    good = us.mT @ us
-    want = real(good)
-
-    def eigvals(a):
-        a = np.asarray(a)
-        if any(np.array_equal(m, good[1]) for m in a.reshape(-1, 4, 4)):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
-    lam = su4._invariant_spectra(np.stack([good[0], _UNCONVERGED, good[1],
-                                           good[2]]))
-    assert np.array_equal(lam[[0, 3]], want[[0, 2]])
-    assert np.array_equal(lam[1], np.diagonal(_UNCONVERGED))
-    assert np.max(np.abs(np.sort_complex(lam[2])
-                         - np.sort_complex(want[1]))) < 1e-10
+    from test_fingerprints import CORPUS, _random_pool
+    circuits = [parse_qasm_file(f) for f in CORPUS]
+    circuits += list(_random_pool().values())
+    rng = np.random.default_rng(20260826)
+    for _ in range(50):
+        n = int(rng.integers(2, 9))
+        depth = int(rng.integers(5, 61))
+        circuits.append(random_circuit(n, depth, rng))
+    us = _distinct_block_unitaries(circuits)
+    tried = (us[:, None] @ _WORD_ADJOINTS).reshape(-1, 4, 4)
+    got = su4._spectral_scores(_invariants(tried)[-1]).reshape(-1, len(_WORDS))
+    g0 = np.linalg.det(tried) ** 0.25
+    vm = MAGIC.conj().T @ (tried / g0[:, None, None]) @ MAGIC
+    want = su4._spectral_scores(np.linalg.eigvals(vm.mT @ vm)) \
+        .reshape(-1, len(_WORDS))
+    assert len(us) > 400
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert _choices(got) == _choices(want)
