@@ -4,22 +4,23 @@ the straightforward parallel-merge baseline, and benchmark metrics.
 
 A gadget sequence is realized in two steps, plan then cost or emit.
 
-The plan is one left-to-right scan of the gadget list that makes both
-schemes' time-ordered steps at once: free one-qubit rotations, groups of
-two-qubit gadgets, and runs of larger gadgets.  A run is realized through
-one fanout target t as fanout, target rotation, merged interface, target
-rotation, ..., fanout.  Without an ancilla each larger gadget is a run of
-one whose target is its first support qubit; with one, consecutive larger
-gadgets form one run whose target is the ancilla.  Next to the steps the
-scan lists, per scheme and in step order, the norm term of every gate the
-steps emit; a scheme's cost (multiqubit-gate count, then total nuclear
-norm) is the number of its terms and their sum:
+The plan is one left-to-right scan of the gadget list, `_plan`, with one
+set of segmentation rules for both schemes: free one-qubit rotations,
+groups of two-qubit gadgets, and runs of larger gadgets.  A run is realized
+through one fanout target t as fanout, target rotation, merged interface,
+target rotation, ..., fanout.  Without an ancilla each larger gadget is a
+run of one whose target is its first support qubit; with one, consecutive
+larger gadgets form one run whose target is the ancilla.  The scan lists,
+per scheme and in step order, the norm term of every gate the scheme
+emits; a scheme's cost (multiqubit-gate count, then total nuclear norm) is
+the number of its terms and their sum:
 
   * a one-qubit gadget is a frame rotation and never counts;
   * a group of two-qubit gadgets is one programmable gate carrying the
     summed pair phases, counted iff a phase survives MultiQubitGate's
-    zero-drop; its term is its key, the sorted surviving pair phases, which
-    fix the phase matrix bit for bit.  Both schemes share the group;
+    zero-drop; its term is its key, the frozenset of its surviving (pair,
+    phase) items, which fix the phase matrix bit for bit, need no sort and
+    keep their hash once computed.  Both schemes share the group;
   * a run of M gadgets J_1..J_M onto t costs a leading star with |J_1 - t|
     spokes (the support without the target), one merged interface per
     adjacent pair (J, K) and a trailing star with |J_M - t| spokes: two
@@ -30,30 +31,41 @@ norm) is the number of its terms and their sum:
     popcount of the gadgets' support masks so combined; with no live
     control it is no gate.
 
+A one-qubit gadget hops in front of the pending ancilla run iff it commutes
+with every run gadget, that is iff its qubit is in no run gadget of another
+axis: the scan keeps the run's supports per axis as bitmasks and tests the
+union of the other two.
+The time-ordered steps themselves are recorded only for emission, when
+`realize` asks for them; costing reads the terms alone.
+
 Every star gate with k spokes of phase pi/4 has norm star_norm(k) =
-(pi/4) sqrt(k).  Pair-group norms live in a `norms` memo keyed by the
-group key.  Costing plans all of its gadget lists first, then fills every
-key the memo lacks with one stacked eigvalsh per support size (each
-member's bits are what `nuclear_norm` gives the same gate), and only then
-sums.  `auto` takes the cheaper scheme, no-ancilla on a tie.
+(pi/4) sqrt(k), read from a table.  Pair-group norms live in a `norms` memo
+keyed by the group key.  Costing plans all of its gadget lists first, then
+fills every key the memo lacks with one stacked eigvalsh per support size
+(each member's bits are what `nuclear_norm` gives the same gate), and only
+then sums.  `auto` takes the cheaper scheme, no-ancilla on a tie.
 
 `passes.optimize` owns one `norms` memo per compile and hands it to every
 cost of that compile.  `sequence_costs` costs many gadget lists on one
-register in one batch: the CNOT-pair cost matrix hands it the current list
-and, for each pair whose CNOT changes some gadget, that list with only the
-changed gadgets mapped.
+register in one batch: the four extraction candidates, and, in the CNOT-pair
+cost matrix, the current list and, for each pair whose CNOT changes some
+gadget, that list with only the changed gadgets mapped.
 
 One emitter, `_emit`, builds the native-gate `Circuit` (locals plus
 MultiQubitGate) from either scheme's steps, only for the scheme that runs:
-`realize` plans, picks, then emits once.  Fanouts come from
+`realize` plans with steps, picks, then emits once.  Fanouts come from
 `gadgets.fanout` and are fused by `gadgets.fanout_to_mq`; interfaces by
-`gadgets.merge_interface`.
+`gadgets.merge_interface`.  The baseline merge takes its layer norms from
+the same batched fill.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -68,7 +80,7 @@ from .gadgets import (
     fanout,
     fanout_to_mq,
     merge_interface,
-    pg_commutes,
+    support_of,
     target_rotation,
 )
 from .qasm import two_qubit_count
@@ -115,98 +127,122 @@ def star_norm(k: int) -> float:
 # Plan
 # ---------------------------------------------------------------------------
 
-def _group_key(pairs: dict) -> tuple:
-    """Memo key of a pair group: its sorted pair phases that survive
-    MultiQubitGate's zero-drop, which fix its phase matrix bit for bit;
-    empty when the phases cancel to no gate."""
-    return tuple(sorted(kv for kv in pairs.items() if abs(kv[1]) > 1e-15))
+_HALF_PI = math.pi / 2
+# the scan's end marker: a gadget with no support closes what is pending
+_END = (SimpleNamespace(mask=0, axis="Z", support=()),)
 
 
-@dataclass(eq=False)
-class _Plan:
-    """Both schemes' realization steps of one gadget list, and the norm of
-    each gate a scheme's steps emit, in step order: a star's closed form, or
-    a pair group's memo key."""
+def _group_key(pairs: dict) -> frozenset:
+    """Memo key of a pair group: the set of its (pair, phase) items that
+    survive MultiQubitGate's zero-drop, which fix its phase matrix bit for
+    bit; empty when the phases cancel to no gate.  Built without a sort,
+    its hash is computed once and kept."""
+    if pairs and min(map(abs, pairs.values())) > 1e-15:
+        return frozenset(pairs.items())
+    return frozenset(kv for kv in pairs.items() if abs(kv[1]) > 1e-15)
 
-    steps: dict                  # scheme -> step list
-    terms: dict                  # scheme -> [float | pair-group key]
+
+@functools.lru_cache(maxsize=None)
+def _star_norms(n: int) -> tuple:
+    """star_norm(k) for k = 0..n: every star and interface on an n-qubit
+    register has at most n spokes."""
+    return tuple(star_norm(k) for k in range(n + 1))
 
 
-def _plan(gadgets: list, ancilla: int) -> _Plan:
-    """One left-to-right scan producing both schemes' steps, in time order.
+def _plan(gadgets: list, ancilla: int, steps: dict | None = None
+          ) -> tuple[list, list]:
+    """One left-to-right scan of the gadget list giving both schemes' terms,
+    the norm of each gate a scheme emits in step order: a star's closed
+    form, or a pair group's memo key.  With a `steps` dict it also records
+    each scheme's time-ordered steps there, for the emitter.
 
-    No-ancilla steps: ("single", g); ("pairs", (axes, pairs, key)) for each
+    No-ancilla steps: ("single", g); ("pairs", (on, pairs, key)) for each
     maximal group of consecutive two-qubit gadgets with consistent
-    per-qubit axes, whose summed pair phases `pairs` (insertion order) the
-    emitter turns into one MultiQubitGate; and, for a larger gadget g,
-    ("run", ([g], g.support[0])), a run of one onto its first support
-    qubit.  A single-qubit gadget that commutes with a pending group hops
-    in front of it.  Each no-ancilla step passes on to the ancilla schedule
-    as it is made: there consecutive runs merge into one run onto qubit
-    `ancilla`, and a single-qubit step that commutes with the pending run
-    hops in front of it."""
-    no_steps, no_terms, anc_steps, anc_terms = [], [], [], []
-    axes: dict = {}              # pending pair group: qubit -> axis
-    pairs: dict = {}             # pending pair group: support -> phase
-    run: list = []               # pending ancilla run
-
-    def end_run():
-        # the ancilla is in no support: each end star has |J| spokes
-        nonlocal run
-        anc_steps.append(("run", (run, ancilla)))
-        anc_terms.append(star_norm(len(run[0].support)))
-        for g, h in zip(run, run[1:]):
-            k = _interface_live(g, h)
-            if k:
-                anc_terms.append(star_norm(k))
-        anc_terms.append(star_norm(len(run[-1].support)))
-        run = []
-
-    def end_group():
-        nonlocal axes, pairs
-        key = _group_key(pairs)
-        step = ("pairs", (axes, pairs, key))
-        if run:
-            end_run()
-        no_steps.append(step)
-        anc_steps.append(step)
-        if key:
-            no_terms.append(key)
-            anc_terms.append(key)
-        axes, pairs = {}, {}
-
-    for g in gadgets:
-        support, axis = g.support, g.axis
-        k = len(support)
+    per-qubit axes, where on[a] masks the group's qubits of axis a and the
+    summed pair phases `pairs` (insertion order) become one
+    MultiQubitGate; and, for a larger gadget g, ("run", ([g],
+    g.support[0])), a run of one onto its first support qubit.  A
+    single-qubit gadget that commutes with a pending group hops in front of
+    it.  The ancilla schedule has the same steps, except that consecutive
+    runs merge into one run onto qubit `ancilla`, and a single-qubit step
+    that commutes with the pending run hops in front of it."""
+    star = _star_norms(ancilla)
+    half_pi = _HALF_PI
+    no_terms, anc_terms = [], []
+    record = steps is not None
+    if record:
+        no_steps = steps[NO_ANCILLA] = []
+        anc_steps = steps[ANCILLA_MERGED] = []
+    # pending pair group: its qubits of axis Z, X and Y, all its qubits,
+    # and support -> summed phase
+    zs = xs = ys = held = 0
+    pairs = {}
+    # pending ancilla run, its interface terms, and the qubits of its
+    # gadgets of axis Z, X and Y
+    run, iface = [], []
+    rz = rx = ry = 0
+    for g in chain(gadgets, _END):
+        mask, axis = g.mask, g.axis
+        k = len(g.support)
+        # every group gadget on q carries the group's axis of q, so g
+        # commutes with the group iff its qubits there carry its own axis
+        closes = held and (k > 2 or not k or mask & (
+            held ^ (zs if axis == "Z" else xs if axis == "X" else ys)))
+        # a one-qubit gadget commutes with the whole run iff its qubit is
+        # in no run gadget of another axis (the union of the other two)
+        if run and (closes or not k or k == 1 and mask & (
+                rx | ry if axis == "Z" else rz | ry if axis == "X"
+                else rz | rx)):
+            # the ancilla is in no support: each end star has |J| spokes
+            anc_terms.append(star[len(run[0].support)])
+            anc_terms += iface
+            anc_terms.append(star[len(run[-1].support)])
+            if record:
+                anc_steps.append(("run", (run, ancilla)))
+            run, iface = [], []
+            rz = rx = ry = 0
+        if closes:
+            key = _group_key(pairs)
+            if key:
+                no_terms.append(key)
+                anc_terms.append(key)
+            if record:
+                step = ("pairs", ({"X": xs, "Y": ys, "Z": zs}, pairs, key))
+                no_steps.append(step)
+                anc_steps.append(step)
+            zs = xs = ys = held = 0
+            pairs = {}
         if k == 2:
-            a, b = support
-            if axes.get(a, axis) != axis or axes.get(b, axis) != axis:
-                end_group()
-            pairs[support] = pairs.get(support, 0.0) + g.alpha * math.pi / 2
-            axes[a] = axes[b] = axis
+            support = g.support
+            pairs[support] = pairs.get(support, 0.0) + g.alpha * half_pi
+            if axis == "Z":
+                zs |= mask
+            elif axis == "X":
+                xs |= mask
+            else:
+                ys |= mask
+            held |= mask
         elif k == 1:
-            # every group gadget on q carries axes[q], so g commutes with
-            # the group iff that axis is its own or q is not in the group
-            q = support[0]
-            if axes.get(q, axis) != axis:
-                end_group()
-            step = ("single", g)
-            no_steps.append(step)
-            if run and not all(pg_commutes(g, h) for h in run):
-                end_run()
-            anc_steps.append(step)
-        else:
-            if axes:
-                end_group()
-            no_steps.append(("run", ([g], support[0])))
-            no_terms += [star_norm(k - 1)] * 2
+            if record:
+                step = ("single", g)
+                no_steps.append(step)
+                anc_steps.append(step)
+        elif k:
+            no_terms += (star[k - 1], star[k - 1])
+            if run:
+                live = _interface_live(run[-1], g)
+                if live:
+                    iface.append(star[live])
             run.append(g)
-    if axes:
-        end_group()
-    if run:
-        end_run()
-    return _Plan({NO_ANCILLA: no_steps, ANCILLA_MERGED: anc_steps},
-                 {NO_ANCILLA: no_terms, ANCILLA_MERGED: anc_terms})
+            if axis == "Z":
+                rz |= mask
+            elif axis == "X":
+                rx |= mask
+            else:
+                ry |= mask
+            if record:
+                no_steps.append(("run", ([g], g.support[0])))
+    return no_terms, anc_terms
 
 
 def _interface_live(g: PhaseGadget, h: PhaseGadget) -> int:
@@ -242,7 +278,7 @@ def _total(terms: list, norms: dict) -> CostVector:
     order."""
     norm = 0.0
     for t in terms:
-        norm += norms[t] if type(t) is tuple else t
+        norm += t if type(t) is float else norms[t]
     return CostVector(len(terms), norm)
 
 
@@ -260,11 +296,12 @@ def _pick(costs: dict, scheme: str) -> str:
 def _costs(plans: list, norms: dict) -> list:
     """Each plan's cost per scheme, after filling every pair-group norm
     the plans need and `norms` lacks in one batch."""
-    # both schemes' steps hold the same pair groups
-    _fill_norms((t for p in plans for t in p.terms[NO_ANCILLA]
-                 if type(t) is tuple), norms)
-    return [{s: _total(terms, norms) for s, terms in p.terms.items()}
-            for p in plans]
+    # both schemes' terms hold the same pair groups
+    _fill_norms((t for no_terms, _ in plans for t in no_terms
+                 if type(t) is not float), norms)
+    return [{NO_ANCILLA: _total(no_terms, norms),
+             ANCILLA_MERGED: _total(anc_terms, norms)}
+            for no_terms, anc_terms in plans]
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +329,15 @@ def _emit(seq: GadgetSequence, steps: list, width: int) -> Circuit:
         if kind == "single":
             items.append(target_rotation(val, val.support[0]))
         elif kind == "pairs":
-            axes, pairs, key = val
-            conj = sorted(q for q, ax in axes.items() if ax != "Z")
-            items.extend(SingleQubit(q, _Z_TO[axes[q]].conj().T, "basis")
-                         for q in conj)
+            on, pairs, key = val
+            conj = sorted((q, ax) for ax in ("X", "Y")
+                          for q in support_of(on[ax]))
+            items.extend(SingleQubit(q, _Z_TO[ax].conj().T, "basis")
+                         for q, ax in conj)
             if key:
                 items.append(MultiQubitGate(pairs))
-            items.extend(SingleQubit(q, _Z_TO[axes[q]], "basis")
-                         for q in conj)
+            items.extend(SingleQubit(q, _Z_TO[ax], "basis")
+                         for q, ax in conj)
         else:
             run, t = val
             fused(*fanout_to_mq(fanout(run[0], t)))
@@ -320,9 +358,10 @@ def realize(seq: GadgetSequence, scheme: str = AUTO) -> Circuit:
     which is added only when a run uses it; without, each costs two star
     gates.  `auto` picks the scheme with the lower planned cost (count
     first, then norm) and emits only that one."""
-    plan = _plan(seq.gadgets, seq.num_qubits)
-    scheme = _pick(_costs([plan], {})[0], scheme)
-    steps = plan.steps[scheme]
+    recorded: dict = {}
+    terms = _plan(seq.gadgets, seq.num_qubits, recorded)
+    scheme = _pick(_costs([terms], {})[0], scheme)
+    steps = recorded[scheme]
     used = scheme == ANCILLA_MERGED and any(k == "run" for k, _ in steps)
     return _emit(seq, steps, seq.num_qubits + int(used))
 
@@ -383,9 +422,12 @@ def baseline_parallel_merge(circuit: Circuit) -> tuple[int, float]:
         pairs[key] = pairs.get(key, 0.0) + theta
         support.update((a, b))
     flush()
-    count = len(layers)
-    norm = sum(nuclear_norm(MultiQubitGate(dict(p))) for p in layers)
-    return count, norm
+    # each layer is one MultiQubitGate; one whose phases all cancel has
+    # norm 0.0, as nuclear_norm gives for an empty gate
+    keys = [_group_key(p) for p in layers]
+    norms: dict = {}
+    _fill_norms((k for k in keys if k), norms)
+    return len(layers), sum(norms[k] if k else 0.0 for k in keys)
 
 
 def gate_norm(gate) -> float:

@@ -439,6 +439,7 @@ def pg_commutes(g1: PhaseGadget, g2: PhaseGadget) -> bool:
 # ---------------------------------------------------------------------------
 
 ALPHA_EPS = 1e-12
+_OTHER_AXES = {"X": "YZ", "Y": "XZ", "Z": "XY"}   # axis -> the other two
 
 
 def _anticommutes(g: PhaseGadget, xs: int, zs: int) -> int:
@@ -474,21 +475,36 @@ def simplify(seq: GadgetSequence) -> GadgetSequence:
         # (a)+(b): one sweep; each gadget walks back across the kept ones it
         # commutes with and merges into the first equal one it meets (two
         # kept equal gadgets have one between them they do not commute with,
-        # so that is also the earliest equal one it could pass)
+        # so that is also the earliest equal one it could pass).  Kept
+        # gadgets of its own axis commute with it, so it merges into the
+        # last equal kept one, at j, iff no kept gadget of another axis
+        # after j overlaps it oddly; with no equal kept one it is kept.
         kept: list[PhaseGadget] = []
+        # per axis: mask -> index of its last kept gadget, and the (index,
+        # mask) of every kept gadget of another axis, in kept order
+        last = {"X": {}, "Y": {}, "Z": {}}
+        off = {"X": [], "Y": [], "Z": []}
         for g in out.gadgets:
-            target = None
-            for k in reversed(kept):
-                if k.mask == g.mask and k.axis == g.axis:
-                    target = k
-                    break
-                if not pg_commutes(k, g):
-                    break
-            if target is None:
-                kept.append(g)
-            else:
-                target.alpha = normalized_alpha(target.alpha + g.alpha)
-                changed = True
+            axis, mask = g.axis, g.mask
+            seen = last[axis]
+            j = seen.get(mask)
+            if j is not None:
+                for i, m in reversed(off[axis]):
+                    if i < j:
+                        break
+                    if (m & mask).bit_count() & 1:
+                        j = None
+                        break
+                if j is not None:
+                    target = kept[j]
+                    target.alpha = normalized_alpha(target.alpha + g.alpha)
+                    changed = True
+                    continue
+            seen[mask] = len(kept)
+            item = (len(kept), mask)
+            for other in _OTHER_AXES[axis]:
+                off[other].append(item)
+            kept.append(g)
         out.gadgets = kept
         # (c): angle normalization with Pauli extraction; the frame's masks
         # XOR their values at the sweep's start are the product, up to a

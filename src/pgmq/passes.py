@@ -377,8 +377,8 @@ def optimize(circuit: Circuit, opts: CompileOptions | None = None) -> CompiledPr
     # pair-group norms recur across candidates, proposals and steps: one
     # memo serves every cost of this compile
     norms: dict = {}
-    keys = [sequence_cost(s, opts.scheme, norms).key(opts.cost_weight)
-            for s, _, _ in candidates]
+    keys = [cv.key(opts.cost_weight) for cv in sequence_costs(
+        [s.gadgets for s, _, _ in candidates], n, opts.scheme, norms)]
     cur = min(keys)
     seq, pre, post = candidates[keys.index(cur)]
 

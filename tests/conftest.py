@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
-from pgmq.circuit import Circuit, SingleQubit, ZzRotation, cnot, to_unitary
+from pgmq.circuit import (Circuit, SingleQubit, ZzRotation, cnot, hadamard,
+                          to_unitary, u1)
 from pgmq.gadgets import GadgetSequence, MultiQubitGate
 from pgmq.noise import MonteCarloResult, relative_error
 
@@ -24,6 +25,37 @@ def random_circuit(n: int, depth: int, rng, p_local=0.35, p_cnot=0.35) -> Circui
             a, b = rng.choice(n, size=2, replace=False)
             c.add(ZzRotation(float(rng.uniform(-2.0, 2.0)), int(a), int(b)))
     return c
+
+
+def qft_circuit(n: int) -> Circuit:
+    """The n-qubit quantum Fourier transform with its terminal swaps: each
+    controlled phase as qelib1's cu1, each swap as three CNOTs."""
+    gates = []
+    for i in range(n):
+        gates.append(hadamard(i))
+        for j in range(i + 1, n):
+            lam = math.pi / 2 ** (j - i)
+            gates += [u1(lam / 2, j), cnot(j, i), u1(-lam / 2, i), cnot(j, i),
+                      u1(lam / 2, i)]
+    for i in range(n // 2):
+        a, b = i, n - 1 - i
+        gates += [cnot(a, b), cnot(b, a), cnot(a, b)]
+    return Circuit(n, gates)
+
+
+def chain_circuit(n: int, steps: int = 4, xx: float = 0.3,
+                  zz: float = 0.2) -> Circuit:
+    """`steps` Trotter steps of the open XX+ZZ chain on n qubits: per step
+    the even bonds, then the odd ones, each an XX rotation written with
+    Hadamards followed by a ZZ rotation."""
+    gates = []
+    for _ in range(steps):
+        for start in (0, 1):
+            for a in range(start, n - 1, 2):
+                b = a + 1
+                gates += [hadamard(a), hadamard(b), ZzRotation(xx, a, b),
+                          hadamard(a), hadamard(b), ZzRotation(zz, a, b)]
+    return Circuit(n, gates)
 
 
 def sequence_unitary(seq: GadgetSequence) -> np.ndarray:

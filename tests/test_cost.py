@@ -6,11 +6,12 @@ import pytest
 from pgmq.circuit import (Circuit, SingleQubit, ZzRotation, cnot, hadamard,
                           to_unitary)
 from pgmq.cost import (ANCILLA_MERGED, NO_ANCILLA, CostVector, _fill_norms,
-                       _group_key, baseline_parallel_merge, input_norm,
-                       metrics, nuclear_norm, realize, sequence_cost,
-                       star_norm)
+                       _group_key, _interface_live, baseline_parallel_merge,
+                       input_norm, metrics, nuclear_norm, realize,
+                       sequence_cost, sequence_costs, star_norm)
 from pgmq.gadgets import (GadgetSequence, MultiQubitGate, PhaseGadget,
-                          decompose_pg, fanout_to_mq)
+                          decompose_pg, fanout_to_mq, pg_commutes)
+from pgmq.passes import optimize
 from conftest import mq_gates, sequence_unitary
 
 
@@ -196,8 +197,8 @@ def test_batched_norms_equal_nuclear_norm():
     groups.append({(0, 1): 0.3 + 0.6 - 0.9})
     groups.append(dict(groups[3]))
     keys = [_group_key(p) for p in groups]
-    assert keys[-3] == (((0, 1), 0.4), ((2, 3), -0.7))
-    assert keys[-2] == ()
+    assert keys[-3] == frozenset({((0, 1), 0.4), ((2, 3), -0.7)})
+    assert keys[-2] == frozenset()
     assert not MultiQubitGate(groups[-2]).pairs
     norms = {keys[0]: nuclear_norm(MultiQubitGate(groups[0]))}
     seeded = norms[keys[0]]
@@ -205,7 +206,7 @@ def test_batched_norms_equal_nuclear_norm():
     assert norms[keys[0]] is seeded
     for pairs, key in zip(groups[:-2], keys):
         gate = MultiQubitGate(pairs)
-        assert key == tuple(sorted(gate.pairs.items()))
+        assert key == frozenset(gate.pairs.items())
         assert norms[key] == nuclear_norm(gate)
     assert len(norms) == len(set(keys)) - 1
 
@@ -342,3 +343,153 @@ def test_metrics_ratios(rng):
         m["twoQubitCount"] / m["compiledMqCount"])
     assert m["compiledMqCount"] == prog.cost().mq_count
     assert m["normRatio"] > 0
+
+
+# --- the costing scan against the step-building planner ----------------------
+
+def _reference_plan(gadgets, ancilla):
+    """The planner as it was when costing built both schemes' steps: one
+    scan making each scheme's steps and its terms (a star's closed form, or
+    a pair group's sorted surviving pair phases)."""
+    no_steps, no_terms, anc_steps, anc_terms = [], [], [], []
+    axes, pairs, run = {}, {}, []
+
+    def end_run():
+        nonlocal run
+        anc_steps.append(("run", (run, ancilla)))
+        anc_terms.append(star_norm(len(run[0].support)))
+        for g, h in zip(run, run[1:]):
+            k = _interface_live(g, h)
+            if k:
+                anc_terms.append(star_norm(k))
+        anc_terms.append(star_norm(len(run[-1].support)))
+        run = []
+
+    def end_group():
+        nonlocal axes, pairs
+        key = tuple(sorted(kv for kv in pairs.items() if abs(kv[1]) > 1e-15))
+        step = ("pairs", (axes, pairs, key))
+        if run:
+            end_run()
+        no_steps.append(step)
+        anc_steps.append(step)
+        if key:
+            no_terms.append(key)
+            anc_terms.append(key)
+        axes, pairs = {}, {}
+
+    for g in gadgets:
+        support, axis = g.support, g.axis
+        k = len(support)
+        if k == 2:
+            a, b = support
+            if axes.get(a, axis) != axis or axes.get(b, axis) != axis:
+                end_group()
+            pairs[support] = pairs.get(support, 0.0) + g.alpha * math.pi / 2
+            axes[a] = axes[b] = axis
+        elif k == 1:
+            q = support[0]
+            if axes.get(q, axis) != axis:
+                end_group()
+            step = ("single", g)
+            no_steps.append(step)
+            if run and not all(pg_commutes(g, h) for h in run):
+                end_run()
+            anc_steps.append(step)
+        else:
+            if axes:
+                end_group()
+            no_steps.append(("run", ([g], support[0])))
+            no_terms += [star_norm(k - 1)] * 2
+            run.append(g)
+    if axes:
+        end_group()
+    if run:
+        end_run()
+    return ({NO_ANCILLA: no_steps, ANCILLA_MERGED: anc_steps},
+            {NO_ANCILLA: no_terms, ANCILLA_MERGED: anc_terms})
+
+
+def _reference_total(terms, norms):
+    norm = 0.0
+    for t in terms:
+        if type(t) is tuple:
+            if t not in norms:
+                norms[t] = nuclear_norm(MultiQubitGate(dict(t)))
+            t = norms[t]
+        norm += t
+    return CostVector(len(terms), norm)
+
+
+def _bits(cv):
+    return cv.mq_count, cv.total_norm.hex()
+
+
+def _assert_costing_matches_reference(lists, n, norms):
+    """Each scheme's cost of every list, from one batch on a fresh memo,
+    equals the reference planner's count and norm bit for bit; returns the
+    reference plans."""
+    plans = [_reference_plan(gadgets, n) for gadgets in lists]
+    for scheme in (NO_ANCILLA, ANCILLA_MERGED):
+        got = sequence_costs(lists, n, scheme)
+        want = [_reference_total(terms[scheme], norms) for _, terms in plans]
+        assert [_bits(c) for c in got] == [_bits(c) for c in want]
+    return plans
+
+
+def _hops_a_run(steps, gadgets):
+    """Whether a one-qubit step comes before a run step whose first gadget
+    the list holds before it."""
+    pos = {id(g): i for i, g in enumerate(gadgets)}
+    last_single = -1
+    for kind, val in steps:
+        if kind == "single":
+            last_single = max(last_single, pos[id(val)])
+        elif kind == "run" and pos[id(val[0][0])] < last_single:
+            return True
+    return False
+
+
+def test_costing_scan_matches_reference_planner_on_random_lists():
+    # lists with runs that singles hop, groups that cancel and Y gadgets;
+    # each list is also costed in one batch with its neighbours
+    rng = np.random.default_rng(24)
+    norms, seen = {}, {"hop": 0, "cancel": 0, "Y": 0}
+    for _ in range(60):
+        n = int(rng.integers(2, 9))
+        lists = [_random_sequence(rng, n).gadgets
+                 for _ in range(int(rng.integers(1, 8)))]
+        plans = _assert_costing_matches_reference(lists, n, norms)
+        for gadgets, (steps, _) in zip(lists, plans):
+            seen["hop"] += _hops_a_run(steps[ANCILLA_MERGED], gadgets)
+            seen["cancel"] += any(k == "pairs" and v[1] and not v[2]
+                                  for k, v in steps[NO_ANCILLA])
+            seen["Y"] += any(g.axis == "Y" for g in gadgets)
+    assert min(seen.values()) > 0, seen
+
+
+def test_costing_scan_matches_reference_planner_on_cost_matrices(monkeypatch):
+    # every candidate list of every cost matrix the corpus and the random
+    # pool compile; the compile's own (auto) costs equal the reference's pick
+    import pgmq.passes
+    from pgmq.qasm import parse_qasm_file
+    from test_fingerprints import ROOT, _random_pool
+    real = pgmq.passes.sequence_costs
+    norms, calls = {}, []
+
+    def checked(lists, n, scheme, memo):
+        out = real(lists, n, scheme, memo)
+        plans = _assert_costing_matches_reference(lists, n, norms)
+        for cv, (_, terms) in zip(out, plans):
+            no, anc = (_reference_total(terms[s], norms)
+                       for s in (NO_ANCILLA, ANCILLA_MERGED))
+            assert _bits(cv) == _bits(no if no.key() <= anc.key() else anc)
+        calls.append(len(lists))
+        return out
+
+    monkeypatch.setattr(pgmq.passes, "sequence_costs", checked)
+    circuits = [parse_qasm_file(p)
+                for p in sorted((ROOT / "benchmarks").glob("*.qasm"))]
+    for c in [*circuits, *_random_pool().values()]:
+        optimize(c)
+    assert len(calls) > 40 and sum(calls) > 800

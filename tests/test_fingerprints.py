@@ -14,7 +14,9 @@ one SHA-256 each over the 12 corpus programs, kept here, and so are the
 default programs of acceptance test 1's first 50 random circuits.  One more
 SHA-256 pins the realized native-gate circuits of the corpus under all
 three schemes, so a change below the program bytes (locals, pair phases,
-the global phase) fails here too.
+the global phase) fails here too.  A last SHA-256 pins the programs of the
+QFT and XX+ZZ chain families at 8 to 16 qubits under all three schemes,
+where pair groups hold dozens of gadgets and bodies hundreds.
 """
 
 import hashlib
@@ -34,7 +36,7 @@ from pgmq.gadgets import MultiQubitGate
 from pgmq.noise import NoiseModel, monte_carlo_fidelity
 from pgmq.passes import CompileOptions, optimize
 from pgmq.qasm import parse_qasm_file
-from conftest import random_circuit
+from conftest import chain_circuit, qft_circuit, random_circuit
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = json.loads((ROOT / "perfbench" / "reference.json").read_text())
@@ -179,3 +181,20 @@ def test_corpus_realized_circuits_match():
             phase = complex(realized.global_phase)
             digest.update(struct.pack("<dd", phase.real, phase.imag))
     assert digest.hexdigest() == REALIZED_SHA256
+
+
+# SHA-256 over serialize.dumps of the QFT, then the 4-step XX+ZZ chain, at
+# n = 8, 12 and 16, each under auto, ancilla-merged and no-ancilla in turn
+FAMILY_SHA256 = \
+    "eac74fc7fbcb11c6082508f93928fc34c778e958db9e34084f11da169d25ceb9"
+
+
+def test_wide_family_programs_match():
+    digest = hashlib.sha256()
+    for make in (qft_circuit, chain_circuit):
+        for n in (8, 12, 16):
+            circuit = make(n)
+            for scheme in (AUTO, ANCILLA_MERGED, NO_ANCILLA):
+                prog = optimize(circuit, CompileOptions(scheme=scheme))
+                digest.update(serialize.dumps(prog).encode("utf-8"))
+    assert digest.hexdigest() == FAMILY_SHA256
