@@ -70,6 +70,9 @@ def _in_range(kind, low, high=math.inf):
     return parse
 
 
+_SEED = _in_range(int, 0, 2 ** 63 - 1)  # NoiseModel's seed range
+
+
 def _compile_options(args) -> CompileOptions:
     scheme = AUTO
     if getattr(args, "ancilla", None) is True:
@@ -306,7 +309,7 @@ def _add_compile_flags(p: argparse.ArgumentParser) -> None:
                        help="forbid the ancilla-merged scheme")
     p.add_argument("--cost", default="lex", type=_parse_cost,
                    help="cost order: lex or weighted:W (default lex)")
-    p.add_argument("--max-iters", type=int, default=50)
+    p.add_argument("--max-iters", type=_in_range(int, 0), default=50)
 
 
 def _add_noise_flags(p: argparse.ArgumentParser) -> None:
@@ -328,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="compile a QASM file to program JSON")
     p.add_argument("input")
     p.add_argument("--out", help="program JSON path")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     _add_compile_flags(p)
     p.set_defaults(func=cmd_compile)
 
@@ -339,13 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
                    default=DEFAULT_ORACLE_CAP,
                    help="widest source checked on every basis state; wider "
                         "sources are checked on 20 seeded random states")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="fidelity estimates for a program")
     p.add_argument("program")
     p.add_argument("--input", help="source QASM for relative-error reporting")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", help="write the JSON report here")
     _add_noise_flags(p)
     p.set_defaults(func=cmd_simulate)
@@ -354,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("directory")
     p.add_argument("--out", help="report JSON path")
     p.add_argument("--csv", help="report CSV path")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     _add_compile_flags(p)
     _add_noise_flags(p)
     p.set_defaults(func=cmd_bench)

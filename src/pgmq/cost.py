@@ -39,24 +39,24 @@ The time-ordered steps themselves are recorded only for emission, when
 `realize` asks for them; costing reads the terms alone.
 
 Every star gate with k spokes of phase pi/4 has norm star_norm(k) =
-(pi/4) sqrt(k), read from a table.  Pair-group norms live in a `norms` memo
-keyed by the group key.  Costing plans all of its gadget lists first, then
-fills every key the memo lacks with one stacked eigvalsh per support size
-(each member's bits are what `nuclear_norm` gives the same gate), and only
-then sums.  `auto` takes the cheaper scheme, no-ancilla on a tie.
-
-`passes.optimize` owns one `norms` memo per compile and hands it to every
-cost of that compile.  `sequence_costs` costs many gadget lists on one
-register in one batch: the four extraction candidates, and, in the CNOT-pair
-cost matrix, the current list and, for each pair whose CNOT changes some
-gadget, that list with only the changed gadgets mapped.
+(pi/4) sqrt(k), read from a table.  Pair-group norms live in one table,
+`_NORMS`, keyed by the group key, that only `_fill_norms` fills: costing
+plans all of its gadget lists first, fills every key the table lacks with
+one stacked eigvalsh per support size, and only then sums.  A norm's bits
+do not depend on its batch, so costs, `realize`, `metrics` and the noise
+sites (through `nuclear_norm`) share the table, and clearing it at
+`_NORMS_CAP` keys changes no result.  `auto` takes the cheaper scheme,
+no-ancilla on a tie.  `sequence_costs` costs many gadget lists on one
+register in one batch: the four extraction candidates, and, in the
+CNOT-pair cost matrix, the current list and, for each pair whose CNOT
+changes some gadget, that list with only the changed gadgets mapped.
 
 One emitter, `_emit`, builds the native-gate `Circuit` (locals plus
 MultiQubitGate) from either scheme's steps, only for the scheme that runs:
 `realize` plans with steps, picks, then emits once.  Fanouts come from
 `gadgets.fanout` and are fused by `gadgets.fanout_to_mq`; interfaces by
 `gadgets.merge_interface`.  The baseline merge takes its layer norms from
-the same batched fill.
+the same table.
 """
 
 from __future__ import annotations
@@ -105,17 +105,20 @@ class CostVector:
         return round(self.mq_count + weight * self.total_norm, 9)
 
 
-def nuclear_norm(gate: MultiQubitGate | np.ndarray) -> float:
-    """Sum of absolute eigenvalues of the symmetric phase matrix (a raw
-    array is checked for symmetry; a gate's phase matrix is symmetric by
-    construction)."""
-    raw = not isinstance(gate, MultiQubitGate)
-    m = np.asarray(gate) if raw else gate.phase_matrix()
-    if m.size == 0:
+def nuclear_norm(gate: MultiQubitGate) -> float:
+    """Sum of absolute eigenvalues of the gate's symmetric phase matrix
+    (theta/2 on both slots of each pair, over its sorted support), read
+    from the pair-group norm table; 0.0 for a gate with no pair.  A raw
+    matrix is refused: a gate's phase matrix is symmetric by construction,
+    an array's need not be."""
+    if not isinstance(gate, MultiQubitGate):
+        raise CircuitError("nuclear_norm takes a MultiQubitGate, not a "
+                           "raw phase matrix")
+    key = frozenset(gate.pairs.items())
+    if not key:
         return 0.0
-    if raw and np.max(np.abs(m - m.T)) > 1e-12:
-        raise CircuitError("phase matrix must be symmetric")
-    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+    _fill_norms((key,))
+    return _NORMS[key]
 
 
 def star_norm(k: int) -> float:
@@ -133,7 +136,7 @@ _END = (SimpleNamespace(mask=0, axis="Z", support=()),)
 
 
 def _group_key(pairs: dict) -> frozenset:
-    """Memo key of a pair group: the set of its (pair, phase) items that
+    """Table key of a pair group: the set of its (pair, phase) items that
     survive MultiQubitGate's zero-drop, which fix its phase matrix bit for
     bit; empty when the phases cancel to no gate.  Built without a sort,
     its hash is computed once and kept."""
@@ -153,7 +156,7 @@ def _plan(gadgets: list, ancilla: int, steps: dict | None = None
           ) -> tuple[list, list]:
     """One left-to-right scan of the gadget list giving both schemes' terms,
     the norm of each gate a scheme emits in step order: a star's closed
-    form, or a pair group's memo key.  With a `steps` dict it also records
+    form, or a pair group's table key.  With a `steps` dict it also records
     each scheme's time-ordered steps there, for the emitter.
 
     No-ancilla steps: ("single", g); ("pairs", (on, pairs, key)) for each
@@ -253,14 +256,24 @@ def _interface_live(g: PhaseGadget, h: PhaseGadget) -> int:
     return (g.mask | h.mask).bit_count()
 
 
-def _fill_norms(keys, norms: dict) -> None:
-    """Add to `norms` the nuclear norm of every pair-group key it lacks,
-    with one stacked eigvalsh per support size.  Each phase matrix is the
-    one MultiQubitGate(pairs).phase_matrix() builds (theta/2 on both slots
-    of each pair, over the sorted support), and a stacked eigvalsh and a
-    row sum give each member's bits as `nuclear_norm` does."""
+# pair-group key -> nuclear norm; bounded as gadgets.support_of's table is
+_NORMS: dict = {}
+_NORMS_CAP = 1 << 14
+
+
+def _fill_norms(keys) -> None:
+    """Add to the norm table the nuclear norm of every key in `keys` (a
+    collection) that it lacks, with one stacked eigvalsh per support size;
+    a table that would end past `_NORMS_CAP` keys is cleared first and all
+    of `keys` computed.  Each phase matrix has theta/2 on both slots of each
+    pair, over the sorted support: a stacked eigvalsh and a row sum give
+    each member the bits of its own."""
+    missing = dict.fromkeys(k for k in keys if k not in _NORMS)
+    if len(_NORMS) + len(missing) > _NORMS_CAP:
+        _NORMS.clear()
+        missing = dict.fromkeys(keys)
     by_size: dict = {}
-    for key in dict.fromkeys(k for k in keys if k not in norms):
+    for key in missing:
         support = sorted({q for pair, _ in key for q in pair})
         by_size.setdefault(len(support), []).append((key, support))
     for k, group in by_size.items():
@@ -270,15 +283,15 @@ def _fill_norms(keys, norms: dict) -> None:
                 ia, ib = support.index(a), support.index(b)
                 m[i, ia, ib] = m[i, ib, ia] = th / 2
         ev = np.sum(np.abs(np.linalg.eigvalsh(m)), axis=1)
-        norms.update(zip((key for key, _ in group), ev.tolist()))
+        _NORMS.update(zip((key for key, _ in group), ev.tolist()))
 
 
-def _total(terms: list, norms: dict) -> CostVector:
+def _total(terms: list) -> CostVector:
     """Gate count and total norm of one scheme's terms, summed in step
     order."""
     norm = 0.0
     for t in terms:
-        norm += t if type(t) is float else norms[t]
+        norm += t if type(t) is float else _NORMS[t]
     return CostVector(len(terms), norm)
 
 
@@ -293,14 +306,13 @@ def _pick(costs: dict, scheme: str) -> str:
     return scheme
 
 
-def _costs(plans: list, norms: dict) -> list:
+def _costs(plans: list) -> list:
     """Each plan's cost per scheme, after filling every pair-group norm
-    the plans need and `norms` lacks in one batch."""
+    the plans need and the table lacks in one batch."""
     # both schemes' terms hold the same pair groups
-    _fill_norms((t for no_terms, _ in plans for t in no_terms
-                 if type(t) is not float), norms)
-    return [{NO_ANCILLA: _total(no_terms, norms),
-             ANCILLA_MERGED: _total(anc_terms, norms)}
+    _fill_norms([t for no_terms, _ in plans for t in no_terms
+                 if type(t) is not float])
+    return [{NO_ANCILLA: _total(no_terms), ANCILLA_MERGED: _total(anc_terms)}
             for no_terms, anc_terms in plans]
 
 
@@ -360,31 +372,28 @@ def realize(seq: GadgetSequence, scheme: str = AUTO) -> Circuit:
     first, then norm) and emits only that one."""
     recorded: dict = {}
     terms = _plan(seq.gadgets, seq.num_qubits, recorded)
-    scheme = _pick(_costs([terms], {})[0], scheme)
+    scheme = _pick(_costs([terms])[0], scheme)
     steps = recorded[scheme]
     used = scheme == ANCILLA_MERGED and any(k == "run" for k, _ in steps)
     return _emit(seq, steps, seq.num_qubits + int(used))
 
 
-def sequence_cost(seq: GadgetSequence, scheme: str = AUTO,
-                  norms: dict | None = None) -> CostVector:
+def sequence_cost(seq: GadgetSequence, scheme: str = AUTO) -> CostVector:
     """Planned cost of realizing `seq` with `scheme` (the cheaper one for
     `auto`); equals the count and norm of the gates `realize` emits.
 
-    `norms` memoizes pair-group nuclear norms across calls; the caller owns
-    it (`passes.optimize` keeps one per compile).  Only `seq.gadgets` and
-    `seq.num_qubits` are read: the frame and phase cost nothing."""
-    return sequence_costs([seq.gadgets], seq.num_qubits, scheme, norms)[0]
+    Only `seq.gadgets` and `seq.num_qubits` are read: the frame and phase
+    cost nothing."""
+    return sequence_costs([seq.gadgets], seq.num_qubits, scheme)[0]
 
 
-def sequence_costs(gadget_lists: list, num_qubits: int, scheme: str = AUTO,
-                   norms: dict | None = None) -> list[CostVector]:
+def sequence_costs(gadget_lists: list, num_qubits: int,
+                   scheme: str = AUTO) -> list[CostVector]:
     """`sequence_cost` of each gadget list on `num_qubits` qubits, with the
-    pair-group norms that all of them need and `norms` lacks computed in
+    pair-group norms that all of them need and the table lacks computed in
     one batch before any cost is summed."""
     plans = [_plan(gadgets, num_qubits) for gadgets in gadget_lists]
-    costs = _costs(plans, {} if norms is None else norms)
-    return [c[_pick(c, scheme)] for c in costs]
+    return [c[_pick(c, scheme)] for c in _costs(plans)]
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +434,8 @@ def baseline_parallel_merge(circuit: Circuit) -> tuple[int, float]:
     # each layer is one MultiQubitGate; one whose phases all cancel has
     # norm 0.0, as nuclear_norm gives for an empty gate
     keys = [_group_key(p) for p in layers]
-    norms: dict = {}
-    _fill_norms((k for k in keys if k), norms)
-    return len(layers), sum(norms[k] if k else 0.0 for k in keys)
+    _fill_norms([k for k in keys if k])
+    return len(layers), sum(_NORMS[k] if k else 0.0 for k in keys)
 
 
 def gate_norm(gate) -> float:

@@ -186,17 +186,6 @@ class MultiQubitGate:
 
     qubits = support
 
-    def phase_matrix(self) -> np.ndarray:
-        """Symmetric matrix over the support with theta/2 on each of the
-        (n,m), (m,n) slots."""
-        qs = self.support
-        idx = {q: i for i, q in enumerate(qs)}
-        m = np.zeros((len(qs), len(qs)))
-        for (a, b), th in self.pairs.items():
-            m[idx[a], idx[b]] += th / 2
-            m[idx[b], idx[a]] += th / 2
-        return m
-
     def diagonal(self, n: int | None = None) -> np.ndarray:
         """The gate's diagonal over an n-qubit register, or (n None) over
         its support with support[0] least significant."""

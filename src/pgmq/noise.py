@@ -66,6 +66,8 @@ class NoiseModel:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise InputError(f"{name} must lie in [0, 1], got {p}")
+        if not 0 <= self.seed <= 2 ** 63 - 1:
+            raise InputError(f"seed must lie in [0, 2^63), got {self.seed}")
 
 
 def _depol_rate(nu: float, model: NoiseModel) -> float:

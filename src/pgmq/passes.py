@@ -184,8 +184,8 @@ def conjugate_sequence(seq: GadgetSequence, control: int,
                           frame, phase)
 
 
-def conjugation_cost_matrix(seq: GadgetSequence, scheme: str = AUTO,
-                            norms: dict | None = None) -> np.ndarray:
+def conjugation_cost_matrix(seq: GadgetSequence,
+                            scheme: str = AUTO) -> np.ndarray:
     """Entry (n, m): total nuclear norm after conjugating every gadget with
     the CNOT controlled on n targeting m; diagonal holds the current norm.
 
@@ -194,8 +194,7 @@ def conjugation_cost_matrix(seq: GadgetSequence, scheme: str = AUTO,
     per-qubit index, and shares the rest; a pair that changes no gadget
     keeps the current norm and is not planned.  The current list and every
     other pair's are costed together on their gadgets alone (the frame and
-    phase carry no cost), and pair-group norms are looked up in, or filled
-    in one batch into, `norms` (`sequence_cost`'s memo)."""
+    phase carry no cost), in one `sequence_costs` batch."""
     n = seq.num_qubits
     gadgets = seq.gadgets
     held = {"Z": [[] for _ in range(n)], "X": [[] for _ in range(n)]}
@@ -215,7 +214,7 @@ def conjugation_cost_matrix(seq: GadgetSequence, scheme: str = AUTO,
                     moved[i] = commute_cnot(c, gadgets[i])
                 moves.append((a, b))
                 lists.append(moved)
-    costs = sequence_costs(lists, n, scheme, norms)
+    costs = sequence_costs(lists, n, scheme)
     out = np.full((n, n), costs[0].total_norm, dtype=float)
     for (a, b), cv in zip(moves, costs[1:]):
         out[a, b] = cv.total_norm
@@ -231,17 +230,15 @@ def _greedy_matching(weights: dict) -> list:
     return chosen
 
 
-def norm_reduction_step(seq: GadgetSequence, scheme: str = AUTO,
-                        norms: dict | None = None
+def norm_reduction_step(seq: GadgetSequence, scheme: str = AUTO
                         ) -> tuple[list, GadgetSequence, bool]:
     """One round of commuting-CNOT conjugations lowering the total norm.
 
     Returns (applied CNOTs, conjugated sequence, improved).  Candidate pair
     weights are current norm minus the best of the two conjugation
     directions, clipped at zero; accepted pairs are vertex-disjoint.  The
-    returned sequence may share gadgets with `seq` (see `commute_cnot`);
-    `norms` is `sequence_cost`'s pair-group norm memo."""
-    cm = conjugation_cost_matrix(seq, scheme, norms)
+    returned sequence may share gadgets with `seq` (see `commute_cnot`)."""
+    cm = conjugation_cost_matrix(seq, scheme)
     cur = cm[0, 0] if seq.num_qubits else 0.0
     n = seq.num_qubits
     weights = {}
@@ -374,21 +371,18 @@ def optimize(circuit: Circuit, opts: CompileOptions | None = None) -> CompiledPr
         candidates.append((seq_l, pre_l, []))
         post_r, seq_r = pg_right(flat, counter)
         candidates.append((seq_r, [], post_r))
-    # pair-group norms recur across candidates, proposals and steps: one
-    # memo serves every cost of this compile
-    norms: dict = {}
     keys = [cv.key(opts.cost_weight) for cv in sequence_costs(
-        [s.gadgets for s, _, _ in candidates], n, opts.scheme, norms)]
+        [s.gadgets for s, _, _ in candidates], n, opts.scheme)]
     cur = min(keys)
     seq, pre, post = candidates[keys.index(cur)]
 
     trace = [cur]
     for _ in range(opts.max_iters):
-        applied, nxt, improved = norm_reduction_step(seq, opts.scheme, norms)
+        applied, nxt, improved = norm_reduction_step(seq, opts.scheme)
         if not improved:
             break
         nxt = simplify(nxt)
-        key = sequence_cost(nxt, opts.scheme, norms).key(opts.cost_weight)
+        key = sequence_cost(nxt, opts.scheme).key(opts.cost_weight)
         if key >= cur:
             break
         # U_PG = C . U_PG' . C: the outer CNOT joins the post layer, the

@@ -2,8 +2,9 @@
 
 A CNOT layer is written as its word and as the GF(2) matrix |x> -> |Ax>
 that the word performs, derived here by replaying the word; rows are hex
-strings (row i encodes sum_j A[i,j] << j), and a loaded matrix must equal
-the one derived from the loaded word.  The body holds phase gadgets only.
+strings (row i encodes sum_j A[i,j] << j), and a loaded matrix must have
+numQubits (at most `qasm.MAX_QUBITS`) rows and equal the one derived from
+the loaded word.  The body holds phase gadgets only.
 "frames" lists each qubit of the trailing Pauli string once, ascending, and
 "phase" is [re, im] of magnitude 1 to within 1e-9.
 "ancilla" is always null: the ancilla, when the realization uses one, is
@@ -21,6 +22,7 @@ from .circuit import InputError
 from .cost import ANCILLA_MERGED, AUTO, NO_ANCILLA
 from .gadgets import GadgetSequence, PauliFrame, PhaseGadget
 from .passes import CompiledProgram
+from .qasm import MAX_QUBITS
 
 SCHEMA_VERSION = "1.0"
 
@@ -109,8 +111,11 @@ def _layer_from_json(obj, n: int, where: str) -> list:
         word.append((c, t))
     rows = _field(obj, "matrix", where, None)
     if rows is not None:
+        if len(_list(rows, f"{where}.matrix")) != n:
+            raise InputError(f"{where}.matrix: expected {n} rows, "
+                             f"got {len(rows)}")
         try:
-            bits = [int(h, 16) for h in _list(rows, f"{where}.matrix")]
+            bits = [int(h, 16) for h in rows]
         except (TypeError, ValueError):
             raise InputError(f"{where}.matrix: rows must be hex strings") from None
         if bits != _row_bits(word, n):
@@ -159,7 +164,8 @@ def program_from_json(obj) -> CompiledProgram:
     version = _field(obj, "version", "program")
     if version != SCHEMA_VERSION:
         raise InputError(f"version: unsupported program version {version!r}")
-    n = _int(_field(obj, "numQubits", "program"), "numQubits")
+    n = _int(_field(obj, "numQubits", "program"), "numQubits",
+             MAX_QUBITS + 1)
     gadgets = _body_from_json(_field(obj, "body", "program"), n)
     ancilla = _field(obj, "ancilla", "program", None)
     if ancilla is not None:

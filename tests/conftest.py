@@ -74,6 +74,22 @@ def mq_gates(circuit: Circuit) -> list:
     return [g for g in circuit.gates if isinstance(g, MultiQubitGate)]
 
 
+def reference_norm(pairs) -> float:
+    """Nuclear norm of a pair group, computed here: its phase matrix holds
+    theta/2 on both slots of each (pair, theta) item, over the sorted
+    support, then eigvalsh, abs and sum.  The matrix is checked to be
+    symmetric."""
+    pairs = dict(pairs)
+    support = sorted({q for pair in pairs for q in pair})
+    idx = {q: i for i, q in enumerate(support)}
+    m = np.zeros((len(support), len(support)))
+    for (a, b), th in pairs.items():
+        m[idx[a], idx[b]] += th / 2
+        m[idx[b], idx[a]] += th / 2
+    assert np.array_equal(m, m.T)
+    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+
+
 def exact_matching(weights: dict) -> list:
     """Exact maximum-weight matching, the reference for the greedy matching
     that compile uses (greedy reaches at least half its weight)."""

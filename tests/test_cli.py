@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -238,10 +239,14 @@ def _set_body(doc, item):
     (lambda d: d.update(scheme="fastest"), "scheme"),
     (lambda d: d.update(measurementMap=[[0, 0], [1, 0]]),
      "measurementMap[1]"),
+    # wider than QASM input may be: the matrix replay grew as n^2
+    (lambda d: d.update(numQubits=60000), "numQubits"),
+    (lambda d: d["preLayer"].update(matrix=d["preLayer"]["matrix"][1:]),
+     "preLayer.matrix: expected 3 rows"),
 ], ids=["not-json", "no-body", "word-range", "word-self", "matrix",
         "support-range", "axis", "mq-pair", "mq-element", "ancilla-set",
         "version", "frame", "frame-qubit-twice", "phase-off-circle",
-        "scheme", "map-bit-twice"])
+        "scheme", "map-bit-twice", "qubits-above-limit", "matrix-rows"])
 def test_verify_malformed_program_exit_2(qasm_dir, tmp_path, capsys,
                                          corrupt, field):
     out = tmp_path / "p.json"
@@ -258,6 +263,29 @@ def test_verify_malformed_program_exit_2(qasm_dir, tmp_path, capsys,
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1 and field in captured.err
+
+
+def test_wide_program_refused_before_any_replay(tmp_path, capsys):
+    # a few hundred bytes that made the loader replay a 60 000-row GF(2)
+    # matrix (266 MB at its peak) before refusing the empty matrix
+    import tracemalloc
+    doc = {"version": serialize.SCHEMA_VERSION, "numQubits": 60000,
+           "ancilla": None, "preLayer": {"matrix": [], "word": []},
+           "body": [], "frames": [], "phase": [1.0, 0.0],
+           "postLayer": {"matrix": [], "word": []}, "measurementMap": [],
+           "scheme": "auto"}
+    out = tmp_path / "wide.json"
+    out.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        assert main(["simulate", str(out)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and "numQubits" in captured.err
 
 
 @pytest.mark.parametrize("measures, want", [
@@ -501,6 +529,53 @@ def test_noise_flag_out_of_range_exit_2(qasm_dir, tmp_path, capsys, command,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and f"argument {flag}:" in captured.err
+
+
+@pytest.mark.parametrize("command, flags, flag", [
+    ("verify", ["--oracle-cap", "0", "--seed", "-1"], "--seed"),
+    ("simulate", ["--samples", "2", "--seed", "18446744073709551616"],
+     "--seed"),
+    ("bench", ["--samples", "2", "--seed", "18446744073709551616"], "--seed"),
+    ("simulate", ["--samples", "2", "--seed", "18446744073709551615"],
+     "--seed"),
+    ("simulate", ["--seed", "9223372036854775808"], "--seed"),
+    ("compile", ["--seed", "-1"], "--seed"),
+    ("compile", ["--max-iters", "-3"], "--max-iters"),
+], ids=["verify-seed-negative", "simulate-seed-2^64", "bench-seed-2^64",
+        "simulate-seed-2^64-1", "simulate-seed-2^63", "compile-seed-negative",
+        "compile-max-iters-negative"])
+def test_integer_flag_out_of_range_exit_2(qasm_dir, tmp_path, capsys,
+                                          command, flags, flag):
+    # a seed outside [0, 2^63 - 1] used to escape as a ValueError or an
+    # OverflowError (exit 3) or print numpy's cast warning, and a negative
+    # --max-iters silently ran no norm search
+    program = tmp_path / "p.json"
+    main(["compile", str(qasm_dir / "small.qasm"), "--out", str(program)])
+    capsys.readouterr()
+    target = {"verify": [str(program), str(qasm_dir / "small.qasm")],
+              "simulate": [str(program)], "bench": [str(qasm_dir)],
+              "compile": [str(qasm_dir / "small.qasm"), "--out",
+                          str(tmp_path / "q.json")]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *target, *flags])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"pgmq {command}: error: argument {flag}:")
+    assert not (tmp_path / "q.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "bench"])
+def test_largest_seed_is_accepted(qasm_dir, tmp_path, capsys, command):
+    program = tmp_path / "p.json"
+    main(["compile", str(qasm_dir / "bell.qasm"), "--out", str(program)])
+    target = str(program if command == "simulate" else qasm_dir)
+    # the top of the range keys Philox without numpy's cast warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, target, "--samples", "2", "--shots", "2",
+                     "--seed", str(2 ** 63 - 1)]) == 0
 
 
 # --- bench -----------------------------------------------------------------------

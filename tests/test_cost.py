@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import pgmq.cost
 from pgmq.circuit import (Circuit, SingleQubit, ZzRotation, cnot, hadamard,
                           to_unitary)
 from pgmq.cost import (ANCILLA_MERGED, NO_ANCILLA, CostVector, _fill_norms,
@@ -12,7 +13,7 @@ from pgmq.cost import (ANCILLA_MERGED, NO_ANCILLA, CostVector, _fill_norms,
 from pgmq.gadgets import (GadgetSequence, MultiQubitGate, PhaseGadget,
                           decompose_pg, fanout_to_mq, pg_commutes)
 from pgmq.passes import optimize
-from conftest import mq_gates, sequence_unitary
+from conftest import mq_gates, reference_norm, sequence_unitary
 
 
 def alternating_big_gadgets(m):
@@ -46,17 +47,26 @@ def test_star_norm_sqrt_power_law():
 
 
 def test_nuclear_norm_rejects_asymmetric():
+    # only a gate, whose phase matrix is symmetric by construction, is
+    # accepted; a raw (here asymmetric) matrix is refused
     from pgmq.circuit import CircuitError
     with pytest.raises(CircuitError):
         nuclear_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_nuclear_norm_of_gate_is_norm_of_its_phase_matrix(rng):
-    # a gate skips the symmetry check; the reduction is the same
-    for k in range(2, 9):
-        g = MultiQubitGate({(a, b): float(rng.uniform(-2, 2))
-                            for a in range(k) for b in range(a + 1, k)})
-        assert nuclear_norm(g) == nuclear_norm(g.phase_matrix())
+    # dense gates of 2-8 qubits, a pair written high-low, a pair below the
+    # 1e-15 drop, and an empty gate: each norm equals, bit for bit, the
+    # norm of the symmetric phase matrix built in the test
+    gates = [MultiQubitGate({(a, b): float(rng.uniform(-2, 2))
+                             for a in range(k) for b in range(a + 1, k)})
+             for k in range(2, 9)]
+    gates.append(MultiQubitGate({(3, 1): 0.4, (1, 5): -0.2, (0, 2): 1e-16}))
+    assert gates[-1].pairs == {(1, 3): 0.4, (1, 5): -0.2}
+    for g in gates:
+        assert nuclear_norm(g) == reference_norm(g.pairs)
+    assert nuclear_norm(MultiQubitGate({(0, 1): 1e-16})) == 0.0
+    assert nuclear_norm(MultiQubitGate()) == 0.0
 
 
 def test_cost_vector_lex_key():
@@ -179,9 +189,9 @@ def test_pair_group_cancelling_to_rounding_residual_is_no_gate():
     assert MultiQubitGate({(0, 1): 1e-16, (1, 2): 0.4}).support == (1, 2)
 
 
-def test_batched_norms_equal_nuclear_norm():
+def test_batched_norms_equal_nuclear_norm(monkeypatch):
     # one batch over support sizes 2-8, keys met twice or already in the
-    # memo, a pair below MultiQubitGate's 1e-15 drop (which also leaves the
+    # table, a pair below MultiQubitGate's 1e-15 drop (which also leaves the
     # support) and a group whose phases cancel to no gate
     rng = np.random.default_rng(19)
     groups = []
@@ -200,15 +210,17 @@ def test_batched_norms_equal_nuclear_norm():
     assert keys[-3] == frozenset({((0, 1), 0.4), ((2, 3), -0.7)})
     assert keys[-2] == frozenset()
     assert not MultiQubitGate(groups[-2]).pairs
-    norms = {keys[0]: nuclear_norm(MultiQubitGate(groups[0]))}
-    seeded = norms[keys[0]]
-    _fill_norms([k for k in keys if k], norms)
-    assert norms[keys[0]] is seeded
+    table = {keys[0]: reference_norm(keys[0])}
+    seeded = table[keys[0]]
+    monkeypatch.setattr(pgmq.cost, "_NORMS", table)
+    _fill_norms([k for k in keys if k])
+    assert table[keys[0]] is seeded
     for pairs, key in zip(groups[:-2], keys):
         gate = MultiQubitGate(pairs)
         assert key == frozenset(gate.pairs.items())
-        assert norms[key] == nuclear_norm(gate)
-    assert len(norms) == len(set(keys)) - 1
+        assert table[key] == reference_norm(key)
+        assert nuclear_norm(gate) is table[key]
+    assert len(table) == len(set(keys)) - 1
 
 
 def test_single_qubit_gadgets_are_free():
@@ -415,7 +427,7 @@ def _reference_total(terms, norms):
     for t in terms:
         if type(t) is tuple:
             if t not in norms:
-                norms[t] = nuclear_norm(MultiQubitGate(dict(t)))
+                norms[t] = reference_norm(t)
             t = norms[t]
         norm += t
     return CostVector(len(terms), norm)
@@ -426,9 +438,9 @@ def _bits(cv):
 
 
 def _assert_costing_matches_reference(lists, n, norms):
-    """Each scheme's cost of every list, from one batch on a fresh memo,
-    equals the reference planner's count and norm bit for bit; returns the
-    reference plans."""
+    """Each scheme's cost of every list, from one batch, equals the
+    reference planner's count and norm bit for bit (`norms` memoizes the
+    reference's own norms); returns the reference plans."""
     plans = [_reference_plan(gadgets, n) for gadgets in lists]
     for scheme in (NO_ANCILLA, ANCILLA_MERGED):
         got = sequence_costs(lists, n, scheme)
@@ -477,8 +489,8 @@ def test_costing_scan_matches_reference_planner_on_cost_matrices(monkeypatch):
     real = pgmq.passes.sequence_costs
     norms, calls = {}, []
 
-    def checked(lists, n, scheme, memo):
-        out = real(lists, n, scheme, memo)
+    def checked(lists, n, scheme):
+        out = real(lists, n, scheme)
         plans = _assert_costing_matches_reference(lists, n, norms)
         for cv, (_, terms) in zip(out, plans):
             no, anc = (_reference_total(terms[s], norms)
@@ -493,3 +505,27 @@ def test_costing_scan_matches_reference_planner_on_cost_matrices(monkeypatch):
     for c in [*circuits, *_random_pool().values()]:
         optimize(c)
     assert len(calls) > 40 and sum(calls) > 800
+
+
+def test_metrics_and_realize_after_optimize_run_no_eigvalsh(monkeypatch):
+    # the compile's norm fills serve the metrics and the realization that
+    # follow it: neither computes a body pair group's norm again.  The
+    # baseline merge's layers come from the input circuit, not the body,
+    # so their norms are filled before eigvalsh is counted
+    from test_fingerprints import CORPUS
+    from pgmq.qasm import parse_qasm_file
+    real, calls = np.linalg.eigvalsh, []
+
+    def counted(m):
+        calls.append(m.shape)
+        return real(m)
+
+    for path in CORPUS:
+        c = parse_qasm_file(path)
+        prog = optimize(c)
+        baseline_parallel_merge(c)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", counted)
+            metrics(prog.body, c, prog.scheme)
+            realize(prog.body, prog.scheme)
+        assert not calls, path.stem

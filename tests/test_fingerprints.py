@@ -16,7 +16,10 @@ SHA-256 pins the realized native-gate circuits of the corpus under all
 three schemes, so a change below the program bytes (locals, pair phases,
 the global phase) fails here too.  A last SHA-256 pins the programs of the
 QFT and XX+ZZ chain families at 8 to 16 qubits under all three schemes,
-where pair groups hold dozens of gadgets and bodies hundreds.
+where pair groups hold dozens of gadgets and bodies hundreds.  The corpus
+programs are also compiled with the pair-group norm table bounded to a
+few keys, so that it is cleared on nearly every fill, and must still match
+the same pins.
 """
 
 import hashlib
@@ -29,6 +32,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pgmq.cost
 from pgmq import serialize
 from pgmq.circuit import GeneralizedCnot, SingleQubit
 from pgmq.cost import ANCILLA_MERGED, AUTO, NO_ANCILLA, metrics
@@ -198,3 +202,51 @@ def test_wide_family_programs_match():
                 prog = optimize(circuit, CompileOptions(scheme=scheme))
                 digest.update(serialize.dumps(prog).encode("utf-8"))
     assert digest.hexdigest() == FAMILY_SHA256
+
+
+def test_norm_table_cap_changes_no_program(monkeypatch):
+    # a cleared table is refilled bit for bit, so a cap of a few keys gives
+    # the same programs and metrics as the default one; after every batch
+    # of at most CAP distinct keys the table holds at most CAP
+    cap = 16
+    circuits = [parse_qasm_file(path) for path in CORPUS]
+    schemes = (AUTO, ANCILLA_MERGED, NO_ANCILLA)
+    want = {}
+    for c in circuits:
+        for scheme in schemes:
+            prog = optimize(c, CompileOptions(scheme=scheme))
+            want[id(c), scheme] = metrics(prog.body, c, prog.scheme)
+
+    fill, sizes = pgmq.cost._fill_norms, []
+
+    def bounded(keys):
+        fill(keys)
+        batch = len(set(keys))
+        sizes.append(batch)
+        if batch <= cap:
+            assert len(pgmq.cost._NORMS) <= cap
+
+    monkeypatch.setattr(pgmq.cost, "_NORMS", {})
+    monkeypatch.setattr(pgmq.cost, "_NORMS_CAP", cap)
+    monkeypatch.setattr(pgmq.cost, "_fill_norms", bounded)
+    digests = {scheme: hashlib.sha256() for scheme in FORCED_SCHEME_SHA256}
+    for path, c in zip(CORPUS, circuits):
+        for scheme in schemes:
+            prog = optimize(c, CompileOptions(scheme=scheme))
+            text = serialize.dumps(prog)
+            got = metrics(prog.body, c, prog.scheme)
+            for key in ("compiledNorm", "baselineNorm"):
+                assert got[key] == pytest.approx(want[id(c), scheme][key],
+                                                 rel=NORM_RTOL, abs=NORM_RTOL)
+            if scheme == AUTO:
+                _assert_matches(f"corpus/{path.stem}", {
+                    "mq_count": got["compiledMqCount"],
+                    "norm": got["compiledNorm"],
+                    "program_sha256":
+                        hashlib.sha256(text.encode("utf-8")).hexdigest()})
+            else:
+                digests[scheme].update(text.encode("utf-8"))
+    for scheme, digest in digests.items():
+        assert digest.hexdigest() == FORCED_SCHEME_SHA256[scheme], scheme
+    # batches both under and over the cap occurred
+    assert min(sizes) <= cap < max(sizes)

@@ -44,6 +44,15 @@ def test_noise_model_validates_probabilities():
         NoiseModel(p_dephase=math.nan)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 63, 2 ** 64])
+def test_noise_model_refuses_seed_out_of_range(seed):
+    # Philox keys are 64-bit: a negative seed escaped as a ValueError, one
+    # of 2^64 as an OverflowError
+    with pytest.raises(InputError, match="seed"):
+        NoiseModel(seed=seed)
+    assert NoiseModel(seed=2 ** 63 - 1).seed == 2 ** 63 - 1
+
+
 def test_gate_norm_values():
     assert gate_norm(cnot(0, 1)) == pytest.approx(math.pi / 4)
     assert gate_norm(ZzRotation(-0.3, 0, 1)) == pytest.approx(0.3)

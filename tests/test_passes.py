@@ -7,10 +7,8 @@ from pgmq.circuit import (I2, Barrier, Circuit, CircuitError, GeneralizedCnot,
                           Measure, SingleQubit, Su4Block, ZzRotation,
                           apply_local, cnot, form_su4_blocks, gates_commute,
                           hadamard, layerize, to_unitary, u1)
-from pgmq.cost import (AUTO, NO_ANCILLA, ANCILLA_MERGED, nuclear_norm,
-                       sequence_cost)
-from pgmq.gadgets import (GadgetSequence, MultiQubitGate, PhaseGadget,
-                          commute_cnot, simplify)
+from pgmq.cost import AUTO, NO_ANCILLA, ANCILLA_MERGED, sequence_cost
+from pgmq.gadgets import GadgetSequence, PhaseGadget, commute_cnot, simplify
 from pgmq.passes import (CompileOptions, _greedy_matching,
                          conjugate_sequence,
                          conjugation_cost_matrix, norm_reduction_step,
@@ -19,7 +17,8 @@ from pgmq.passes import (CompileOptions, _greedy_matching,
 from pgmq.serialize import _row_bits
 from pgmq.qasm import parse_qasm_file, to_zz_basis
 from pgmq.su4 import minimize_block_phase
-from conftest import exact_matching, random_circuit, sequence_unitary
+from conftest import (exact_matching, random_circuit, reference_norm,
+                      sequence_unitary)
 from test_fingerprints import ROOT, _random_pool
 
 
@@ -380,12 +379,12 @@ def test_conjugation_cost_matrix_matches_bruteforce(rng):
     assert skipped > 0
 
 
-def whole_sequence_matrix(seq, scheme, norms):
+def whole_sequence_matrix(seq, scheme):
     """The cost matrix computed the long way: each pair whose CNOT changes
     some gadget costs `commute_cnot` of every gadget with `sequence_cost`,
     and every other entry keeps the current norm."""
     n = seq.num_qubits
-    cur = float(sequence_cost(seq, scheme, norms).total_norm)
+    cur = float(sequence_cost(seq, scheme).total_norm)
     out = np.full((n, n), cur, dtype=float)
     z_held = {q for g in seq.gadgets if g.axis == "Z" for q in g.support}
     x_held = {q for g in seq.gadgets if g.axis == "X" for q in g.support}
@@ -394,8 +393,8 @@ def whole_sequence_matrix(seq, scheme, norms):
             if a != b and (b in z_held or a in x_held):
                 c = cnot(a, b)
                 gadgets = [commute_cnot(c, g) for g in seq.gadgets]
-                out[a, b] = sequence_cost(GadgetSequence(n, gadgets), scheme,
-                                          norms).total_norm
+                out[a, b] = sequence_cost(GadgetSequence(n, gadgets),
+                                          scheme).total_norm
     return out
 
 
@@ -415,31 +414,30 @@ def matrix_reference_circuits():
 
 @pytest.mark.parametrize("scheme", [NO_ANCILLA, ANCILLA_MERGED, AUTO])
 def test_cost_matrix_equals_whole_sequence_reference(scheme, monkeypatch):
-    # every matrix optimize asks for, on the compile's own memo: the batch
-    # fills it first, and the reference's sequence_cost calls then read the
-    # norms it filled; each memo entry is checked against nuclear_norm
+    # every matrix optimize asks for: the batch fills the norm table first,
+    # and the reference's sequence_cost calls then read the norms it
+    # filled; each table entry is checked against a norm computed here
+    import pgmq.cost
     import pgmq.passes
     real = pgmq.passes.conjugation_cost_matrix
-    memos, calls = [], 0
+    table, calls = {}, 0
 
-    def checked(seq, scheme_, norms):
+    def checked(seq, scheme_):
         nonlocal calls
-        got = real(seq, scheme_, norms)
-        want = whole_sequence_matrix(seq, scheme_, norms)
+        got = real(seq, scheme_)
+        want = whole_sequence_matrix(seq, scheme_)
         assert got.tobytes() == want.tobytes()
         calls += 1
-        if not any(m is norms for m in memos):
-            memos.append(norms)
         return got
 
+    monkeypatch.setattr(pgmq.cost, "_NORMS", table)
     monkeypatch.setattr(pgmq.passes, "conjugation_cost_matrix", checked)
     accepted = 0
     for c in matrix_reference_circuits():
         accepted += optimize(c, CompileOptions(scheme=scheme)).iterations
-    assert calls > 60 and accepted > 0
-    for norms in memos:
-        for key, norm in norms.items():
-            assert norm == nuclear_norm(MultiQubitGate(dict(key)))
+    assert calls > 60 and accepted > 0 and table
+    for key, norm in table.items():
+        assert norm == reference_norm(key)
 
 
 def snapshot(seq):
