@@ -303,6 +303,31 @@ def gate_apply(mat: np.ndarray, gate, n: int) -> np.ndarray:
     return apply_local(mat, table, qubits, n)
 
 
+def gate_apply_rows(rows: np.ndarray, out: np.ndarray, kernel: Kernel,
+                    n: int) -> None:
+    """Write `kernel` applied to each row of `rows`, a sample-major
+    (m, 2^n) batch of state vectors, into `out` (same shape, C-contiguous,
+    not overlapping `rows`), bit for bit `gate_apply` on each row alone.
+
+    The batch is sample-major so that every kind applies a row's
+    single-vector arithmetic: the phase vector and the permutation run
+    along each row, the one-qubit matmul's stack of 2 x 2^q blocks is each
+    row's stack end to end, and a dense local operator is applied row by
+    row.  The gather clips instead of raising: `take` with "raise" buffers
+    its output, which doubled a one-row gather at 12 qubits."""
+    kind, table, qubits = kernel
+    if kind == PHASE:
+        np.multiply(rows, table, out=out)
+    elif kind == PERMUTE:
+        rows.take(table, axis=-1, out=out, mode="clip")
+    elif kind == ONE_QUBIT:
+        shape = (-1, 2, 2 ** qubits[0])
+        np.matmul(table, rows.reshape(shape), out=out.reshape(shape))
+    else:
+        for row, dst in zip(rows, out):
+            dst[...] = apply_local(row, table, qubits, n)
+
+
 def to_unitary(circuit: Circuit) -> np.ndarray:
     """Dense 2^N x 2^N unitary of the circuit (leftmost gate applied first).
     The one-qubit gates on a wire between two gates that touch it are

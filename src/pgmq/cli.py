@@ -21,9 +21,9 @@ from . import __version__
 from .circuit import (DEFAULT_ORACLE_CAP, Circuit, CircuitError, InputError,
                       phase_distance)
 from .cost import ANCILLA_MERGED, AUTO, NO_ANCILLA, metrics
-from .noise import (STATEVECTOR_CAP, NoiseModel, apply_circuit,
-                    check_simulable, monte_carlo_fidelity, relative_error,
-                    success_probability)
+from .noise import (MAX_SAMPLE_SHOTS, STATEVECTOR_CAP, NoiseModel,
+                    apply_circuit, check_simulable, monte_carlo_fidelity,
+                    relative_error, success_probability)
 from .passes import CompileOptions, CompiledProgram, optimize
 from .qasm import QasmError, parse_qasm_file
 from .serialize import dumps as program_dumps, load as program_load
@@ -167,7 +167,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+def _check_sample_shots(args) -> None:
+    """Refuse a Monte Carlo size above the sampler's cap before anything
+    is read or allocated."""
+    if args.samples * args.shots > MAX_SAMPLE_SHOTS:
+        raise InputError(f"--samples {args.samples} x --shots {args.shots} "
+                         f"is above the cap of {MAX_SAMPLE_SHOTS} "
+                         f"sample-shots")
+
+
 def cmd_simulate(args) -> int:
+    _check_sample_shots(args)
     if args.input:
         prog, input_circuit = _load_pair(args.program, args.input)
     else:
@@ -248,6 +258,7 @@ def bench_record(path: Path, opts: CompileOptions, model: NoiseModel,
 
 
 def cmd_bench(args) -> int:
+    _check_sample_shots(args)
     opts = _compile_options(args)
     model = NoiseModel(args.p_dephase, args.p_depol_tq, args.seed)
     files = sorted(Path(args.directory).glob("*.qasm"))

@@ -20,10 +20,18 @@ per call too, in what is left of that budget, for the clean run and every
 replay.  A sample that draws no error reuses the clean bitstring
 distribution; any other sample restarts from the last checkpoint at or
 before its first error and replays only the rest of the circuit with its
-errors inserted.  Gates are applied in the same order and through the same
-kernels as a full simulation of the noisy instance, so results are
-bit-for-bit those of re-simulating every sample, and the cost grows with
-the error rate, not with samples times gates.  When the program is the
+errors inserted.  The erroneous samples are replayed together: sorted by
+their checkpoint (`REPLAY_WINDOW` of them at a time), they become the rows
+of sample-major batches of at most `REPLAY_BYTES`, sized to cache, so one
+sweep applies each gate's kernel once to all its joined rows
+(`circuit.gate_apply_rows`).  The batch is sample-major because each row
+then gets a single state vector's arithmetic (a column-major batch would
+change the one-qubit matmul's blocking and so the bits).  Gates are applied
+in the same order and with the same arithmetic as a full simulation of the
+noisy instance, so results are bit-for-bit those of re-simulating every
+sample, and the cost grows with the error rate, not with samples times
+gates.  A call holds a double and an index per sample-shot, and refuses
+more than `MAX_SAMPLE_SHOTS` of them.  When the program is the
 input circuit itself, its clean run also gives the ideal distribution.
 Each sample draws from its own counter-based Philox substream, so the
 result is reproducible regardless of evaluation order; its distribution is
@@ -43,12 +51,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import (Barrier, Circuit, InputError, gate_apply, gate_kernel,
-                      pauli_gate)
+from .circuit import (Barrier, Circuit, InputError, Kernel, gate_apply,
+                      gate_apply_rows, gate_kernel, pauli_gate)
 from .cost import FULL_TQ_PHASE, gate_norm
 
 STATEVECTOR_CAP = 16
 CHECKPOINT_BYTES = 32 * 2 ** 20     # clean-run states kept per sampler call
+REPLAY_BYTES = 64 * 2 ** 10         # one batch of replayed samples, cache-sized
+REPLAY_WINDOW = 4096                # erroneous samples sorted per replay
+MAX_SAMPLE_SHOTS = 2 ** 26          # samples x shots of one sampler call
 BOOTSTRAP = 200                     # resamplings behind the Monte Carlo CI
 _PAULI_CHOICES = ("X", "Y", "Z")
 
@@ -167,24 +178,57 @@ def success_probability(program, model: NoiseModel) -> float:
 # Statevector simulation
 # ---------------------------------------------------------------------------
 
-def _run(circuit: Circuit, psi: np.ndarray, start: int = 0,
-         errors: dict | None = None, keep: dict | None = None,
+def _run(circuit: Circuit, psi: np.ndarray, keep: dict | None = None,
          ops: list | None = None) -> np.ndarray:
-    """U |psi> for the gates from index `start` on, each preceded by its
-    entries of `errors` (see `_draw`); for every gate index that is a key of
-    `keep`, the state before that gate is stored there.  `ops`, if given,
-    holds what `gate_apply` applies in place of each gate (see `_kernels`).
-    `psi` is left unchanged."""
+    """U |psi>; for every gate index that is a key of `keep`, the state
+    before that gate is stored there.  `ops`, if given, holds what
+    `gate_apply` applies in place of each gate (see `_kernels`).  `psi` is
+    left unchanged."""
     n = circuit.num_qubits
-    errors = errors or {}
-    ops = ops or circuit.gates
-    for i in range(start, len(circuit.gates)):
+    for i, op in enumerate(ops or circuit.gates):
         if keep is not None and i in keep:
             keep[i] = psi
-        for e in errors.get(i, ()):
-            psi = gate_apply(psi, e, n)
-        psi = gate_apply(psi, ops[i], n)
+        psi = gate_apply(psi, op, n)
     return circuit.global_phase * psi
+
+
+def _replay(circuit: Circuit, ops: list, checkpoints: dict,
+            batch: list) -> np.ndarray:
+    """The final states of a batch of erroneous samples, one row each.
+
+    `batch` holds each sample's (checkpoint start, sample, errors), in
+    ascending start.  The rows form one sample-major (m, 2^n) array; a row
+    joins, a copy of `checkpoints[start]`, when the sweep reaches its start,
+    and gets its errors (see `_draw`) before the gate they precede.  Each
+    gate's kernel is then applied once to all joined rows, written into a
+    second buffer that swaps with the first (`circuit.gate_apply_rows`), so
+    every row holds the bits of simulating its noisy instance alone, gate
+    by gate through `gate_apply`."""
+    n = circuit.num_qubits
+    joins: dict = {}        # gate index -> number of rows joining there
+    pending: dict = {}      # gate index -> [(row, its errors before it)]
+    for r, (start, _, errors) in enumerate(batch):
+        joins[start] = joins.get(start, 0) + 1
+        for i, gates in errors.items():
+            pending.setdefault(i, []).append((r, gates))
+    cur = np.empty((len(batch), 2 ** n), dtype=complex)
+    nxt = np.empty_like(cur)
+    joined = 0
+    for i in range(batch[0][0], len(ops)):
+        if i in joins:
+            cur[joined:joined + joins[i]] = checkpoints[i]
+            joined += joins[i]
+            rows, out = cur[:joined], nxt[:joined]
+        for r, gates in pending.get(i, ()):
+            for e in gates:
+                cur[r] = gate_apply(cur[r], e, n)
+        op = ops[i]
+        if isinstance(op, Barrier):
+            continue
+        gate_apply_rows(rows, out,
+                        op if isinstance(op, Kernel) else gate_kernel(op, n), n)
+        cur, nxt, rows, out = nxt, cur, out, rows
+    return np.multiply(circuit.global_phase, cur, out=nxt)
 
 
 def _kernels(circuit: Circuit, room: int) -> list:
@@ -312,6 +356,10 @@ def monte_carlo_fidelity(program, input_circuit: Circuit, model: NoiseModel,
     if samples < 1 or shots < 1:
         raise InputError(f"Monte Carlo needs at least one sample and one "
                          f"shot, got {samples} samples of {shots} shots")
+    if samples * shots > MAX_SAMPLE_SHOTS:
+        # the call holds a double and an index per sample-shot
+        raise InputError(f"{samples} samples of {shots} shots are above the "
+                         f"Monte Carlo cap of {MAX_SAMPLE_SHOTS} sample-shots")
     circuit = _as_circuit(program)
     num_bits = input_circuit.num_qubits
     if circuit.num_qubits < num_bits:
@@ -330,7 +378,7 @@ def monte_carlo_fidelity(program, input_circuit: Circuit, model: NoiseModel,
     # the gates' kernels share the checkpoints' memory budget
     ops = _kernels(circuit, CHECKPOINT_BYTES - psi0.nbytes * len(checkpoints))
 
-    clean = _marginal(_run(circuit, psi0, keep=checkpoints, ops=ops), num_bits)
+    clean = _marginal(_run(circuit, psi0, checkpoints, ops), num_bits)
     clean_cdf = _cdf(clean)
     # a program that is the input itself (the input side of `pgmq simulate
     # --input`) has its clean run for the ideal: the same gates through the
@@ -339,15 +387,31 @@ def monte_carlo_fidelity(program, input_circuit: Circuit, model: NoiseModel,
     u = np.empty((samples, shots))
     drawn = np.empty((samples, shots), dtype=np.int64)
     error_free = np.ones(samples, dtype=bool)
+    # the erroneous samples are replayed REPLAY_WINDOW at a time, sorted by
+    # their checkpoint start so that each batch sweeps as few gates as it can
+    per_batch = max(1, REPLAY_BYTES // psi0.nbytes)
+    window: list = []
+
+    def replay():
+        window.sort(key=lambda entry: entry[0])
+        for b in range(0, len(window), per_batch):
+            batch = window[b:b + per_batch]
+            final = _replay(circuit, ops, checkpoints, batch)
+            for (_, k, _), psi in zip(batch, final):
+                drawn[k] = _cdf(_marginal(psi, num_bits)).searchsorted(
+                    u[k], side="right")
+        window.clear()
+
     for s, rng in enumerate(_substreams(seed, samples)):
         errors = _draw(slots, model, rng)
         rng.random(out=u[s])
         if errors:
             start = starts[bisect.bisect_right(starts, min(errors)) - 1]
-            psi = _run(circuit, checkpoints[start], start, errors, ops=ops)
-            drawn[s] = _cdf(_marginal(psi, num_bits)).searchsorted(
-                u[s], side="right")
+            window.append((start, s, errors))
             error_free[s] = False
+            if len(window) == REPLAY_WINDOW:
+                replay()
+    replay()
     drawn[error_free] = clean_cdf.searchsorted(u[error_free], side="right")
     del u
 

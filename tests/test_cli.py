@@ -288,6 +288,35 @@ def test_wide_program_refused_before_any_replay(tmp_path, capsys):
     assert captured.err.startswith("error: ") and "numQubits" in captured.err
 
 
+@pytest.mark.parametrize("command", ["simulate", "bench"])
+def test_sample_shots_above_the_cap_exit_2(qasm_dir, tmp_path, capsys,
+                                            command):
+    # 2^20 samples of 2^10 shots would hold 16 GiB of shots: refused as
+    # one line naming both flags before any file is read, where bench used
+    # to skip every file with the sampler's message
+    import tracemalloc
+    from pgmq.noise import MAX_SAMPLE_SHOTS
+    prog = tmp_path / "bell.json"
+    assert main(["compile", str(qasm_dir / "bell.qasm"),
+                 "--out", str(prog)]) == 0
+    capsys.readouterr()
+    target = str(prog) if command == "simulate" else str(qasm_dir)
+    samples, shots = 2 ** 20, 2 ** 10
+    assert samples * shots > MAX_SAMPLE_SHOTS >= 12000 * 200 * 16
+    tracemalloc.start()
+    try:
+        assert main([command, target, "--samples", str(samples),
+                     "--shots", str(shots)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
+    assert "--samples" in captured.err and "--shots" in captured.err
+
+
 @pytest.mark.parametrize("measures, want", [
     # one qubit into two bits: both bits are kept
     ("measure q[0] -> c[0];\nmeasure q[0] -> c[1];\n", [[0, 0], [0, 1]]),

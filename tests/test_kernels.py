@@ -6,7 +6,8 @@ on random gates at widths 1-9, the top qubit (where an ancilla sits)
 included, on state vectors and on unitaries.  `to_unitary`, which also
 fuses runs of one-qubit gates, is compared with a product built from
 `apply_local` alone, so a kernel bug cannot hide behind an oracle that
-shares it.
+shares it.  The batched applier `gate_apply_rows` is compared with
+`gate_apply` on each row alone, bit for bit.
 """
 
 import itertools
@@ -16,8 +17,8 @@ import pytest
 from scipy.stats import unitary_group
 
 from pgmq.circuit import (Circuit, GeneralizedCnot, SingleQubit, ZzRotation,
-                          apply_local, cnot, gate_apply, gate_kernel,
-                          to_unitary)
+                          apply_local, cnot, gate_apply, gate_apply_rows,
+                          gate_kernel, to_unitary)
 from pgmq.cost import ANCILLA_MERGED
 from pgmq.gadgets import MultiQubitGate, PhaseGadget
 from pgmq.passes import CompileOptions, optimize
@@ -97,6 +98,46 @@ def test_one_qubit_kernel_covers_every_shape(rng):
         for mat in (psi, u, np.eye(2 ** n, dtype=complex)):
             got = gate_apply(mat, g, n)
             assert np.max(np.abs(got - _reference(mat, g, n))) <= TOL
+
+
+def _row_gates(n: int, rng) -> list:
+    """A gate of each kernel kind on an n-qubit register: a one-qubit gate
+    on every wire, and for n >= 2 a ZZ rotation and a multiqubit gate
+    (phase), canonical CNOTs (permutation) and a non-canonical CNOT
+    (dense local), each touching the top qubit."""
+    gates = [SingleQubit(q, unitary_group.rvs(2, random_state=rng))
+             for q in range(n)]
+    if n < 2:
+        return gates + [MultiQubitGate({})]
+    top = n - 1
+    pairs = {(a, b): float(rng.uniform(-2, 2))
+             for a, b in itertools.combinations(range(n), 2)}
+    return gates + [ZzRotation(float(rng.uniform(-2, 2)), 0, top),
+                    MultiQubitGate(pairs), cnot(0, top), cnot(top, 0),
+                    GeneralizedCnot("X", top, "Y", 0)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_batched_rows_equal_gate_apply_on_each_row(n, rng):
+    # prefixes of one buffer, as the sampler's replay passes them; the
+    # first row is a basis state, whose zeros keep their signs only if
+    # every row gets the single-vector arithmetic
+    dim = 2 ** n
+    rows = rng.normal(size=(5, dim)) + 1j * rng.normal(size=(5, dim))
+    rows[0] = 0.0
+    rows[0, dim - 1] = 1.0
+    kinds = set()
+    for gate in _row_gates(n, rng):
+        kernel = gate_kernel(gate, n)
+        kinds.add(kernel.kind)
+        want = [gate_apply(row, gate, n).tobytes() for row in rows]
+        for m in range(1, 6):
+            out = np.full_like(rows, np.nan)
+            gate_apply_rows(rows[:m], out[:m], kernel, n)
+            assert [row.tobytes() for row in out[:m]] == want[:m], (n, m, gate)
+            assert np.isnan(out[m:]).all()
+    want = {"one-qubit", "phase"} | ({"permute", "local"} if n > 1 else set())
+    assert kinds == want
 
 
 def _apply_local_unitary(circuit: Circuit) -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 from pgmq import noise
 from pgmq.circuit import (Circuit, InputError, Kernel, SingleQubit,
                           ZzRotation, cnot, hadamard, pauli_gate)
-from pgmq.cost import ANCILLA_MERGED
+from pgmq.cost import ANCILLA_MERGED, AUTO
 from pgmq.gadgets import MultiQubitGate
 from pgmq.noise import (BOOTSTRAP, MonteCarloResult, NoiseModel,
                         _checkpoint_sites, _draw, _noise_sites,
@@ -476,6 +476,99 @@ def test_monte_carlo_builds_kernels_within_the_budget(monkeypatch):
     assert held and len(held) < len(ops)
     assert sum(k.table.nbytes for k in held) <= 2 * state
     _assert_resimulated(circuit, input_circuit, NoiseModel(0.1, 0.1, seed=5))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["measured-input", "ancilla-program"])
+def test_replay_batches_equal_full_resimulation(monkeypatch, kind, rows):
+    # batches of one to three sample rows, and windows of every size from
+    # one erroneous sample up: each batch sweeps from its earliest start
+    # and the later rows join on the way, with the bits of replaying every
+    # sample alone
+    if kind == "measured-input":
+        circuit = input_circuit = parse_qasm(MEASURED_BELL)
+    else:
+        circuit, input_circuit = _ancilla_program()
+    monkeypatch.setattr(noise, "REPLAY_BYTES",
+                        rows * 16 * 2 ** circuit.num_qubits)
+    for window in (1, 5, noise.REPLAY_WINDOW):
+        monkeypatch.setattr(noise, "REPLAY_WINDOW", window)
+        _assert_resimulated(circuit, input_circuit,
+                            NoiseModel(0.1, 0.1, seed=rows))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 64])
+def test_replayed_states_are_full_simulations(monkeypatch, rows):
+    # each replayed final state, byte for byte, against simulating its
+    # noisy instance from |0...0>: the fidelity sees the states only
+    # through the shots' search in their distributions, which a change in
+    # the last bits rarely moves
+    circuit, input_circuit = _ancilla_program()
+    model = NoiseModel(0.1, 0.1, seed=7)
+    monkeypatch.setattr(noise, "REPLAY_BYTES",
+                        rows * 16 * 2 ** circuit.num_qubits)
+    replayed = {}
+    real = noise._replay
+
+    def spy(circuit, ops, checkpoints, batch):
+        final = real(circuit, ops, checkpoints, batch)
+        replayed.update((s, psi.tobytes()) for (_, s, _), psi
+                        in zip(batch, final))
+        return final
+
+    monkeypatch.setattr(noise, "_replay", spy)
+    monte_carlo_fidelity(circuit, input_circuit, model, samples=40, shots=3)
+    assert 20 < len(replayed) < 40
+    for s, got in replayed.items():
+        noisy = inject_noise(circuit, model, _substream(model.seed, s))
+        assert got == statevector(noisy).tobytes(), s
+
+
+@pytest.mark.parametrize("scheme", [AUTO, ANCILLA_MERGED])
+def test_benchmark_program_equals_full_resimulation(scheme):
+    # the sampler benchmark's own circuit at its high error rate, compiled
+    # under auto and forced onto the ancilla
+    from pathlib import Path
+    from pgmq.qasm import parse_qasm_file
+    root = Path(__file__).resolve().parent.parent
+    c = parse_qasm_file(root / "benchmarks" / "qaoa_n6.qasm")
+    realized = optimize(c, CompileOptions(scheme=scheme)).realized_circuit()
+    _assert_resimulated(realized, c, NoiseModel(2e-2, 2e-2, seed=1))
+
+
+def test_replay_batches_fit_the_budget(monkeypatch):
+    # nearly all 200 samples of a 10-qubit chain err: replayed together,
+    # their two row buffers would take 6.4 MB; under a 64 KiB budget a
+    # batch holds four rows, and the call's peak stays near its other
+    # budgets (1 MB of checkpoints and kernels, and the bootstrap chunk)
+    from conftest import chain_circuit
+    c = chain_circuit(10, steps=1)
+    model = NoiseModel(0.3, 0.3, seed=2)
+    monkeypatch.setattr(noise, "CHECKPOINT_BYTES", 2 ** 20)
+    monkeypatch.setattr(noise, "REPLAY_BYTES", 2 ** 16)
+    monte_carlo_fidelity(c, c, model, samples=1, shots=2)   # first-call costs
+    tracemalloc.start()
+    try:
+        monte_carlo_fidelity(c, c, model, samples=200, shots=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
+
+
+def test_monte_carlo_refuses_sample_shots_above_the_cap():
+    # the call holds 16 bytes per sample-shot: above the cap it is refused
+    # before any of them is allocated; at the cap it would proceed
+    samples, shots = noise.MAX_SAMPLE_SHOTS // 4 + 1, 4
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="above the Monte Carlo cap"):
+            monte_carlo_fidelity(bell(), bell(), NoiseModel(),
+                                 samples=samples, shots=shots)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_monte_carlo_mismatched_register_rejected():
