@@ -30,6 +30,7 @@ ZZ = np.kron(PAULI["Z"], PAULI["Z"])
 ZZ.setflags(write=False)
 
 DEFAULT_ORACLE_CAP = 10
+STATEVECTOR_CAP = 16    # the widest register the statevector paths accept
 
 
 class CircuitError(Exception):
@@ -135,9 +136,25 @@ class ZzRotation:
 
     def diagonal(self, n: int) -> np.ndarray:
         """The gate's diagonal over an n-qubit register."""
-        x = np.arange(2 ** n)
-        z = 1 - 2 * (((x >> self.qubit_a) ^ (x >> self.qubit_b)) & 1)
+        z = qubit_signs(n, self.qubit_a) * qubit_signs(n, self.qubit_b)
         return np.cos(self.theta) + 1j * np.sin(self.theta) * z
+
+
+_SIGNS: dict = {}   # (n, q) -> qubit_signs(n, q), for n <= STATEVECTOR_CAP
+
+
+def qubit_signs(n: int, q: int) -> np.ndarray:
+    """(-1)^(bit q of x) for every basis index x of an n-qubit register, as
+    a read-only int8 vector, built once per (n, q) up to STATEVECTOR_CAP
+    wires (at most 64 KiB each).  Products of these signs are exact, so a
+    diagonal built from them has the bits of one built from the indices."""
+    signs = _SIGNS.get((n, q))
+    if signs is None:
+        signs = (1 - 2 * ((np.arange(2 ** n) >> q) & 1)).astype(np.int8)
+        signs.setflags(write=False)
+        if n <= STATEVECTOR_CAP:
+            _SIGNS[n, q] = signs
+    return signs
 
 
 @dataclass(eq=False)
@@ -328,28 +345,231 @@ def gate_apply_rows(rows: np.ndarray, out: np.ndarray, kernel: Kernel,
             dst[...] = apply_local(row, table, qubits, n)
 
 
+# wires per fused block of pending 2x2s: at 9 qubits one 8x8 matmul pass
+# costs about 1.3 one-wire passes, a 16x16 one about 1.9
+_CHUNK = 3
+
+
+def _kron(factors: list) -> np.ndarray:
+    """np.kron of the factors, the first one most significant, as a new
+    array.  The two halves are built first, so that the last product's
+    inner loop runs over half the wires, not one."""
+    mid = len(factors) // 2
+    if mid == 0:
+        # one factor, or none for a register of no qubits
+        return factors[0].copy() if factors else np.ones((1, 1), complex)
+    a = factors[0] if mid == 1 else _kron(factors[:mid])
+    b = factors[-1] if len(factors) == mid + 1 else _kron(factors[mid:])
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], -1)
+
+
+def _after(g: tuple, w: tuple) -> tuple:
+    """The monomial g applied after w.  A monomial (perm, phase) maps row y
+    to phase[y] * row perm[y], None standing for the identity part, so the
+    product has perm w_perm[g_perm] and phase g_phase * w_phase[g_perm]."""
+    g_perm, g_phase = g
+    perm, phase = w
+    if g_perm is not None:
+        perm = g_perm if perm is None else perm[g_perm]
+        if phase is not None:
+            phase = phase[g_perm]
+    if g_phase is not None:
+        phase = g_phase if phase is None else g_phase * phase
+    return perm, phase
+
+
+def _controlled_pauli(gate: GeneralizedCnot, n: int) -> tuple:
+    """The monomial (perm, phase) of C_{Z_c ^ Q_t}, which applies the Pauli
+    Q to the target where the control bit is 1: a CNOT (X) permutes rows,
+    a CZ (Z) flips signs, and Y = [[0, -i], [i, 0]] does both."""
+    x = np.arange(2 ** n)
+    c = (x >> gate.control) & 1
+    t = (x >> gate.target) & 1
+    if gate.target_axis == "Z":
+        return None, 1.0 - 2.0 * (c & t)
+    perm = x ^ (c << gate.target)
+    if gate.target_axis == "X":
+        return perm, None
+    return perm, np.where(c == 1, np.where(t == 1, 1j, -1j), 1.0)
+
+
+class _FusedProduct:
+    """The state of `apply_unitary`: the product so far, then each wire's
+    pending 2x2, then one pending monomial, in time order.  While the
+    product is still a monomial (`columns` an int), it is kept as one."""
+
+    def __init__(self, n: int, columns: np.ndarray | int):
+        self.n = n
+        self.columns = columns
+        self.mat = None if isinstance(columns, int) else columns
+        self.start = (None, None)   # the product while `mat` is None
+        self.local: dict[int, np.ndarray] = {}
+        self.after = (None, None)
+        self.touched = 0            # bitmask of the pending monomial's wires
+
+    def one_qubit(self, g: SingleQubit) -> None:
+        # a 2x2 after the monomial on one of its wires does not commute
+        # with it; on any other wire it does, and joins the wire's product
+        if self.touched >> g.qubit & 1:
+            self.flush(self.touched)
+        prev = self.local.get(g.qubit)
+        self.local[g.qubit] = g.matrix if prev is None else g.matrix @ prev
+
+    def monomial(self, g: tuple, wires: int) -> None:
+        self.after = _after(g, self.after)
+        self.touched |= wires
+
+    def dense(self, kernel: Kernel, wires: int) -> None:
+        self.flush(self.touched | wires)
+        if self.mat is None:
+            self.mat = self._start_product()
+        self.mat = gate_apply(self.mat, kernel, self.n)
+
+    def flush(self, wires: int) -> None:
+        """Apply the pending 2x2s of `wires` (bitmask), then the monomial."""
+        mine = [q for q in self.local if wires >> q & 1]
+        if self.mat is None:
+            if mine:
+                self.mat = self._start_product()
+            else:
+                self.start = _after(self.after, self.start)
+        else:
+            self._apply_locals(mine)
+            perm, phase = self.after
+            if perm is not None:
+                self.mat = self.mat[perm]
+            if phase is not None:
+                if self.mat is self.columns:
+                    self.mat = self.mat * phase[:, None]
+                else:
+                    self.mat *= phase[:, None]
+        self.after = (None, None)
+        self.touched = 0
+
+    def result(self, global_phase: complex) -> np.ndarray:
+        if global_phase != 1:
+            self.after = _after((None, np.full(2 ** self.n, global_phase)),
+                                self.after)
+        self.flush(-1)
+        return self._start_product() if self.mat is None else self.mat
+
+    def _factors(self, lo: int, hi: int, cols: int) -> list:
+        """Kronecker factors of wires hi-1 .. lo: each pending 2x2, popped,
+        and one identity per run of wires without one; each keeps its first
+        `cols` columns per wire (1 for a wire whose input is |0>)."""
+        factors, run = [], 0
+        for q in range(hi - 1, lo - 1, -1):
+            f = self.local.pop(q, None)
+            if f is None:
+                run += 1
+                continue
+            if run:
+                factors.append(np.eye(2 ** run, cols ** run, dtype=complex))
+                run = 0
+            factors.append(f[:, :cols])
+        if run:
+            factors.append(np.eye(2 ** run, cols ** run, dtype=complex))
+        return factors
+
+    def _apply_locals(self, wires: list) -> None:
+        """Apply the pending 2x2s of `wires` to the product, those of up to
+        _CHUNK adjacent wires as one Kronecker block per matmul (a wire in a
+        block with no 2x2 takes the identity; one whose 2x2 is off `wires`
+        commutes with the monomial and is applied too).  Each matmul
+        replaces the product, so that no more than two are held."""
+        n = self.n
+        wires = sorted(wires)
+        i = 0
+        while i < len(wires):
+            lo, j = wires[i], i + 1
+            while j < len(wires) and wires[j] < lo + _CHUNK:
+                j += 1
+            hi = wires[j - 1] + 1
+            block = self.local.pop(lo) if hi == lo + 1 \
+                else _kron(self._factors(lo, hi, 2))
+            view = self.mat.reshape(2 ** (n - hi), 2 ** (hi - lo), -1)
+            self.mat = np.matmul(block, view).reshape(self.mat.shape)
+            i = j
+
+    def _start_product(self) -> np.ndarray:
+        """after . kron(every pending 2x2) . start, on the first 2^m
+        columns: the Kronecker product (the identity if no 2x2 is pending)
+        with its rows permuted and scaled by the monomial after it and its
+        columns by the one before."""
+        n, m = self.n, self.columns
+        perm, phase = self.after
+        start_perm, start_phase = self.start
+        top = m     # wires from here up start in |0>: one column each
+        cols = None
+        if start_perm is not None:
+            # column x of the product is column inverse[x] of the kron
+            cols = np.empty_like(start_perm)
+            cols[start_perm] = np.arange(start_perm.size)
+            cols = cols[:2 ** m]
+            if m < n and int(cols.max()) >= 2 ** m:
+                top = n
+        mat = _kron(self._factors(top, n, 1) + self._factors(0, top, 2))
+        if cols is not None:
+            mat = mat[:, cols] if perm is None else mat[np.ix_(perm, cols)]
+        elif perm is not None:
+            mat = mat[perm]
+        if phase is not None:
+            mat *= phase[:, None]
+        if start_phase is not None:
+            mat *= start_phase[:2 ** m] if cols is None else start_phase[cols]
+        return mat
+
+
+def apply_unitary(circuit: Circuit, columns: np.ndarray | int) -> np.ndarray:
+    """The circuit's unitary (global phase included) times a block of
+    columns: a 2^N x k array, left unchanged, or an int m standing for the
+    first 2^m columns of the identity (the basis states of the low m wires,
+    the other wires in |0>).
+
+    Gates are fused, not applied one by one.  Each wire's one-qubit gates
+    multiply into one pending 2x2.  Every run of CNOTs with a Z control
+    (the canonical CNOT, CZ and the Z-Y form) and diagonal gates
+    (`ZzRotation`, `MultiQubitGate`) composes into one pending monomial, a
+    row permutation times a phase vector, by index arithmetic on
+    2^N-vectors.  A one-qubit gate on a wire the monomial
+    touches flushes the monomial's wires' 2x2s (`_CHUNK` adjacent wires per
+    matmul) and then the monomial (one gather and one scaling of the rows);
+    any other gate flushes those and its own wires' and is applied through
+    `gate_apply`.  While the product is still the identity or a monomial
+    (`columns` an int), the first flush that holds a 2x2 is one Kronecker
+    product of every pending 2x2, with its rows permuted and scaled by the
+    monomial after it and its columns by the one before."""
+    n = circuit.num_qubits
+    product = _FusedProduct(n, columns)
+    for g in circuit.gates:
+        if isinstance(g, SingleQubit):
+            product.one_qubit(g)
+            continue
+        if isinstance(g, Barrier):
+            continue
+        wires = 0
+        for q in g.qubits:
+            wires |= 1 << q
+        if isinstance(g, GeneralizedCnot) and g.control_axis == "Z":
+            product.monomial(_controlled_pauli(g, n), wires)
+            continue
+        kernel = gate_kernel(g, n)
+        if kernel.kind == PHASE:
+            product.monomial((None, kernel.table), wires)
+        else:
+            product.dense(kernel, wires)
+    return product.result(circuit.global_phase)
+
+
 def to_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense 2^N x 2^N unitary of the circuit (leftmost gate applied first).
-    The one-qubit gates on a wire between two gates that touch it are
-    multiplied into one 2x2 before they are applied."""
+    """Dense 2^N x 2^N unitary of the circuit (leftmost gate applied first),
+    from the fused oracle `apply_unitary`."""
     n = circuit.num_qubits
     if n > DEFAULT_ORACLE_CAP:
         raise CircuitError(f"register too large for dense oracle "
                            f"({n} > {DEFAULT_ORACLE_CAP})")
-    u = np.eye(2 ** n, dtype=complex)
-    pending: dict[int, np.ndarray] = {}     # wire -> product of its locals
-    for g in circuit.gates:
-        if isinstance(g, SingleQubit):
-            prev = pending.get(g.qubit)
-            pending[g.qubit] = g.matrix if prev is None else g.matrix @ prev
-            continue
-        for q in g.qubits:
-            if q in pending:
-                u = gate_apply(u, Kernel(ONE_QUBIT, pending.pop(q), (q,)), n)
-        u = gate_apply(u, g, n)
-    for q, m in pending.items():
-        u = gate_apply(u, Kernel(ONE_QUBIT, m, (q,)), n)
-    return circuit.global_phase * u
+    return apply_unitary(circuit, n)
 
 
 def phase_distance(a: np.ndarray, b: np.ndarray) -> float:

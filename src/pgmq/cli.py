@@ -19,11 +19,11 @@ import numpy as np
 
 from . import __version__
 from .circuit import (DEFAULT_ORACLE_CAP, Circuit, CircuitError, InputError,
-                      phase_distance)
+                      apply_unitary, phase_distance)
 from .cost import ANCILLA_MERGED, AUTO, NO_ANCILLA, metrics
 from .noise import (MAX_SAMPLE_SHOTS, STATEVECTOR_CAP, NoiseModel,
-                    apply_circuit, check_simulable, monte_carlo_fidelity,
-                    relative_error, success_probability)
+                    check_simulable, monte_carlo_fidelity, relative_error,
+                    success_probability)
 from .passes import CompileOptions, CompiledProgram, optimize
 from .qasm import QasmError, parse_qasm_file
 from .serialize import dumps as program_dumps, load as program_load
@@ -121,16 +121,17 @@ def _verify_program(prog: CompiledProgram, circuit: Circuit, cap: int,
     check_simulable(realized.num_qubits)
     dim = 2 ** circuit.num_qubits
     if circuit.num_qubits <= cap:
-        cols = np.eye(dim, dtype=complex)
+        # the basis states of the source's wires, the ancilla in |0>
+        cols = full = circuit.num_qubits
     else:
         rng = np.random.default_rng(seed)
         cols = rng.normal(size=(dim, 20)) + 1j * rng.normal(size=(dim, 20))
         cols /= np.linalg.norm(cols, axis=0)
-    # the ancilla is the highest qubit: its |0> block is the first rows
-    full = np.zeros((2 ** realized.num_qubits, cols.shape[1]), dtype=complex)
-    full[:dim] = cols
-    out = apply_circuit(realized, full)
-    err = phase_distance(apply_circuit(circuit, cols), out[:dim])
+        # the ancilla is the highest qubit: its |0> block is the first rows
+        full = np.zeros((2 ** realized.num_qubits, 20), dtype=complex)
+        full[:dim] = cols
+    out = apply_unitary(realized, full)
+    err = phase_distance(apply_unitary(circuit, cols), out[:dim])
     leak = float(np.max(np.abs(out[dim:]), initial=0.0))
     return err <= VERIFY_TOL and leak <= LEAK_TOL, err, leak
 

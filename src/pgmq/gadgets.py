@@ -56,6 +56,7 @@ from .circuit import (
     GeneralizedCnot,
     SingleQubit,
     pauli_gate,
+    qubit_signs,
 )
 
 _LETTERS = "IXZY"
@@ -194,12 +195,9 @@ class MultiQubitGate:
             n, pos = len(qs), {q: i for i, q in enumerate(qs)}
         else:
             pos = {q: q for q in qs}
-        x = np.arange(2 ** n)
-        diag = np.zeros(x.size)
+        diag = np.zeros(2 ** n)
         for (a, b), th in self.pairs.items():
-            sa = 1 - 2 * ((x >> pos[a]) & 1)
-            sb = 1 - 2 * ((x >> pos[b]) & 1)
-            diag += th * sa * sb
+            diag += th * qubit_signs(n, pos[a]) * qubit_signs(n, pos[b])
         return np.exp(1j * diag)
 
     def local_unitary(self) -> np.ndarray:

@@ -51,11 +51,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import (Barrier, Circuit, InputError, Kernel, gate_apply,
-                      gate_apply_rows, gate_kernel, pauli_gate)
+from .circuit import (STATEVECTOR_CAP, Barrier, Circuit, InputError, Kernel,
+                      gate_apply, gate_apply_rows, gate_kernel, pauli_gate)
 from .cost import FULL_TQ_PHASE, gate_norm
 
-STATEVECTOR_CAP = 16
 CHECKPOINT_BYTES = 32 * 2 ** 20     # clean-run states kept per sampler call
 REPLAY_BYTES = 64 * 2 ** 10         # one batch of replayed samples, cache-sized
 REPLAY_WINDOW = 4096                # erroneous samples sorted per replay
@@ -248,12 +247,6 @@ def _kernels(circuit: Circuit, room: int) -> list:
     return ops
 
 
-def apply_circuit(circuit: Circuit, psi: np.ndarray) -> np.ndarray:
-    """U |psi> for the circuit's unitary U (gates applied in time order,
-    barriers skipped); `psi` is left unchanged."""
-    return _run(circuit, psi)
-
-
 def check_simulable(n: int) -> None:
     """Refuse an n-qubit register (any ancilla included) wider than
     STATEVECTOR_CAP: the width comes from the user's input."""
@@ -270,8 +263,9 @@ def _zero_state(n: int) -> np.ndarray:
 
 
 def statevector(circuit: Circuit) -> np.ndarray:
-    """Final state |psi> = U |0...0> (gates applied in time order)."""
-    return apply_circuit(circuit, _zero_state(circuit.num_qubits))
+    """Final state |psi> = U |0...0>, the gates applied one by one in time
+    order (the sampler's arithmetic, not the dense oracle's fused one)."""
+    return _run(circuit, _zero_state(circuit.num_qubits))
 
 
 def _marginal(psi: np.ndarray, num_bits: int) -> np.ndarray:

@@ -177,6 +177,37 @@ def test_verify_checks_realized_circuit(qasm_dir, tmp_path, capsys,
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("scheme", ["auto", "no-ancilla", "ancilla-merged"])
+def test_verify_passes_on_corpus_under_every_scheme(tmp_path, capsys, scheme):
+    # every corpus program on the dense identity columns and, with the
+    # oracle cap at 0, on the random states; one gadget nudged fails both
+    from pgmq.passes import CompileOptions
+    from pgmq.qasm import parse_qasm_file
+    opts = CompileOptions(scheme=scheme)
+    bench = Path(__file__).resolve().parent.parent / "benchmarks"
+    sources = sorted(bench.glob("*.qasm"))
+    assert len(sources) == 12
+    for src in sources:
+        out = tmp_path / f"{src.stem}.json"
+        doc = serialize.dumps(optimize(parse_qasm_file(src), opts))
+        out.write_text(doc)
+        for cap in ("10", "0"):
+            assert main(["verify", str(out), str(src), "--oracle-cap",
+                         cap]) == 0, (src.name, cap)
+            assert capsys.readouterr().out.startswith("PASS")
+        tampered = json.loads(doc)
+        gadget = next((g for g in tampered["body"] if g["type"] == "gadget"),
+                      None)
+        if gadget is None:
+            continue
+        gadget["alpha"] += 0.05
+        out.write_text(json.dumps(tampered))
+        for cap in ("10", "0"):
+            assert main(["verify", str(out), str(src), "--oracle-cap",
+                         cap]) == 1, (src.name, cap)
+            assert capsys.readouterr().out.startswith("FAIL")
+
+
 def _width_mismatch_exit_2(qasm_dir, tmp_path, capsys, program_src, source,
                            argv):
     out = tmp_path / "p.json"

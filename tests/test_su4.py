@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -170,6 +171,19 @@ def test_minimize_block_phase_matches_full_assembly(rng):
         for pair in ((0, 1), (2, 5)):
             assert_same_block(minimize_one(u, pair), _reference_block(u, pair),
                               f"input {i} on {pair}")
+
+
+def test_word_adjoints_bytes_are_pinned():
+    # the completions' adjoints come from the dense oracle and feed every
+    # block pass, so their bytes (zero signs included) are program bytes
+    assert hashlib.sha256(_WORD_ADJOINTS.tobytes()).hexdigest() == \
+        "7b340cc8402195f7b3899eb915fef7c28e6ded88667ac39cc03665f564db7407"
+    for word, adjoint in zip(_WORDS, _WORD_ADJOINTS):
+        u = np.eye(4, dtype=complex)
+        for c, t in word:
+            x = np.arange(4)
+            u = u[x ^ (((x >> c) & 1) << t)]
+        assert adjoint.tobytes() == u.conj().T.tobytes()
 
 
 def test_spectral_score_is_reduced_kak_phase(rng):
