@@ -288,14 +288,19 @@ class Kernel(NamedTuple):
 
 def gate_kernel(gate, n: int) -> Kernel:
     """The kernel of one gate on an n-qubit register: a diagonal gate
-    (`ZzRotation`, `MultiQubitGate`) is its phase vector over the register, a
-    canonical CNOT a permutation of the rows, a one-qubit gate its 2x2 on one
-    wire, and any other gate its dense local operator (`apply_local`)."""
+    (`ZzRotation`, `MultiQubitGate`) and a CZ (a CNOT with Z control and
+    Z target) are their phase vector over the register, a canonical CNOT a
+    permutation of the rows, a one-qubit gate its 2x2 on one wire, and any
+    other gate its dense local operator (`apply_local`)."""
     if isinstance(gate, SingleQubit):
         return Kernel(ONE_QUBIT, gate.matrix, (gate.qubit,))
-    if isinstance(gate, GeneralizedCnot) and gate.is_canonical:
+    if isinstance(gate, GeneralizedCnot) and gate.control_axis == "Z":
         x = np.arange(2 ** n)
-        return Kernel(PERMUTE, x ^ (((x >> gate.control) & 1) << gate.target))
+        c = (x >> gate.control) & 1
+        if gate.target_axis == "X":
+            return Kernel(PERMUTE, x ^ (c << gate.target))
+        if gate.target_axis == "Z":
+            return Kernel(PHASE, 1.0 - 2.0 * (c & (x >> gate.target)))
     if hasattr(gate, "diagonal"):
         return Kernel(PHASE, gate.diagonal(n))
     return Kernel(LOCAL, gate.local_unitary(), gate.qubits)
@@ -323,8 +328,9 @@ def gate_apply(mat: np.ndarray, gate, n: int) -> np.ndarray:
 def gate_apply_rows(rows: np.ndarray, out: np.ndarray, kernel: Kernel,
                     n: int) -> None:
     """Write `kernel` applied to each row of `rows`, a sample-major
-    (m, 2^n) batch of state vectors, into `out` (same shape, C-contiguous,
-    not overlapping `rows`), bit for bit `gate_apply` on each row alone.
+    (m, 2^n) batch of state vectors or one state vector, into `out` (same
+    shape, C-contiguous, not overlapping `rows`), bit for bit `gate_apply`
+    on each row alone.
 
     The batch is sample-major so that every kind applies a row's
     single-vector arithmetic: the phase vector and the permutation run
@@ -341,7 +347,8 @@ def gate_apply_rows(rows: np.ndarray, out: np.ndarray, kernel: Kernel,
         shape = (-1, 2, 2 ** qubits[0])
         np.matmul(table, rows.reshape(shape), out=out.reshape(shape))
     else:
-        for row, dst in zip(rows, out):
+        shape = (-1, 2 ** n)
+        for row, dst in zip(rows.reshape(shape), out.reshape(shape)):
             dst[...] = apply_local(row, table, qubits, n)
 
 
@@ -377,21 +384,6 @@ def _after(g: tuple, w: tuple) -> tuple:
     if g_phase is not None:
         phase = g_phase if phase is None else g_phase * phase
     return perm, phase
-
-
-def _controlled_pauli(gate: GeneralizedCnot, n: int) -> tuple:
-    """The monomial (perm, phase) of C_{Z_c ^ Q_t}, which applies the Pauli
-    Q to the target where the control bit is 1: a CNOT (X) permutes rows,
-    a CZ (Z) flips signs, and Y = [[0, -i], [i, 0]] does both."""
-    x = np.arange(2 ** n)
-    c = (x >> gate.control) & 1
-    t = (x >> gate.target) & 1
-    if gate.target_axis == "Z":
-        return None, 1.0 - 2.0 * (c & t)
-    perm = x ^ (c << gate.target)
-    if gate.target_axis == "X":
-        return perm, None
-    return perm, np.where(c == 1, np.where(t == 1, 1j, -1j), 1.0)
 
 
 class _FusedProduct:
@@ -528,18 +520,18 @@ def apply_unitary(circuit: Circuit, columns: np.ndarray | int) -> np.ndarray:
     the other wires in |0>).
 
     Gates are fused, not applied one by one.  Each wire's one-qubit gates
-    multiply into one pending 2x2.  Every run of CNOTs with a Z control
-    (the canonical CNOT, CZ and the Z-Y form) and diagonal gates
-    (`ZzRotation`, `MultiQubitGate`) composes into one pending monomial, a
-    row permutation times a phase vector, by index arithmetic on
-    2^N-vectors.  A one-qubit gate on a wire the monomial
-    touches flushes the monomial's wires' 2x2s (`_CHUNK` adjacent wires per
-    matmul) and then the monomial (one gather and one scaling of the rows);
-    any other gate flushes those and its own wires' and is applied through
-    `gate_apply`.  While the product is still the identity or a monomial
-    (`columns` an int), the first flush that holds a 2x2 is one Kronecker
-    product of every pending 2x2, with its rows permuted and scaled by the
-    monomial after it and its columns by the one before."""
+    multiply into one pending 2x2.  Every run of the other gates whose
+    kernel (`gate_kernel`) is PHASE or PERMUTE (diagonal gates, CZs and
+    canonical CNOTs) composes into one pending monomial, a row permutation
+    times a phase vector, by index arithmetic on 2^N-vectors.  A one-qubit
+    gate on a wire the monomial touches flushes the monomial's wires' 2x2s
+    (`_CHUNK` adjacent wires per matmul) and then the monomial (one gather
+    and one scaling of the rows); any other gate flushes those and its own
+    wires' and is applied through `gate_apply`.  While the product is still
+    the identity or a monomial (`columns` an int), the first flush that
+    holds a 2x2 is one Kronecker product of every pending 2x2, with its
+    rows permuted and scaled by the monomial after it and its columns by
+    the one before."""
     n = circuit.num_qubits
     product = _FusedProduct(n, columns)
     for g in circuit.gates:
@@ -548,15 +540,14 @@ def apply_unitary(circuit: Circuit, columns: np.ndarray | int) -> np.ndarray:
             continue
         if isinstance(g, Barrier):
             continue
+        kernel = gate_kernel(g, n)
         wires = 0
         for q in g.qubits:
             wires |= 1 << q
-        if isinstance(g, GeneralizedCnot) and g.control_axis == "Z":
-            product.monomial(_controlled_pauli(g, n), wires)
-            continue
-        kernel = gate_kernel(g, n)
         if kernel.kind == PHASE:
             product.monomial((None, kernel.table), wires)
+        elif kernel.kind == PERMUTE:
+            product.monomial((kernel.table, None), wires)
         else:
             product.dense(kernel, wires)
     return product.result(circuit.global_phase)

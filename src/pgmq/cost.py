@@ -55,8 +55,8 @@ One emitter, `_emit`, builds the native-gate `Circuit` (locals plus
 MultiQubitGate) from either scheme's steps, only for the scheme that runs:
 `realize` plans with steps, picks, then emits once.  Fanouts come from
 `gadgets.fanout` and are fused by `gadgets.fanout_to_mq`; interfaces by
-`gadgets.merge_interface`.  The baseline merge takes its layer norms from
-the same table.
+`gadgets.merge_interface`.  The baseline merge needs no table: its layers
+hold vertex-disjoint pairs, so each norm is a sum of |theta|.
 """
 
 from __future__ import annotations
@@ -403,39 +403,30 @@ def sequence_costs(gadget_lists: list, num_qubits: int,
 def baseline_parallel_merge(circuit: Circuit) -> tuple[int, float]:
     """Fuse only trivially parallel entangling gates (disjoint supports, no
     intervening single-qubit gate) into shared multiqubit gates; returns the
-    resulting (gate count, total nuclear norm)."""
-    layers: list[dict] = []
+    resulting (gate count, total nuclear norm).
+
+    A layer is flushed when a gate touches one of its qubits, so its pairs
+    are vertex-disjoint and its phase matrix block-diagonal: its nuclear
+    norm is the sum of |theta| over its pairs that survive
+    MultiQubitGate's zero-drop, in gate order, and the total is the sum of
+    the layers' norms in layer order."""
+    norms: list[float] = []
     support: set[int] = set()
-    pairs: dict = {}
-
-    def flush():
-        nonlocal pairs, support
-        if pairs:
-            layers.append(pairs)
-        pairs, support = {}, set()
-
     for g in circuit.gates:
+        if support.intersection(g.qubits):
+            support = set()
         if isinstance(g, ZzRotation):
             theta = g.theta
         elif isinstance(g, GeneralizedCnot):
             theta = FULL_TQ_PHASE
         else:
-            qs = set(g.qubits)
-            if qs & support:
-                flush()
             continue
-        a, b = sorted(g.qubits)
-        if {a, b} & support:
-            flush()
-        key = (a, b)
-        pairs[key] = pairs.get(key, 0.0) + theta
-        support.update((a, b))
-    flush()
-    # each layer is one MultiQubitGate; one whose phases all cancel has
-    # norm 0.0, as nuclear_norm gives for an empty gate
-    keys = [_group_key(p) for p in layers]
-    _fill_norms([k for k in keys if k])
-    return len(layers), sum(_NORMS[k] if k else 0.0 for k in keys)
+        if not support:
+            norms.append(0.0)
+        support.update(g.qubits)
+        if abs(theta) > 1e-15:
+            norms[-1] += abs(theta)
+    return len(norms), sum(norms)
 
 
 def gate_norm(gate) -> float:

@@ -13,11 +13,14 @@ no error fires anywhere) is a product over that table.  `_draw`, the one
 draw loop, picks the Pauli errors of one noisy instance from the table;
 `inject_noise` inserts them into the circuit.
 
-The Monte Carlo sampler simulates the clean circuit once per call, keeping
-the state before the noise sites (as many as fit in `CHECKPOINT_BYTES`,
-evenly spaced).  It builds each gate's kernel (`circuit.gate_kernel`) once
-per call too, in what is left of that budget, for the clean run and every
-replay.  A sample that draws no error reuses the clean bitstring
+One sweep, `_replay`, advances every state vector: a batch of rows, each
+gate's kernel (`circuit.gate_kernel`) applied once to all of them.  The
+Monte Carlo sampler's clean run and `statevector` are one-row sweeps from
+|0...0>.  The sampler simulates the clean circuit once per call, keeping
+copies (the sweep's two buffers swap) of the state before the noise sites,
+as many as fit in `CHECKPOINT_BYTES`, evenly spaced.  It builds each gate's
+kernel once per call too, in what is left of that budget, for the clean run
+and every replay.  A sample that draws no error reuses the clean bitstring
 distribution; any other sample restarts from the last checkpoint at or
 before its first error and replays only the rest of the circuit with its
 errors inserted.  The erroneous samples are replayed together: sorted by
@@ -177,32 +180,22 @@ def success_probability(program, model: NoiseModel) -> float:
 # Statevector simulation
 # ---------------------------------------------------------------------------
 
-def _run(circuit: Circuit, psi: np.ndarray, keep: dict | None = None,
-         ops: list | None = None) -> np.ndarray:
-    """U |psi>; for every gate index that is a key of `keep`, the state
-    before that gate is stored there.  `ops`, if given, holds what
-    `gate_apply` applies in place of each gate (see `_kernels`).  `psi` is
-    left unchanged."""
-    n = circuit.num_qubits
-    for i, op in enumerate(ops or circuit.gates):
-        if keep is not None and i in keep:
-            keep[i] = psi
-        psi = gate_apply(psi, op, n)
-    return circuit.global_phase * psi
+def _replay(circuit: Circuit, ops: list, starts: dict, batch: list,
+            keep: dict | None = None) -> np.ndarray:
+    """The final states of a batch of samples, one row each: the one state
+    vector sweep behind the clean run, `statevector` and the replays.
 
-
-def _replay(circuit: Circuit, ops: list, checkpoints: dict,
-            batch: list) -> np.ndarray:
-    """The final states of a batch of erroneous samples, one row each.
-
-    `batch` holds each sample's (checkpoint start, sample, errors), in
-    ascending start.  The rows form one sample-major (m, 2^n) array; a row
-    joins, a copy of `checkpoints[start]`, when the sweep reaches its start,
-    and gets its errors (see `_draw`) before the gate they precede.  Each
-    gate's kernel is then applied once to all joined rows, written into a
-    second buffer that swaps with the first (`circuit.gate_apply_rows`), so
-    every row holds the bits of simulating its noisy instance alone, gate
-    by gate through `gate_apply`."""
+    `ops` holds what is applied in place of each gate (see `_kernels`), and
+    `batch` each sample's (start, sample, errors), in ascending start.  The
+    rows form one sample-major (m, 2^n) array; a row joins, a copy of
+    `starts[start]` (the state before gate `start`), when the sweep reaches
+    its start, and gets its errors (see `_draw`) before the gate they
+    precede.  Each gate's kernel is then applied once to all joined rows,
+    written into a second buffer that swaps with the first
+    (`circuit.gate_apply_rows`), so every row holds the bits of simulating
+    its noisy instance alone, gate by gate through `gate_apply`.  For every
+    gate index that is a key of `keep`, a copy of the joined rows before
+    that gate (in a one-row sweep, its state vector) is stored there."""
     n = circuit.num_qubits
     joins: dict = {}        # gate index -> number of rows joining there
     pending: dict = {}      # gate index -> [(row, its errors before it)]
@@ -210,24 +203,40 @@ def _replay(circuit: Circuit, ops: list, checkpoints: dict,
         joins[start] = joins.get(start, 0) + 1
         for i, gates in errors.items():
             pending.setdefault(i, []).append((r, gates))
+    # the sweep stops before each gate where a row joins, gets errors or
+    # is kept, and runs the gates up to the next stop in one tight loop
+    stops = sorted(joins.keys() | pending.keys() | (keep or {}).keys())
     cur = np.empty((len(batch), 2 ** n), dtype=complex)
     nxt = np.empty_like(cur)
     joined = 0
-    for i in range(batch[0][0], len(ops)):
+    for i, end in zip(stops, stops[1:] + [len(ops)]):
         if i in joins:
-            cur[joined:joined + joins[i]] = checkpoints[i]
+            cur[joined:joined + joins[i]] = starts[i]
             joined += joins[i]
-            rows, out = cur[:joined], nxt[:joined]
+            # a lone row goes to the kernels as a vector: no broadcasting
+            rows, out = (cur[0], nxt[0]) if joined == 1 \
+                else (cur[:joined], nxt[:joined])
         for r, gates in pending.get(i, ()):
             for e in gates:
                 cur[r] = gate_apply(cur[r], e, n)
-        op = ops[i]
-        if isinstance(op, Barrier):
-            continue
-        gate_apply_rows(rows, out,
-                        op if isinstance(op, Kernel) else gate_kernel(op, n), n)
-        cur, nxt, rows, out = nxt, cur, out, rows
+        if keep is not None and i in keep:
+            keep[i] = rows.copy()
+        for op in ops[i:end]:
+            if isinstance(op, Barrier):
+                continue
+            gate_apply_rows(
+                rows, out,
+                op if isinstance(op, Kernel) else gate_kernel(op, n), n)
+            cur, nxt, rows, out = nxt, cur, out, rows
     return np.multiply(circuit.global_phase, cur, out=nxt)
+
+
+def _clean_run(circuit: Circuit, ops: list,
+               keep: dict | None = None) -> np.ndarray:
+    """U |0...0>, one row swept through `ops`, keeping the states `keep`
+    asks for (see `_replay`)."""
+    psi0 = _zero_state(circuit.num_qubits)
+    return _replay(circuit, ops, {0: psi0}, [(0, None, {})], keep)[0]
 
 
 def _kernels(circuit: Circuit, room: int) -> list:
@@ -264,8 +273,9 @@ def _zero_state(n: int) -> np.ndarray:
 
 def statevector(circuit: Circuit) -> np.ndarray:
     """Final state |psi> = U |0...0>, the gates applied one by one in time
-    order (the sampler's arithmetic, not the dense oracle's fused one)."""
-    return _run(circuit, _zero_state(circuit.num_qubits))
+    order by the sampler's one-row sweep (`_replay`), not by the dense
+    oracle's fused product."""
+    return _clean_run(circuit, circuit.gates)
 
 
 def _marginal(psi: np.ndarray, num_bits: int) -> np.ndarray:
@@ -364,15 +374,16 @@ def monte_carlo_fidelity(program, input_circuit: Circuit, model: NoiseModel,
 
     sites = _noise_sites(circuit, model)
     slots = _slots(sites)
-    psi0 = _zero_state(circuit.num_qubits)
+    check_simulable(circuit.num_qubits)
+    state_bytes = 16 * 2 ** circuit.num_qubits
     # the clean run keeps the state before each checkpoint site; a sample
     # restarts from the last one at or before its first error
     checkpoints = dict.fromkeys(_checkpoint_sites(sites, circuit.num_qubits))
     starts = list(checkpoints)
     # the gates' kernels share the checkpoints' memory budget
-    ops = _kernels(circuit, CHECKPOINT_BYTES - psi0.nbytes * len(checkpoints))
+    ops = _kernels(circuit, CHECKPOINT_BYTES - state_bytes * len(checkpoints))
 
-    clean = _marginal(_run(circuit, psi0, checkpoints, ops), num_bits)
+    clean = _marginal(_clean_run(circuit, ops, checkpoints), num_bits)
     clean_cdf = _cdf(clean)
     # a program that is the input itself (the input side of `pgmq simulate
     # --input`) has its clean run for the ideal: the same gates through the
@@ -383,7 +394,7 @@ def monte_carlo_fidelity(program, input_circuit: Circuit, model: NoiseModel,
     error_free = np.ones(samples, dtype=bool)
     # the erroneous samples are replayed REPLAY_WINDOW at a time, sorted by
     # their checkpoint start so that each batch sweeps as few gates as it can
-    per_batch = max(1, REPLAY_BYTES // psi0.nbytes)
+    per_batch = max(1, REPLAY_BYTES // state_bytes)
     window: list = []
 
     def replay():

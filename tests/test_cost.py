@@ -333,6 +333,33 @@ def test_baseline_parallel_merge_counts():
         nuclear_norm(MultiQubitGate({(0, 1): 0.3, (2, 3): 0.4})) + 0.2)
 
 
+def test_baseline_norm_is_its_layers_nuclear_norms(rng):
+    # the closed form against the layers built as multiqubit gates, each
+    # normed by reference_norm's eigvalsh: a layer's pairs are vertex-
+    # disjoint, so its sum of |theta| is its nuclear norm up to rounding
+    from conftest import random_circuit
+    for _ in range(100):
+        c = random_circuit(int(rng.integers(2, 9)),
+                           int(rng.integers(5, 61)), rng)
+        c.add(hadamard(1)).add(ZzRotation(0.0, 0, 1))  # a layer of no pair
+        layers, support = [], set()
+        for g in c.gates:
+            if support.intersection(g.qubits):
+                support = set()
+            if isinstance(g, SingleQubit):
+                continue
+            if not support:
+                layers.append({})
+            theta = g.theta if isinstance(g, ZzRotation) else math.pi / 4
+            if abs(theta) > 1e-15:
+                layers[-1][tuple(sorted(g.qubits))] = theta
+            support.update(g.qubits)
+        count, norm = baseline_parallel_merge(c)
+        assert count == len(layers)
+        want = sum(reference_norm(p) for p in layers if p)
+        assert norm == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
 def test_baseline_flushes_on_local_gate():
     c = Circuit(2, [ZzRotation(0.3, 0, 1), hadamard(0), ZzRotation(0.3, 0, 1)])
     count, _ = baseline_parallel_merge(c)
@@ -509,9 +536,8 @@ def test_costing_scan_matches_reference_planner_on_cost_matrices(monkeypatch):
 
 def test_metrics_and_realize_after_optimize_run_no_eigvalsh(monkeypatch):
     # the compile's norm fills serve the metrics and the realization that
-    # follow it: neither computes a body pair group's norm again.  The
-    # baseline merge's layers come from the input circuit, not the body,
-    # so their norms are filled before eigvalsh is counted
+    # follow it: neither computes a body pair group's norm again, and the
+    # baseline merge sums its layers' norms in closed form
     from test_fingerprints import CORPUS
     from pgmq.qasm import parse_qasm_file
     real, calls = np.linalg.eigvalsh, []
@@ -523,7 +549,6 @@ def test_metrics_and_realize_after_optimize_run_no_eigvalsh(monkeypatch):
     for path in CORPUS:
         c = parse_qasm_file(path)
         prog = optimize(c)
-        baseline_parallel_merge(c)
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigvalsh", counted)
             metrics(prog.body, c, prog.scheme)

@@ -8,11 +8,13 @@ test only reads.  A change that means to alter compiled output rewrites that
 file with `perfbench/update_reference.py` and says so.  The benchmark's
 fixed-seed Monte Carlo pair (`mc_low@reference`, `mc_high@reference`) is
 checked against the same file, so a change to the sampler's random stream
-fails here, not only in a benchmark run.  The two forced
-realization schemes, which the benchmark does not run, are checked against
-one SHA-256 each over the 12 corpus programs, kept here, and so are the
-default programs of acceptance test 1's first 50 random circuits.  One more
-SHA-256 pins the realized native-gate circuits of the corpus under all
+fails here, not only in a benchmark run; that file holds fidelities to
+1e-9, so one more SHA-256 pins the last bits of the sampler's fidelities,
+CIs and bootstrap replicates over the corpus and its realizations.  The two
+forced realization schemes, which the benchmark does not run, are checked
+against one SHA-256 each over the 12 corpus programs, kept here, and so are
+the default programs of acceptance test 1's first 50 random circuits.  One
+more SHA-256 pins the realized native-gate circuits of the corpus under all
 three schemes, so a change below the program bytes (locals, pair phases,
 the global phase) fails here too.  A last SHA-256 pins the programs of the
 QFT and XX+ZZ chain families at 8 to 16 qubits under all three schemes,
@@ -116,6 +118,33 @@ def test_monte_carlo_fidelities_match_reference(workload):
     for name in want:
         assert got[name] == pytest.approx(want[name], rel=NORM_RTOL,
                                           abs=NORM_RTOL), name
+
+
+# SHA-256 over the fidelity, CI and bootstrap fidelities of every corpus
+# circuit's Monte Carlo calls, in sorted file order: the circuit itself, then
+# its auto and its ancilla-merged realization, each against the circuit, at
+# p = 1e-3 and then 2e-2 (dephasing and depolarization alike, seed 3)
+MONTE_CARLO_SHA256 = \
+    "ffceade28cff21589daa5abc178cedf7342ed8b9057d9c9fe0fa1e29f1cd6fbc"
+
+
+def test_corpus_monte_carlo_bytes_match():
+    # the reference pair above is compared to 1e-9; this pins the last bit
+    digest = hashlib.sha256()
+    for path in CORPUS:
+        circuit = parse_qasm_file(path)
+        programs = [circuit] + [
+            optimize(circuit, CompileOptions(scheme=scheme)).realized_circuit()
+            for scheme in (AUTO, ANCILLA_MERGED)]
+        for program in programs:
+            for p in (1e-3, 2e-2):
+                r = monte_carlo_fidelity(program, circuit,
+                                         NoiseModel(p, p, seed=3),
+                                         samples=24, shots=10)
+                digest.update(struct.pack("<ddd", r.fidelity, r.ci_low,
+                                          r.ci_high))
+                digest.update(r.bootstrap_fidelities.tobytes())
+    assert digest.hexdigest() == MONTE_CARLO_SHA256
 
 
 # SHA-256 over serialize.dumps of the 12 corpus programs, in sorted file order

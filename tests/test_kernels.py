@@ -91,6 +91,22 @@ def test_every_kernel_matches_apply_local(n, rng):
     assert kinds == want
 
 
+def test_z_controlled_cnot_kernels():
+    # the one gate-to-kernel map of the sampler and the oracle: with a Z
+    # control, an X target permutes the rows, a Z target (CZ) is the phase
+    # vector 1 - 2 (c & t), and a Y target is a dense local operator
+    n, c, t = 4, 1, 3
+    x = np.arange(2 ** n)
+    on = ((x >> c) & 1, (x >> t) & 1)
+    kernel = gate_kernel(GeneralizedCnot("Z", c, "X", t), n)
+    assert kernel.kind == "permute"
+    assert np.array_equal(kernel.table, x ^ (on[0] << t))
+    kernel = gate_kernel(GeneralizedCnot("Z", c, "Z", t), n)
+    assert kernel.kind == "phase"
+    assert kernel.table.tobytes() == (1.0 - 2.0 * (on[0] & on[1])).tobytes()
+    assert gate_kernel(GeneralizedCnot("Z", c, "Y", t), n).kind == "local"
+
+
 def test_one_qubit_kernel_covers_every_shape(rng):
     # every wire of a nine-qubit state vector and unitary: the batched
     # matmul's view runs from one trailing column to one batch entry
@@ -106,8 +122,8 @@ def test_one_qubit_kernel_covers_every_shape(rng):
 def _row_gates(n: int, rng) -> list:
     """A gate of each kernel kind on an n-qubit register: a one-qubit gate
     on every wire, and for n >= 2 a ZZ rotation and a multiqubit gate
-    (phase), canonical CNOTs (permutation) and a non-canonical CNOT
-    (dense local), each touching the top qubit."""
+    and a CZ (phase), canonical CNOTs (permutation) and a non-canonical
+    CNOT (dense local), each touching the top qubit."""
     gates = [SingleQubit(q, unitary_group.rvs(2, random_state=rng))
              for q in range(n)]
     if n < 2:
@@ -116,15 +132,17 @@ def _row_gates(n: int, rng) -> list:
     pairs = {(a, b): float(rng.uniform(-2, 2))
              for a, b in itertools.combinations(range(n), 2)}
     return gates + [ZzRotation(float(rng.uniform(-2, 2)), 0, top),
-                    MultiQubitGate(pairs), cnot(0, top), cnot(top, 0),
+                    MultiQubitGate(pairs), GeneralizedCnot("Z", 0, "Z", top),
+                    cnot(0, top), cnot(top, 0),
                     GeneralizedCnot("X", top, "Y", 0)]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_batched_rows_equal_gate_apply_on_each_row(n, rng):
-    # prefixes of one buffer, as the sampler's replay passes them; the
-    # first row is a basis state, whose zeros keep their signs only if
-    # every row gets the single-vector arithmetic
+    # prefixes of one buffer, as the sampler's replay passes them, and its
+    # first row alone as a vector, as a one-row sweep passes it; the first
+    # row is a basis state, whose zeros keep their signs only if every row
+    # gets the single-vector arithmetic
     dim = 2 ** n
     rows = rng.normal(size=(5, dim)) + 1j * rng.normal(size=(5, dim))
     rows[0] = 0.0
@@ -139,6 +157,9 @@ def test_batched_rows_equal_gate_apply_on_each_row(n, rng):
             gate_apply_rows(rows[:m], out[:m], kernel, n)
             assert [row.tobytes() for row in out[:m]] == want[:m], (n, m, gate)
             assert np.isnan(out[m:]).all()
+        vector = np.full(dim, np.nan, dtype=complex)
+        gate_apply_rows(rows[0], vector, kernel, n)
+        assert vector.tobytes() == want[0], (n, gate)
     want = {"one-qubit", "phase"} | ({"permute", "local"} if n > 1 else set())
     assert kinds == want
 

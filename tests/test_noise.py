@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pgmq import noise
-from pgmq.circuit import (Circuit, InputError, Kernel, SingleQubit,
+from pgmq.circuit import (Barrier, Circuit, InputError, Kernel, SingleQubit,
                           ZzRotation, cnot, hadamard, pauli_gate)
 from pgmq.cost import ANCILLA_MERGED, AUTO
 from pgmq.gadgets import MultiQubitGate
@@ -228,6 +228,36 @@ def test_statevector_cap():
     # a register too wide to simulate is the user's input: exit 2, not 3
     with pytest.raises(InputError):
         statevector(Circuit(17, []))
+
+
+@pytest.mark.parametrize("n, gates", [
+    (0, []), (3, []), (3, [Barrier()]), (3, [Barrier((0, 2)), Barrier((1,))])])
+def test_statevector_of_no_gate_is_the_phased_zero_state(n, gates):
+    # the sweep joins its row before the first gate: a circuit that applies
+    # none returns its start, times the global phase
+    zero = np.zeros(2 ** n, dtype=complex)
+    zero[0] = 1.0
+    for phase in (1.0, -1j, np.exp(0.3j)):
+        got = statevector(Circuit(n, gates, global_phase=phase))
+        assert got.tobytes() == (phase * zero).tobytes()
+
+
+@pytest.mark.parametrize("room", [0, noise.CHECKPOINT_BYTES])
+def test_clean_run_keeps_copies_of_its_prefix_states(room):
+    # every gate index kept, a barrier's too: each stored state is, byte for
+    # byte, the final state of the gates before it (global phase 1), so no
+    # stored state is a view of the sweep's two buffers, which swap at every
+    # gate; with and without the kernels built beforehand
+    realized, _ = _ancilla_program()
+    gates = realized.gates[:4] + [Barrier()] + realized.gates[4:]
+    circuit = Circuit(realized.num_qubits, gates,
+                      global_phase=realized.global_phase)
+    keep = dict.fromkeys(range(len(gates)))
+    final = noise._clean_run(circuit, noise._kernels(circuit, room), keep)
+    assert final.tobytes() == statevector(circuit).tobytes()
+    for i, psi in keep.items():
+        prefix = statevector(Circuit(circuit.num_qubits, gates[:i]))
+        assert psi.tobytes() == prefix.tobytes(), i
 
 
 def test_probabilities_trace_out_high_qubits():
@@ -510,10 +540,11 @@ def test_replayed_states_are_full_simulations(monkeypatch, rows):
     replayed = {}
     real = noise._replay
 
-    def spy(circuit, ops, checkpoints, batch):
-        final = real(circuit, ops, checkpoints, batch)
+    def spy(circuit, ops, starts, batch, keep=None):
+        # the clean runs (and statevector's) sweep one row of no sample
+        final = real(circuit, ops, starts, batch, keep)
         replayed.update((s, psi.tobytes()) for (_, s, _), psi
-                        in zip(batch, final))
+                        in zip(batch, final) if s is not None)
         return final
 
     monkeypatch.setattr(noise, "_replay", spy)
