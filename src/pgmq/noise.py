@@ -10,8 +10,14 @@ Single-qubit gates are noiseless.
 each entangling gate's index to its participating qubits and its
 depolarization rate.  The closed-form success probability (the chance that
 no error fires anywhere) is a product over that table.  `_draw`, the one
-draw loop, picks the Pauli errors of one noisy instance from the table;
-`inject_noise` inserts them into the circuit.
+draw routine, picks the Pauli errors of a batch of noisy instances from the
+table, each from its own stream: every sample's slot doubles and shot
+doubles are one row, drawn in one call, and the hits of a memory-bounded
+chunk of rows are found over the whole samples x slots table at once.  Only
+a sample that a slot depolarizes goes on in Python, slot by slot from that
+slot, since the Pauli it draws there moves every double after it.
+`inject_noise` draws a batch of one from its generator and inserts the
+errors into the circuit.
 
 One sweep, `_replay`, advances every state vector: a batch of rows, each
 gate's kernel (`circuit.gate_kernel`) applied once to all of them.  The
@@ -118,47 +124,85 @@ def _slots(sites: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.array(p_dep, dtype=float))
 
 
-def _draw(slots: tuple, model: NoiseModel, rng) -> dict:
-    """The Pauli errors of one noisy instance: each site's index, in time
-    order, mapped to the error gates inserted before its gate (sites that
-    drew none are left out).  Draw order is fixed (time-major, then
-    qubit-major, dephasing before depolarization) for reproducibility.
+def _draw(slots: tuple, model: NoiseModel, rekey, u: np.ndarray):
+    """The noise of u.shape[0] samples, sample s drawn from the stream that
+    `rekey(s)` sets its generator to: fills u[s] with the sample's shot
+    doubles and yields (s, errors) for every sample that draws an error, in
+    sample order.  Its errors map each site's index, in time order, to the
+    error gates inserted before its gate (sites that drew none are left
+    out).  Draw order is fixed (time-major, then qubit-major, dephasing
+    before depolarization) for reproducibility.
 
-    Each slot draws a dephasing and a depolarization double, and a
-    depolarized slot then draws its Pauli.  The doubles are drawn in one
-    block up to the first depolarized slot and slot by slot from there on,
-    so the stream is that of drawing slot by slot throughout."""
-    site, qubit, p_dep = slots
+    Each slot draws a dephasing and a depolarization double, a depolarized
+    slot then draws its Pauli, and the shots come last.  Up to a sample's
+    first depolarized slot its stream is one block of doubles, so each
+    sample draws a row of 2 per slot and then its shots in one call, and
+    the hits of a chunk of samples are found over the whole samples x
+    slots table at once.  A sample that no slot depolarizes is done there;
+    one that a slot does is rekeyed, skips the doubles before that slot,
+    and draws slot by slot from it and then its shots, so every stream is
+    that of drawing slot by slot throughout.  A chunk holds at most
+    REPLAY_WINDOW rows and CHECKPOINT_BYTES of doubles (at least one row)."""
+    sites, qubits, rates = (a.tolist() for a in slots)
+    p_dep = slots[2]
     p_z = model.p_dephase
-    errors: dict = {}
+    samples, shots = u.shape
+    n_slots = len(sites)
+    width = 2 * n_slots + shots
+    chunk = max(1, min(REPLAY_WINDOW, samples,
+                       CHECKPOINT_BYTES // (8 * max(1, width))))
+    block = np.empty((chunk, width))
+    for b in range(0, samples, chunk):
+        rows = block[:min(chunk, samples - b)]
+        for s, row in enumerate(rows, b):
+            rekey(s).random(out=row)
+        u[b:b + len(rows)] = rows[:, 2 * n_slots:]
+        table = rows[:, :2 * n_slots].reshape(len(rows), n_slots, 2)
+        # each row's first depolarized slot, n_slots if none: a column of
+        # hits past the last slot ends every row's search
+        dep = np.ones((len(rows), n_slots + 1), dtype=bool)
+        np.less(table[:, :, 1], p_dep, out=dep[:, :-1])
+        first = dep.argmax(axis=1)
+        z = (table[:, :, 0] < p_z) & (np.arange(n_slots) < first[:, None])
+        for r in np.flatnonzero(z.any(axis=1) | (first < n_slots)).tolist():
+            s, f = b + r, int(first[r])
+            hits = [(sites[k], qubits[k], "Z")
+                    for k in np.flatnonzero(z[r]).tolist()]
+            if f < n_slots:
+                # the depolarized slot's Pauli is drawn right after its
+                # doubles and moves every double after it
+                rng = rekey(s)
+                rng.random(2 * f)
+                for i, q, p in zip(sites[f:], qubits[f:], rates[f:]):
+                    if rng.random() < p_z:
+                        hits.append((i, q, "Z"))
+                    if rng.random() < p:
+                        hits.append((i, q, _PAULI_CHOICES[rng.integers(3)]))
+                rng.random(out=u[s])
+            errors: dict = {}
+            for i, q, axis in hits:
+                errors.setdefault(i, []).append(pauli_gate(axis, q))
+            yield s, errors
 
-    def add(i: int, q: int, axis: str) -> None:
-        errors.setdefault(i, []).append(pauli_gate(axis, q))
 
+def _draw_one(slots: tuple, model: NoiseModel, rng) -> dict:
+    """The errors of one noisy instance drawn from `rng`: `_draw` on a batch
+    of one sample with no shots, rekeyed by rewinding `rng` to where it
+    stood.  `rng` is left where drawing slot by slot leaves it."""
     state = rng.bit_generator.state
-    u = rng.random(2 * site.size).reshape(-1, 2)
-    hits = np.flatnonzero(u[:, 1] < p_dep)
-    first = int(hits[0]) if hits.size else site.size
-    for k in np.flatnonzero(u[:first, 0] < p_z).tolist():
-        add(int(site[k]), int(qubit[k]), "Z")
-    if hits.size:
-        # rewind to the first depolarized slot's doubles and go on slot by
-        # slot: its Pauli is drawn right after them
+
+    def rewind(_: int):
         rng.bit_generator.state = state
-        rng.random(2 * first)
-        for i, q, p in zip(*(a[first:].tolist() for a in slots)):
-            if rng.random() < p_z:
-                add(i, q, "Z")
-            if rng.random() < p:
-                add(i, q, _PAULI_CHOICES[rng.integers(3)])
-    return errors
+        return rng
+
+    return dict(_draw(slots, model, rewind, np.empty((1, 0)))).get(0, {})
 
 
 def inject_noise(program, model: NoiseModel, rng) -> Circuit:
     """One noisy instance: the circuit with random Pauli errors inserted
     before each entangling gate (single-qubit gates stay noiseless)."""
     circuit = _as_circuit(program)
-    errors = _draw(_slots(_noise_sites(circuit, model)), model, rng)
+    errors = _draw_one(_slots(_noise_sites(circuit, model)), model, rng)
     gates = []
     for i, g in enumerate(circuit.gates):
         gates.extend(errors.get(i, ()))
@@ -322,17 +366,20 @@ class MonteCarloResult:
                 "seed": self.seed}
 
 
-def _substreams(seed: int, samples: int):
-    """One generator per call, rekeyed in turn to each sample's substream:
-    for sample s it yields the stream of a fresh Philox(key=[seed, s])
-    (counter 0, empty buffer, no stored half-word) without seeding a new
-    generator, which first reads OS entropy, per sample."""
+def _substreams(seed: int):
+    """Sample substreams on one generator per call: `rekey(s)` returns it
+    with the stream of a fresh Philox(key=[seed, s]) (counter 0, empty
+    buffer, no stored half-word), without seeding a new generator, which
+    first reads OS entropy, per sample."""
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
     fresh = rng.bit_generator.state
-    for s in range(samples):
+
+    def rekey(s: int):
         fresh["state"]["key"][1] = s
         rng.bit_generator.state = fresh
-        yield rng
+        return rng
+
+    return rekey
 
 
 def _cdf(p: np.ndarray) -> np.ndarray:
@@ -407,15 +454,12 @@ def monte_carlo_fidelity(program, input_circuit: Circuit, model: NoiseModel,
                     u[k], side="right")
         window.clear()
 
-    for s, rng in enumerate(_substreams(seed, samples)):
-        errors = _draw(slots, model, rng)
-        rng.random(out=u[s])
-        if errors:
-            start = starts[bisect.bisect_right(starts, min(errors)) - 1]
-            window.append((start, s, errors))
-            error_free[s] = False
-            if len(window) == REPLAY_WINDOW:
-                replay()
+    for s, errors in _draw(slots, model, _substreams(seed), u):
+        start = starts[bisect.bisect_right(starts, min(errors)) - 1]
+        window.append((start, s, errors))
+        error_free[s] = False
+        if len(window) == REPLAY_WINDOW:
+            replay()
     replay()
     drawn[error_free] = clean_cdf.searchsorted(u[error_free], side="right")
     del u
@@ -424,10 +468,14 @@ def monte_carlo_fidelity(program, input_circuit: Circuit, model: NoiseModel,
     merged = np.bincount(drawn.ravel(), minlength=dim) / total
     fid = 1.0 - 0.5 * float(np.abs(merged - ideal).sum())
 
-    if dim <= shots:
-        # per-sample shot counts, no larger than the shots themselves: a
+    if 8 * samples * dim <= CHECKPOINT_BYTES and dim <= 32 * shots:
+        # per-sample shot counts, when their table fits the budget: a
         # replicate's counts are then one product with how often it picked
-        # each sample (whole numbers below 2**53, so exact in floating point)
+        # each sample (whole numbers below 2**53, so exact in floating point,
+        # as counting shot by shot is).  The product costs a multiply-add per
+        # sample and outcome, the count a gather and an increment per
+        # sample-shot, about 32 times as much on one core: past 32 outcomes
+        # per shot the count is faster
         table = np.bincount((drawn + dim * np.arange(samples)[:, None]).ravel(),
                             minlength=samples * dim).reshape(samples, dim)
         table = table.astype(float)

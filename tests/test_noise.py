@@ -11,7 +11,7 @@ from pgmq.circuit import (Barrier, Circuit, InputError, Kernel, SingleQubit,
 from pgmq.cost import ANCILLA_MERGED, AUTO
 from pgmq.gadgets import MultiQubitGate
 from pgmq.noise import (BOOTSTRAP, MonteCarloResult, NoiseModel,
-                        _checkpoint_sites, _draw, _noise_sites,
+                        _checkpoint_sites, _draw, _draw_one, _noise_sites,
                         _slots, _substreams, gate_norm, inject_noise,
                         monte_carlo_fidelity, probabilities, relative_error,
                         statevector, success_probability)
@@ -165,7 +165,7 @@ def test_block_draw_is_slot_by_slot_draw(p):
             for make in (lambda: _substream(7, seed),
                          lambda: np.random.default_rng(seed)):
                 fast, slow = make(), make()
-                got = _draw(slots, model, fast)
+                got = _draw_one(slots, model, fast)
                 assert _named(got) == _named(
                     _draw_slot_by_slot(sites, model, slow))
                 assert fast.random() == slow.random()
@@ -185,16 +185,104 @@ def test_rekeyed_substreams_are_fresh_generators():
     slots = _slots(sites)
     rewound = 0
     for seed in (0, 5, 2 ** 40):
-        for s, rng in enumerate(_substreams(seed, 60)):
-            fresh = _substream(seed, s)
-            got = _draw(slots, model, rng)
-            assert _named(got) == _named(_draw(slots, model, fresh))
+        rekey = _substreams(seed)
+        for s in range(60):
+            rng, fresh = rekey(s), _substream(seed, s)
+            got = _draw_one(slots, model, rng)
+            assert _named(got) == _named(_draw_one(slots, model, fresh))
             assert np.array_equal(rng.random(7), fresh.random(7))
             assert np.array_equal(rng.integers(0, 5, size=3),
                                   fresh.integers(0, 5, size=3))
             rewound += any(g.name != "z" for gates in got.values()
                            for g in gates)
     assert rewound > 0
+
+
+def _assert_sampler_draws(circuit, model, samples, shots):
+    """The sampler's draw of a call, sample by sample, against the
+    slot-by-slot draw and then the shots on a fresh substream: the same
+    error gates (the same objects), the same shot doubles, and only the
+    samples that drew an error yielded.  Returns the reference errors."""
+    sites = _noise_sites(circuit, model)
+    u = np.empty((samples, shots))
+    got = dict(_draw(_slots(sites), model, _substreams(model.seed), u))
+    assert all(got.values())
+    want = []
+    for s in range(samples):
+        fresh = _substream(model.seed, s)
+        want.append(_draw_slot_by_slot(sites, model, fresh))
+        assert {i: list(map(id, g)) for i, g in got.get(s, {}).items()} == \
+            {i: list(map(id, g)) for i, g in want[-1].items()}, s
+        assert np.array_equal(u[s], fresh.random(shots)), s
+    return want
+
+
+def test_array_draw_without_noise_sites():
+    # no entangling gate, no slot: every row is its shots alone
+    c = Circuit(2, [hadamard(0), hadamard(1)])
+    model = NoiseModel(0.5, 0.5, seed=3)
+    assert not any(_assert_sampler_draws(c, model, 20, 7))
+    _assert_resimulated(c, c, model)
+
+
+def test_array_draw_when_every_sample_hits_the_first_slot():
+    # certain dephasing and depolarization (CNOTs depolarize at the full
+    # rate): every sample is drawn slot by slot from its first slot on, and
+    # every slot gets a Z and then a Pauli
+    c = Circuit(3, [hadamard(0), cnot(0, 1), cnot(1, 2)])
+    model = NoiseModel(1.0, 1.0, seed=4)
+    for errors in _assert_sampler_draws(c, model, 20, 5):
+        assert [[(g.qubit, g.name == "z") for g in gates[::2]]
+                for gates in errors.values()] == [[(0, True), (1, True)],
+                                                  [(1, True), (2, True)]]
+    _assert_resimulated(c, c, model)
+
+
+@pytest.mark.parametrize("p_dephase, p_depol", [(0.3, 0.0), (0.0, 0.3)])
+def test_array_draw_with_only_the_last_slot_hit(p_dephase, p_depol):
+    # a dephasing hit found in the table, and a depolarizing hit drawn
+    # slot by slot, each a sample's only hit and on its last slot
+    c = parse_qasm(MEASURED_BELL)
+    model = NoiseModel(p_dephase, p_depol, seed=5)
+    last = next(iter(_noise_sites(c, model)))
+    want = _assert_sampler_draws(c, model, 40, 3)
+    assert any(list(errors) == [last] and len(errors[last]) == 1
+               and errors[last][0].qubit == 1 for errors in want)
+    _assert_resimulated(c, c, model)
+
+
+def test_array_draw_across_chunk_boundaries(monkeypatch):
+    # a budget of three rows per chunk: chunk boundaries fall between
+    # samples with and without hits, both ways round
+    c = parse_qasm(MEASURED_BELL)
+    model = NoiseModel(0.1, 0.1, seed=6)
+    samples, shots = 60, 4
+    width = 2 * _slots(_noise_sites(c, model))[0].size + shots
+    monkeypatch.setattr(noise, "CHECKPOINT_BYTES", 3 * 8 * width)
+    erred = [bool(e) for e in _assert_sampler_draws(c, model, samples, shots)]
+    edges = {(erred[s - 1], erred[s]) for s in range(3, samples, 3)}
+    assert {(False, True), (True, False)} <= edges
+    _assert_resimulated(c, c, model)
+
+
+def test_draw_chunks_fit_the_budget(monkeypatch):
+    # 5000 samples of a 10-qubit chain's 144 slots and 2 shots would draw
+    # 11.6 MB of doubles at once; under a 1 MB budget a chunk holds 451
+    # rows, and the call's peak stays near its other budgets (1 MB of
+    # checkpoints and kernels, and the bootstrap chunk)
+    from conftest import chain_circuit
+    c = chain_circuit(10, steps=4)
+    model = NoiseModel(1e-5, 1e-5, seed=2)
+    assert _slots(_noise_sites(c, model))[0].size == 144
+    monkeypatch.setattr(noise, "CHECKPOINT_BYTES", 2 ** 20)
+    monte_carlo_fidelity(c, c, model, samples=1, shots=2)   # first-call costs
+    tracemalloc.start()
+    try:
+        monte_carlo_fidelity(c, c, model, samples=5000, shots=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
 
 
 # --- success probability -------------------------------------------------------
@@ -357,9 +445,10 @@ def _resimulated(circuit, input_circuit, model, samples, shots):
 
 
 def _assert_resimulated(circuit, input_circuit, model):
-    # 3 shots are fewer and 9 more than the 4 or 8 outcomes: both ways of
-    # counting bootstrap replicates run; an odd number of samples leaves a
-    # half-word between the replicates' 32-bit draws
+    # odd and even numbers of samples and of shots; an odd number of
+    # samples leaves a half-word between the replicates' 32-bit draws.
+    # Calls this small count their replicates through the per-sample
+    # table: the budget tests below reach the shot-by-shot count
     for samples, shots in itertools.product((30, 31), (3, 9)):
         mc = monte_carlo_fidelity(circuit, input_circuit, model,
                                   samples=samples, shots=shots)
@@ -371,21 +460,24 @@ def _assert_resimulated(circuit, input_circuit, model):
 
 def test_bootstrap_chunks_equal_one_chunk(monkeypatch):
     # a budget of three replicates per chunk (the last chunk holds two)
-    # gives every replicate of the unchunked call, in both ways of counting
+    # holds the per-sample count table; one a byte short of that table
+    # counts shot by shot, a replicate per chunk.  Both give every
+    # replicate of the unchunked call, which takes the table
     circuit, input_circuit = _ancilla_program()
     model = NoiseModel(0.1, 0.1, seed=6)
     samples, dim = 31, 2 ** input_circuit.num_qubits
     for shots in (3, 9):
         whole = monte_carlo_fidelity(circuit, input_circuit, model,
                                      samples=samples, shots=shots)
-        with monkeypatch.context() as m:
-            m.setattr(noise, "CHECKPOINT_BYTES", 3 * 32 * (samples + dim))
-            chunked = monte_carlo_fidelity(circuit, input_circuit, model,
-                                           samples=samples, shots=shots)
-        assert (chunked.fidelity, chunked.ci_low, chunked.ci_high) == \
-            (whole.fidelity, whole.ci_low, whole.ci_high)
-        assert np.array_equal(chunked.bootstrap_fidelities,
-                              whole.bootstrap_fidelities)
+        for budget in (3 * 32 * (samples + dim), 8 * samples * dim - 1):
+            with monkeypatch.context() as m:
+                m.setattr(noise, "CHECKPOINT_BYTES", budget)
+                chunked = monte_carlo_fidelity(circuit, input_circuit, model,
+                                               samples=samples, shots=shots)
+            assert (chunked.fidelity, chunked.ci_low, chunked.ci_high) == \
+                (whole.fidelity, whole.ci_low, whole.ci_high)
+            assert np.array_equal(chunked.bootstrap_fidelities,
+                                  whole.bootstrap_fidelities)
 
 
 def test_bootstrap_chunks_fit_the_budget(monkeypatch):
@@ -404,11 +496,11 @@ def test_bootstrap_chunks_fit_the_budget(monkeypatch):
     assert peak < 3 * 2 ** 20
 
 
-def test_bootstrap_counted_shots_fit_the_budget(monkeypatch):
-    # with more outcomes than shots each replicate counts its picked
-    # samples' shots: 200 replicates of 5000 picks of 6 shots hold about
-    # 48 MB of shots; under a 1 MB budget no more than a chunk of them is
-    # held at once
+def test_bootstrap_count_table_fits_the_budget(monkeypatch):
+    # 5000 samples of 8 outcomes make a 320 KB count table, within a 1 MB
+    # budget although the 6 shots are fewer than the outcomes: 200
+    # replicates' picks of it would take about 32 MB at once, and are
+    # drawn and multiplied a few replicates at a time
     c = Circuit(3, [hadamard(0), hadamard(1), hadamard(2)])
     model = NoiseModel(0.0, 0.0, seed=1)
     monkeypatch.setattr(noise, "CHECKPOINT_BYTES", 2 ** 20)
@@ -420,6 +512,19 @@ def test_bootstrap_counted_shots_fit_the_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2 ** 20
+
+
+@pytest.mark.parametrize("kind", ["measured-input", "ancilla-program"])
+def test_smallest_budgets_equal_full_resimulation(monkeypatch, kind):
+    # a one-byte budget puts every budgeted part at its floor: one
+    # checkpoint, no kernel built ahead, draw chunks of one sample and
+    # bootstrap chunks of one replicate, counted shot by shot
+    if kind == "measured-input":
+        circuit = input_circuit = parse_qasm(MEASURED_BELL)
+    else:
+        circuit, input_circuit = _ancilla_program()
+    monkeypatch.setattr(noise, "CHECKPOINT_BYTES", 1)
+    _assert_resimulated(circuit, input_circuit, NoiseModel(0.1, 0.1, seed=8))
 
 
 def test_input_side_reuses_its_clean_run_as_the_ideal(monkeypatch):
