@@ -426,7 +426,7 @@ def baseline_parallel_merge(circuit: Circuit) -> tuple[int, float]:
         support.update(g.qubits)
         if abs(theta) > 1e-15:
             norms[-1] += abs(theta)
-    return len(norms), sum(norms)
+    return len(norms), sum(norms, 0.0)
 
 
 def gate_norm(gate) -> float:

@@ -311,18 +311,14 @@ def target_rotation(g: PhaseGadget, target: int) -> SingleQubit:
     return pauli_rotation(axis, -g.alpha * math.pi, target)
 
 
-def decompose_pg(g: PhaseGadget, jstar: int, num_qubits: int | None = None,
-                 ancilla: bool = False) -> Circuit:
+def decompose_pg(g: PhaseGadget, jstar: int,
+                 num_qubits: int | None = None) -> Circuit:
     """Fanout . single-qubit rotation . fanout realization of a gadget.
 
-    With ancilla=True, jstar must lie outside the support; the fanout then
-    targets the ancilla (axis Y) and the middle rotation acts on it.  The
-    ancilla must start in |0> for the logical action to equal g.
+    A jstar outside the support is an ancilla: the fanout then targets it
+    (axis Y) and the middle rotation acts on it.  The ancilla must start in
+    |0> for the logical action to equal g.
     """
-    if ancilla and jstar in g.support:
-        raise CircuitError("ancilla jstar must lie outside the support")
-    if not ancilla and jstar not in g.support:
-        raise CircuitError("jstar must be in the gadget support")
     n = num_qubits if num_qubits is not None else max([jstar, *g.support]) + 1
     fan = fanout(g, jstar)
     return Circuit(n, [*fan, target_rotation(g, jstar), *fan])

@@ -20,28 +20,26 @@ slot, since the Pauli it draws there moves every double after it.
 errors into the circuit.
 
 One sweep, `_replay`, advances every state vector: a batch of rows, each
-gate's kernel (`circuit.gate_kernel`) applied once to all of them.  The
-Monte Carlo sampler's clean run and `statevector` are one-row sweeps from
-|0...0>.  The sampler simulates the clean circuit once per call, keeping
-copies (the sweep's two buffers swap) of the state before the noise sites,
-as many as fit in `CHECKPOINT_BYTES`, evenly spaced.  It builds each gate's
-kernel once per call too, in what is left of that budget, for the clean run
-and every replay.  A sample that draws no error reuses the clean bitstring
-distribution; any other sample restarts from the last checkpoint at or
-before its first error and replays only the rest of the circuit with its
-errors inserted.  The erroneous samples are replayed together: sorted by
-their checkpoint (`REPLAY_WINDOW` of them at a time), they become the rows
-of sample-major batches of at most `REPLAY_BYTES`, sized to cache, so one
-sweep applies each gate's kernel once to all its joined rows
-(`circuit.gate_apply_rows`).  The batch is sample-major because each row
-then gets a single state vector's arithmetic (a column-major batch would
-change the one-qubit matmul's blocking and so the bits).  Gates are applied
-in the same order and with the same arithmetic as a full simulation of the
-noisy instance, so results are bit-for-bit those of re-simulating every
-sample, and the cost grows with the error rate, not with samples times
-gates.  A call holds a double and an index per sample-shot, and refuses
-more than `MAX_SAMPLE_SHOTS` of them.  When the program is the
-input circuit itself, its clean run also gives the ideal distribution.
+gate's kernel (`circuit.gate_kernel`) applied once to all of them.  Row 0
+of every sweep is the clean run from |0...0>; `statevector` is a sweep of
+that row alone.  The Monte Carlo sampler builds each gate's kernel once per
+call, within `CALL_BYTES` less the sweep's two row buffers.  A sample that
+draws no error reuses the clean bitstring distribution.  The other samples
+are sorted by their first error (`REPLAY_WINDOW` of them at a time) and
+become the later rows of sweeps whose buffers take at most a quarter of
+`CALL_BYTES` each: a sample's row joins as a copy of row 0 before the gate
+of its first error, so it computes only the rest of the circuit, with its
+errors inserted.  The clean distribution is row 0 of the last sweep, or of
+a sweep of its own when no sample errs.  The batch is sample-major because
+each row then gets a single state vector's arithmetic
+(`circuit.gate_apply_rows`; a column-major batch would change the one-qubit
+matmul's blocking and so the bits).  Gates are applied in the same order
+and with the same arithmetic as a full simulation of the noisy instance, so
+results are bit-for-bit those of re-simulating every sample, and the cost
+grows with the error rate, not with samples times gates.  A call holds a
+double and an index per sample-shot, and refuses more than
+`MAX_SAMPLE_SHOTS` of them.  When the program is the input circuit itself,
+its clean run also gives the ideal distribution.
 Each sample draws from its own counter-based Philox substream, so the
 result is reproducible regardless of evaluation order; its distribution is
 compared to the ideal one via total variation distance.  The shots are
@@ -54,7 +52,6 @@ by one with `Generator.choice` and `Generator.integers`.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -64,8 +61,7 @@ from .circuit import (STATEVECTOR_CAP, Barrier, Circuit, InputError, Kernel,
                       gate_apply, gate_apply_rows, gate_kernel, pauli_gate)
 from .cost import FULL_TQ_PHASE, gate_norm
 
-CHECKPOINT_BYTES = 32 * 2 ** 20     # clean-run states kept per sampler call
-REPLAY_BYTES = 64 * 2 ** 10         # one batch of replayed samples, cache-sized
+CALL_BYTES = 32 * 2 ** 20           # each memory budget of a sampler call
 REPLAY_WINDOW = 4096                # erroneous samples sorted per replay
 MAX_SAMPLE_SHOTS = 2 ** 26          # samples x shots of one sampler call
 BOOTSTRAP = 200                     # resamplings behind the Monte Carlo CI
@@ -142,7 +138,7 @@ def _draw(slots: tuple, model: NoiseModel, rekey, u: np.ndarray):
     one that a slot does is rekeyed, skips the doubles before that slot,
     and draws slot by slot from it and then its shots, so every stream is
     that of drawing slot by slot throughout.  A chunk holds at most
-    REPLAY_WINDOW rows and CHECKPOINT_BYTES of doubles (at least one row)."""
+    REPLAY_WINDOW rows and CALL_BYTES of doubles (at least one row)."""
     sites, qubits, rates = (a.tolist() for a in slots)
     p_dep = slots[2]
     p_z = model.p_dephase
@@ -150,7 +146,7 @@ def _draw(slots: tuple, model: NoiseModel, rekey, u: np.ndarray):
     n_slots = len(sites)
     width = 2 * n_slots + shots
     chunk = max(1, min(REPLAY_WINDOW, samples,
-                       CHECKPOINT_BYTES // (8 * max(1, width))))
+                       CALL_BYTES // (8 * max(1, width))))
     block = np.empty((chunk, width))
     for b in range(0, samples, chunk):
         rows = block[:min(chunk, samples - b)]
@@ -224,47 +220,46 @@ def success_probability(program, model: NoiseModel) -> float:
 # Statevector simulation
 # ---------------------------------------------------------------------------
 
-def _replay(circuit: Circuit, ops: list, starts: dict, batch: list,
-            keep: dict | None = None) -> np.ndarray:
-    """The final states of a batch of samples, one row each: the one state
-    vector sweep behind the clean run, `statevector` and the replays.
+def _replay(circuit: Circuit, ops: list, batch: list) -> np.ndarray:
+    """The final states of a sweep, one row each: row 0 is the clean run,
+    the next rows are the samples of `batch`.  This one state vector sweep
+    is behind `statevector` and the sampler.
 
     `ops` holds what is applied in place of each gate (see `_kernels`), and
-    `batch` each sample's (start, sample, errors), in ascending start.  The
-    rows form one sample-major (m, 2^n) array; a row joins, a copy of
-    `starts[start]` (the state before gate `start`), when the sweep reaches
-    its start, and gets its errors (see `_draw`) before the gate they
-    precede.  Each gate's kernel is then applied once to all joined rows,
-    written into a second buffer that swaps with the first
-    (`circuit.gate_apply_rows`), so every row holds the bits of simulating
-    its noisy instance alone, gate by gate through `gate_apply`.  For every
-    gate index that is a key of `keep`, a copy of the joined rows before
-    that gate (in a one-row sweep, its state vector) is stored there."""
+    `batch` each sample's (first error, sample, errors), in ascending first
+    error.  Row 0 starts at |0...0>, alone as a vector.  The rows form one
+    sample-major (m, 2^n) array; a sample's row joins as a copy of row 0
+    when the sweep reaches its first error, and gets its errors (see
+    `_draw`) before the gate they precede.  Each gate's kernel is then
+    applied once to all joined rows, written into a second buffer that
+    swaps with the first (`circuit.gate_apply_rows`), so every row holds
+    the bits of simulating its instance alone, gate by gate through
+    `gate_apply`."""
     n = circuit.num_qubits
+    check_simulable(n)
     joins: dict = {}        # gate index -> number of rows joining there
     pending: dict = {}      # gate index -> [(row, its errors before it)]
-    for r, (start, _, errors) in enumerate(batch):
-        joins[start] = joins.get(start, 0) + 1
+    for r, (first, _, errors) in enumerate(batch, 1):
+        joins[first] = joins.get(first, 0) + 1
         for i, gates in errors.items():
             pending.setdefault(i, []).append((r, gates))
-    # the sweep stops before each gate where a row joins, gets errors or
-    # is kept, and runs the gates up to the next stop in one tight loop
-    stops = sorted(joins.keys() | pending.keys() | (keep or {}).keys())
-    cur = np.empty((len(batch), 2 ** n), dtype=complex)
+    # the sweep stops before each gate where a row joins or gets errors,
+    # and runs the gates up to the next stop in one tight loop
+    stops = sorted(joins.keys() | pending.keys() | {0})
+    cur = np.empty((1 + len(batch), 2 ** n), dtype=complex)
     nxt = np.empty_like(cur)
-    joined = 0
+    cur[0] = 0.0
+    cur[0, 0] = 1.0
+    joined = 1
+    rows, out = cur[0], nxt[0]
     for i, end in zip(stops, stops[1:] + [len(ops)]):
         if i in joins:
-            cur[joined:joined + joins[i]] = starts[i]
+            cur[joined:joined + joins[i]] = cur[0]
             joined += joins[i]
-            # a lone row goes to the kernels as a vector: no broadcasting
-            rows, out = (cur[0], nxt[0]) if joined == 1 \
-                else (cur[:joined], nxt[:joined])
+            rows, out = cur[:joined], nxt[:joined]
         for r, gates in pending.get(i, ()):
             for e in gates:
                 cur[r] = gate_apply(cur[r], e, n)
-        if keep is not None and i in keep:
-            keep[i] = rows.copy()
         for op in ops[i:end]:
             if isinstance(op, Barrier):
                 continue
@@ -273,14 +268,6 @@ def _replay(circuit: Circuit, ops: list, starts: dict, batch: list,
                 op if isinstance(op, Kernel) else gate_kernel(op, n), n)
             cur, nxt, rows, out = nxt, cur, out, rows
     return np.multiply(circuit.global_phase, cur, out=nxt)
-
-
-def _clean_run(circuit: Circuit, ops: list,
-               keep: dict | None = None) -> np.ndarray:
-    """U |0...0>, one row swept through `ops`, keeping the states `keep`
-    asks for (see `_replay`)."""
-    psi0 = _zero_state(circuit.num_qubits)
-    return _replay(circuit, ops, {0: psi0}, [(0, None, {})], keep)[0]
 
 
 def _kernels(circuit: Circuit, room: int) -> list:
@@ -308,18 +295,11 @@ def check_simulable(n: int) -> None:
                          f"above the statevector cap of {STATEVECTOR_CAP}")
 
 
-def _zero_state(n: int) -> np.ndarray:
-    check_simulable(n)
-    psi = np.zeros(2 ** n, dtype=complex)
-    psi[0] = 1.0
-    return psi
-
-
 def statevector(circuit: Circuit) -> np.ndarray:
     """Final state |psi> = U |0...0>, the gates applied one by one in time
-    order by the sampler's one-row sweep (`_replay`), not by the dense
-    oracle's fused product."""
-    return _clean_run(circuit, circuit.gates)
+    order by the sampler's sweep (`_replay`) with no sample, not by the
+    dense oracle's fused product."""
+    return _replay(circuit, circuit.gates, [])[0]
 
 
 def _marginal(psi: np.ndarray, num_bits: int) -> np.ndarray:
@@ -389,14 +369,6 @@ def _cdf(p: np.ndarray) -> np.ndarray:
     return c
 
 
-def _checkpoint_sites(sites: dict, n: int) -> list[int]:
-    """Evenly spaced noise sites, the first included, whose pre-gate states
-    of an n-qubit register fit in CHECKPOINT_BYTES together (at least one)."""
-    order = list(sites)
-    room = max(1, CHECKPOINT_BYTES // (16 * 2 ** n))
-    return order[::max(1, -(-len(order) // room))]
-
-
 def monte_carlo_fidelity(program, input_circuit: Circuit, model: NoiseModel,
                          samples: int = 1000,
                          shots: int = 10) -> MonteCarloResult:
@@ -419,56 +391,55 @@ def monte_carlo_fidelity(program, input_circuit: Circuit, model: NoiseModel,
     dim = 2 ** num_bits
     seed = model.seed
 
-    sites = _noise_sites(circuit, model)
-    slots = _slots(sites)
+    slots = _slots(_noise_sites(circuit, model))
     check_simulable(circuit.num_qubits)
     state_bytes = 16 * 2 ** circuit.num_qubits
-    # the clean run keeps the state before each checkpoint site; a sample
-    # restarts from the last one at or before its first error
-    checkpoints = dict.fromkeys(_checkpoint_sites(sites, circuit.num_qubits))
-    starts = list(checkpoints)
-    # the gates' kernels share the checkpoints' memory budget
-    ops = _kernels(circuit, CHECKPOINT_BYTES - state_bytes * len(checkpoints))
-
-    clean = _marginal(_clean_run(circuit, ops, checkpoints), num_bits)
-    clean_cdf = _cdf(clean)
-    # a program that is the input itself (the input side of `pgmq simulate
-    # --input`) has its clean run for the ideal: the same gates through the
-    # same kernels, so the same bits as simulating the input again
-    ideal = clean if circuit is input_circuit else probabilities(input_circuit)
+    # a sweep's two row buffers take at most half the budget (the clean row
+    # and at least one sample each), the gates' kernels what they leave
+    rows = max(2, CALL_BYTES // (4 * state_bytes))
+    ops = _kernels(circuit, CALL_BYTES - 2 * rows * state_bytes)
     u = np.empty((samples, shots))
     drawn = np.empty((samples, shots), dtype=np.int64)
     error_free = np.ones(samples, dtype=bool)
-    # the erroneous samples are replayed REPLAY_WINDOW at a time, sorted by
-    # their checkpoint start so that each batch sweeps as few gates as it can
-    per_batch = max(1, REPLAY_BYTES // state_bytes)
+    # the erroneous samples are swept REPLAY_WINDOW at a time, sorted by
+    # their first error, the order in which their rows join a sweep
     window: list = []
+    final = None
 
     def replay():
+        nonlocal final
         window.sort(key=lambda entry: entry[0])
-        for b in range(0, len(window), per_batch):
-            batch = window[b:b + per_batch]
-            final = _replay(circuit, ops, checkpoints, batch)
-            for (_, k, _), psi in zip(batch, final):
+        for b in range(0, len(window), rows - 1):
+            batch = window[b:b + rows - 1]
+            final = _replay(circuit, ops, batch)
+            for (_, k, _), psi in zip(batch, final[1:]):
                 drawn[k] = _cdf(_marginal(psi, num_bits)).searchsorted(
                     u[k], side="right")
         window.clear()
 
     for s, errors in _draw(slots, model, _substreams(seed), u):
-        start = starts[bisect.bisect_right(starts, min(errors)) - 1]
-        window.append((start, s, errors))
+        window.append((min(errors), s, errors))
         error_free[s] = False
         if len(window) == REPLAY_WINDOW:
             replay()
     replay()
-    drawn[error_free] = clean_cdf.searchsorted(u[error_free], side="right")
+    # row 0 of every sweep is the clean run; it is swept alone when no
+    # sample errs
+    if final is None:
+        final = _replay(circuit, ops, [])
+    clean = _marginal(final[0], num_bits)
+    # a program that is the input itself (the input side of `pgmq simulate
+    # --input`) has its clean run for the ideal: the same gates through the
+    # same kernels, so the same bits as simulating the input again
+    ideal = clean if circuit is input_circuit else probabilities(input_circuit)
+    drawn[error_free] = _cdf(clean).searchsorted(u[error_free], side="right")
     del u
 
     total = samples * shots
     merged = np.bincount(drawn.ravel(), minlength=dim) / total
     fid = 1.0 - 0.5 * float(np.abs(merged - ideal).sum())
 
-    if 8 * samples * dim <= CHECKPOINT_BYTES and dim <= 32 * shots:
+    if 8 * samples * dim <= CALL_BYTES and dim <= 32 * shots:
         # per-sample shot counts, when their table fits the budget: a
         # replicate's counts are then one product with how often it picked
         # each sample (whole numbers below 2**53, so exact in floating point,
@@ -490,12 +461,12 @@ def monte_carlo_fidelity(program, input_circuit: Circuit, model: NoiseModel,
             return np.array([np.bincount(drawn[r].ravel(), minlength=dim)
                              for r in rows])
 
-    # the replicates a chunk at a time within CHECKPOINT_BYTES, each taking
+    # the replicates a chunk at a time within CALL_BYTES, each taking
     # about 32 bytes per sample (rows, offsets, picks as integers and as
     # doubles) and per outcome (counts and three temporaries); one draw of
     # (k, samples) is the stream of k draws of `samples`
     boot_rng = np.random.Generator(np.random.Philox(key=[seed, 2 ** 63]))
-    chunk = max(1, CHECKPOINT_BYTES // (32 * (samples + dim)))
+    chunk = max(1, CALL_BYTES // (32 * (samples + dim)))
     fids = np.empty(BOOTSTRAP)
     for b in range(0, BOOTSTRAP, chunk):
         k = min(chunk, BOOTSTRAP - b)

@@ -297,7 +297,7 @@ def test_realized_fanouts_match_decompose_pg(ancilla):
         r = realize(GadgetSequence(n, [g]),
                     ANCILLA_MERGED if ancilla else NO_ANCILLA)
         jstar = n if ancilla else g.support[0]
-        c = decompose_pg(g, jstar, n + ancilla, ancilla=ancilla)
+        c = decompose_pg(g, jstar, n + ancilla)
         fan, mid = c.gates[:(len(c.gates) - 1) // 2], c.gates[len(c.gates) // 2]
         mq, frame = fanout_to_mq(fan)
         fused = [*frame.right_gates(), mq, *frame.left_gates()]
@@ -358,6 +358,15 @@ def test_baseline_norm_is_its_layers_nuclear_norms(rng):
         assert count == len(layers)
         want = sum(reference_norm(p) for p in layers if p)
         assert norm == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_baseline_norm_of_no_entangling_gate_is_a_float():
+    # *.metrics.json writes "baselineNorm": 0.0 beside "compiledNorm": 0.0
+    c = Circuit(1, [hadamard(0)])
+    count, norm = baseline_parallel_merge(c)
+    assert (count, norm) == (0, 0.0) and type(norm) is float
+    m = metrics(optimize(c).body, c)
+    assert type(m["baselineNorm"]) is type(m["compiledNorm"]) is float
 
 
 def test_baseline_flushes_on_local_gate():

@@ -94,7 +94,7 @@ def test_decompose_pg_ancilla_logical_action(rng):
         support = tuple(range(n))
         axis = str(rng.choice(list("XYZ")))
         g = PhaseGadget(axis, float(rng.uniform(-2, 2)), support)
-        c = decompose_pg(g, n, num_qubits=n + 1, ancilla=True)
+        c = decompose_pg(g, n, num_qubits=n + 1)
         u = to_unitary(c)
         dim = 2 ** n
         # ancilla starts and ends in |0>

@@ -11,7 +11,7 @@ from pgmq.circuit import (Barrier, Circuit, InputError, Kernel, SingleQubit,
 from pgmq.cost import ANCILLA_MERGED, AUTO
 from pgmq.gadgets import MultiQubitGate
 from pgmq.noise import (BOOTSTRAP, MonteCarloResult, NoiseModel,
-                        _checkpoint_sites, _draw, _draw_one, _noise_sites,
+                        _draw, _draw_one, _noise_sites,
                         _slots, _substreams, gate_norm, inject_noise,
                         monte_carlo_fidelity, probabilities, relative_error,
                         statevector, success_probability)
@@ -258,7 +258,7 @@ def test_array_draw_across_chunk_boundaries(monkeypatch):
     model = NoiseModel(0.1, 0.1, seed=6)
     samples, shots = 60, 4
     width = 2 * _slots(_noise_sites(c, model))[0].size + shots
-    monkeypatch.setattr(noise, "CHECKPOINT_BYTES", 3 * 8 * width)
+    monkeypatch.setattr(noise, "CALL_BYTES", 3 * 8 * width)
     erred = [bool(e) for e in _assert_sampler_draws(c, model, samples, shots)]
     edges = {(erred[s - 1], erred[s]) for s in range(3, samples, 3)}
     assert {(False, True), (True, False)} <= edges
@@ -269,12 +269,12 @@ def test_draw_chunks_fit_the_budget(monkeypatch):
     # 5000 samples of a 10-qubit chain's 144 slots and 2 shots would draw
     # 11.6 MB of doubles at once; under a 1 MB budget a chunk holds 451
     # rows, and the call's peak stays near its other budgets (1 MB of
-    # checkpoints and kernels, and the bootstrap chunk)
+    # sweep buffers and kernels, and the bootstrap chunk)
     from conftest import chain_circuit
     c = chain_circuit(10, steps=4)
     model = NoiseModel(1e-5, 1e-5, seed=2)
     assert _slots(_noise_sites(c, model))[0].size == 144
-    monkeypatch.setattr(noise, "CHECKPOINT_BYTES", 2 ** 20)
+    monkeypatch.setattr(noise, "CALL_BYTES", 2 ** 20)
     monte_carlo_fidelity(c, c, model, samples=1, shots=2)   # first-call costs
     tracemalloc.start()
     try:
@@ -330,22 +330,33 @@ def test_statevector_of_no_gate_is_the_phased_zero_state(n, gates):
         assert got.tobytes() == (phase * zero).tobytes()
 
 
-@pytest.mark.parametrize("room", [0, noise.CHECKPOINT_BYTES])
-def test_clean_run_keeps_copies_of_its_prefix_states(room):
-    # every gate index kept, a barrier's too: each stored state is, byte for
-    # byte, the final state of the gates before it (global phase 1), so no
-    # stored state is a view of the sweep's two buffers, which swap at every
-    # gate; with and without the kernels built beforehand
+@pytest.mark.parametrize("room", [0, noise.CALL_BYTES])
+def test_forked_rows_leave_the_clean_row_a_lone_simulation(room):
+    # samples whose rows join as copies of row 0 before their first error,
+    # at a barrier's index too: row 0 stays, byte for byte, the state
+    # vector of the clean circuit swept alone, and each forked row that of
+    # its noisy instance; with and without the kernels built beforehand
     realized, _ = _ancilla_program()
     gates = realized.gates[:4] + [Barrier()] + realized.gates[4:]
     circuit = Circuit(realized.num_qubits, gates,
                       global_phase=realized.global_phase)
-    keep = dict.fromkeys(range(len(gates)))
-    final = noise._clean_run(circuit, noise._kernels(circuit, room), keep)
-    assert final.tobytes() == statevector(circuit).tobytes()
-    for i, psi in keep.items():
-        prefix = statevector(Circuit(circuit.num_qubits, gates[:i]))
-        assert psi.tobytes() == prefix.tobytes(), i
+    n = circuit.num_qubits
+    flips = {0: {3: [pauli_gate("X", 0)]},
+             1: {3: [pauli_gate("Z", 1)], 9: [pauli_gate("Y", 3)]},
+             2: {4: [pauli_gate("Y", 2), pauli_gate("X", 0)]},
+             3: {len(gates) - 1: [pauli_gate("Z", 3)]}}
+    batch = [(min(errors), s, errors) for s, errors in flips.items()]
+    final = noise._replay(circuit, noise._kernels(circuit, room), batch)
+    assert final.shape == (1 + len(batch), 2 ** n)
+    assert final[0].tobytes() == statevector(circuit).tobytes()
+    for (_, s, errors), psi in zip(batch, final[1:]):
+        noisy = []
+        for i, g in enumerate(gates):
+            noisy.extend(errors.get(i, ()))
+            noisy.append(g)
+        noisy = Circuit(n, noisy, global_phase=circuit.global_phase)
+        want = statevector(noisy)
+        assert psi.tobytes() == want.tobytes(), s
 
 
 def test_probabilities_trace_out_high_qubits():
@@ -471,7 +482,7 @@ def test_bootstrap_chunks_equal_one_chunk(monkeypatch):
                                      samples=samples, shots=shots)
         for budget in (3 * 32 * (samples + dim), 8 * samples * dim - 1):
             with monkeypatch.context() as m:
-                m.setattr(noise, "CHECKPOINT_BYTES", budget)
+                m.setattr(noise, "CALL_BYTES", budget)
                 chunked = monte_carlo_fidelity(circuit, input_circuit, model,
                                                samples=samples, shots=shots)
             assert (chunked.fidelity, chunked.ci_low, chunked.ci_high) == \
@@ -485,7 +496,7 @@ def test_bootstrap_chunks_fit_the_budget(monkeypatch):
     # 1 MB budget they are drawn a few at a time
     c = Circuit(1, [hadamard(0)])
     model = NoiseModel(0.0, 0.0, seed=1)
-    monkeypatch.setattr(noise, "CHECKPOINT_BYTES", 2 ** 20)
+    monkeypatch.setattr(noise, "CALL_BYTES", 2 ** 20)
     monte_carlo_fidelity(c, c, model, samples=1, shots=2)   # first-call costs
     tracemalloc.start()
     try:
@@ -503,7 +514,7 @@ def test_bootstrap_count_table_fits_the_budget(monkeypatch):
     # drawn and multiplied a few replicates at a time
     c = Circuit(3, [hadamard(0), hadamard(1), hadamard(2)])
     model = NoiseModel(0.0, 0.0, seed=1)
-    monkeypatch.setattr(noise, "CHECKPOINT_BYTES", 2 ** 20)
+    monkeypatch.setattr(noise, "CALL_BYTES", 2 ** 20)
     monte_carlo_fidelity(c, c, model, samples=1, shots=2)   # first-call costs
     tracemalloc.start()
     try:
@@ -516,14 +527,15 @@ def test_bootstrap_count_table_fits_the_budget(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["measured-input", "ancilla-program"])
 def test_smallest_budgets_equal_full_resimulation(monkeypatch, kind):
-    # a one-byte budget puts every budgeted part at its floor: one
-    # checkpoint, no kernel built ahead, draw chunks of one sample and
-    # bootstrap chunks of one replicate, counted shot by shot
+    # a one-byte budget puts every budgeted part at its floor: sweeps of
+    # one sample beside the clean row, no kernel built ahead, draw chunks
+    # of one sample and bootstrap chunks of one replicate, counted shot by
+    # shot
     if kind == "measured-input":
         circuit = input_circuit = parse_qasm(MEASURED_BELL)
     else:
         circuit, input_circuit = _ancilla_program()
-    monkeypatch.setattr(noise, "CHECKPOINT_BYTES", 1)
+    monkeypatch.setattr(noise, "CALL_BYTES", 1)
     _assert_resimulated(circuit, input_circuit, NoiseModel(0.1, 0.1, seed=8))
 
 
@@ -582,50 +594,43 @@ def test_monte_carlo_equals_full_resimulation(kind, p_dephase, p_depol):
                             NoiseModel(p_dephase, p_depol, seed))
 
 
-@pytest.mark.parametrize("states", [1, 3])
-def test_monte_carlo_replays_from_earlier_checkpoint(monkeypatch, states):
-    # room for only `states` checkpoints: most first errors fall between two
-    # kept sites and replay from the earlier one
-    circuit, input_circuit = _ancilla_program()
-    n = circuit.num_qubits
-    model = NoiseModel(0.1, 0.1, seed=4)
-    monkeypatch.setattr(noise, "CHECKPOINT_BYTES", states * 16 * 2 ** n)
-    sites = _noise_sites(circuit, model)
-    kept = _checkpoint_sites(sites, n)
-    assert len(kept) == states < len(sites)
-    assert kept[0] == next(iter(sites))
-    _assert_resimulated(circuit, input_circuit, model)
-
-
 def test_monte_carlo_builds_kernels_within_the_budget(monkeypatch):
-    # every checkpoint fits, with room left for two states' worth of kernel
-    # tables: the gates past that build their kernel at each application,
-    # and the result is still that of re-simulating every sample
+    # a budget of six states: the sweep's two buffers take four (the clean
+    # row and one sample each), leaving two states' worth of kernel tables;
+    # the gates past that build their kernel at each application, and the
+    # result is still that of re-simulating every sample
     circuit, input_circuit = _ancilla_program()
     state = 16 * 2 ** circuit.num_qubits
-    sites = _noise_sites(circuit, NoiseModel())
-    monkeypatch.setattr(noise, "CHECKPOINT_BYTES", state * (len(sites) + 2))
-    assert _checkpoint_sites(sites, circuit.num_qubits) == list(sites)
-    ops = noise._kernels(circuit, 2 * state)
+    monkeypatch.setattr(noise, "CALL_BYTES", 6 * state)
+    built = []
+    real = noise._kernels
+
+    def spy(circuit, room):
+        built.append((room, real(circuit, room)))
+        return built[-1][1]
+
+    monkeypatch.setattr(noise, "_kernels", spy)
+    _assert_resimulated(circuit, input_circuit, NoiseModel(0.1, 0.1, seed=5))
+    room, ops = built[0]
+    assert room == 2 * state
     held = [op for op in ops if isinstance(op, Kernel)]
     assert held and len(held) < len(ops)
     assert sum(k.table.nbytes for k in held) <= 2 * state
-    _assert_resimulated(circuit, input_circuit, NoiseModel(0.1, 0.1, seed=5))
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["measured-input", "ancilla-program"])
 def test_replay_batches_equal_full_resimulation(monkeypatch, kind, rows):
-    # batches of one to three sample rows, and windows of every size from
-    # one erroneous sample up: each batch sweeps from its earliest start
-    # and the later rows join on the way, with the bits of replaying every
-    # sample alone
+    # sweeps of one to three sample rows beside the clean row, and windows
+    # of every size from one erroneous sample up: each sample's row forks
+    # from the clean row at its first error, with the bits of replaying
+    # every sample alone
     if kind == "measured-input":
         circuit = input_circuit = parse_qasm(MEASURED_BELL)
     else:
         circuit, input_circuit = _ancilla_program()
-    monkeypatch.setattr(noise, "REPLAY_BYTES",
-                        rows * 16 * 2 ** circuit.num_qubits)
+    monkeypatch.setattr(noise, "CALL_BYTES",
+                        4 * (1 + rows) * 16 * 2 ** circuit.num_qubits)
     for window in (1, 5, noise.REPLAY_WINDOW):
         monkeypatch.setattr(noise, "REPLAY_WINDOW", window)
         _assert_resimulated(circuit, input_circuit,
@@ -640,16 +645,16 @@ def test_replayed_states_are_full_simulations(monkeypatch, rows):
     # the last bits rarely moves
     circuit, input_circuit = _ancilla_program()
     model = NoiseModel(0.1, 0.1, seed=7)
-    monkeypatch.setattr(noise, "REPLAY_BYTES",
-                        rows * 16 * 2 ** circuit.num_qubits)
+    monkeypatch.setattr(noise, "CALL_BYTES",
+                        4 * (1 + rows) * 16 * 2 ** circuit.num_qubits)
     replayed = {}
     real = noise._replay
 
-    def spy(circuit, ops, starts, batch, keep=None):
-        # the clean runs (and statevector's) sweep one row of no sample
-        final = real(circuit, ops, starts, batch, keep)
+    def spy(circuit, ops, batch):
+        # row 0 is the clean run, the samples' rows follow it
+        final = real(circuit, ops, batch)
         replayed.update((s, psi.tobytes()) for (_, s, _), psi
-                        in zip(batch, final) if s is not None)
+                        in zip(batch, final[1:]))
         return final
 
     monkeypatch.setattr(noise, "_replay", spy)
@@ -658,6 +663,36 @@ def test_replayed_states_are_full_simulations(monkeypatch, rows):
     for s, got in replayed.items():
         noisy = inject_noise(circuit, model, _substream(model.seed, s))
         assert got == statevector(noisy).tobytes(), s
+
+
+@pytest.mark.parametrize("rows", [4, None])
+def test_one_sweep_per_batch_and_no_separate_clean_run(monkeypatch, rows):
+    # row 0 of every sweep is the clean run: a call where no sample errs
+    # sweeps it alone, and one whose k erroneous samples fill one window
+    # sweeps ceil(k / (rows - 1)) times, rows - 1 samples in all but the
+    # last; at the default budget this 4-qubit program sweeps them at once
+    circuit, _ = _ancilla_program()
+    if rows is not None:
+        monkeypatch.setattr(noise, "CALL_BYTES",
+                            4 * rows * 16 * 2 ** circuit.num_qubits)
+    sweeps = []
+    real = noise._replay
+
+    def spy(circuit, ops, batch):
+        sweeps.append(len(batch))
+        return real(circuit, ops, batch)
+
+    monkeypatch.setattr(noise, "_replay", spy)
+    monte_carlo_fidelity(circuit, circuit, NoiseModel(0.0, 0.0), 40, 3)
+    assert sweeps == [0]
+    sweeps.clear()
+    model = NoiseModel(2e-2, 2e-2, seed=0)
+    k = len(list(_draw(_slots(_noise_sites(circuit, model)), model,
+                       _substreams(model.seed), np.empty((40, 3)))))
+    assert 3 < k < 40
+    monte_carlo_fidelity(circuit, circuit, model, 40, 3)
+    per = k if rows is None else rows - 1
+    assert sweeps == [per] * (k // per) + [k % per] * (k % per > 0)
 
 
 @pytest.mark.parametrize("scheme", [AUTO, ANCILLA_MERGED])
@@ -674,14 +709,14 @@ def test_benchmark_program_equals_full_resimulation(scheme):
 
 def test_replay_batches_fit_the_budget(monkeypatch):
     # nearly all 200 samples of a 10-qubit chain err: replayed together,
-    # their two row buffers would take 6.4 MB; under a 64 KiB budget a
-    # batch holds four rows, and the call's peak stays near its other
-    # budgets (1 MB of checkpoints and kernels, and the bootstrap chunk)
+    # their two row buffers would take 6.4 MB; under a 1 MB budget a sweep
+    # holds 16 rows (256 KB a buffer), and the call's peak stays near its
+    # other budgets (kernels in the rest of that 1 MB, the draw and the
+    # bootstrap chunks)
     from conftest import chain_circuit
     c = chain_circuit(10, steps=1)
     model = NoiseModel(0.3, 0.3, seed=2)
-    monkeypatch.setattr(noise, "CHECKPOINT_BYTES", 2 ** 20)
-    monkeypatch.setattr(noise, "REPLAY_BYTES", 2 ** 16)
+    monkeypatch.setattr(noise, "CALL_BYTES", 2 ** 20)
     monte_carlo_fidelity(c, c, model, samples=1, shots=2)   # first-call costs
     tracemalloc.start()
     try:
