@@ -72,6 +72,7 @@ import numpy as np
 from .circuit import Circuit, CircuitError, GeneralizedCnot, SingleQubit, \
     ZzRotation
 from .gadgets import (
+    PAIR_PHASE_EPS,
     _Z_TO,
     GadgetSequence,
     LocalFrame,
@@ -140,9 +141,10 @@ def _group_key(pairs: dict) -> frozenset:
     survive MultiQubitGate's zero-drop, which fix its phase matrix bit for
     bit; empty when the phases cancel to no gate.  Built without a sort,
     its hash is computed once and kept."""
-    if pairs and min(map(abs, pairs.values())) > 1e-15:
+    if pairs and min(map(abs, pairs.values())) > PAIR_PHASE_EPS:
         return frozenset(pairs.items())
-    return frozenset(kv for kv in pairs.items() if abs(kv[1]) > 1e-15)
+    return frozenset(kv for kv in pairs.items()
+                     if abs(kv[1]) > PAIR_PHASE_EPS)
 
 
 @functools.lru_cache(maxsize=None)
@@ -424,7 +426,7 @@ def baseline_parallel_merge(circuit: Circuit) -> tuple[int, float]:
         if not support:
             norms.append(0.0)
         support.update(g.qubits)
-        if abs(theta) > 1e-15:
+        if abs(theta) > PAIR_PHASE_EPS:
             norms[-1] += abs(theta)
     return len(norms), sum(norms, 0.0)
 

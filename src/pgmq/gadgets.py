@@ -19,15 +19,19 @@ its own support qubits, or onto an ancilla outside the support.  Both
 emitter fuses it with `fanout_to_mq` (or, between two gadgets sharing the
 ancilla, `merge_interface`).
 
+No code edits a gadget, frame or sequence after it is built: every
+rewrite (CNOT conjugation, merging, angle normalization, the adjoint)
+returns new values, so gadgets, gadget lists and frames may be shared
+freely between sequences.
+
 A gadget carries its support twice: as the sorted qubit tuple `support`
 and as the GF(2) bitmask `mask` (bit q set iff q is in the support), the
-bit-packed Pauli view.  Both are fixed when the gadget is built, and
-nothing reassigns either afterwards (`simplify` edits only `alpha`), so
-commutation (`pg_commutes`: same axis, or an even popcount of the masks'
-AND), CNOT conjugation (`commute_cnot`: one bit toggled), merging and
-anticommutation parities are integer operations.  The public constructor
-validates its input; `_gadget` builds a gadget from parts already checked
-(a sorted support, its mask and an alpha in (-2, 2]) and skips that.
+bit-packed Pauli view, so commutation (`pg_commutes`: same axis, or an
+even popcount of the masks' AND), CNOT conjugation (`commute_cnot`: one
+bit toggled), merging and anticommutation parities are integer
+operations.  The public constructor validates its input; `_gadget` builds
+a gadget from parts already checked (a sorted support, its mask and an
+alpha in (-2, 2]) and skips that.
 
 Every other Pauli string (the frame, a string pushed into it, a fused
 fanout's net control string) is an X-part mask x and a Z-part mask z:
@@ -165,10 +169,13 @@ def _gadget(axis: str, alpha: float, support: tuple[int, ...],
     return g
 
 
+PAIR_PHASE_EPS = 1e-15   # a U_MQ pair phase at most this in size is dropped
+
+
 @dataclass(eq=False)
 class MultiQubitGate:
     """exp(i * sum_{n<m} theta_nm Z_n Z_m); pair phases stored upper-triangular,
-    a pair whose summed phase is at most 1e-15 in size dropped."""
+    a pair whose summed phase is at most PAIR_PHASE_EPS in size dropped."""
 
     pairs: dict = field(default_factory=dict)
 
@@ -179,7 +186,8 @@ class MultiQubitGate:
                 raise CircuitError("phase matrix must have zero diagonal")
             key = (min(n, m), max(n, m))
             norm[key] = norm.get(key, 0.0) + th
-        self.pairs = {k: v for k, v in norm.items() if abs(v) > 1e-15}
+        self.pairs = {k: v for k, v in norm.items()
+                      if abs(v) > PAIR_PHASE_EPS}
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -225,31 +233,21 @@ class PauliFrame:
         return [(q, _LETTERS[(x >> q & 1) | (z >> q & 1) << 1])
                 for q in support_of(x | z)]
 
-    def multiply_right(self, x: int, z: int) -> complex:
-        """Frame <- frame * P(x, z) (matrix order); returns the i^k picked up."""
-        k = _product_power(self.x, self.z, x, z)
-        self.x ^= x
-        self.z ^= z
-        return _I_POW[k]
-
     def gates(self) -> list[SingleQubit]:
         return [pauli_gate(p, q) for q, p in self.paulis]
 
-    def conjugate_by_cnot_word(self, word: list[tuple[int, int]]) -> complex:
-        """Replace the frame P by A P A^dag for the CNOT circuit A given as a
-        (control, target) word in time order; returns the +/-1 sign picked up
-        (conjugation can flip signs, e.g. X_c Z_t -> -Y_c Y_t)."""
+    def conjugate_by_cnot_word(self, word: list[tuple[int, int]]
+                               ) -> tuple["PauliFrame", complex]:
+        """The frame A P A^dag for this frame P and the CNOT circuit A given
+        as a (control, target) word in time order, and the +/-1 sign picked
+        up (conjugation can flip signs, e.g. X_c Z_t -> -Y_c Y_t)."""
         x, z, flip = self.x, self.z, 0
         for c, t in word:
             xc, zt = x >> c & 1, z >> t & 1
             flip ^= xc & zt & (x >> t ^ z >> c ^ 1)
             x ^= xc << t
             z ^= zt << c
-        self.x, self.z = x, z
-        return _I_POW[2 * flip]
-
-    def copy(self) -> "PauliFrame":
-        return PauliFrame(self.x, self.z)
+        return PauliFrame(x, z), _I_POW[2 * flip]
 
 
 @dataclass(eq=False)
@@ -260,15 +258,6 @@ class GadgetSequence:
     gadgets: list = field(default_factory=list)
     frame: PauliFrame = field(default_factory=PauliFrame)
     phase: complex = 1.0 + 0j
-
-    def copy(self) -> "GadgetSequence":
-        """Deep copy: fresh gadgets, so in-place edits of the copy (as
-        `simplify` makes) never reach gadgets other sequences share."""
-        return GadgetSequence(
-            self.num_qubits,
-            [_gadget(g.axis, g.alpha, g.support, g.mask)
-             for g in self.gadgets],
-            self.frame.copy(), self.phase)
 
 
 @dataclass(eq=False)
@@ -345,22 +334,22 @@ def _fuse(controls: list[tuple[int, str]], target: int,
     chi = delta / 2
     tshift = -delta / 2
     mq = MultiQubitGate({(q, target): math.pi / 4 for q in live})
-    frame = LocalFrame(phase=np.exp(1j * chi))
+    phase = np.exp(1j * chi)
     if not live:
-        return mq, frame
+        return mq, LocalFrame(phase=phase)
     vq_t = _Z_TO[target_axis]
     q_t = PAULI[target_axis]
     exp_t = math.cos(tshift) * np.eye(2) + 1j * math.sin(tshift) * q_t
-    frame.left[target] = exp_t @ vq_t
-    frame.right[target] = vq_t.conj().T
+    left = {target: exp_t @ vq_t}
+    right = {target: vq_t.conj().T}
     for q in live:
         p = letters[q]
         v = _Z_TO[p]
         rot = (math.cos(math.pi / 4) * np.eye(2)
                - 1j * math.sin(math.pi / 4) * PAULI[p])  # e^{-i pi/4 P}
-        frame.left[q] = v
-        frame.right[q] = v.conj().T @ rot
-    return mq, frame
+        left[q] = v
+        right[q] = v.conj().T @ rot
+    return mq, LocalFrame(left, right, phase)
 
 
 def fanout_to_mq(fanout: list[GeneralizedCnot]) -> tuple[MultiQubitGate, LocalFrame]:
@@ -393,8 +382,7 @@ def commute_cnot(cnot_gate: GeneralizedCnot, g: PhaseGadget) -> PhaseGadget:
     The canonical CNOT is self-inverse, so both directions produce the same
     conjugated gadget G' = C G C.  CNOT(j, k) changes a Z gadget only when
     its support holds k (it toggles j) and an X gadget only when its support
-    holds j (it toggles k); any other gadget is returned itself, not a copy,
-    so callers must not mutate the result in place.
+    holds j (it toggles k); any other gadget is returned itself.
     """
     if not cnot_gate.is_canonical:
         raise CircuitError("commute_cnot needs a canonical (Z^X) CNOT")
@@ -435,23 +423,13 @@ def _anticommutes(g: PhaseGadget, xs: int, zs: int) -> int:
     return (bits & g.mask).bit_count() & 1
 
 
-def _push_string_to_frame(seq: GadgetSequence, start: int, xs: int, zs: int,
-                          scalar: complex) -> None:
-    """Move the Pauli string P(xs, zs) from just after gadget `start` through
-    the rest of the sequence into the trailing frame, flipping angles it
-    anticommutes with."""
-    for g in seq.gadgets[start + 1:]:
-        if _anticommutes(g, xs, zs):
-            g.alpha = normalized_alpha(-g.alpha)
-    scalar *= seq.frame.multiply_right(xs, zs)
-    seq.phase *= scalar
-
-
 def simplify(seq: GadgetSequence) -> GadgetSequence:
     """Fixed point of: bubble-merge equal (axis, support) gadgets, normalize
     angles into [-1/2, 1/2) extracting Pauli corrections, drop trivial
-    gadgets.  The unitary is preserved exactly."""
-    out = seq.copy()
+    gadgets.  The unitary is preserved exactly.  A gadget is rebuilt only
+    when its angle changes."""
+    gadgets = seq.gadgets
+    x, z, phase = seq.frame.x, seq.frame.z, seq.phase
     changed = True
     while changed:
         changed = False
@@ -467,7 +445,7 @@ def simplify(seq: GadgetSequence) -> GadgetSequence:
         # mask) of every kept gadget of another axis, in kept order
         last = {"X": {}, "Y": {}, "Z": {}}
         off = {"X": [], "Y": [], "Z": []}
-        for g in out.gadgets:
+        for g in gadgets:
             axis, mask = g.axis, g.mask
             seen = last[axis]
             j = seen.get(mask)
@@ -479,8 +457,9 @@ def simplify(seq: GadgetSequence) -> GadgetSequence:
                         j = None
                         break
                 if j is not None:
-                    target = kept[j]
-                    target.alpha = normalized_alpha(target.alpha + g.alpha)
+                    h = kept[j]
+                    kept[j] = _gadget(axis, normalized_alpha(h.alpha + g.alpha),
+                                      h.support, mask)
                     changed = True
                     continue
             seen[mask] = len(kept)
@@ -488,25 +467,27 @@ def simplify(seq: GadgetSequence) -> GadgetSequence:
             for other in _OTHER_AXES[axis]:
                 off[other].append(item)
             kept.append(g)
-        out.gadgets = kept
-        # (c): angle normalization with Pauli extraction; the frame's masks
-        # XOR their values at the sweep's start are the product, up to a
-        # scalar, of the strings moved to the frame so far, each gadget
-        # flipped at its own turn if it anticommutes with it
-        frame = out.frame
-        x0, z0 = frame.x, frame.z
-        for g in out.gadgets:
-            if _anticommutes(g, frame.x ^ x0, frame.z ^ z0):
-                g.alpha = -g.alpha
-            shift = math.floor(g.alpha + 0.5)
+        # (c)+(d): angle normalization with Pauli extraction, then dropping
+        # trivial gadgets; x ^ x0 and z ^ z0 are the product, up to a
+        # scalar, of the strings moved to the frame in this sweep so far,
+        # each gadget flipped at its own turn if it anticommutes with it
+        x0, z0 = x, z
+        gadgets = []
+        for g in kept:
+            alpha = -g.alpha if _anticommutes(g, x ^ x0, z ^ z0) else g.alpha
+            shift = math.floor(alpha + 0.5)
             if shift != 0:
-                g.alpha -= shift
-                string = _axis_bits(g.axis, g.mask) if shift % 2 else (0, 0)
-                out.phase *= 1j ** (shift % 4) * frame.multiply_right(*string)
+                alpha -= shift
+                sx, sz = _axis_bits(g.axis, g.mask) if shift % 2 else (0, 0)
+                k = _product_power(x, z, sx, sz)
+                phase *= 1j ** (shift % 4) * _I_POW[k]
+                x ^= sx
+                z ^= sz
                 changed = True
-        # (d): drop trivial gadgets
-        kept = [g for g in out.gadgets if abs(g.alpha) > ALPHA_EPS]
-        if len(kept) != len(out.gadgets):
-            out.gadgets = kept
-            changed = True
-    return out
+            if abs(alpha) <= ALPHA_EPS:
+                changed = True
+            elif alpha == g.alpha:
+                gadgets.append(g)
+            else:
+                gadgets.append(_gadget(g.axis, alpha, g.support, g.mask))
+    return GadgetSequence(seq.num_qubits, gadgets, PauliFrame(x, z), phase)

@@ -29,8 +29,8 @@ from .circuit import (
 from .cost import AUTO, CostVector, realize, sequence_cost, sequence_costs
 from .gadgets import (
     GadgetSequence,
+    _anticommutes,
     _gadget,
-    _push_string_to_frame,
     commute_cnot,
     decompose_pg,
     normalized_alpha,
@@ -92,8 +92,6 @@ def _pull_cnots(circuit: Circuit, dagger: bool,
     reverse order, one-qubit gates and ZZ rotations inverted, CNOTs
     self-inverse, phase conjugated), pulling every CNOT to the beginning
     through the gadgets before it; returns the gadgets and the CNOT word.
-    Fresh gadgets are built from the cached angles on every use, since
-    `simplify` edits them in place.
 
     The walk runs from that circuit's last gate to its first, with z[q] and
     x[q] the bitmasks of what Z_q and X_q become under the CNOTs met so far.
@@ -149,15 +147,13 @@ def pg_left(circuit: Circuit,
 def sequence_adjoint(seq: GadgetSequence) -> GadgetSequence:
     """Adjoint of a gadget sequence, renormalized to the standard shape
     (gadgets, then trailing Pauli frame, then scalar)."""
-    gadgets = [_gadget(g.axis, normalized_alpha(-g.alpha), g.support, g.mask)
+    # the (Hermitian) frame string moves from the front of the adjoint to
+    # the back, flipping back each negated gadget it anticommutes with
+    frame = seq.frame
+    gadgets = [g if _anticommutes(g, frame.x, frame.z) else
+               _gadget(g.axis, normalized_alpha(-g.alpha), g.support, g.mask)
                for g in reversed(seq.gadgets)]
-    out = GadgetSequence(seq.num_qubits, gadgets)
-    # move the (Hermitian) frame string from the front of the adjoint to the
-    # back; into an empty frame it picks up no scalar, so the phase is set
-    # after, not multiplied by 1 + 0j, which can flip a zero's sign
-    _push_string_to_frame(out, -1, seq.frame.x, seq.frame.z, 1.0)
-    out.phase = np.conj(seq.phase)
-    return out
+    return GadgetSequence(seq.num_qubits, gadgets, frame, np.conj(seq.phase))
 
 
 def pg_right(circuit: Circuit,
@@ -174,14 +170,12 @@ def pg_right(circuit: Circuit,
 
 def conjugate_sequence(seq: GadgetSequence, control: int,
                        target: int) -> GadgetSequence:
-    """C . seq . C for the canonical CNOT (self-inverse conjugation).  The
-    gadgets the CNOT leaves alone are shared with `seq`, not copied."""
+    """C . seq . C for the canonical CNOT (self-inverse conjugation)."""
     c = cnot(control, target)
-    frame = seq.frame.copy()
-    phase = seq.phase * frame.conjugate_by_cnot_word([(control, target)])
+    frame, sign = seq.frame.conjugate_by_cnot_word([(control, target)])
     return GadgetSequence(seq.num_qubits,
                           [commute_cnot(c, g) for g in seq.gadgets],
-                          frame, phase)
+                          frame, seq.phase * sign)
 
 
 def conjugation_cost_matrix(seq: GadgetSequence,
@@ -236,8 +230,7 @@ def norm_reduction_step(seq: GadgetSequence, scheme: str = AUTO
 
     Returns (applied CNOTs, conjugated sequence, improved).  Candidate pair
     weights are current norm minus the best of the two conjugation
-    directions, clipped at zero; accepted pairs are vertex-disjoint.  The
-    returned sequence may share gadgets with `seq` (see `commute_cnot`)."""
+    directions, clipped at zero; accepted pairs are vertex-disjoint."""
     cm = conjugation_cost_matrix(seq, scheme)
     cur = cm[0, 0] if seq.num_qubits else 0.0
     n = seq.num_qubits

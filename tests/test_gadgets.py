@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from pgmq.circuit import Circuit, GeneralizedCnot, cnot, to_unitary
 from pgmq.cost import _interface_live
 from pgmq.gadgets import (ALPHA_EPS, GadgetSequence, MultiQubitGate,
-                          PauliFrame, PhaseGadget, _anticommutes,
-                          _product_power, _push_string_to_frame, commute_cnot,
-                          decompose_pg, fanout_to_mq, merge_interface,
+                          PauliFrame, PhaseGadget, _I_POW, _anticommutes,
+                          _product_power, commute_cnot, decompose_pg,
+                          fanout_to_mq, merge_interface, normalized_alpha,
                           pg_commutes, simplify, support_of)
 from conftest import sequence_unitary
 
@@ -295,13 +295,6 @@ def test_mask_forms_match_set_definitions(rng):
             moved = commute_cnot(cnot(c, t), g)
             assert moved.support == set_commute_cnot(c, t, g)
             assert moved.mask == sum(1 << q for q in moved.support)
-        # _push_string_to_frame flips exactly the gadgets of odd parity
-        seq = GadgetSequence(n, [gadget() for _ in range(4)])
-        want = [-x.alpha if set_parity(x, string) else x.alpha
-                for x in seq.gadgets]
-        _push_string_to_frame(seq, -1, frame.x, frame.z, 1.0)
-        assert [x.alpha for x in seq.gadgets] == want
-        assert seq.frame.paulis == sorted(string.items())
 
 
 def test_simplify_preserves_unitary_and_merges(rng):
@@ -328,13 +321,31 @@ def test_simplify_cancels_inverse_pair():
     assert simplify(seq).gadgets == []
 
 
+def _push_string_to_frame(seq: GadgetSequence, start: int, xs: int, zs: int,
+                          scalar: complex) -> None:
+    """Move the Pauli string P(xs, zs) from just after gadget `start` through
+    the rest of the sequence into the trailing frame, flipping angles it
+    anticommutes with; edits `seq` in place."""
+    for g in seq.gadgets[start + 1:]:
+        if _anticommutes(g, xs, zs):
+            g.alpha = normalized_alpha(-g.alpha)
+    frame = seq.frame
+    scalar *= _I_POW[_product_power(frame.x, frame.z, xs, zs)]
+    seq.frame = PauliFrame(frame.x ^ xs, frame.z ^ zs)
+    seq.phase *= scalar
+
+
 def _nested_loop_simplify(seq: GadgetSequence) -> GadgetSequence:
     """`simplify` as it was before its one-sweep merge and its running
     string: for each gadget, pull every later equal one back across
     everything between them that it commutes with; then, for each shifted
     angle, push its Pauli string through every later gadget
-    (`_push_string_to_frame`).  Step (d) is `simplify`'s."""
-    out = seq.copy()
+    (`_push_string_to_frame`).  Step (d) is `simplify`'s.  Edits a deep
+    copy of `seq` in place."""
+    out = GadgetSequence(
+        seq.num_qubits,
+        [PhaseGadget(g.axis, g.alpha, g.support) for g in seq.gadgets],
+        PauliFrame(seq.frame.x, seq.frame.z), seq.phase)
     changed = True
     while changed:
         changed = False
@@ -432,10 +443,11 @@ def test_frame_cnot_conjugation_signs(rng):
         word = [tuple(int(x) for x in rng.choice(n, 2, replace=False))
                 for _ in range(int(rng.integers(1, 4)))]
         frame = PauliFrame.from_letters(paulis)
-        coeff = frame.conjugate_by_cnot_word(word)
+        moved, coeff = frame.conjugate_by_cnot_word(word)
+        assert frame.paulis == sorted(paulis.items())
         a = to_unitary(Circuit(n, [cnot(c, t) for c, t in word]))
-        p_in = to_unitary(Circuit(n, PauliFrame.from_letters(paulis).gates()))
-        p_out = coeff * to_unitary(Circuit(n, frame.gates()))
+        p_in = to_unitary(Circuit(n, frame.gates()))
+        p_out = coeff * to_unitary(Circuit(n, moved.gates()))
         assert np.max(np.abs(a @ p_in @ a.conj().T - p_out)) < 1e-10
 
 

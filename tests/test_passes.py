@@ -8,7 +8,8 @@ from pgmq.circuit import (I2, Barrier, Circuit, CircuitError, GeneralizedCnot,
                           apply_local, cnot, form_su4_blocks, gates_commute,
                           hadamard, layerize, to_unitary, u1)
 from pgmq.cost import AUTO, NO_ANCILLA, ANCILLA_MERGED, sequence_cost
-from pgmq.gadgets import GadgetSequence, PhaseGadget, commute_cnot, simplify
+from pgmq.gadgets import (GadgetSequence, PauliFrame, PhaseGadget,
+                          commute_cnot, simplify)
 from pgmq.passes import (CompileOptions, _greedy_matching,
                          conjugate_sequence,
                          conjugation_cost_matrix, norm_reduction_step,
@@ -440,13 +441,13 @@ def test_cost_matrix_equals_whole_sequence_reference(scheme, monkeypatch):
         assert norm == reference_norm(key)
 
 
-def snapshot(seq):
-    """Every gadget of `seq` with the values it holds now."""
-    return [(g, (g.axis, g.alpha, g.support)) for g in seq.gadgets]
-
-
-def unchanged(snap) -> bool:
-    return all((g.axis, g.alpha, g.support) == held for g, held in snap)
+def held_values(seq):
+    """`seq`'s gadgets with their values bit for bit, its frame's masks and
+    its phase bit for bit, as they are now."""
+    phase = complex(seq.phase)
+    return ([(g, g.axis, g.alpha.hex(), g.support, g.mask)
+             for g in seq.gadgets],
+            seq.frame.x, seq.frame.z, phase.real.hex(), phase.imag.hex())
 
 
 def raw_sequence(n, rng):
@@ -465,22 +466,40 @@ def raw_sequence(n, rng):
 
 
 def test_passes_leave_input_gadgets_alone(rng):
-    # conjugated sequences share the gadgets a CNOT leaves alone; nothing
-    # downstream may edit them in place
-    for _ in range(20):
+    # the gadget algebra shares the gadgets it leaves unchanged, so it may
+    # edit none of its inputs: sequences with equal gadgets to merge,
+    # angles outside [-1/2, 1/2), Y gadgets (which no CNOT moves, so only
+    # simplify and the adjoint get them) and a non-empty frame for
+    # simplify to extend and the adjoint to move
+    applied = 0
+    for _ in range(30):
         n = int(rng.integers(2, 6))
-        seq = raw_sequence(n, rng)
-        snap = snapshot(seq)
+        frame = PauliFrame(int(rng.integers(1, 2 ** n)),
+                           int(rng.integers(0, 2 ** n)))
+        phase = complex(np.exp(1j * rng.uniform(-3, 3)))
+        xz = GadgetSequence(n, raw_sequence(n, rng).gadgets, frame, phase)
+        gadgets = []
+        for g in xz.gadgets:
+            gadgets.append(g)
+            if rng.random() < 0.3:
+                alpha = float(rng.uniform(-2.0, 2.0))
+                gadgets += [PhaseGadget("Y", alpha, g.support)] * 2
+        mixed = GadgetSequence(n, gadgets, frame, phase)
+        before = [held_values(s) for s in (xz, mixed)]
+        for seq in (xz, mixed):
+            simplify(seq)
+            sequence_adjoint(seq)
         a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
-        conj = conjugate_sequence(seq, a, b)
-        assert unchanged(snap)
-        assert any(h is g for h, g in zip(conj.gadgets, seq.gadgets))
-        conj_snap = snapshot(conj)
+        conj = conjugate_sequence(xz, a, b)
+        assert any(h is g for h, g in zip(conj.gadgets, xz.gadgets))
+        before.append(held_values(conj))
         simplify(conj)
-        simplify(seq)
-        _, nxt, _ = norm_reduction_step(seq, AUTO)
+        sequence_adjoint(conj)
+        step, nxt, _ = norm_reduction_step(xz, AUTO)
+        applied += len(step)
         simplify(nxt)
-        assert unchanged(snap) and unchanged(conj_snap)
+        assert [held_values(s) for s in (xz, mixed, conj)] == before
+    assert applied > 0
 
 
 def test_optimize_leaves_every_input_gadget_alone(rng, monkeypatch):
@@ -492,7 +511,7 @@ def test_optimize_leaves_every_input_gadget_alone(rng, monkeypatch):
 
     def recording(fn):
         def wrapped(seq, *args):
-            snaps.append(snapshot(seq))
+            snaps.append((seq, held_values(seq)))
             return fn(seq, *args)
         return wrapped
 
@@ -504,7 +523,7 @@ def test_optimize_leaves_every_input_gadget_alone(rng, monkeypatch):
         n = int(rng.integers(4, 7))
         accepted += optimize(random_circuit(n, 40, rng)).iterations
     assert accepted > 0
-    assert snaps and all(unchanged(s) for s in snaps)
+    assert snaps and all(held_values(s) == held for s, held in snaps)
 
 
 def assert_well_formed(gadgets) -> None:

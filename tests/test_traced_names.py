@@ -74,3 +74,28 @@ def test_norm_reduction_step_result_is_what_the_tracer_reads():
         assert improved is bool(applied)
         seen.add(improved)
     assert seen == {True, False}
+
+
+def test_program_reads_the_benchmark_makes_exist():
+    # the workloads read these off a compiled corpus program, its metrics
+    # and a Monte Carlo result without a default; the mc set-up costs the
+    # program through `CompiledProgram.cost()`, which nothing else calls
+    import pgmq.cost
+    import pgmq.noise
+    import pgmq.passes
+    import pgmq.qasm
+    circ = pgmq.qasm.parse_qasm_file(str(ROOT / "benchmarks" / "ghz_n6.qasm"))
+    prog = pgmq.passes.optimize(circ)
+    cv = prog.cost()
+    assert isinstance(cv.mq_count, int) and isinstance(cv.total_norm, float)
+    assert isinstance(prog.iterations, int)
+    assert isinstance(prog.commutation_events, int)
+    assert prog.body.gadgets and isinstance(prog.scheme, str)
+    assert prog.realized_circuit().gates
+    m = pgmq.cost.metrics(prog.body, circ, prog.scheme)
+    assert (m["compiledMqCount"], m["compiledNorm"]) == (cv.mq_count,
+                                                         cv.total_norm)
+    res = pgmq.noise.monte_carlo_fidelity(
+        prog, circ, pgmq.noise.NoiseModel(1e-2, 1e-2, 7), samples=4, shots=3)
+    assert 0.0 <= res.fidelity <= 1.0 and res.ci_low <= res.ci_high
+    assert (res.samples, res.shots) == (4, 3)
