@@ -58,7 +58,8 @@ class SingleQubit:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise CircuitError("single-qubit gate needs a 2x2 matrix")
-        if np.max(np.abs(m @ m.conj().T - I2)) > 1e-12:
+        # written so that a NaN entry fails the check too
+        if not np.max(np.abs(m @ m.conj().T - I2)) <= 1e-12:
             raise CircuitError(f"gate {self.name!r} is not unitary to 1e-12")
         self.matrix = m
 
@@ -184,13 +185,15 @@ def u1(lam: float, q: int) -> SingleQubit:
 
 def u3(theta: float, phi: float, lam: float, q: int) -> SingleQubit:
     c, s = np.cos(theta / 2), np.sin(theta / 2)
+    both = np.exp(1j * (phi + lam)) if math.isfinite(phi + lam) else np.nan
     m = np.array([[c, -np.exp(1j * lam) * s],
-                  [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c]])
+                  [np.exp(1j * phi) * s, both * c]])
     try:
         return SingleQubit(q, m, "u3")
     except CircuitError:
-        # phi + lam rounds the smaller angle away once the other is huge
-        # (1e17 has an ulp of 16); the product of the two phases keeps both
+        # phi + lam overflows once both angles are huge (the NaN above), and
+        # rounds the smaller angle away once the other is (1e17 has an ulp
+        # of 16); the product of the two phases keeps both
         m[1, 1] = np.exp(1j * phi) * np.exp(1j * lam) * c
         return SingleQubit(q, m, "u3")
 
@@ -581,17 +584,13 @@ _DECIDED_BELOW, _DECIDED_ABOVE = 1e-11, 1e-9
 _KIND_RANK = {SingleQubit: 0, GeneralizedCnot: 1, ZzRotation: 2}
 
 
-def _commutator_size(a, b) -> float | None:
-    """Max-entry size of [a, b] on the joint support for two gates sharing a
-    wire, from their 2x2 entries (as Python scalars); None for kinds without
-    a closed form."""
-    ra, rb = _KIND_RANK.get(type(a)), _KIND_RANK.get(type(b))
-    if ra is None or rb is None:
-        return None
+def _commutator_size(a, b) -> float:
+    """Max-entry size of [a, b] on the joint support for two gates of the
+    lowered set (one-qubit gates, canonical CNOTs, ZZ rotations) sharing a
+    wire, from their 2x2 entries (as Python scalars)."""
+    ra, rb = _KIND_RANK[type(a)], _KIND_RANK[type(b)]
     if ra > rb:
         a, b, ra, rb = b, a, rb, ra
-    if (ra == 1 and not a.is_canonical) or (rb == 1 and not b.is_canonical):
-        return None
     if ra == 0:
         (u00, u01), (u10, u11) = a.matrix.tolist()
         if rb == 0:
@@ -629,39 +628,34 @@ def _dense_commute(a, b) -> bool:
     return bool(np.max(np.abs(ua @ ub - ub @ ua)) < 1e-10)
 
 
-def gates_commute(a, b) -> bool:
-    """Whether the max-entry commutator of two gates on their joint support
-    is below 1e-10.  Gates on disjoint wires commute; pairs of one-qubit
-    gates, canonical CNOTs and ZZ rotations are decided from the closed-form
-    commutator size unless it lies within [1e-11, 1e-9]; those and all
-    other kinds take the dense check."""
-    return set(a.qubits).isdisjoint(b.qubits) or _sharing_commute(a, b)
-
-
 def _sharing_commute(a, b) -> bool:
-    """`gates_commute` for two gates known to share a wire."""
+    """Whether two gates of the lowered set that share a wire commute: their
+    max-entry commutator on the joint support is below 1e-10.  The closed
+    form (`_commutator_size`) decides unless it lies within [1e-11, 1e-9],
+    where the dense check does."""
     m = _commutator_size(a, b)
-    if m is None or _DECIDED_BELOW <= m <= _DECIDED_ABOVE:
+    if _DECIDED_BELOW <= m <= _DECIDED_ABOVE:
         return _dense_commute(a, b)
     return m < _DECIDED_BELOW
-
-
-_LAYERABLE = (SingleQubit, GeneralizedCnot, ZzRotation)
 
 
 def layerize(circuit: Circuit) -> list[list]:
     """Greedy commuting layers, each a list of gates: each gate goes right
     after the last layer it fails to commute with (layer 0 if it commutes
-    with everything).  Each layer keeps its gates by wire, and a gate is
+    with everything).  The circuit holds the gate set `qasm.to_zz_basis`
+    lowers to: one-qubit gates, canonical CNOTs and ZZ rotations; any other
+    gate is refused.  Each layer keeps its gates by wire, and a gate is
     checked only against the gates that share a wire with it, since gates
-    on disjoint wires commute.  `gates_commute` decides one-qubit gates,
-    CNOTs and ZZ rotations in closed form; only commutators within
-    1e-11..1e-9 of size build dense matrices."""
+    on disjoint wires commute.  `_sharing_commute` decides each pair in
+    closed form; only commutators within 1e-11..1e-9 of size build dense
+    matrices."""
     layers: list[list] = []
     on_wire: list[dict] = []    # per layer: wire -> that layer's gates on it
     for g in circuit.gates:
-        if not isinstance(g, _LAYERABLE):
-            raise CircuitError(f"unsupported gate kind for layerize: {type(g).__name__}")
+        rank = _KIND_RANK.get(type(g))
+        if rank is None or (rank == 1 and not g.is_canonical):
+            raise CircuitError(f"layerize takes one-qubit gates, canonical "
+                               f"CNOTs and ZZ rotations, not {g!r}")
         qs = g.qubits
         blocked = -1
         for idx in range(len(layers) - 1, -1, -1):
@@ -702,29 +696,30 @@ class Su4Block:
         return self.pair
 
     def absorb(self, gate) -> None:
-        """Left-multiply the block by a gate on its wires, by the gate's
-        kind: a one-qubit gate and a canonical CNOT through `gate_apply`'s
-        ONE_QUBIT and PERMUTE kernels, a ZZ rotation as its 4x4 times the
-        block, any other gate through `apply_local`.  Each gives the bits of
-        `apply_local` (tests/test_passes.py checks this)."""
-        pos = tuple(self.pair.index(q) for q in gate.qubits)
+        """Left-multiply the block by a gate of the lowered set on its wires,
+        with the register kernels' arithmetic: a one-qubit gate as one
+        batched 2x2 matmul, a canonical CNOT as a row gather, a ZZ rotation
+        as its 4x4 times the block (not the phase-vector multiply, whose
+        bits differ).  Each gives the bits of the dense local product
+        (tests/test_passes.py checks this); any other gate is refused."""
         if isinstance(gate, SingleQubit):
-            kernel = Kernel(ONE_QUBIT, gate.matrix, pos)
+            view = self.unitary.reshape(2 ** (1 - self.pair.index(gate.qubit)),
+                                        2, -1)
+            self.unitary = np.matmul(gate.matrix, view).reshape(4, 4)
         elif isinstance(gate, GeneralizedCnot) and gate.is_canonical:
-            kernel = _BLOCK_CNOT_KERNELS[pos]
+            self.unitary = self.unitary[
+                _BLOCK_CNOT_PERMS[self.pair.index(gate.control)]]
         elif isinstance(gate, ZzRotation):
-            # not the phase-vector multiply, whose bits differ
             self.unitary = gate.local_unitary() @ self.unitary
-            return
         else:
-            kernel = Kernel(LOCAL, gate.local_unitary(), pos)
-        self.unitary = gate_apply(self.unitary, kernel, 2)
+            raise CircuitError(f"an SU(4) block takes one-qubit gates, "
+                               f"canonical CNOTs and ZZ rotations, not "
+                               f"{gate!r}")
 
 
-# the PERMUTE kernel of a canonical CNOT (control, target) on a block's
-# local positions
-_BLOCK_CNOT_KERNELS = {(c, t): gate_kernel(cnot(c, t), 2)
-                       for c, t in ((0, 1), (1, 0))}
+# the row permutation of a canonical CNOT on a block, by the control's local
+# position: the index with the control's bit set has the target's bit flipped
+_BLOCK_CNOT_PERMS = (np.array([0, 3, 2, 1]), np.array([0, 1, 3, 2]))
 
 
 def form_su4_blocks(layers: list[list]) -> list:

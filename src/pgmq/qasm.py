@@ -45,7 +45,6 @@ from .circuit import (
     u1,
     u3,
 )
-from .gadgets import _Z_TO  # Z -> P conjugators
 
 
 MAX_QUBITS = 1024
@@ -539,40 +538,23 @@ def parse_qasm_file(path: str) -> Circuit:
 # Entangling-basis normalization
 # ---------------------------------------------------------------------------
 
-# W with W X W^dag = Q, used on the target wire of a generalized CNOT
-_X_TO = {
-    "X": np.eye(2, dtype=complex),
-    "Z": _Z_TO["X"],  # the Hadamard
-    "Y": np.diag([1.0, 1j]).astype(complex),
-}
-
-
 def to_zz_basis(circuit: Circuit) -> Circuit:
-    """Rewrite every entangling gate as canonical CNOTs / ZZ rotations plus
-    single-qubit gates; the unitary is preserved exactly."""
+    """The circuit in the gate set every later stage takes: one-qubit gates,
+    canonical CNOTs and ZZ rotations.  Each CZ, the one other entangling
+    gate the parser emits, is rewritten exactly as a ZZ rotation with phase
+    corrections; any other non-canonical CNOT is refused."""
     out = Circuit(circuit.num_qubits, [], circuit.classical_bits,
                   circuit.global_phase, circuit.measures)
     for g in circuit.gates:
-        if isinstance(g, GeneralizedCnot) and g.control_axis == "Z" \
-                and g.target_axis == "Z":
-            # the diagonal case lowers to a ZZ rotation and phase corrections:
+        if isinstance(g, GeneralizedCnot) and not g.is_canonical:
+            if g.control_axis != "Z" or g.target_axis != "Z":
+                raise CircuitError(f"to_zz_basis takes canonical CNOTs and "
+                                   f"CZ, not {g!r}")
             # C_{Z^Z} = e^{-i pi/4} u1(pi/2)_a u1(pi/2)_b exp(i pi/4 Z Z)
             out.global_phase *= np.exp(-1j * math.pi / 4)
             out.add(u1(math.pi / 2, g.control))
             out.add(u1(math.pi / 2, g.target))
             out.add(ZzRotation(math.pi / 4, g.control, g.target))
-        elif isinstance(g, GeneralizedCnot) and not g.is_canonical:
-            v = _Z_TO[g.control_axis]
-            w = _X_TO[g.target_axis]
-            if not np.allclose(v, np.eye(2)):
-                out.add(SingleQubit(g.control, v.conj().T, "basis"))
-            if not np.allclose(w, np.eye(2)):
-                out.add(SingleQubit(g.target, w.conj().T, "basis"))
-            out.add(cnot(g.control, g.target))
-            if not np.allclose(w, np.eye(2)):
-                out.add(SingleQubit(g.target, w, "basis"))
-            if not np.allclose(v, np.eye(2)):
-                out.add(SingleQubit(g.control, v, "basis"))
         else:
             out.add(g)
     return out

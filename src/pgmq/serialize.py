@@ -8,9 +8,9 @@ the loaded word.  The body holds phase gadgets only.
 "frames" lists each qubit of the trailing Pauli string once, ascending, and
 "phase" is [re, im] of magnitude 1 to within 1e-9.
 "ancilla" is always null: the ancilla, when the realization uses one, is
-qubit numQubits.  Angles are printed with 17 significant digits so parsing
-reproduces the exact IEEE-754 double.  Serialization is deterministic:
-serialize -> parse -> serialize is byte-identical.
+qubit numQubits.  Angles are written as `json` writes a float, the shortest
+decimal that parses back to the same IEEE-754 double.  Serialization is
+deterministic: serialize -> parse -> serialize is byte-identical.
 """
 
 from __future__ import annotations
@@ -25,12 +25,6 @@ from .passes import CompiledProgram
 from .qasm import MAX_QUBITS
 
 SCHEMA_VERSION = "1.0"
-
-
-def _fmt(x: float) -> float:
-    """Round-trip a double through its 17-significant-digit decimal form so
-    the emitted JSON text is canonical."""
-    return float(f"{float(x):.17g}")
 
 
 def _row_bits(word: list, n: int) -> list[int]:
@@ -48,7 +42,7 @@ def _layer_to_json(word: list, n: int) -> dict:
 
 
 def _body_to_json(seq: GadgetSequence) -> list:
-    return [{"type": "gadget", "axis": g.axis, "alpha": _fmt(g.alpha),
+    return [{"type": "gadget", "axis": g.axis, "alpha": float(g.alpha),
              "support": [int(q) for q in g.support]} for g in seq.gadgets]
 
 
@@ -150,7 +144,7 @@ def program_to_json(prog: CompiledProgram) -> dict:
         "preLayer": _layer_to_json(prog.pre, prog.num_qubits),
         "body": _body_to_json(prog.body),
         "frames": [[q, p] for q, p in prog.body.frame.paulis],
-        "phase": [_fmt(ph.real), _fmt(ph.imag)],
+        "phase": [float(ph.real), float(ph.imag)],
         "postLayer": _layer_to_json(prog.post, prog.num_qubits),
         "measurementMap": sorted([int(q), int(b)] for b, q
                                  in prog.measurement_map.items()),

@@ -183,10 +183,13 @@ def _kak_raw(g0: np.ndarray, vm: np.ndarray, t: np.ndarray, o: np.ndarray,
     if np.max(np.abs(np.imag(k1))) > 1e-8:
         raise CircuitError("left orthogonal factor failed to be real")
     sol = np.linalg.solve(_DIAG_SYSTEM, phi[:, :, None])[:, :, 0]
-    a_hi, a_lo = factor_kron(MAGIC @ np.real(k1) @ MAGIC.conj().T)
-    b_hi, b_lo = factor_kron(MAGIC @ o.mT @ MAGIC.conj().T)
-    return [KakDecomposition(g0[i] * np.exp(1j * c0), a_lo[i], a_hi[i],
-                             (cx, cy, cz), b_lo[i], b_hi[i])
+    # both local pairs in one call: the SVD runs per member, so each keeps
+    # the bits of its own call
+    k = len(sol)
+    hi, lo = factor_kron(np.concatenate([MAGIC @ np.real(k1) @ MAGIC.conj().T,
+                                         MAGIC @ o.mT @ MAGIC.conj().T]))
+    return [KakDecomposition(g0[i] * np.exp(1j * c0), lo[i], hi[i],
+                             (cx, cy, cz), lo[k + i], hi[k + i])
             for i, (cx, cy, cz, c0) in enumerate(sol.tolist())]
 
 

@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import unitary_group
 
 from pgmq import circuit
-from pgmq.circuit import (I2, PAULI, Circuit, CircuitError, GeneralizedCnot,
-                          SingleQubit, ZzRotation, apply_local, cnot,
-                          form_su4_blocks, gates_commute, hadamard, layerize,
-                          pauli_gate, phase_distance, to_unitary, u1)
+from pgmq.circuit import (I2, PAULI, Barrier, Circuit, CircuitError,
+                          GeneralizedCnot, SingleQubit, Su4Block, ZzRotation,
+                          _sharing_commute, apply_local, cnot,
+                          form_su4_blocks, hadamard, layerize, pauli_gate,
+                          phase_distance, to_unitary, u1)
 from pgmq.gadgets import pauli_rotation
 from conftest import random_circuit
 
@@ -71,7 +72,8 @@ def test_layerize_preserves_order_and_unitary(rng):
         for lay in layers:
             for i, g in enumerate(lay):
                 for h in lay[i + 1:]:
-                    assert gates_commute(g, h)
+                    if not set(g.qubits).isdisjoint(h.qubits):
+                        assert _sharing_commute(g, h)
 
 
 def test_su4_blocks_reconstruct(rng):
@@ -110,17 +112,17 @@ def test_gates_commute_matches_dense(rng):
         if len(c.gates) < 2:
             continue
         g1, g2 = c.gates[0], c.gates[1]
+        if set(g1.qubits).isdisjoint(g2.qubits):
+            continue
         u12 = to_unitary(Circuit(3, [g1, g2]))
         u21 = to_unitary(Circuit(3, [g2, g1]))
-        if gates_commute(g1, g2):
+        if _sharing_commute(g1, g2):
             assert np.max(np.abs(u12 - u21)) < 1e-10
 
 
 def _dense_commute_reference(a, b):
     """The dense check on the joint support that once decided every pair."""
     qs = tuple(sorted(set(a.qubits) | set(b.qubits)))
-    if set(a.qubits).isdisjoint(b.qubits):
-        return True
     k = len(qs)
     pos = {q: i for i, q in enumerate(qs)}
     ua = apply_local(np.eye(2 ** k, dtype=complex), a.local_unitary(),
@@ -159,15 +161,16 @@ def test_gates_commute_matches_dense_reference_on_every_kind(rng):
               for a, b in ((0, 1), (1, 0))]
     few_zzs = [ZzRotation(t, a, b) for t in (0.0, math.pi + 1e-12, 0.3)
                for a, b in itertools.permutations(range(3), 2)]
-    others = [GeneralizedCnot("Y", 0, "Z", 1), GeneralizedCnot("Z", 1, "Z", 0)]
-    pairs = [(a, b) for a, b in itertools.product(ones, ones[::4])
-             if a.qubit == b.qubit]
-    pairs += itertools.product(ones, cnots + zzs_01 + others)
-    pairs += itertools.product(cnots, cnots + zzs + others)
-    pairs += itertools.product(few_zzs, few_zzs + others)
+    pairs = list(itertools.product(ones, ones[::4]))
+    pairs += itertools.product(ones, cnots + zzs_01)
+    pairs += itertools.product(cnots, cnots + zzs)
+    pairs += itertools.product(few_zzs, few_zzs)
+    pairs = [(a, b) for a, b in pairs
+             if not set(a.qubits).isdisjoint(b.qubits)]
     for a, b in pairs:
         for x, y in ((a, b), (b, a)):
-            assert gates_commute(x, y) == _dense_commute_reference(x, y), (x, y)
+            assert _sharing_commute(x, y) == _dense_commute_reference(x, y), \
+                (x, y)
 
 
 def test_layerize_decides_commutation_in_closed_form(rng, monkeypatch):
@@ -177,6 +180,25 @@ def test_layerize_decides_commutation_in_closed_form(rng, monkeypatch):
     monkeypatch.setattr(circuit, "_dense_commute", dense)
     for _ in range(10):
         layerize(random_circuit(4, 30, rng))
+
+
+def test_layerize_refuses_gates_outside_the_lowered_set():
+    for g in (GeneralizedCnot("X", 0, "Z", 1), Barrier((0, 1))):
+        with pytest.raises(CircuitError, match="layerize takes"):
+            layerize(Circuit(2, [cnot(0, 1), g]))
+
+
+def test_su4_block_absorb_refuses_gates_outside_the_lowered_set():
+    block = Su4Block((0, 1), np.eye(4, dtype=complex))
+    for g in (GeneralizedCnot("X", 0, "Z", 1), Barrier((0, 1))):
+        with pytest.raises(CircuitError, match="SU\\(4\\) block takes"):
+            block.absorb(g)
+    assert np.array_equal(block.unitary, np.eye(4))
+
+
+def test_single_qubit_refuses_nan_matrix():
+    with pytest.raises(CircuitError, match="not unitary"):
+        SingleQubit(0, np.array([[1.0, 0.0], [0.0, math.nan]]))
 
 
 def test_generalized_cnot_local_unitary_table():

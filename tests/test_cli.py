@@ -490,6 +490,26 @@ def test_compile_huge_u2_angle_then_verify(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tail", ["cx q[0], q[1];\n", ""],
+                         ids=["with-cx", "alone"])
+def test_compile_overflowing_angle_then_verify(tmp_path, capsys, tail):
+    # phi + lam overflows to inf, and the NaN entry it made passed the
+    # unitarity check: compile then stopped with an internal error (exit 3)
+    # or wrote a NaN phase that verify refused (exit 2)
+    f = tmp_path / "huge.qasm"
+    f.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+                 'U(1e308, 1e308, 1e308) q[0];\n' + tail)
+    out = tmp_path / "p.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compile", str(f), "--out", str(out)]) == 0
+        serialize.loads(out.read_text())
+        assert main(["verify", str(out), str(f)]) == 0
+        assert "PASS" in capsys.readouterr().out
+        assert main(["simulate", str(out), "--input", str(f),
+                     "--samples", "5"]) == 0
+
+
 def test_compile_empty_circuit_ok(tmp_path):
     f = tmp_path / "empty.qasm"
     f.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n')

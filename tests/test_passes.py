@@ -5,8 +5,8 @@ import pytest
 
 from pgmq.circuit import (I2, Barrier, Circuit, CircuitError, GeneralizedCnot,
                           Measure, SingleQubit, Su4Block, ZzRotation,
-                          apply_local, cnot, form_su4_blocks, gates_commute,
-                          hadamard, layerize, to_unitary, u1)
+                          _sharing_commute, apply_local, cnot,
+                          form_su4_blocks, hadamard, layerize, to_unitary, u1)
 from pgmq.cost import AUTO, NO_ANCILLA, ANCILLA_MERGED, sequence_cost
 from pgmq.gadgets import (GadgetSequence, PauliFrame, PhaseGadget,
                           commute_cnot, simplify)
@@ -215,7 +215,9 @@ def reference_layerize(circuit):
         for idx in range(len(layers) - 1, -1, -1):
             if supports[idx].isdisjoint(g.qubits):
                 continue
-            if any(not gates_commute(g, other) for other in layers[idx]):
+            met = [o for o in layers[idx]
+                   if not set(g.qubits).isdisjoint(o.qubits)]
+            if any(not _sharing_commute(g, other) for other in met):
                 blocked = idx
                 break
         if blocked + 1 == len(layers):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pgmq.circuit import Circuit, GeneralizedCnot, Measure, to_unitary
+from pgmq.circuit import (Circuit, CircuitError, GeneralizedCnot, Measure,
+                          to_unitary)
 from pgmq.qasm import (QasmError, Token, parse_qasm, to_zz_basis, tokenize,
                        two_qubit_count)
 
@@ -106,14 +107,22 @@ def test_two_qubit_count():
 
 
 def test_to_zz_basis_preserves_unitary(rng):
-    for ca in "XYZ":
-        for ta in "XYZ":
-            c = Circuit(2, [GeneralizedCnot(ca, 0, ta, 1)])
-            z = to_zz_basis(c)
-            assert np.max(np.abs(to_unitary(z) - to_unitary(c))) < 1e-12
-            for g in z.gates:
-                if isinstance(g, GeneralizedCnot):
-                    assert g.is_canonical
+    # the parser's two CNOTs: the canonical one (cx) and CZ
+    for ta in "XZ":
+        c = Circuit(2, [GeneralizedCnot("Z", 0, ta, 1)])
+        z = to_zz_basis(c)
+        assert np.max(np.abs(to_unitary(z) - to_unitary(c))) < 1e-12
+        for g in z.gates:
+            if isinstance(g, GeneralizedCnot):
+                assert g.is_canonical
+
+
+def test_to_zz_basis_refuses_other_generalized_cnots():
+    for ca, ta in (("X", "Z"), ("Y", "X"), ("Z", "Y")):
+        c = Circuit(2, [GeneralizedCnot(ca, 0, ta, 1)])
+        with pytest.raises(CircuitError,
+                           match=f"control_axis='{ca}'.*target_axis='{ta}'"):
+            to_zz_basis(c)
 
 
 def test_empty_circuit():
